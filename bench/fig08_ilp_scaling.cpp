@@ -95,6 +95,7 @@ CellResult run_cell(int dips, int weights, double timeout_s) {
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const double timeout_s = flags.get_double("timeout_s", 10.0);
+  flags.exit_on_unknown();
 
   std::cout << "Fig. 8 reproduction: one-shot ILP with weights uniform in "
                "[0,1].\nPaper pattern (20 min timeout): 10-weight column "

@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   const int rounds = std::max(1, static_cast<int>(flags.get_int("rounds", 10)));
   const int max_threads = flags.get_int("threads", 4);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  flags.exit_on_unknown();
 
   std::printf("fleet: %zu VIPs x %zu DIPs, %d rounds per config "
               "(%u hardware threads)\n\n",

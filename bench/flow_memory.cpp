@@ -248,7 +248,7 @@ GcResult run_gc(std::uint64_t flows, std::size_t budget) {
     cfg.gc_scan_budget = budget;
     klb::lb::FlowTable table(cfg);
     for (std::uint64_t f = 0; f < flows; ++f)
-      table.try_insert(flow_tuple(f), f % 8, SimTime::zero(), false);
+      table.try_insert(flow_tuple(f), f % 8, SimTime::zero());
 
     if (!budgeted) {
       for (std::size_t k = 0; k < table.shard_count(); ++k) {

@@ -1,14 +1,13 @@
 // Multi-threaded MUX hot-path bench (ISSUE 5 + ISSUE 6): drives the real
 // Mux::handle_request/handle_fin packet path from 1/2/4 worker threads and
-// reports picks/sec, comparing the sharded FlowTable (+ per-shard flow
-// cache) against the old monolithic single-map design (1 shard, no cache —
-// every packet behind one lock).
+// reports picks/sec, comparing the sharded FlowTable against the old
+// monolithic single-map design (1 shard — every packet behind one lock).
 //
 // Workload: each thread owns a disjoint flow space; per round, each flow
-// opens (policy pick / flow-cache pick), sends `requests_per_flow - 1`
-// pinned requests (affinity hits), and FINs. Rounds >= 2 make reconnecting
-// tuples exercise the flow cache. The fabric runs in blackhole mode (the
-// event queue is single-threaded).
+// opens (a lock-free maglev table route), sends `requests_per_flow - 1`
+// pinned requests (affinity hits), and FINs. Rounds >= 2 reconnect the same
+// tuples. The fabric runs in blackhole mode (the event queue is
+// single-threaded).
 //
 // --churn (ISSUE 6) additionally measures pool-generation publication under
 // fire: a committer thread applies full PoolPrograms (rotated weights) and
@@ -76,17 +75,16 @@ klb::net::FiveTuple flow_tuple(unsigned thread, std::uint64_t flow) {
 
 struct RunResult {
   double rate = 0.0;  // handled requests (picks) per second, all threads
-  std::uint64_t cache_hits = 0;
   bool ok = true;
 };
 
-RunResult run_one(std::size_t shards, std::size_t cache_slots,
-                  unsigned threads, std::uint64_t flows,
+RunResult run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
                   std::uint64_t requests_per_flow, std::uint64_t rounds) {
   klb::sim::Simulation sim(7);
   klb::net::Network net(sim);
   net.set_blackhole(true);  // workers must not touch the event queue
-  klb::lb::FlowTableConfig flow_cfg{shards, cache_slots};
+  klb::lb::FlowTableConfig flow_cfg;
+  flow_cfg.shard_count = shards;
   // The drive's concurrent-flow peak is known up front; the hint
   // pre-reserves the shard maps so no timed round pays for a rehash.
   flow_cfg.expected_flows = static_cast<std::size_t>(threads) * flows;
@@ -129,7 +127,6 @@ RunResult run_one(std::size_t shards, std::size_t cache_slots,
   const auto expect_conns =
       static_cast<std::uint64_t>(threads) * flows * rounds;
   res.rate = dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
-  res.cache_hits = mux.flow_table().stats().cache_hits;
 
   // Counter conservation: with concurrent shards, any lost update or
   // leaked pin breaks one of these exactly.
@@ -161,13 +158,12 @@ RunResult run_one(std::size_t shards, std::size_t cache_slots,
   return res;
 }
 
-RunResult best_of(int reps, std::size_t shards, std::size_t cache_slots,
-                  unsigned threads, std::uint64_t flows,
-                  std::uint64_t requests_per_flow, std::uint64_t rounds) {
+RunResult best_of(int reps, std::size_t shards, unsigned threads,
+                  std::uint64_t flows, std::uint64_t requests_per_flow,
+                  std::uint64_t rounds) {
   RunResult best;
   for (int i = 0; i < reps; ++i) {
-    const auto r =
-        run_one(shards, cache_slots, threads, flows, requests_per_flow, rounds);
+    const auto r = run_one(shards, threads, flows, requests_per_flow, rounds);
     if (!r.ok) return r;
     if (r.rate > best.rate) best = r;
   }
@@ -255,7 +251,6 @@ RunResult run_batch_one(std::size_t batch, std::uint64_t flows,
   const auto expect_requests = flows * requests_per_flow * rounds;
   const auto expect_conns = flows * rounds;
   res.rate = dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
-  res.cache_hits = mux.flow_table().stats().cache_hits;
 
   std::uint64_t conns = 0, active = 0, delivered = 0;
   for (std::size_t d = 0; d < kBatchDips; ++d) {
@@ -537,10 +532,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   double sharded_1t = 0.0, sharded_multi = 0.0;
   for (const auto t : thread_counts) {
-    const auto base =
-        best_of(reps, 1, 0, t, flows, requests_per_flow, rounds);
-    const auto shard = best_of(reps, sharded.shard_count,
-                               sharded.cache_slots_per_shard, t, flows,
+    const auto base = best_of(reps, 1, t, flows, requests_per_flow, rounds);
+    const auto shard = best_of(reps, sharded.shard_count, t, flows,
                                requests_per_flow, rounds);
     ok = ok && base.ok && shard.ok;
     if (t == 1) sharded_1t = shard.rate;
@@ -555,12 +548,11 @@ int main(int argc, char** argv) {
     json_stable.push(klb::bench::Json::object()
                          .set("threads", t)
                          .set("single_map_picks_per_sec", base.rate)
-                         .set("sharded_picks_per_sec", shard.rate)
-                         .set("cache_hits", shard.cache_hits));
+                         .set("sharded_picks_per_sec", shard.rate));
   }
   table.print();
-  std::cout << "\nAffinity hits and cached picks bypass the pick lock; only "
-               "fresh policy picks serialize.\n";
+  std::cout << "\nAffinity hits and maglev table routes never take the pick "
+               "lock; only shard locks serialize.\n";
   json.set("stable", std::move(json_stable));
 
   // --- batch phase (ISSUE 9): burst size sweep through handle_batch -------
@@ -568,8 +560,8 @@ int main(int argc, char** argv) {
   if (batch_mode) {
     // Single-threaded end-to-end sweep through the real fabric (the event
     // queue is single-threaded), so the ratio is the amortization of the
-    // per-packet fixed costs — epoch pin, generation load, shard/pick
-    // locks, and one fabric event per destination run instead of one per
+    // per-packet fixed costs — epoch pin, generation load, shard locks,
+    // and one fabric event per destination run instead of one per
     // packet — and the gate is meaningful on any host, 1-core CI included.
     const auto batch_flows = std::min<std::uint64_t>(flows, 8'192);
     const std::vector<std::size_t> batch_sizes{1, 8, 32, 64};
@@ -593,8 +585,7 @@ int main(int argc, char** argv) {
            klb::testbed::fmt(r.rate / std::max(1.0, rate1), 2) + "x"});
       json_batch.push(klb::bench::Json::object()
                           .set("batch", b)
-                          .set("picks_per_sec", r.rate)
-                          .set("cache_hits", r.cache_hits));
+                          .set("picks_per_sec", r.rate));
     }
     // The headline gate: a 32-packet burst must at least double scalar
     // throughput on the same packets, or the batch path has stopped

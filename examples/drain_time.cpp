@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
   cfg.policy = "wrr";
   cfg.requests_per_session = flags.get_double("requests_per_session", 8.0);
+  flags.exit_on_unknown();
   cfg.load_fraction = 0.55;
   testbed::Testbed bed(testbed::three_dip_specs(1.0, 1.0, 1.0), cfg);
 

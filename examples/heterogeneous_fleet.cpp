@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 8));
   const std::string baseline = flags.get("baseline", "rr");
+  flags.exit_on_unknown();
 
   auto make_cfg = [&](bool klb) {
     testbed::TestbedConfig cfg;

@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
 
   testbed::TestbedConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+  flags.exit_on_unknown();
   cfg.policy = "wrr";
   cfg.use_knapsacklb = true;
   cfg.requests_per_session = 1.0;

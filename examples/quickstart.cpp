@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   const double lc_capacity = flags.get_double("capacity", 0.6);
   if (flags.get_bool("verbose"))
     util::set_log_threshold(util::LogLevel::kInfo);
+  flags.exit_on_unknown();
 
   std::cout << "KnapsackLB quickstart (seed " << seed << ")\n"
             << "Pool: 2x healthy 1-core DIPs + 1 DIP at "

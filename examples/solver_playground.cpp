@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const int dips = static_cast<int>(flags.get_int("dips", 6));
   const int points = static_cast<int>(flags.get_int("points", 10));
+  flags.exit_on_unknown();
 
   std::cout << "Solver playground: " << dips << " DIPs, " << points
             << " candidate weights each\n";

@@ -58,13 +58,7 @@ std::uint32_t* batch_scratch(std::size_t words) {
 FlowTable::FlowTable(FlowTableConfig cfg)
     : shards_(round_up_pow2(std::max<std::size_t>(1, cfg.shard_count))) {
   shard_mask_ = shards_.size() - 1;
-  cache_enabled_ = cfg.cache_slots_per_shard > 0;
   gc_scan_budget_ = cfg.gc_scan_budget;
-  if (cache_enabled_) {
-    const auto slots = round_up_pow2(cfg.cache_slots_per_shard);
-    cache_mask_ = slots - 1;
-    for (auto& s : shards_) s.cache.resize(slots);
-  }
   if (cfg.expected_flows > 0) {
     // Pre-size every shard for its share of the expected population: the
     // fill to that scale then never rehashes (a 10M-flow rehash stalls
@@ -75,33 +69,20 @@ FlowTable::FlowTable(FlowTableConfig cfg)
 }
 
 FlowHit FlowTable::lookup_locked(Shard& s, const net::FiveTuple& t,
-                                 std::uint64_t h,
                                  util::SimTime now) KLB_NONBLOCKING {
   const auto it = s.flows.find(t);
-  if (it != s.flows.end()) {
-    it->second.last_seen = now;
-    return FlowHit{FlowHit::Kind::kAffinity, it->second.backend_id};
-  }
-  if (cache_enabled_) {
-    const auto& slot = s.cache[cache_index(h)];
-    if (slot.epoch == epoch_.load(std::memory_order_relaxed) &&
-        slot.tuple == t) {
-      ++s.cache_hits;
-      return FlowHit{FlowHit::Kind::kCachedPick, slot.backend_id};
-    }
-    ++s.cache_misses;
-  }
-  return FlowHit{};
+  if (it == s.flows.end()) return FlowHit{};
+  it->second.last_seen = now;
+  return FlowHit{FlowHit::Kind::kAffinity, it->second.backend_id};
 }
 
 FlowHit FlowTable::lookup(const net::FiveTuple& t,
                           util::SimTime now) KLB_NONALLOCATING {
-  const auto h = net::hash_tuple(t);
-  auto& s = shards_[shard_index(h)];
+  auto& s = shards_[shard_of(t)];
   FlowHit hit;
   KLB_EFFECT_ESCAPE("flow.shard_lock", {
     util::MutexLock lk(s.mu);
-    hit = lookup_locked(s, t, h, now);
+    hit = lookup_locked(s, t, now);
   });
   return hit;
 }
@@ -113,7 +94,7 @@ void FlowTable::lookup_batch(FlowLookup* reqs, std::size_t n,
     auto& s = shards_[shard_index(reqs[0].hash)];
     KLB_EFFECT_ESCAPE("flow.shard_lock", {
       util::MutexLock lk(s.mu);
-      reqs[0].hit = lookup_locked(s, *reqs[0].tuple, reqs[0].hash, now);
+      reqs[0].hit = lookup_locked(s, *reqs[0].tuple, now);
     });
     return;
   }
@@ -140,7 +121,7 @@ void FlowTable::lookup_batch(FlowLookup* reqs, std::size_t n,
       util::MutexLock lk(s.mu);
       do {
         FlowLookup& r = reqs[idx[i]];
-        r.hit = lookup_locked(s, *r.tuple, r.hash, now);
+        r.hit = lookup_locked(s, *r.tuple, now);
         ++i;
       } while (i < n && shard_of_req[idx[i]] == shard);
     });
@@ -195,22 +176,12 @@ std::optional<std::uint64_t> FlowTable::try_find(
 
 std::pair<std::uint64_t, bool> FlowTable::try_insert(const net::FiveTuple& t,
                                                      std::uint64_t backend_id,
-                                                     util::SimTime now,
-                                                     bool cache_pick,
-                                                     std::uint64_t pick_epoch) {
-  const auto h = net::hash_tuple(t);
-  auto& s = shards_[shard_index(h)];
+                                                     util::SimTime now, bool) {
+  auto& s = shards_[shard_of(t)];
   util::MutexLock lk(s.mu);
   const auto [it, inserted] = s.flows.emplace(t, Flow{backend_id, now});
   if (!inserted) return {it->second.backend_id, false};
   ++s.inserts;
-  if (cache_enabled_ && cache_pick) {
-    auto& slot = s.cache[cache_index(h)];
-    slot.tuple = t;
-    slot.backend_id = backend_id;
-    slot.epoch =
-        pick_epoch != 0 ? pick_epoch : epoch_.load(std::memory_order_relaxed);
-  }
   return {backend_id, true};
 }
 
@@ -372,12 +343,10 @@ FlowTableMemory FlowTable::memory() const {
     util::MutexLock lk(s.mu);
     out.entries += s.flows.size();
     out.buckets += s.flows.bucket_count();
-    out.cache_slots += s.cache.capacity();
   }
   using Node = std::pair<const net::FiveTuple, Flow>;
   out.approx_bytes = out.entries * (sizeof(Node) + kNodeOverhead) +
                      out.buckets * sizeof(void*) +
-                     out.cache_slots * sizeof(CacheSlot) +
                      shards_.size() * sizeof(Shard);
   return out;
 }
@@ -401,10 +370,7 @@ FlowTableStats FlowTable::stats() const {
     out.erases += s.erases;
     out.gc_reclaimed += s.gc_reclaimed;
     out.gc_scanned += s.gc_scanned;
-    out.cache_hits += s.cache_hits;
-    out.cache_misses += s.cache_misses;
   }
-  out.pick_invalidations = pick_invalidations_.load(std::memory_order_relaxed);
   return out;
 }
 

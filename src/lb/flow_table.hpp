@@ -1,23 +1,18 @@
-// Sharded connection-affinity table + per-shard flow cache for the MUX
-// hot path (ISSUE 5 / ROADMAP item c).
+// Sharded connection-affinity table for the MUX hot path.
 //
 // The per-packet MUX path is: tuple hash -> affinity lookup -> (on miss)
-// policy pick -> pin. A single monolithic unordered_map serializes every
-// packet of every core behind one structure; a FlowTable splits the flow
-// space into a power-of-two number of shards, chosen by the tuple hash,
-// each with its own mutex, map, counters, and flow cache. Two cores only
-// contend when their packets hash to the same shard, so lookup/insert/FIN
+// routing decision -> pin. A single monolithic unordered_map serializes
+// every packet of every core behind one structure; a FlowTable splits the
+// flow space into a power-of-two number of shards, chosen by the tuple
+// hash, each with its own mutex, map, and counters. Two cores only contend
+// when their packets hash to the same shard, so lookup/insert/FIN
 // throughput scales with cores — the per-core state-scaling problem the
 // stateful-vs-stateless LB literature (and XLB's in-kernel path) optimize.
 //
-// The flow cache is a small per-shard direct-mapped array of recent
-// (tuple -> backend id) pick results, consulted on an affinity miss before
-// the policy runs: a tuple that reconnects shortly after its FIN re-pins
-// without re-entering the (serialized) policy pick. Cached picks carry the
-// epoch they were stored under; every pool mutation bumps the table epoch
-// (Mux::apply_program, fail_backend, weight changes), so a cached pick can
-// never resurrect a tombstoned or reweighted backend — the whole cache
-// invalidates in O(1).
+// The table holds affinity and nothing else. A new connection on a
+// tuple-deterministic pool needs no per-flow memo: the Mux resolves it
+// from the pinned generation's maglev table, lock-free, so per-flow state
+// is exactly what connection consistency needs.
 //
 // Thread-safety: every public operation is safe to call concurrently.
 // GC sweeps are shard-local: gc_shard(k) holds only shard k's lock, so an
@@ -25,12 +20,10 @@
 // reclaim callback runs after the lock is released (callers may reenter
 // the table or take their own locks from it).
 //
-// Per-shard counters (inserts, erases, GC reclaims, cache hits/misses) are
-// only aggregated on read — the hot path never touches a shared counter
-// cache line.
+// Per-shard counters (inserts, erases, GC reclaims) are only aggregated on
+// read — the hot path never touches a shared counter cache line.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -49,9 +42,6 @@ struct FlowTableConfig {
   /// Rounded up to a power of two. One shard degenerates to the old
   /// monolithic single-map table (the bench baseline).
   std::size_t shard_count = 16;
-  /// Direct-mapped flow-cache slots per shard, rounded up to a power of
-  /// two. 0 disables the cache.
-  std::size_t cache_slots_per_shard = 256;
   /// Expected concurrent flows across the whole table. Positive values
   /// pre-reserve each shard's map for its share, so filling to that scale
   /// never rehashes (a rehash at 10M flows stalls that shard for the
@@ -72,30 +62,28 @@ struct FlowTableStats {
   std::uint64_t erases = 0;
   std::uint64_t gc_reclaimed = 0;
   std::uint64_t gc_scanned = 0;  // entries examined by GC sweeps
+  // Always 0: the table has no pick cache. Kept only for benchmark/.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t pick_invalidations = 0;  // epoch bumps
 };
 
 /// Memory footprint, aggregated across shards. `approx_bytes` estimates
 /// heap usage from the node-based unordered_map layout (per-entry node +
-/// bucket array) plus the flow-cache arrays and the shard structs — an
-/// estimate, but the *same* estimate in every build mode, so ratios
+/// bucket array) plus the shard structs — an estimate, but the *same*
+/// estimate in every build mode, so ratios
 /// (stateless vs stateful) are instrumentation-independent and hold under
 /// sanitizers (bench/flow_memory.cpp gates on the ratio).
 struct FlowTableMemory {
   std::size_t entries = 0;
-  std::size_t buckets = 0;      // sum of shard bucket counts
-  std::size_t cache_slots = 0;  // sum of shard flow-cache capacities
+  std::size_t buckets = 0;  // sum of shard bucket counts
   std::size_t approx_bytes = 0;
 };
 
-/// Result of the combined affinity-then-cache lookup (one lock acquisition).
+/// Result of an affinity lookup (one lock acquisition).
 struct FlowHit {
   enum class Kind : std::uint8_t {
-    kMiss,        // unknown tuple: run the policy
-    kAffinity,    // pinned flow (last_seen touched)
-    kCachedPick,  // no pin, but a fresh cached pick for this tuple
+    kMiss,      // unknown tuple: route it as a new connection
+    kAffinity,  // pinned flow (last_seen touched)
   };
   Kind kind = Kind::kMiss;
   std::uint64_t backend_id = 0;
@@ -132,7 +120,7 @@ class FlowTable {
     return shard_index(net::hash_tuple(t));
   }
 
-  /// Affinity lookup with last-seen touch; on miss, probe the flow cache.
+  /// Affinity lookup with last-seen touch.
   /// Nonallocating: the one shard-lock acquisition is the documented
   /// "flow.shard_lock" escape; everything under it is lock-free reads.
   FlowHit lookup(const net::FiveTuple& t, util::SimTime now)
@@ -148,20 +136,15 @@ class FlowTable {
 
   /// Pin `t` to `backend_id` unless it is already pinned (a concurrent
   /// packet of the same tuple may have won the race). Returns the owning
-  /// backend id and whether this call inserted it. With `cache_pick` the
-  /// pick is also stored in the shard's flow cache, stamped `pick_epoch`
-  /// (0 = the table's current epoch). A generation-based Mux passes the
-  /// epoch of the generation the pick was computed against, so a straggler
-  /// thread still reading a retired generation writes cache entries that
-  /// are already invalid — never a stale pick served as fresh.
+  /// backend id and whether this call inserted it. The trailing bool is
+  /// ignored; only benchmark/ still passes it.
   std::pair<std::uint64_t, bool> try_insert(const net::FiveTuple& t,
                                             std::uint64_t backend_id,
-                                            util::SimTime now, bool cache_pick,
-                                            std::uint64_t pick_epoch = 0);
+                                            util::SimTime now,
+                                            bool /*unused*/ = false);
 
-  /// Read-only affinity probe: no last-seen touch, no flow-cache probe,
-  /// no counter traffic. Diagnostics and tests; the packet path uses
-  /// lookup().
+  /// Read-only affinity probe: no last-seen touch, no counter traffic.
+  /// Diagnostics and tests; the packet path uses lookup().
   std::optional<std::uint64_t> try_find(const net::FiveTuple& t) const;
 
   /// Unpin `t`, returning the backend it was pinned to (FIN path).
@@ -210,24 +193,6 @@ class FlowTable {
                  const std::function<void(const net::FiveTuple&, std::uint64_t,
                                           bool)>& reclaimed = nullptr);
 
-  /// Invalidate every cached pick pool-wide in O(1) (epoch bump). Called
-  /// by the Mux on every pool mutation so a cached pick can never
-  /// resurrect a removed, failed, drained, or reweighted backend.
-  void invalidate_picks() {
-    epoch_.fetch_add(1, std::memory_order_relaxed);
-    pick_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Jump the pick epoch to `epoch` (a generation sequence number). Lets
-  /// the Mux key cached picks to its generation sequence: entries written
-  /// under an older generation miss, and a straggler's try_insert with
-  /// that older pick_epoch is born invalid. Callers must pass strictly
-  /// increasing values.
-  void set_pick_epoch(std::uint64_t epoch) {
-    epoch_.store(epoch, std::memory_order_relaxed);
-    pick_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   std::size_t size() const;
   std::size_t shard_size(std::size_t k) const;
   /// Shard k's current map capacity (bucket count) — pre-reserve checks.
@@ -250,12 +215,6 @@ class FlowTable {
     util::SimTime last_seen = util::SimTime::zero();
   };
 
-  struct CacheSlot {
-    net::FiveTuple tuple;
-    std::uint64_t backend_id = 0;
-    std::uint64_t epoch = 0;  // 0 = never written (live epochs start at 1)
-  };
-
   /// Own cache line per shard: the mutex and map of one shard must not
   /// false-share with its neighbours. All shard mutexes share one lock
   /// rank ("klb.flow.shard"): the table never nests two shard locks, so
@@ -263,13 +222,10 @@ class FlowTable {
   struct alignas(64) Shard {
     mutable util::Mutex mu{"klb.flow.shard"};
     std::unordered_map<net::FiveTuple, Flow> flows KLB_GUARDED_BY(mu);
-    std::vector<CacheSlot> cache KLB_GUARDED_BY(mu);
     std::uint64_t inserts KLB_GUARDED_BY(mu) = 0;
     std::uint64_t erases KLB_GUARDED_BY(mu) = 0;
     std::uint64_t gc_reclaimed KLB_GUARDED_BY(mu) = 0;
     std::uint64_t gc_scanned KLB_GUARDED_BY(mu) = 0;
-    std::uint64_t cache_hits KLB_GUARDED_BY(mu) = 0;
-    std::uint64_t cache_misses KLB_GUARDED_BY(mu) = 0;
     /// Bucket index a budgeted GC sweep resumes from (wraps).
     std::size_t gc_cursor KLB_GUARDED_BY(mu) = 0;
   };
@@ -281,25 +237,17 @@ class FlowTable {
     return static_cast<std::size_t>(h >> 48) & shard_mask_;
   }
 
-  /// Lock-free under the shard lock: map find + in-place touch + cache
-  /// probe, no allocation (nonblocking — the lock is the caller's).
-  FlowHit lookup_locked(Shard& s, const net::FiveTuple& t, std::uint64_t h,
-                        util::SimTime now) KLB_NONBLOCKING
-      KLB_REQUIRES(s.mu);
+  /// Lock-free under the shard lock: map find + in-place touch, no
+  /// allocation (nonblocking — the lock is the caller's).
+  FlowHit lookup_locked(Shard& s, const net::FiveTuple& t, util::SimTime now)
+      KLB_NONBLOCKING KLB_REQUIRES(s.mu);
   /// Frees the flow's map node on a hit — callers run it inside their
   /// "flow.shard_lock" escape (the one lane where the table may free).
   void erase_locked(Shard& s, FlowErase& r) KLB_REQUIRES(s.mu);
-  std::size_t cache_index(std::uint64_t h) const KLB_NONBLOCKING {
-    return static_cast<std::size_t>(h >> 16) & cache_mask_;
-  }
 
   std::size_t shard_mask_ = 0;
-  std::size_t cache_mask_ = 0;  // meaningful only when cache_enabled_
-  bool cache_enabled_ = false;
   std::size_t gc_scan_budget_ = 0;
   std::vector<Shard> shards_;
-  std::atomic<std::uint64_t> epoch_{1};
-  std::atomic<std::uint64_t> pick_invalidations_{0};
 };
 
 }  // namespace klb::lb

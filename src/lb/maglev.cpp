@@ -125,24 +125,17 @@ std::size_t SharedMaglevPolicy::pick(const net::FiveTuple& tuple,
                                      const std::vector<BackendView>& backends,
                                      util::Rng&) KLB_NONALLOCATING {
   if (!table_) return kNoBackend;
-  if (index_dirty_ || index_by_id_.size() != backends.size()) {
-    KLB_EFFECT_ESCAPE("policy.maglev_rebuild", {
-      index_by_id_.clear();
-      for (std::size_t i = 0; i < backends.size(); ++i)
-        index_by_id_[backends[i].addr.value()] = i;
-      index_dirty_ = false;
-    });
-  }
   const auto id = table_->lookup_id(net::hash_tuple(tuple));
   if (id == MaglevTable::kNoId) return kNoBackend;
-  const auto it = index_by_id_.find(id);
   // The table and the pool commit together, so a miss means the snapshot
-  // predates this mux's view (or the backend was imperatively removed);
-  // refuse rather than guess — affinity hits never reach this path.
-  if (it == index_by_id_.end()) return kNoBackend;
-  const auto& b = backends[it->second];
-  if (!b.enabled || b.weight_units <= 0) return kNoBackend;
-  return it->second;
+  // predates this view; refuse rather than guess. Last match wins, like
+  // PoolGeneration::index_of_addr.
+  for (std::size_t i = backends.size(); i-- > 0;) {
+    const auto& b = backends[i];
+    if (b.addr.value() != id) continue;
+    return b.enabled && b.weight_units > 0 ? i : kNoBackend;
+  }
+  return kNoBackend;
 }
 
 void MaglevPolicy::rebuild(const std::vector<BackendView>& backends) {

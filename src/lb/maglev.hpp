@@ -18,7 +18,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lb/policy.hpp"
@@ -99,8 +98,6 @@ class MaglevPolicy : public Policy {
       : table_(min_table_size), min_table_size_(min_table_size) {}
 
   std::string name() const override { return "maglev"; }
-  bool weighted() const override { return true; }
-  bool pick_is_tuple_deterministic() const override { return true; }
   void invalidate() override {
     Policy::invalidate();
     dirty_ = true;
@@ -147,35 +144,22 @@ class MaglevPolicy : public Policy {
 /// member's policy as a shared_ptr<const> snapshot — pointer-equal across
 /// the pool, swapped atomically, never mutated in place.
 ///
-/// The table resolves hashes to stable ids (DIP address values); the
-/// policy maps ids to local backend indexes through a cache rebuilt on
-/// invalidate(), so a pick stays O(1) while each mux keeps its own view
-/// (a draining backend may linger on one mux and be gone from another).
+/// The table resolves hashes to stable ids (DIP address values), which
+/// each mux maps to its own view (a draining backend may linger on one mux
+/// and be gone from another). A Mux does that through
+/// PoolGeneration::table_route and never calls pick().
 class SharedMaglevPolicy : public Policy {
  public:
   std::string name() const override { return "maglev-shared"; }
-  bool weighted() const override { return true; }
-  bool pick_is_tuple_deterministic() const override { return true; }
-  void invalidate() override {
-    Policy::invalidate();
-    index_dirty_ = true;
-  }
   /// Copying is cheap and correct here: the table is an immutable shared
-  /// snapshot (the clone aliases it) and the id->index cache rebuilds.
+  /// snapshot (the clone aliases it).
   std::unique_ptr<Policy> clone() const override {
     return std::make_unique<SharedMaglevPolicy>(*this);
-  }
-  void prepare(const std::vector<BackendView>& backends) override {
-    index_by_id_.clear();
-    for (std::size_t i = 0; i < backends.size(); ++i)
-      index_by_id_[backends[i].addr.value()] = i;
-    index_dirty_ = false;
   }
 
   /// Publish a new snapshot (pool-wide, once per program version).
   void set_table(std::shared_ptr<const MaglevTable> table) {
     table_ = std::move(table);
-    index_dirty_ = true;
   }
   /// The current snapshot — pointer-equal across all muxes of a pool.
   const std::shared_ptr<const MaglevTable>& table_snapshot() const {
@@ -185,18 +169,14 @@ class SharedMaglevPolicy : public Policy {
   /// pointer outlives any generation that carries this policy.
   const MaglevTable* maglev_table() const override { return table_.get(); }
 
-  /// Steady-state: hash + table read + two frozen-map finds, allocation-
-  /// free. The id->index cache rebuild after invalidate()/set_table() is
-  /// the "policy.maglev_rebuild" escape (prepare() fills it eagerly on the
-  /// control plane, so published generations never take it).
+  /// Hash + table read + a scan of `backends` for the owner (the Mux's
+  /// route is O(1); this serves direct callers). Allocation-free.
   std::size_t pick(const net::FiveTuple& tuple,
                    const std::vector<BackendView>& backends,
                    util::Rng& rng) KLB_NONALLOCATING override;
 
  private:
   std::shared_ptr<const MaglevTable> table_;
-  std::unordered_map<std::uint64_t, std::size_t> index_by_id_;
-  bool index_dirty_ = true;
 };
 
 }  // namespace klb::lb

@@ -17,9 +17,25 @@ constexpr const char* kLog = "klb-mux";
 /// the GC O(1)-ish per packet and shard-local.
 constexpr std::uint64_t kGcRequestInterval = 4096;
 /// Batched requests are staged through stack scratch of this many lanes:
-/// big enough to amortize the per-burst costs (epoch pin, shard locks, one
-/// pick-mutex acquisition), small enough to live comfortably on the stack.
+/// big enough to amortize the per-burst costs (epoch pin, shard locks),
+/// small enough to live comfortably on the stack.
 constexpr std::size_t kBatchChunk = 32;
+
+/// The owner `hash`'s slot displaced, when the filter remembers one and
+/// the generation's table now picks someone else — where the slot's
+/// pre-change stateless flows actually live. kNoOwner otherwise.
+/// `filter` rides `gen`, so gen has a table of the filter's size.
+std::uint32_t displaced_owner(const PoolGeneration& gen,
+                              const ExceptionFilter& filter,
+                              std::uint64_t hash) KLB_NONBLOCKING {
+  const auto prev = filter.prev_owner(
+      static_cast<std::size_t>(hash % filter.table_size()));
+  if (prev == ExceptionFilter::kNoOwner) return prev;
+  const auto pick = gen.maglev_table()->lookup_id(hash);
+  return pick != MaglevTable::kNoId && static_cast<std::uint32_t>(pick) == prev
+             ? ExceptionFilter::kNoOwner
+             : prev;
+}
 }  // namespace
 
 Mux::Mux(net::Network& net, net::IpAddr vip, std::unique_ptr<Policy> policy,
@@ -50,8 +66,7 @@ Mux::Mux(net::Network& net, net::IpAddr vip, std::unique_ptr<Policy> policy,
   epochs_.debug_register_control(&control_mutex_);
   epochs_.debug_track_published();
   // Publish the initial empty-pool generation: the packet path may assume
-  // current_ is never null. Its sequence (1) matches the FlowTable's
-  // initial pick epoch.
+  // current_ is never null.
   util::MutexLock lk(control_mutex_);
   publish_locked({}, /*program_version=*/0, std::move(policy));
   if (attached_) net_.attach(vip_, this);
@@ -101,22 +116,15 @@ void Mux::publish_locked(std::vector<GenBackend> backends,
   // and the first pick against it pays nothing extra under pick_mutex_.
   gen->policy().prepare(gen->views());
 
-  if (diff_ && gen->policy_caches_picks()) {
-    // Hybrid dataplane: diff the freshly built table against the history
-    // and attach the exception filter — still before publication, so the
-    // packet path sees generation + filter as one atomic unit. A policy
-    // without a table (or with incomparable geometry) publishes without a
-    // filter: every flow pins, exactly the classic dataplane.
-    if (const auto* table = gen->maglev_table();
-        table != nullptr && table->table_size() == slot_pins_->size())
-      gen->set_exception_filter(diff_->on_publish(*table, seq));
-  }
+  // Hybrid dataplane: diff the freshly built table against the history
+  // and attach the exception filter — still before publication, so the
+  // packet path sees generation + filter as one atomic unit. A policy
+  // without a table (or with incomparable geometry) publishes without a
+  // filter: every flow pins, exactly the classic dataplane.
+  if (const auto* table = gen->maglev_table();
+      diff_ && table != nullptr && table->table_size() == slot_pins_->size())
+    gen->set_exception_filter(diff_->on_publish(*table, seq));
 
-  // Re-key the flow cache to the new generation BEFORE swinging the
-  // pointer: cached picks from older generations stop hitting, and a
-  // straggler still reading a retired generation inserts entries stamped
-  // with that generation's (old) sequence — born invalid, never served.
-  flows_.set_pick_epoch(seq);
   epochs_.debug_mark_published(gen.get());
   current_.store(gen.get(), std::memory_order_release);
   auto old = std::move(current_owner_);
@@ -328,6 +336,11 @@ std::vector<net::IpAddr> Mux::backend_addrs() const {
   return out;
 }
 
+std::vector<GenBackend> Mux::backends() const {
+  auto ref = read_gen();
+  return ref.gen->backends();
+}
+
 std::size_t Mux::draining_count() const {
   auto ref = read_gen();
   std::size_t n = 0;
@@ -372,7 +385,8 @@ bool Mux::remove_backend(std::size_t i) {
 }
 
 bool Mux::fail_backend(std::size_t i,
-                       std::optional<std::uint64_t> condemned_until_version) {
+                       std::optional<std::uint64_t> condemned_until_version,
+                       const PolicyForPool& retable) {
   util::MutexLock lk(control_mutex_);
   if (i >= current_owner_->size()) return false;
   // Tombstone the address against every transaction issued up to the
@@ -381,7 +395,7 @@ bool Mux::fail_backend(std::size_t i,
   condemn_locked(current_owner_->backends()[i].addr,
                  condemned_until_version ? *condemned_until_version
                                          : issued_versions());
-  return erase_backend(i, true);
+  return erase_backend(i, true, retable);
 }
 
 void Mux::condemn(net::IpAddr addr, std::uint64_t until_version) {
@@ -389,7 +403,8 @@ void Mux::condemn(net::IpAddr addr, std::uint64_t until_version) {
   condemn_locked(addr, until_version);
 }
 
-bool Mux::erase_backend(std::size_t i, bool failed) {
+bool Mux::erase_backend(std::size_t i, bool failed,
+                        const PolicyForPool& retable) {
   auto draft = draft_locked();
   if (i >= draft.size()) return false;
   const auto id = draft[i].id;
@@ -401,7 +416,8 @@ bool Mux::erase_backend(std::size_t i, bool failed) {
   }
   draft.erase(draft.begin() + static_cast<std::ptrdiff_t>(i));
   renormalize_weights(draft);
-  publish_locked(std::move(draft), applied_version());
+  auto policy = retable ? retable(draft) : nullptr;
+  publish_locked(std::move(draft), applied_version(), std::move(policy));
   drop_affinity_for(id, failed);
   return true;
 }
@@ -724,16 +740,12 @@ void Mux::forward_run(const PoolGeneration& gen, std::size_t i,
 }
 
 std::optional<std::size_t> Mux::resolve_stateless(const PoolGeneration& gen,
-                                                  const MaglevTable& table,
                                                   std::uint64_t hash,
                                                   const net::Message& msg)
     KLB_NONBLOCKING {
-  const auto pick = table.lookup_id(hash);
-  if (pick == MaglevTable::kNoId) return std::nullopt;
-  const auto idx = gen.index_of_addr(static_cast<std::uint32_t>(pick));
-  if (!idx) return std::nullopt;  // table predates this view; policy refuses
+  const auto idx = gen.table_route(hash);
+  if (!idx) return std::nullopt;
   const auto& b = gen.backends()[*idx];
-  if (!b.enabled || b.draining || b.weight_units <= 0) return std::nullopt;
   stateless_picks_.fetch_add(1, std::memory_order_relaxed);
   if (msg.req_id <= 1) {
     // Opener: the connection exists even though no pin ever will — the
@@ -758,10 +770,11 @@ void Mux::handle_request_chunk(const net::Message* const* msgs,
   // config swap has.
   auto ref = read_gen();
   const PoolGeneration& gen = *ref.gen;
-  if (n > 1 && !gen.policy_caches_picks()) {
-    // Non-tuple-deterministic policies (rr/wrr/lc family) mutate pick
-    // state per packet: process the burst per packet under the shared pin
-    // so the pick sequence is exactly the scalar path's.
+  if (n > 1 && gen.maglev_table() == nullptr) {
+    // Policies without a table pick under the pick mutex, and most of them
+    // (rr/wrr/lc/random family) mutate pick state per packet: process the
+    // burst per packet under the shared pin so the pick sequence is exactly
+    // the scalar path's.
     for (std::size_t i = 0; i < n; ++i)
       process_chunk_pinned(gen, now, msgs + i, 1);
     return;
@@ -789,7 +802,7 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
   enum : std::uint8_t {
     kForwardOnly,  // dip resolved, no pin wanted (stateless/affinity hit)
     kNeedLookup,   // awaiting the grouped affinity lookup
-    kNeedPick,     // policy pick required
+    kNeedPick,     // stage-D policy pick required (no table)
     kNeedPin,      // dip + id resolved, try_insert pending
     kPinned,       // insert done (possibly losing to a concurrent winner)
     kDropped,      // no usable backend: client times out
@@ -804,13 +817,9 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
   // exceptional when its pick changed recently (the filter) or while
   // pinned flows live on it (the live counter — pins may outlive the
   // filter window, and a pinned flow must never be rerouted by hash).
-  const ExceptionFilter* filter = nullptr;
-  const MaglevTable* table = nullptr;
-  if (slot_pins_) {
-    filter = gen.exception_filter();
-    table = gen.maglev_table();
-  }
-  const bool hybrid = filter != nullptr && table != nullptr;
+  // A filter only ever rides a generation with a table (publish_locked).
+  const MaglevTable* table = gen.maglev_table();
+  const ExceptionFilter* filter = gen.exception_filter();
   std::size_t need_lookup = 0;
   for (std::size_t i = 0; i < n; ++i) {
     Lane& ln = lanes[i];
@@ -825,11 +834,10 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
     ln.fresh = false;
     if (slot_pins_) {
       ln.slot = static_cast<std::uint32_t>(ln.hash % slot_pins_->size());
-      if (hybrid) {
+      if (filter != nullptr) {
         if (filter->is_exception(ln.slot) || slot_pins_->count(ln.slot) > 0) {
           ln.exception = true;
-        } else if (const auto idx =
-                       resolve_stateless(gen, *table, ln.hash, m)) {
+        } else if (const auto idx = resolve_stateless(gen, ln.hash, m)) {
           ln.dip = *idx;
           ln.st = kForwardOnly;
           continue;
@@ -849,96 +857,70 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
   // --- stage B: grouped affinity lookup (one lock per touched shard) -------
   flows_.lookup_batch(lookups, need_lookup, now);
 
-  // --- stage C: per-packet resolution (same decision tree as ever) ---------
+  // --- stage C: per-packet resolution, lock-free ---------------------------
   bool any_pick = false;
   for (std::size_t j = 0; j < need_lookup; ++j) {
     Lane& ln = lanes[lookup_lane[j]];
     const net::Message& m = *msgs[lookup_lane[j]];
-    FlowHit hit = lookups[j].hit;
-    if (hit.kind == FlowHit::Kind::kAffinity) {
+    if (lookups[j].hit.kind == FlowHit::Kind::kAffinity) {
       // Connection affinity: pinned regardless of weights — unless the
       // backend died since (defensive; removal drops its entries eagerly).
       // Draining backends keep serving their pinned flows: that is the
       // whole point of the graceful scale-in.
-      if (const auto idx = gen.index_of(hit.backend_id)) {
+      if (const auto idx = gen.index_of(lookups[j].hit.backend_id)) {
         ln.dip = *idx;
         ln.st = kForwardOnly;
         continue;
       }
       if (flows_.erase(m.tuple).has_value() && slot_pins_)
         slot_pins_->dec(ln.slot);
-      hit = FlowHit{};
     }
-    if (ln.exception) {
-      // Flagged slot, no pin for this tuple yet. Openers PIN to the
-      // current pick (the "filter miss -> pin" arm): served statelessly
-      // they would be indistinguishable, mid-flow, from the pre-change
-      // flows the filter remembers, and the adoption below would re-home
-      // them onto an owner they never had. The pin is the disambiguation —
-      // and it is exactly as long-lived as the flow, not the slot's flag.
-      if (m.req_id > 1) {
-        const auto prev = filter->prev_owner(ln.slot);
-        const auto pick = table->lookup_id(ln.hash);
-        const auto cur = pick == MaglevTable::kNoId
-                             ? ExceptionFilter::kNoOwner
-                             : static_cast<std::uint32_t>(pick);
-        if (prev != ExceptionFilter::kNoOwner && prev != cur) {
-          if (const auto pidx = gen.index_of_addr(prev)) {
-            // Adopt: pin the flow to the backend that was serving it
-            // before the slot's pick moved (for a graceful drain, the
-            // drainer — which keeps serving pinned flows). This is the
-            // break the whole subsystem exists to avoid.
-            affinity_breaks_avoided_.fetch_add(1, std::memory_order_relaxed);
-            ln.dip = *pidx;
-            ln.backend_id = gen.backends()[ln.dip].id;
-            ln.adopted = true;
-          } else {
-            // The previous owner is gone (failure / completed removal):
-            // the flow genuinely re-homes onto the current pick, pinned so
-            // it does not break again.
-            affinity_breaks_.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          // The slot is flagged but its pick did not move away from this
-          // flow's owner (pin-held slot, or a change that has already been
-          // reverted): the current pick IS the flow's backend — serve it
-          // statelessly rather than pinning it for life.
-          if (const auto idx = resolve_stateless(gen, *table, ln.hash, m)) {
-            ln.dip = *idx;
-            ln.st = kForwardOnly;
-            continue;
-          }
-        }
-      }
-      if (ln.dip == kNoBackend) {
-        // Re-homed flow or unroutable slot: resolve through the table like
-        // a stateless pick would, then pin below.
-        const auto pick = table->lookup_id(ln.hash);
-        if (pick != MaglevTable::kNoId) {
-          if (const auto idx =
-                  gen.index_of_addr(static_cast<std::uint32_t>(pick))) {
-            const auto& b = gen.backends()[*idx];
-            if (b.enabled && !b.draining && b.weight_units > 0) {
-              ln.dip = *idx;
-              ln.backend_id = b.id;
-            }
-          }
-        }
-      }
-    }
-    // A fresh cached pick short-circuits the policy for tuple-deterministic
-    // policies (hash, maglev) — the cache is keyed to the generation
-    // sequence, so a hit can only name a choice made against the current
-    // generation; the index checks below are defensive.
-    if (ln.dip == kNoBackend && hit.kind == FlowHit::Kind::kCachedPick &&
-        gen.policy_caches_picks()) {
-      if (const auto idx = gen.index_of(hit.backend_id)) {
-        const auto& b = gen.backends()[*idx];
-        if (b.enabled && !b.draining &&
-            (b.weight_units > 0 || !gen.policy_weighted())) {
+    if (ln.exception && m.req_id > 1) {
+      // Mid-flow on a flagged slot with no pin for this tuple. Openers skip
+      // this and PIN to the current pick below (the "filter miss -> pin"
+      // arm): served statelessly they would be indistinguishable, mid-flow,
+      // from the pre-change flows the filter remembers, and the adoption
+      // here would re-home them onto an owner they never had. The pin is
+      // the disambiguation — exactly as long-lived as the flow, not the
+      // slot's flag.
+      const auto prev = displaced_owner(gen, *filter, ln.hash);
+      if (prev == ExceptionFilter::kNoOwner) {
+        // The slot is flagged but its pick did not move away from this
+        // flow's owner (pin-held slot, or a change that has already been
+        // reverted): the current pick IS the flow's backend — serve it
+        // statelessly rather than pinning it for life.
+        if (const auto idx = resolve_stateless(gen, ln.hash, m)) {
           ln.dip = *idx;
-          ln.backend_id = hit.backend_id;
+          ln.st = kForwardOnly;
+          continue;
         }
+      } else if (const auto pidx = gen.index_of_addr(prev)) {
+        // Adopt: pin the flow to the backend that was serving it before
+        // the slot's pick moved (for a graceful drain, the drainer — which
+        // keeps serving pinned flows). This is the break the whole
+        // subsystem exists to avoid.
+        affinity_breaks_avoided_.fetch_add(1, std::memory_order_relaxed);
+        ln.dip = *pidx;
+        ln.backend_id = gen.backends()[ln.dip].id;
+        ln.adopted = true;
+      } else {
+        // The previous owner is gone (failure / completed removal): the
+        // flow genuinely re-homes onto the current pick, pinned so it does
+        // not break again.
+        affinity_breaks_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (ln.dip == kNoBackend && table != nullptr) {
+      // A new (or re-homed) connection on a table-bearing generation: the
+      // pick is a pure function of the hash and this pinned, frozen table,
+      // so it resolves here — no pick mutex, no virtual call.
+      if (const auto idx = gen.table_route(ln.hash)) {
+        ln.dip = *idx;
+        ln.backend_id = gen.backends()[ln.dip].id;
+      } else {
+        no_backend_drops_.fetch_add(1, std::memory_order_relaxed);
+        ln.st = kDropped;  // connection refused; client times out
+        continue;
       }
     }
     if (ln.dip != kNoBackend) {
@@ -949,13 +931,13 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
     }
   }
 
-  // --- stage D: policy picks, one pick_mutex_ acquisition per chunk --------
-  // The carved-out slow lane of the request path: the pick mutex is a
+  // --- stage D: policy pick under pick_mutex_ ------------------------------
+  // The carved-out slow lane of the request path, reached only by
+  // policies without a maglev table (rr/lc/random/p2/hash families), whose
+  // chunks are single packets (handle_request_chunk): the pick mutex is a
   // blocking lock, the pick itself is a virtual call (policies may rebuild
   // caches), and the LC-family pin inserts a map node. All of it is the
-  // documented "mux.pick" escape; tuple-deterministic steady state never
-  // enters (affinity hits, cached picks, and stateless routes resolve in
-  // stages A-C).
+  // documented "mux.pick" escape.
   if (any_pick) {
     KLB_EFFECT_ESCAPE("mux.pick", {
       util::MutexLock lk(pick_mutex_);
@@ -975,9 +957,8 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
           // (pick mutex -> shard mutex is the legal order), so the next
           // pick already sees this connection — releasing first would let
           // concurrent opens herd onto the same least-loaded backend.
-          std::tie(ln.owner, ln.fresh) = flows_.try_insert(
-              m.tuple, ln.backend_id, now, gen.policy_caches_picks(),
-              gen.seq());
+          std::tie(ln.owner, ln.fresh) =
+              flows_.try_insert(m.tuple, ln.backend_id, now);
           if (ln.fresh) {
             auto& c = *gen.backends()[ln.dip].counters;
             c.connections.fetch_add(1, std::memory_order_relaxed);
@@ -999,9 +980,8 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
       // One map-node allocation per new *connection* under the shard lock
       // — the documented "flow.pin_insert" hole, not a per-packet cost.
       KLB_EFFECT_ESCAPE("flow.pin_insert", {
-        std::tie(ln.owner, ln.fresh) = flows_.try_insert(
-            msgs[i]->tuple, ln.backend_id, now, gen.policy_caches_picks(),
-            gen.seq());
+        std::tie(ln.owner, ln.fresh) =
+            flows_.try_insert(msgs[i]->tuple, ln.backend_id, now);
       });
       if (ln.fresh) {
         auto& c = *gen.backends()[ln.dip].counters;
@@ -1084,27 +1064,16 @@ std::optional<std::size_t> Mux::resolve_fin(const PoolGeneration& gen,
     // No pin: in hybrid mode this is the normal close of a stateless flow
     // (nothing in the table was ever its state). The server still needs
     // the FIN to close out — deliver it where the data packets went: the
-    // displaced previous owner when the slot is flagged with one that
-    // differs from the current pick (exactly the mid-flow adoption rule,
-    // handle_request), the current table pick otherwise.
+    // displaced previous owner when the slot's pick moved away from one
+    // that is still here (exactly the mid-flow adoption rule,
+    // process_chunk_pinned), the current table route otherwise.
     if (!slot_pins_) return std::nullopt;
-    const auto* table = gen.maglev_table();
-    if (table == nullptr) return std::nullopt;
-    const auto slot = static_cast<std::size_t>(r.hash % slot_pins_->size());
-    const auto pick = table->lookup_id(r.hash);
-    const auto cur = pick == MaglevTable::kNoId
-                         ? ExceptionFilter::kNoOwner
-                         : static_cast<std::uint32_t>(pick);
-    std::uint32_t dst = cur;
-    if (const auto* f = gen.exception_filter();
-        f != nullptr && f->is_exception(slot)) {
-      const auto prev = f->prev_owner(slot);
-      if (prev != ExceptionFilter::kNoOwner && prev != cur &&
-          gen.index_of_addr(prev))
-        dst = prev;
+    if (const auto* f = gen.exception_filter()) {
+      const auto prev = displaced_owner(gen, *f, r.hash);
+      if (prev != ExceptionFilter::kNoOwner)
+        if (const auto idx = gen.index_of_addr(prev)) return idx;
     }
-    if (dst == ExceptionFilter::kNoOwner) return std::nullopt;
-    return gen.index_of_addr(dst);
+    return gen.table_route(r.hash);
   }
   if (slot_pins_)
     slot_pins_->dec(static_cast<std::size_t>(r.hash % slot_pins_->size()));

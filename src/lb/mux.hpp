@@ -1,10 +1,10 @@
 // The MUX: the L4 LB dataplane instance.
 //
 // A Mux owns a VIP, keeps the connection-affinity state (5-tuple -> stable
-// backend id) in a sharded FlowTable with a per-shard flow cache (see
-// lb/flow_table.hpp), applies the configured policy to new connections,
-// and forwards requests to DIPs with the original tuple preserved (encap +
-// direct server return, per Fig. 1). FINs flow through the MUX so it can
+// backend id) in a sharded FlowTable (see lb/flow_table.hpp), routes new
+// connections through the configured policy, and forwards requests to DIPs
+// with the original tuple preserved (encap + direct server return, per
+// Fig. 1). FINs flow through the MUX so it can
 // maintain per-DIP active connection counts for (W)LC — the proxy-visible
 // signal HAProxy uses.
 //
@@ -23,10 +23,13 @@
 //
 // What still serializes:
 //   * control_mutex_ — all control-plane mutations against each other.
-//   * pick_mutex_ — policy picks (stateful policies + the shared RNG) and
-//     the per-generation views' active_conns patching. Affinity hits and
-//     flow-cache hits bypass it. The control plane takes it only for the
-//     instants of cloning the old policy into a new generation.
+//   * pick_mutex_ — picks of policies without a maglev table (stateful
+//     policies + the shared RNG) and the per-generation views'
+//     active_conns patching. Affinity hits and every decision on a
+//     generation with a table (maglev, maglev-shared) bypass it: those
+//     resolve from the pinned generation's frozen table. The control plane
+//     takes it only for the instants of cloning the old policy into a new
+//     generation.
 //   * per-shard FlowTable mutexes — affinity state, per shard.
 // Lock order: control_mutex_ -> pick_mutex_ -> shard mutex. The packet
 // path starts at pick_mutex_ or below, so it can stall on a shard or on a
@@ -38,10 +41,10 @@
 // — atomically, and discards any transaction older than the last one
 // committed. Backends carry a stable id from registration to removal, so
 // the affinity state survives pool churn — indices shift when a backend is
-// removed, ids never do. Every publication re-keys the flow cache to the
-// new generation's sequence number: a cached pick can never resurrect a
-// removed, failed, or reweighted DIP, and a pick computed against an
-// already-retired generation is cached dead-on-arrival.
+// removed, ids never do. A new connection is always decided against the
+// generation pinned for its packet, so no decision can outlive the pool
+// it was made for: a removed, failed, or reweighted DIP is out of the very
+// next pick.
 //
 // Graceful scale-in is first-class: a backend programmed kDraining is
 // parked (no new connections) while its pinned flows keep being served.
@@ -72,6 +75,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -97,8 +101,8 @@ class Mux : public net::Node, public PoolProgrammer {
   /// With attach_to_vip = false the Mux does not bind the VIP on the
   /// fabric — a MuxPool owns the VIP and steers messages to its member
   /// muxes directly (ECMP sharding). `flow_cfg` sizes the sharded flow
-  /// table (a 1-shard, 0-cache config reproduces the old monolithic map —
-  /// the bench baseline). `consistency` opts into the stateless fast path
+  /// table (a 1-shard config reproduces the old monolithic map — the bench
+  /// baseline). `consistency` opts into the stateless fast path
   /// (lb/consistency.hpp); it engages only when the *initial* policy
   /// carries a maglev table (so the slot-pin counters can be sized once,
   /// before any packet), and is ignored with a warning otherwise.
@@ -137,6 +141,11 @@ class Mux : public net::Node, public PoolProgrammer {
   std::size_t backend_count() const override;
   /// Active (non-draining) backends, registration order.
   std::vector<net::IpAddr> backend_addrs() const override;
+  /// Every backend of the current generation, read under one pin: the
+  /// indices, addresses, weights and flags all come from one snapshot,
+  /// which separate per-index reads cannot promise while a drain sweep
+  /// may publish between them.
+  std::vector<GenBackend> backends() const;
 
   /// Version of the last committed transaction (0 = none yet).
   std::uint64_t applied_version() const {
@@ -178,10 +187,19 @@ class Mux : public net::Node, public PoolProgrammer {
   /// old weight while riding out the programming delay — that would
   /// blackhole the dead DIP's hash space until the next post-failure
   /// commit. A transaction issued after the failure re-admits normally
-  /// (a deliberate resurrection) and clears the tombstone.
+  /// (a deliberate resurrection) and clears the tombstone. `retable`, when
+  /// set, supplies the policy the failure's generation carries, built
+  /// from the surviving pool: a MuxPool passes one so the shared table
+  /// that no longer names the corpse lands in the same publication that
+  /// drops it, and no packet sees the backend gone while the table still
+  /// routes to it.
+  using PolicyForPool =
+      std::function<std::unique_ptr<Policy>(const std::vector<GenBackend>&)>;
   bool fail_backend(std::size_t i,
                     std::optional<std::uint64_t> condemned_until_version =
-                        std::nullopt) KLB_EXCLUDES(control_mutex_);
+                        std::nullopt,
+                    const PolicyForPool& retable = nullptr)
+      KLB_EXCLUDES(control_mutex_);
 
   /// Record the failure tombstone alone (see fail_backend) without
   /// touching any backend — a MuxPool uses it to keep members that do not
@@ -239,7 +257,7 @@ class Mux : public net::Node, public PoolProgrammer {
   /// straggling reader re-pinned mid-removal — tests assert it after churn.
   std::size_t dangling_affinity_count() const;
 
-  /// The sharded affinity table (shard/cache introspection for tests and
+  /// The sharded affinity table (shard introspection for tests and
   /// benches).
   const FlowTable& flow_table() const { return flows_; }
 
@@ -325,8 +343,7 @@ class Mux : public net::Node, public PoolProgrammer {
   std::size_t pending_retired_generations() const {
     return epochs_.pending_retired();
   }
-  /// Sequence number of the current generation (== the flow cache's pick
-  /// epoch).
+  /// Sequence number of the current generation.
   std::uint64_t generation_seq() const {
     return gen_seq_.load(std::memory_order_relaxed);
   }
@@ -345,14 +362,14 @@ class Mux : public net::Node, public PoolProgrammer {
 
   /// Batched packet entry: processes a burst of messages with per-burst
   /// amortization — the epoch pin and generation load happen once, affinity
-  /// lookups are grouped to take each FlowTable shard lock once, policy
-  /// picks for the burst's misses share one pick_mutex_ acquisition, and
+  /// lookups are grouped to take each FlowTable shard lock once, new
+  /// connections resolve lock-free from the generation's maglev table, and
   /// forwarding is grouped per destination DIP into fabric bursts. Counter
-  /// outcomes are element-wise identical to handle_request for
-  /// tuple-deterministic policies; stateful policies (rr/lc family) are
-  /// processed per packet under the shared pin so their pick sequence
-  /// matches the scalar path exactly. Mixed types allowed: contiguous
-  /// request runs are batched, FINs are handled per message.
+  /// outcomes are element-wise identical to handle_request. Policies
+  /// without a table (rr/lc family, hash) are processed per packet under
+  /// the shared pin so their pick sequence matches the scalar path
+  /// exactly. Mixed types allowed: contiguous request runs are batched,
+  /// FIN runs are batched separately.
   void handle_batch(const net::Message* const* msgs, std::size_t n)
       KLB_NONALLOCATING KLB_EXCLUDES(control_mutex_, pick_mutex_);
 
@@ -382,8 +399,9 @@ class Mux : public net::Node, public PoolProgrammer {
   }
   /// One pinned, staged pass over up to kBatchChunk requests.
   /// Nonallocating: the slow lanes it may cross are the documented
-  /// escapes — "mux.maybe_gc" (amortized sweep), "mux.pick" (stage D),
-  /// "flow.pin_insert" (stage E) and the FlowTable/fabric sites below.
+  /// escapes — "mux.maybe_gc" (amortized sweep), "mux.pick" (stage D,
+  /// policies without a table only), "flow.pin_insert" (stage E) and the
+  /// FlowTable/fabric sites below.
   void handle_request_chunk(const net::Message* const* msgs, std::size_t n)
       KLB_NONALLOCATING KLB_EXCLUDES(control_mutex_, pick_mutex_);
   /// The staged body, running against an already-pinned generation.
@@ -409,13 +427,12 @@ class Mux : public net::Node, public PoolProgrammer {
   void forward_run(const PoolGeneration& gen, std::size_t i,
                    const net::Message* const* msgs, std::size_t k)
       KLB_NONALLOCATING;
-  /// Stateless resolution: the backend index `hash` routes to through the
-  /// generation's table, or nullopt when the table/pool had no usable
-  /// answer (the caller falls back to the stateful path). On success the
-  /// stateless counters are bumped (openers count their connection); the
-  /// caller forwards. Fully lock-free: table read + relaxed counters.
+  /// Stateless resolution: gen.table_route(hash), or nullopt when the
+  /// table/pool had no usable answer (the caller falls back to the
+  /// stateful path). On success the stateless counters are bumped (openers
+  /// count their connection); the caller forwards. Fully lock-free: table
+  /// read + relaxed counters.
   std::optional<std::size_t> resolve_stateless(const PoolGeneration& gen,
-                                               const MaglevTable& table,
                                                std::uint64_t hash,
                                                const net::Message& msg)
       KLB_NONBLOCKING;
@@ -427,9 +444,9 @@ class Mux : public net::Node, public PoolProgrammer {
       KLB_NONALLOCATING KLB_EXCLUDES(pick_mutex_);
 
   /// Build and publish the next generation from `backends`, cloning the
-  /// current policy unless `policy_override` supplies one. Re-keys the
-  /// flow cache, swings the pointer, retires the predecessor. Caller holds
-  /// control_mutex_ (and NOT pick_mutex_).
+  /// current policy unless `policy_override` supplies one. Swings the
+  /// pointer, retires the predecessor. Caller holds control_mutex_ (and
+  /// NOT pick_mutex_).
   void publish_locked(std::vector<GenBackend> backends,
                       std::uint64_t program_version,
                       std::unique_ptr<Policy> policy_override = nullptr)
@@ -457,7 +474,9 @@ class Mux : public net::Node, public PoolProgrammer {
       KLB_REQUIRES(control_mutex_) {
     failed_tombstones_[addr.value()] = until_version;
   }
-  bool erase_backend(std::size_t i, bool failed) KLB_REQUIRES(control_mutex_);
+  bool erase_backend(std::size_t i, bool failed,
+                     const PolicyForPool& retable = nullptr)
+      KLB_REQUIRES(control_mutex_);
   void drop_affinity_for(std::uint64_t id, bool count_as_reset);
   /// Rescale `draft` weights to sum kWeightScale, preserving ratios.
   /// All-zero pools stay parked (traffic deliberately weighted away).
@@ -487,11 +506,11 @@ class Mux : public net::Node, public PoolProgrammer {
   /// a held pin would defer that reclamation forever.
   mutable util::Mutex control_mutex_{"klb.mux.control",
                                      util::LockFlags::kControlPlane};
-  /// Serializes policy picks (stateful policies + the shared RNG) and the
-  /// generation views' active_conns patching. Lock order: pick_mutex_ may
-  /// be followed by a shard mutex (pick -> pin), never the reverse —
-  /// FlowTable callbacks that reenter the Mux run after the shard lock
-  /// drops (see FlowTable::gc_shard).
+  /// Serializes picks of policies without a maglev table (stateful
+  /// policies + the shared RNG) and the generation views' active_conns
+  /// patching. Lock order: pick_mutex_ may be followed by a shard mutex
+  /// (pick -> pin), never the reverse — FlowTable callbacks that reenter
+  /// the Mux run after the shard lock drops (see FlowTable::gc_shard).
   util::Mutex pick_mutex_{"klb.mux.pick"};
 
   /// The published generation. Readers pin (epochs_) then acquire-load;

@@ -21,6 +21,29 @@ std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 31;
   return x;
 }
+
+/// One shared maglev table over `backends` (a member's pool, read as one
+/// generation). Entry order follows the members' registration order, which
+/// tracks the programs' stable relative order, so a rebuild stays
+/// minimally disruptive. Ids are DIP address values — identical on every
+/// mux by construction, which is what makes one table servable by all of
+/// them. Drainers take no slots.
+std::shared_ptr<const MaglevTable> build_table(
+    const std::vector<GenBackend>& backends, std::size_t min_table_size) {
+  std::vector<MaglevEntry> entries;
+  for (const auto& b : backends)
+    if (!b.draining)
+      entries.push_back(MaglevEntry{b.addr.value(), b.weight_units});
+  auto table = std::make_shared<MaglevTable>(min_table_size);
+  table->build(entries);
+  return table;
+}
+
+std::unique_ptr<Policy> shared_policy(std::shared_ptr<const MaglevTable> t) {
+  auto policy = std::make_unique<SharedMaglevPolicy>();
+  policy->set_table(std::move(t));
+  return policy;
+}
 }  // namespace
 
 MuxPool::MuxPool(net::Network& net, net::IpAddr vip, std::size_t mux_count,
@@ -91,30 +114,12 @@ void MuxPool::apply_program(const PoolProgram& program) {
 void MuxPool::publish_table() {
   // One maglev build per commit, derived from the post-apply pool state
   // (member 0 is representative: every member applied the same programs,
-  // and draining stragglers are excluded from the table either way).
-  // Entry order follows the members' registration order, which tracks the
-  // programs' stable relative order, so the rebuild stays minimally
-  // disruptive. Ids are DIP address values — identical on every mux by
-  // construction, which is what makes one table servable by all of them.
-  const auto& m = *muxes_.front();
-  const auto units = m.weight_units();
-  std::vector<MaglevEntry> entries;
-  entries.reserve(units.size());
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    if (m.backend_draining(i)) continue;
-    entries.push_back(MaglevEntry{m.backend_addr(i).value(), units[i]});
-  }
-  auto table = std::make_shared<MaglevTable>(min_table_size_);
-  table->build(entries);
+  // and draining stragglers are excluded from the table either way). Each
+  // member gets a fresh policy instance carrying the pointer-equal
+  // snapshot, published as a new pool generation.
+  const auto table = build_table(muxes_.front()->backends(), min_table_size_);
   ++shared_builds_;
-  for (auto& mux : muxes_) {
-    // Each member gets a fresh policy instance carrying the pointer-equal
-    // snapshot, published as a new pool generation — the table itself is
-    // still built once and shared pool-wide.
-    auto policy = std::make_unique<SharedMaglevPolicy>();
-    policy->set_table(table);
-    mux->set_policy(std::move(policy));
-  }
+  for (auto& mux : muxes_) mux->set_policy(shared_policy(table));
 }
 
 void MuxPool::poll() {
@@ -127,26 +132,39 @@ bool MuxPool::fail_backend(net::IpAddr dip) {
   // their own): every member refuses the same set of pre-failure
   // transactions, so they cannot diverge on whether the corpse is served.
   const auto condemned = issued_versions();
-  bool any = false;
-  for (const auto& m : muxes_) {
+  // Rebuild the shared table now: the dead DIP's hash space redistributes
+  // to the survivors immediately (its reset flows retry as new
+  // connections), instead of blackholing until the next program commits.
+  // Built once, from the first member's surviving pool, and published in
+  // the same generation that drops the corpse.
+  std::shared_ptr<const MaglevTable> table;
+  const Mux::PolicyForPool retable =
+      [&](const std::vector<GenBackend>& survivors) {
+        if (!table) table = build_table(survivors, min_table_size_);
+        return shared_policy(table);
+      };
+  std::vector<bool> retabled(muxes_.size(), false);
+  for (std::size_t k = 0; k < muxes_.size(); ++k) {
+    auto& m = *muxes_[k];
     bool served = false;
-    for (std::size_t i = 0; i < m->backend_count(); ++i) {
-      if (m->backend_addr(i) == dip) {
+    for (std::size_t i = 0; i < m.backend_count(); ++i) {
+      if (m.backend_addr(i) == dip) {
         served = true;
-        any = m->fail_backend(i, condemned) || any;
+        retabled[k] = m.fail_backend(i, condemned, retable);
         break;
       }
     }
     // A member not serving the DIP (e.g. its drain completed there first)
     // still records the tombstone, so all members agree on which
     // in-flight transactions are allowed to re-admit the address.
-    if (!served) m->condemn(dip, condemned);
+    if (!served) m.condemn(dip, condemned);
   }
-  // Rebuild the shared table now: the dead DIP's hash space redistributes
-  // to the survivors immediately (its reset flows retry as new
-  // connections), instead of blackholing until the next program commits.
-  if (any) publish_table();
-  return any;
+  if (!table) return false;
+  ++shared_builds_;
+  // Members that no longer served the corpse switch to the new table too.
+  for (std::size_t k = 0; k < muxes_.size(); ++k)
+    if (!retabled[k]) muxes_[k]->set_policy(shared_policy(table));
+  return true;
 }
 
 std::uint64_t MuxPool::total_forwarded() const {
@@ -259,7 +277,6 @@ FlowTableMemory MuxPool::flow_memory() const {
     const auto mem = m->flow_table().memory();
     out.entries += mem.entries;
     out.buckets += mem.buckets;
-    out.cache_slots += mem.cache_slots;
     out.approx_bytes += mem.approx_bytes;
   }
   return out;

@@ -139,8 +139,7 @@ class MuxPool : public net::Node, public PoolProgrammer {
 
  private:
   /// Build one table from the current pool state and hand the snapshot to
-  /// every member (runs after each commit and after a dataplane-local
-  /// failure). Caller holds mu_; the members' own control locks are taken
+  /// every member (runs after each commit). Caller holds mu_; the members' own control locks are taken
   /// underneath it (klb.muxpool.control -> klb.mux.control is the legal
   /// order, never the reverse).
   void publish_table() KLB_REQUIRES(mu_);

@@ -51,18 +51,11 @@ class Policy {
  public:
   virtual ~Policy() = default;
   virtual std::string name() const = 0;
-  /// true when the policy honours programmed weights.
-  virtual bool weighted() const { return false; }
   /// true when picks read the MUX-tracked connection counts (LC family):
   /// the MUX keeps the policy views' active_conns fresh only then, and
-  /// never serves such a policy's picks from the flow cache (a cached
-  /// choice would bypass the live-load balancing).
+  /// pins such a policy's new connections inside the pick critical
+  /// section so the next pick already sees them.
   virtual bool uses_connection_counts() const { return false; }
-  /// true when the pick is a pure function of the 5-tuple for a fixed pool
-  /// (hash, maglev): only then may the MUX serve repeat tuples from its
-  /// flow cache — for rotation/random policies a cached pick would skew
-  /// the distribution the policy exists to produce.
-  virtual bool pick_is_tuple_deterministic() const { return false; }
   /// Choose a backend index for a new connection, or kNoBackend.
   virtual std::size_t pick(const net::FiveTuple& tuple,
                            const std::vector<BackendView>& backends,
@@ -85,10 +78,12 @@ class Policy {
     (void)backends;
   }
   /// The maglev lookup table backing this policy's deterministic picks,
-  /// or nullptr when it has none. Non-null enables the Mux's stateless
-  /// fast path (lb/consistency.hpp): the table pointer must stay stable
-  /// for the policy's lifetime, and its *contents* must be frozen once
-  /// the generation carrying the policy is published (prepare() fills it
+  /// or nullptr when it has none. Non-null means the Mux resolves every
+  /// new connection from the table itself (ids are DIP address values),
+  /// lock-free, and never calls pick(); it also enables the stateless fast
+  /// path (lb/consistency.hpp). The table pointer must stay stable for the
+  /// policy's lifetime, and its *contents* must be frozen once the
+  /// generation carrying the policy is published (prepare() fills it
   /// before publication) — the packet path reads it without a lock.
   virtual const MaglevTable* maglev_table() const { return nullptr; }
 
@@ -137,7 +132,6 @@ class RoundRobin : public Policy {
 class SmoothWeightedRoundRobin : public Policy {
  public:
   std::string name() const override { return "wrr"; }
-  bool weighted() const override { return true; }
   std::unique_ptr<Policy> clone() const override {
     // Carries the smoothing credits: a reweight-only generation swap must
     // stay as smooth as nginx's in-place reweight.
@@ -176,7 +170,6 @@ class LeastConnection : public Policy {
 class WeightedLeastConnection : public Policy {
  public:
   std::string name() const override { return "wlc"; }
-  bool weighted() const override { return true; }
   bool uses_connection_counts() const override { return true; }
   std::unique_ptr<Policy> clone() const override {
     return std::make_unique<WeightedLeastConnection>(*this);
@@ -203,7 +196,6 @@ class RandomPolicy : public Policy {
 class WeightedRandom : public Policy {
  public:
   std::string name() const override { return "wrandom"; }
-  bool weighted() const override { return true; }
   std::unique_ptr<Policy> clone() const override {
     return std::make_unique<WeightedRandom>(*this);
   }
@@ -235,7 +227,6 @@ class PowerOfTwoCpu : public Policy {
 class HashTuple : public Policy {
  public:
   std::string name() const override { return "hash"; }
-  bool pick_is_tuple_deterministic() const override { return true; }
   std::unique_ptr<Policy> clone() const override {
     return std::make_unique<HashTuple>(*this);
   }

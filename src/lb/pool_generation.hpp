@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "lb/consistency.hpp"
+#include "lb/maglev.hpp"
 #include "lb/policy.hpp"
 #include "net/address.hpp"
 
@@ -86,10 +87,10 @@ struct GenBackend {
 
 class PoolGeneration {
  public:
-  /// `seq` is the Mux's generation sequence number (doubles as the flow
-  /// cache's pick epoch); `program_version` the last committed
-  /// transaction. The policy instance becomes generation-owned: it must
-  /// already be invalidated/prepared for exactly this backend list.
+  /// `seq` is the Mux's generation sequence number; `program_version` the
+  /// last committed transaction. The policy instance becomes
+  /// generation-owned: it must already be invalidated/prepared for exactly
+  /// this backend list.
   PoolGeneration(std::uint64_t seq, std::uint64_t program_version,
                  std::vector<GenBackend> backends,
                  std::unique_ptr<Policy> policy)
@@ -104,8 +105,6 @@ class PoolGeneration {
       views_.push_back(backends_[i].view());
     }
     policy_uses_conns_ = policy_->uses_connection_counts();
-    policy_caches_picks_ = policy_->pick_is_tuple_deterministic();
-    policy_weighted_ = policy_->weighted();
     // The pointer is stable even though the table's *contents* are filled
     // later (prepare() runs before publication); null for policies with
     // no maglev table.
@@ -123,7 +122,6 @@ class PoolGeneration {
 
   // Read accessors consulted by the packet path under a generation pin:
   // all nonblocking (frozen fields, read-only map finds, no allocation).
-  std::uint64_t seq() const KLB_NONBLOCKING { return seq_; }
   std::uint64_t program_version() const KLB_NONBLOCKING {
     return program_version_;
   }
@@ -153,6 +151,24 @@ class PoolGeneration {
   /// at publication; the packet path reads it lock-free under its pin.
   const MaglevTable* maglev_table() const KLB_NONBLOCKING { return table_; }
 
+  /// The one table route of a tuple-deterministic decision: the backend
+  /// index the maglev table routes `hash` to, when that backend may take
+  /// new connections (enabled, not draining, positive weight). nullopt
+  /// without a table, for an empty slot, or for an owner this generation
+  /// does not carry or has parked. Lock-free: one table read, one frozen
+  /// map find.
+  std::optional<std::size_t> table_route(std::uint64_t hash) const
+      KLB_NONBLOCKING {
+    if (table_ == nullptr) return std::nullopt;
+    const auto id = table_->lookup_id(hash);
+    if (id == MaglevTable::kNoId) return std::nullopt;
+    const auto idx = index_of_addr(static_cast<std::uint32_t>(id));
+    if (!idx) return std::nullopt;
+    const auto& b = backends_[*idx];
+    if (!b.enabled || b.draining || b.weight_units <= 0) return std::nullopt;
+    return idx;
+  }
+
   /// The generation's exception filter (lb/consistency.hpp), or nullptr
   /// when the stateless fast path is off/disengaged. Set by the Mux on
   /// the control thread before the generation is published (never after),
@@ -176,10 +192,6 @@ class PoolGeneration {
   bool policy_uses_conns() const KLB_NONBLOCKING {
     return policy_uses_conns_;
   }
-  bool policy_caches_picks() const KLB_NONBLOCKING {
-    return policy_caches_picks_;
-  }
-  bool policy_weighted() const KLB_NONBLOCKING { return policy_weighted_; }
 
   /// Recompute the structural checksum and compare with the one stamped
   /// at construction — false means a torn/corrupt generation (never
@@ -230,8 +242,6 @@ class PoolGeneration {
   mutable std::vector<BackendView> views_;  // active_conns patched under pick mutex
   std::unique_ptr<Policy> policy_;
   bool policy_uses_conns_ = false;
-  bool policy_caches_picks_ = false;
-  bool policy_weighted_ = false;
   std::uint64_t checksum_ = 0;
 };
 

@@ -108,8 +108,9 @@ inline constexpr const char* kDocumentedEscapeSites[] = {
     // lb/mux.cpp — pinning a new flow inserts a FlowTable map node (one
     // allocation per *connection*, not per packet) under the shard lock.
     "flow.pin_insert",
-    // lb/mux.cpp — stage D: the one pick_mutex_ acquire per burst, plus
-    // the policy pick under it (policies may rebuild caches).
+    // lb/mux.cpp — stage D: the pick_mutex_ acquire plus the policy pick
+    // under it (policies may rebuild caches). Reached only by policies
+    // without a maglev table, one packet at a time.
     "mux.pick",
     // lb/mux.cpp — LC-family view refresh on FIN takes pick_mutex_.
     "mux.release_pick_refresh",
@@ -122,8 +123,8 @@ inline constexpr const char* kDocumentedEscapeSites[] = {
     // lb/policy.cpp — usable-index cache rebuild after invalidate(); a
     // steady-state pick takes the cached branch.
     "policy.usable_rebuild",
-    // lb/maglev.cpp — lazy table / id-index rebuild after invalidate();
-    // published generations are prepared eagerly and never hit this.
+    // lb/maglev.cpp — lazy table rebuild after invalidate(); published
+    // generations are prepared eagerly and never hit this.
     "policy.maglev_rebuild",
     // net/fabric.cpp — the observation tap is a type-erased std::function
     // installed by benches; the default (none) is a single atomic load.

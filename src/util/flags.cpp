@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <cstdlib>
+#include <iostream>
 
 namespace klb::util {
 
@@ -53,6 +54,14 @@ std::vector<std::string> Flags::unused() const {
   for (const auto& [k, _] : values_)
     if (!queried_.count(k)) out.push_back(k);
   return out;
+}
+
+void Flags::exit_on_unknown() const {
+  const auto unknown = unused();
+  if (unknown.empty()) return;
+  for (const auto& name : unknown)
+    std::cerr << "unknown flag --" << name << "\n";
+  std::exit(2);
 }
 
 }  // namespace klb::util

@@ -27,6 +27,11 @@ class Flags {
   /// Names that were provided but never queried — for catching typos.
   std::vector<std::string> unused() const;
 
+  /// Strict parsing: call after the last query. Names every provided but
+  /// never-queried flag on stderr and exits with status 2, so a mistyped
+  /// flag fails loudly instead of silently running the default mode.
+  void exit_on_unknown() const;
+
  private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> queried_;

@@ -1,8 +1,8 @@
-// Sharded flow table + flow cache (ISSUE 5): shard distribution
-// uniformity, cache epoch invalidation (a cached pick must never resurrect
-// a tombstoned DIP), GC under concurrent insert, and the Mux-level
-// affinity invariants — cross-shard drain completion and the
-// flows_dropped_by_removal accounting — on top of the new table.
+// Sharded flow table: shard distribution uniformity, pin/erase semantics,
+// GC under concurrent insert, and the Mux-level invariants on top of it —
+// cross-shard drain completion, the flows_dropped_by_removal accounting,
+// and reconnecting tuples landing on the current generation's table pick
+// (no routing decision outlives the pool it was made for).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "lb/flow_table.hpp"
+#include "lb/maglev.hpp"
 #include "lb/mux.hpp"
 #include "lb/policy.hpp"
 #include "lb/pool_program.hpp"
@@ -33,17 +34,17 @@ net::FiveTuple flow_tuple(std::uint64_t i) {
 }
 
 TEST(FlowTable, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(FlowTable(FlowTableConfig{1, 0}).shard_count(), 1u);
-  EXPECT_EQ(FlowTable(FlowTableConfig{5, 0}).shard_count(), 8u);
-  EXPECT_EQ(FlowTable(FlowTableConfig{16, 0}).shard_count(), 16u);
-  EXPECT_EQ(FlowTable(FlowTableConfig{0, 0}).shard_count(), 1u);
+  EXPECT_EQ(FlowTable(FlowTableConfig{1}).shard_count(), 1u);
+  EXPECT_EQ(FlowTable(FlowTableConfig{5}).shard_count(), 8u);
+  EXPECT_EQ(FlowTable(FlowTableConfig{16}).shard_count(), 16u);
+  EXPECT_EQ(FlowTable(FlowTableConfig{0}).shard_count(), 1u);
 }
 
 TEST(FlowTable, ShardDistributionIsUniform) {
-  FlowTable table(FlowTableConfig{16, 0});
+  FlowTable table(FlowTableConfig{16});
   const std::size_t flows = 64'000;
   for (std::uint64_t i = 0; i < flows; ++i)
-    table.try_insert(flow_tuple(i), i % 7, util::SimTime::zero(), false);
+    table.try_insert(flow_tuple(i), i % 7, util::SimTime::zero());
   ASSERT_EQ(table.size(), flows);
   const double mean =
       static_cast<double>(flows) / static_cast<double>(table.shard_count());
@@ -59,11 +60,11 @@ TEST(FlowTable, PinLifecycleAndRaceSemantics) {
   const auto t = flow_tuple(1);
   EXPECT_EQ(table.lookup(t, 0_s).kind, FlowHit::Kind::kMiss);
 
-  auto [owner, fresh] = table.try_insert(t, 42, 0_s, false);
+  auto [owner, fresh] = table.try_insert(t, 42, 0_s);
   EXPECT_TRUE(fresh);
   EXPECT_EQ(owner, 42u);
   // A concurrent same-tuple packet that lost the race keeps the winner.
-  auto [owner2, fresh2] = table.try_insert(t, 99, 1_s, false);
+  auto [owner2, fresh2] = table.try_insert(t, 99, 1_s);
   EXPECT_FALSE(fresh2);
   EXPECT_EQ(owner2, 42u);
 
@@ -76,38 +77,10 @@ TEST(FlowTable, PinLifecycleAndRaceSemantics) {
   EXPECT_EQ(table.size(), 0u);
 }
 
-TEST(FlowTable, CachedPickServedUntilEpochBump) {
-  FlowTable table(FlowTableConfig{4, 64});
-  const auto t = flow_tuple(7);
-  table.try_insert(t, 5, 0_s, /*cache_pick=*/true);
-  table.erase(t);
-
-  // The pin is gone but the cached pick survives the FIN...
-  const auto hit = table.lookup(t, 1_s);
-  EXPECT_EQ(hit.kind, FlowHit::Kind::kCachedPick);
-  EXPECT_EQ(hit.backend_id, 5u);
-  EXPECT_GE(table.stats().cache_hits, 1u);
-
-  // ...until any pool mutation bumps the epoch: the stale pick must never
-  // resurrect a backend the pool no longer serves.
-  table.invalidate_picks();
-  EXPECT_EQ(table.lookup(t, 2_s).kind, FlowHit::Kind::kMiss);
-  EXPECT_EQ(table.stats().pick_invalidations, 1u);
-}
-
-TEST(FlowTable, CacheDisabledNeverServesPicks) {
-  FlowTable table(FlowTableConfig{4, 0});
-  const auto t = flow_tuple(3);
-  table.try_insert(t, 5, 0_s, /*cache_pick=*/true);
-  table.erase(t);
-  EXPECT_EQ(table.lookup(t, 1_s).kind, FlowHit::Kind::kMiss);
-  EXPECT_EQ(table.stats().cache_hits, 0u);
-}
-
 TEST(FlowTable, EraseBackendDropsEveryPinnedFlow) {
-  FlowTable table(FlowTableConfig{8, 0});
+  FlowTable table(FlowTableConfig{8});
   for (std::uint64_t i = 0; i < 300; ++i)
-    table.try_insert(flow_tuple(i), i % 3, 0_s, false);
+    table.try_insert(flow_tuple(i), i % 3, 0_s);
   EXPECT_EQ(table.erase_backend(1), 100u);
   EXPECT_EQ(table.size(), 200u);
   table.for_each([](const net::FiveTuple&, std::uint64_t id, util::SimTime) {
@@ -116,10 +89,10 @@ TEST(FlowTable, EraseBackendDropsEveryPinnedFlow) {
 }
 
 TEST(FlowTable, GcReclaimsDeadAndIdleShardLocally) {
-  FlowTable table(FlowTableConfig{8, 0});
+  FlowTable table(FlowTableConfig{8});
   // Backend 1 is dead; backend 2's flows are idle; backend 3's are fresh.
   for (std::uint64_t i = 0; i < 60; ++i)
-    table.try_insert(flow_tuple(i), 1 + i % 3, i % 3 == 1 ? 1_s : 90_s, false);
+    table.try_insert(flow_tuple(i), 1 + i % 3, i % 3 == 1 ? 1_s : 90_s);
   std::size_t dead = 0, idled = 0;
   const auto reclaimed = table.gc(
       100_s, 60_s, [](std::uint64_t id) { return id != 1; },
@@ -142,9 +115,9 @@ TEST(FlowTable, GcReclaimsDeadAndIdleShardLocally) {
 // The reclaim callback runs after the shard lock drops: reentering the
 // table from it must not deadlock (the Mux takes its pick mutex there).
 TEST(FlowTable, GcReclaimCallbackMayReenterTable) {
-  FlowTable table(FlowTableConfig{4, 0});
+  FlowTable table(FlowTableConfig{4});
   for (std::uint64_t i = 0; i < 40; ++i)
-    table.try_insert(flow_tuple(i), i % 2, 0_s, false);
+    table.try_insert(flow_tuple(i), i % 2, 0_s);
   std::size_t seen = 0;
   table.gc(
       100_s, 0_s, [](std::uint64_t id) { return id != 0; },
@@ -156,24 +129,33 @@ TEST(FlowTable, GcReclaimCallbackMayReenterTable) {
 }
 
 TEST(FlowTable, TryFindIsReadOnly) {
-  FlowTable table(FlowTableConfig{4, 64});
+  FlowTable table(FlowTableConfig{4});
   const auto t = flow_tuple(11);
   EXPECT_EQ(table.try_find(t), std::nullopt);
-  table.try_insert(t, 7, 0_s, /*cache_pick=*/true);
+  table.try_insert(t, 7, 0_s);
   EXPECT_EQ(table.try_find(t), std::optional<std::uint64_t>(7));
-  // No touch, no cache probe, no counter traffic.
+  // No last-seen touch, no counter traffic.
   const auto before = table.stats();
   (void)table.try_find(t);
   (void)table.try_find(flow_tuple(12));
   const auto after = table.stats();
-  EXPECT_EQ(after.cache_hits, before.cache_hits);
-  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(after.erases, before.erases);
+  EXPECT_EQ(after.entries, 1u);
+  table.for_each([](const net::FiveTuple&, std::uint64_t, util::SimTime seen) {
+    EXPECT_EQ(seen, 0_s);
+  });
+  // lookup() is the touching probe.
+  EXPECT_EQ(table.lookup(t, 5_s).kind, FlowHit::Kind::kAffinity);
+  table.for_each([](const net::FiveTuple&, std::uint64_t, util::SimTime seen) {
+    EXPECT_EQ(seen, 5_s);
+  });
 }
 
 TEST(FlowTable, ExpectedFlowsHintPreReservesShards) {
   // Hinted: the buckets for the expected population exist up front, and
   // filling to that scale never rehashes (capacity is stable).
-  FlowTableConfig hinted{8, 0};
+  FlowTableConfig hinted{8};
   hinted.expected_flows = 64'000;
   FlowTable table(hinted);
   std::vector<std::size_t> buckets_at_start(table.shard_count());
@@ -183,23 +165,23 @@ TEST(FlowTable, ExpectedFlowsHintPreReservesShards) {
         << "shard " << k << " not pre-reserved";
   }
   for (std::uint64_t i = 0; i < 64'000; ++i)
-    table.try_insert(flow_tuple(i), i % 3, 0_s, false);
+    table.try_insert(flow_tuple(i), i % 3, 0_s);
   for (std::size_t k = 0; k < table.shard_count(); ++k)
     EXPECT_EQ(table.shard_buckets(k), buckets_at_start[k])
         << "shard " << k << " rehashed despite the hint";
 
   // Unhinted default: starts near-empty (the hint is opt-in).
-  FlowTable bare(FlowTableConfig{8, 0});
+  FlowTable bare(FlowTableConfig{8});
   EXPECT_LT(bare.shard_buckets(0), buckets_at_start[0]);
 }
 
 TEST(FlowTable, MemoryTracksEntriesAndBuckets) {
-  FlowTable table(FlowTableConfig{4, 64});
+  FlowTable table(FlowTableConfig{4});
   const auto empty = table.memory();
   EXPECT_EQ(empty.entries, 0u);
-  EXPECT_GT(empty.approx_bytes, 0u);  // shard structs + cache arrays
+  EXPECT_GT(empty.approx_bytes, 0u);  // the shard structs
   for (std::uint64_t i = 0; i < 10'000; ++i)
-    table.try_insert(flow_tuple(i), 1, 0_s, false);
+    table.try_insert(flow_tuple(i), 1, 0_s);
   const auto full = table.memory();
   EXPECT_EQ(full.entries, 10'000u);
   EXPECT_GT(full.buckets, 0u);
@@ -210,12 +192,12 @@ TEST(FlowTable, MemoryTracksEntriesAndBuckets) {
 }
 
 TEST(FlowTable, BudgetedGcSweepsIncrementally) {
-  FlowTableConfig cfg{1, 0};
+  FlowTableConfig cfg{1};
   cfg.gc_scan_budget = 64;
   FlowTable table(cfg);
   constexpr std::uint64_t kFlows = 2'000;
   for (std::uint64_t i = 0; i < kFlows; ++i)
-    table.try_insert(flow_tuple(i), i % 2, 0_s, false);
+    table.try_insert(flow_tuple(i), i % 2, 0_s);
 
   // One budgeted call examines ~the budget, not the whole shard (bucket
   // granularity makes it approximate), and reclaims only what it saw.
@@ -236,14 +218,14 @@ TEST(FlowTable, BudgetedGcSweepsIncrementally) {
   EXPECT_EQ(table.size(), kFlows / 2);
   // An explicit full sweep overrides the budget in one call.
   for (std::uint64_t i = 0; i < kFlows; ++i)
-    table.try_insert(flow_tuple(100'000 + i), 1, 0_s, false);
+    table.try_insert(flow_tuple(100'000 + i), 1, 0_s);
   EXPECT_EQ(table.gc_shard(0, 0_s, util::SimTime::zero(), alive, nullptr,
                            FlowTable::kScanAll),
             kFlows);
 }
 
 TEST(FlowTable, GcUnderConcurrentInsert) {
-  FlowTable table(FlowTableConfig{16, 64});
+  FlowTable table(FlowTableConfig{16});
   constexpr std::uint64_t kPerThread = 20'000;
   constexpr std::uint64_t kThreads = 4;
   std::atomic<std::uint64_t> reclaimed{0};
@@ -263,7 +245,7 @@ TEST(FlowTable, GcUnderConcurrentInsert) {
     writers.emplace_back([&, w] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         const auto n = w * kPerThread + i;
-        table.try_insert(flow_tuple(n), n % 4, 0_s, n % 3 == 0);
+        table.try_insert(flow_tuple(n), n % 4, 0_s);
       }
     });
   }
@@ -322,7 +304,7 @@ struct MuxFlowFixture {
 TEST(MuxFlowTable, CrossShardDrainCompletion) {
   MuxFlowFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"), /*attach_to_vip=*/true,
-          FlowTableConfig{8, 64});
+          FlowTableConfig{8});
   PoolProgram v1(1);
   v1.add(f.a, 5000).add(f.b, 5000);
   mux.apply_program(v1);
@@ -360,54 +342,63 @@ TEST(MuxFlowTable, CrossShardDrainCompletion) {
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }
 
-// The flow cache serves repeat tuples for the maglev policy — but a pool
-// mutation (fail_backend here) bumps the epoch, so a cached pick can never
-// steer a reconnecting client into a tombstoned DIP.
-TEST(MuxFlowTable, CachedPickNeverResurrectsFailedBackend) {
+/// The backend `t` is pinned to, by address (0.0.0.0 when unpinned).
+net::IpAddr pinned_addr(const Mux& mux, const net::FiveTuple& t) {
+  const auto id = mux.flow_table().try_find(t);
+  const auto idx = id ? mux.index_of_id(*id) : std::nullopt;
+  return idx ? mux.backend_addr(*idx) : net::IpAddr{};
+}
+
+// Reconnecting tuples land on the CURRENT generation's table pick — after
+// a reweighting program and after fail_backend alike: no decision outlives
+// the pool it was made for, so none can steer a client into a reweighted
+// share or a tombstoned DIP. The expected picks come from a table built
+// independently over the programmed pool.
+TEST(MuxFlowTable, ReconnectLandsOnTheNewGenerationsTablePick) {
   MuxFlowFixture f;
-  Mux mux(f.net, f.vip, make_policy("maglev"), /*attach_to_vip=*/true,
-          FlowTableConfig{8, 256});
+  Mux mux(f.net, f.vip, make_policy("maglev"));
+  constexpr std::uint16_t kPorts = 400;
+  std::vector<net::IpAddr> before(kPorts);
+  std::size_t moved = 0;
+  auto reconnect_all = [&](const std::vector<MaglevEntry>& pool) {
+    MaglevTable expect;
+    expect.build(pool);
+    for (std::uint16_t p = 0; p < kPorts; ++p) {
+      mux.on_message(f.request(p));
+      const auto now_on = pinned_addr(mux, port_tuple(p));
+      EXPECT_EQ(now_on.value(),
+                expect.lookup_id(net::hash_tuple(port_tuple(p))))
+          << "port " << p;
+      moved += before[p] != now_on ? 1 : 0;
+      before[p] = now_on;
+      mux.on_message(f.fin(p));
+    }
+  };
   PoolProgram v1(1);
   v1.add(f.a, 5000).add(f.b, 5000);
   mux.apply_program(v1);
+  reconnect_all({{f.a.value(), 5000}, {f.b.value(), 5000}});
 
-  // Find a tuple maglev routes to backend a.
-  std::uint16_t port = 0;
-  for (std::uint16_t p = 1; p < 2000; ++p) {
-    const auto before = mux.new_connections(0);
-    mux.on_message(f.request(p));
-    mux.on_message(f.fin(p));
-    if (mux.new_connections(0) > before) {
-      port = p;
-      break;
-    }
-  }
-  ASSERT_NE(port, 0) << "no tuple hashed to backend a";
+  moved = 0;
+  PoolProgram v2(2);
+  v2.add(f.a, 9000).add(f.b, 1000);
+  mux.apply_program(v2);
+  reconnect_all({{f.a.value(), 9000}, {f.b.value(), 1000}});
+  EXPECT_GT(moved, 0u);  // the reweight moved real traffic
 
-  // A reconnect of the same tuple is served from the flow cache (no pin
-  // existed any more), and lands on the same backend.
-  const auto hits_before = mux.flow_table().stats().cache_hits;
-  const auto conns_a = mux.new_connections(0);
-  mux.on_message(f.request(port));
-  EXPECT_GT(mux.flow_table().stats().cache_hits, hits_before);
-  EXPECT_EQ(mux.new_connections(0), conns_a + 1);
-  mux.on_message(f.fin(port));
-
-  // Kill a. The reconnect must NOT follow the cached pick into the corpse.
-  ASSERT_TRUE(mux.fail_backend(0));
-  ASSERT_EQ(mux.backend_count(), 1u);
-  const auto conns_b = mux.new_connections(0);  // b is index 0 now
-  mux.on_message(f.request(port));
-  EXPECT_EQ(mux.new_connections(0), conns_b + 1);
+  ASSERT_TRUE(mux.fail_backend(0));  // a held no pins when it died
+  reconnect_all({{f.b.value(), util::kWeightScale}});
+  for (const auto& addr : before) EXPECT_EQ(addr, f.b);
+  EXPECT_EQ(mux.no_backend_drops(), 0u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
-  EXPECT_EQ(mux.flows_reset_by_failure(), 0u);  // a held no pins when it died
+  EXPECT_EQ(mux.flows_reset_by_failure(), 0u);
 }
 
 // Abrupt graceful-path removal (transactional kRemoved / omission) drops
 // pinned flows; before ISSUE 5 they were counted nowhere.
 TEST(MuxFlowTable, RemovalDropsAreCounted) {
   MuxFlowFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"), true, FlowTableConfig{4, 0});
+  Mux mux(f.net, f.vip, make_policy("wrr"), true, FlowTableConfig{4});
   PoolProgram v1(1);
   v1.add(f.a, 5000).add(f.b, 5000);
   mux.apply_program(v1);

@@ -4,8 +4,10 @@
 // enable-refusal warn path, and the two concurrency contracts the
 // RCU-style scheme must keep under a racing packet path — enable/weight
 // flips from one thread while another drives picks (no torn generation
-// ever observable), and MuxPool::fail_backend condemnation under a
-// concurrent reader (conservation + stale re-admission refusal).
+// ever observable), MuxPool::fail_backend condemnation under a
+// concurrent reader (conservation + stale re-admission refusal), and fresh
+// connections resolved lock-free from the pinned generation's table while
+// reweighting programs commit.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -361,6 +363,84 @@ TEST(GenerationTest, PoolFailBackendUnderConcurrentReader) {
   PoolProgram fresh = equal_program(pool.issue_version(), kDips);
   pool.apply_program(fresh);
   EXPECT_EQ(pool.backend_count(), kDips);
+}
+
+// Fresh connections race reweighting commits on the lock-free table route:
+// worker threads open distinct, never-seen flows in bursts (each flow one
+// opener, one mid-flow request, one FIN) on a maglev Mux and on a MuxPool
+// while a committer publishes reweighting programs to both. Every opener
+// resolves from whichever generation its burst pinned, so every one must be
+// routed, counted once, and released by its FIN — no refused connection,
+// no leaked pin, no lost counter update.
+TEST(GenerationTest, FreshFlowsRaceReweightingCommits) {
+  constexpr std::uint32_t kThreads = 3, kBursts = 200, kBurst = 8;
+  sim::Simulation sim(5);
+  net::Network net(sim);
+  net.set_blackhole(true);
+  Mux mux(net, {10, 0, 0, 1}, std::make_unique<MaglevPolicy>(251));
+  MuxPool pool(net, {10, 0, 0, 2}, 2, 251);
+  std::uint64_t commits = 0;
+  auto commit = [&] {
+    ++commits;
+    for (PoolProgrammer* dp : {static_cast<PoolProgrammer*>(&mux),
+                               static_cast<PoolProgrammer*>(&pool)}) {
+      PoolProgram p(dp->issue_version());
+      for (std::size_t d = 0; d < 8; ++d)
+        p.add(dip_addr(d), 64 + static_cast<std::int64_t>((d + commits) % 7));
+      dp->apply_program(p);
+    }
+  };
+
+  std::atomic<bool> go{false};
+  std::atomic<std::uint32_t> running{kThreads};
+  std::vector<std::thread> workers;
+  for (std::uint32_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      std::vector<net::Message> msgs(3 * kBurst);
+      std::vector<const net::Message*> ptrs;
+      for (const auto& m : msgs) ptrs.push_back(&m);
+      for (std::uint32_t b = 0; b < kBursts; ++b) {
+        for (std::uint32_t k = 0; k < kBurst; ++k) {
+          const auto client = (w * kBursts + b) * kBurst + k;
+          msgs[k] = msgs[kBurst + k] = request(client, 4000);
+          msgs[2 * kBurst + k] = fin(client, 4000);
+        }
+        mux.handle_batch(ptrs.data(), ptrs.size());
+        pool.on_batch(ptrs.data(), ptrs.size());
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  // The first commit lands before any traffic, the rest race it.
+  do {
+    commit();
+    go.store(true, std::memory_order_release);
+    std::this_thread::yield();
+  } while (running.load(std::memory_order_acquire) > 0);
+  for (auto& t : workers) t.join();
+
+  // Conservation per dataplane: the bare Mux, and the pool's members summed.
+  const std::uint64_t opens = std::uint64_t{kThreads} * kBursts * kBurst;
+  auto conserved = [opens](std::vector<const Mux*> members) {
+    std::uint64_t conns = 0, active = 0, forwarded = 0, drops = 0, pins = 0;
+    for (const auto* m : members) {
+      for (std::size_t d = 0; d < m->backend_count(); ++d) {
+        conns += m->new_connections(d);
+        active += m->active_connections(d);
+      }
+      forwarded += m->total_forwarded();
+      drops += m->no_backend_drops();
+      pins += m->affinity_size();
+    }
+    EXPECT_EQ(conns, opens);
+    EXPECT_EQ(active, 0u);
+    EXPECT_EQ(forwarded, 2 * opens);
+    EXPECT_EQ(drops, 0u);
+    EXPECT_EQ(pins, 0u);
+  };
+  conserved({&mux});
+  conserved({&pool.mux(0), &pool.mux(1)});
 }
 
 }  // namespace

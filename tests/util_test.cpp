@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <vector>
 
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -272,6 +275,38 @@ TEST_P(NormalizePropertyTest, RandomVectorsAlwaysSumToScale) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NormalizePropertyTest,
                          ::testing::Range(0, 25));
+
+/// argv for Flags from string literals (argv[0] is the program name).
+std::vector<char*> argv_of(std::vector<std::string>& args) {
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return argv;
+}
+
+TEST(Flags, ParsesBothFormsAndSwitches) {
+  std::vector<std::string> args{"prog", "pos", "--seed=7", "--vips", "100",
+                                "--verbose"};
+  auto argv = argv_of(args);
+  const Flags flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(flags.get_int("seed", 0), 7);
+  EXPECT_EQ(flags.get_int("vips", 0), 100);
+  EXPECT_TRUE(flags.get_bool("verbose"));
+  EXPECT_EQ(flags.get_double("missing", 2.5), 2.5);
+  EXPECT_EQ(flags.positional(), std::vector<std::string>{"pos"});
+  EXPECT_TRUE(flags.unused().empty());
+  flags.exit_on_unknown();  // every flag was queried: returns
+}
+
+// A mistyped flag must fail the run, not silently run the default mode.
+TEST(FlagsDeathTest, UnknownFlagExitsTwoAndNamesIt) {
+  std::vector<std::string> args{"prog", "--seed", "3", "--seeed=4"};
+  auto argv = argv_of(args);
+  const Flags flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(flags.get_int("seed", 0), 3);
+  EXPECT_EQ(flags.unused(), std::vector<std::string>{"seeed"});
+  EXPECT_EXIT(flags.exit_on_unknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --seeed");
+}
 
 }  // namespace
 }  // namespace klb::util
