@@ -133,7 +133,7 @@ std::size_t SharedMaglevPolicy::pick(const net::FiveTuple& tuple,
   for (std::size_t i = backends.size(); i-- > 0;) {
     const auto& b = backends[i];
     if (b.addr.value() != id) continue;
-    return b.enabled && b.weight_units > 0 ? i : kNoBackend;
+    return b.weight_units > 0 ? i : kNoBackend;
   }
   return kNoBackend;
 }

@@ -1,12 +1,10 @@
 #include "lb/mux.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <tuple>
 
 #include "lb/maglev.hpp"
 #include "util/logging.hpp"
-#include "util/weight.hpp"
 
 namespace klb::lb {
 
@@ -205,7 +203,8 @@ void Mux::sweep_drains_locked() {
 
 // --- transactional programming -------------------------------------------------
 
-void Mux::apply_program(const PoolProgram& program) {
+void Mux::apply_program(const PoolProgram& program,
+                        const PolicyForPool& retable) {
   util::MutexLock lk(control_mutex_);
   if (program.version <= applied_version()) {
     superseded_programs_.fetch_add(1, std::memory_order_relaxed);
@@ -226,11 +225,12 @@ void Mux::apply_program(const PoolProgram& program) {
   std::vector<std::uint64_t> to_remove;  // stable ids, graceful removal
   for (auto& b : draft) {
     const auto it = desired.find(b.addr.value());
-    // Absent from the desired pool (or its entry was consumed by an
-    // earlier duplicate-address backend): removed — unless the program is
+    // Absent from the desired pool: removed — unless the program is
     // weights-only (it does not own membership) or the backend is already
     // draining, in which case the drain keeps running to completion.
-    if (it == desired.end() || it->second == nullptr) {
+    // Addresses are unique in the pool (admission below consumes each
+    // entry once), so every entry matches at most one backend.
+    if (it == desired.end()) {
       if (!program.weights_only && !b.draining) to_remove.push_back(b.id);
       continue;
     }
@@ -238,13 +238,11 @@ void Mux::apply_program(const PoolProgram& program) {
       case BackendState::kActive: {
         const auto units = it->second->weight_units;
         b.weight_units = units < 0 ? 0 : units;
-        b.enabled = true;
         b.draining = false;  // re-listing a drainer as Active cancels it
         break;
       }
       case BackendState::kDraining:
         b.weight_units = 0;
-        b.enabled = false;
         if (!b.draining) b.drain_since_us = net_.sim().now().us();
         b.draining = true;
         break;
@@ -283,6 +281,7 @@ void Mux::apply_program(const PoolProgram& program) {
     GenBackend b;
     b.id = next_backend_id_++;
     b.addr = e.dip;
+    b.server = e.server;
     b.weight_units = e.weight_units < 0 ? 0 : e.weight_units;
     b.counters = std::make_shared<BackendCounters>();
     draft.push_back(std::move(b));
@@ -317,8 +316,9 @@ void Mux::apply_program(const PoolProgram& program) {
   }
 
   // Weights apply literally — the transaction declares the whole pool, so
-  // there is nothing to rescale (unlike the imperative churn ops below).
-  publish_locked(std::move(draft), program.version);
+  // there is nothing to rescale.
+  auto policy = retable ? retable(draft) : nullptr;
+  publish_locked(std::move(draft), program.version, std::move(policy));
   for (const auto id : dropped_ids) drop_affinity_for(id, false);
 }
 
@@ -349,94 +349,31 @@ std::size_t Mux::draining_count() const {
   return n;
 }
 
-// --- imperative lifecycle (direct dataplane manipulation) ----------------------
+// --- abrupt failure ------------------------------------------------------------
 
-std::uint64_t Mux::add_backend(net::IpAddr dip,
-                               const server::DipServer* server) {
-  util::MutexLock lk(control_mutex_);
-  failed_tombstones_.erase(dip.value());  // imperative re-add is deliberate
-  auto draft = draft_locked();
-  GenBackend b;
-  b.id = next_backend_id_++;
-  b.addr = dip;
-  b.server = server;
-  b.counters = std::make_shared<BackendCounters>();
-  // The newcomer enters at the pool's mean weight (a fair share relative
-  // to its peers); existing controller-programmed ratios are preserved by
-  // renormalize — an n-DIP equal pool stays equal at n+1, a weighted pool
-  // keeps its shape. An all-parked pool gives the newcomer everything.
-  std::int64_t sum = 0;
-  for (const auto& be : draft) sum += be.weight_units;
-  b.weight_units =
-      draft.empty() || sum <= 0
-          ? util::kWeightScale
-          : (sum + static_cast<std::int64_t>(draft.size()) / 2) /
-                static_cast<std::int64_t>(draft.size());
-  const auto id = b.id;
-  draft.push_back(std::move(b));
-  renormalize_weights(draft);
-  publish_locked(std::move(draft), applied_version());
-  return id;
-}
-
-bool Mux::remove_backend(std::size_t i) {
-  util::MutexLock lk(control_mutex_);
-  return erase_backend(i, false);
-}
-
-bool Mux::fail_backend(std::size_t i,
+bool Mux::fail_backend(net::IpAddr addr,
                        std::optional<std::uint64_t> condemned_until_version,
                        const PolicyForPool& retable) {
   util::MutexLock lk(control_mutex_);
-  if (i >= current_owner_->size()) return false;
   // Tombstone the address against every transaction issued up to the
   // failure observation: one of them may still be riding the programming
   // delay, and committing it must not resurrect the corpse.
-  condemn_locked(current_owner_->backends()[i].addr,
-                 condemned_until_version ? *condemned_until_version
-                                         : issued_versions());
-  return erase_backend(i, true, retable);
-}
-
-void Mux::condemn(net::IpAddr addr, std::uint64_t until_version) {
-  util::MutexLock lk(control_mutex_);
-  condemn_locked(addr, until_version);
-}
-
-bool Mux::erase_backend(std::size_t i, bool failed,
-                        const PolicyForPool& retable) {
+  failed_tombstones_[addr.value()] = condemned_until_version
+                                         ? *condemned_until_version
+                                         : issued_versions();
+  const auto i = current_owner_->index_of_addr(addr.value());
+  if (!i) return false;
   auto draft = draft_locked();
-  if (i >= draft.size()) return false;
-  const auto id = draft[i].id;
-  if (failed) {
-    util::log_warn(kLog)
-        << "backend " << draft[i].addr.str() << " failed; resetting "
-        << draft[i].counters->active.load(std::memory_order_relaxed)
-        << " pinned flows";
-  }
-  draft.erase(draft.begin() + static_cast<std::ptrdiff_t>(i));
-  renormalize_weights(draft);
+  const auto id = draft[*i].id;
+  util::log_warn(kLog) << "backend " << addr.str() << " failed; resetting "
+                       << draft[*i].counters->active.load(
+                              std::memory_order_relaxed)
+                       << " pinned flows";
+  draft.erase(draft.begin() + static_cast<std::ptrdiff_t>(*i));
   auto policy = retable ? retable(draft) : nullptr;
   publish_locked(std::move(draft), applied_version(), std::move(policy));
-  drop_affinity_for(id, failed);
+  drop_affinity_for(id, /*count_as_reset=*/true);
   return true;
-}
-
-void Mux::renormalize_weights(std::vector<GenBackend>& draft) {
-  if (draft.empty()) return;
-  std::vector<double> raw(draft.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < draft.size(); ++i) {
-    raw[i] = static_cast<double>(draft[i].weight_units);
-    sum += raw[i];
-  }
-  // A fully parked pool (all zeros) stays parked: normalize's equal-split
-  // fallback would resurrect a VIP the controller deliberately weighted to
-  // zero, e.g. after removing the only weighted backend.
-  if (sum <= 0.0) return;
-  const auto units = util::normalize_to_units(raw);
-  for (std::size_t i = 0; i < draft.size(); ++i)
-    draft[i].weight_units = units[i];
 }
 
 void Mux::drop_affinity_for(std::uint64_t id, bool count_as_reset) {
@@ -450,9 +387,9 @@ void Mux::drop_affinity_for(std::uint64_t id, bool count_as_reset) {
   if (count_as_reset) {
     flows_reset_.fetch_add(n, std::memory_order_relaxed);
   } else {
-    // Graceful-path abrupt drop (transactional kRemoved, omission, or an
-    // imperative remove): not a failure reset, not a drained-to-zero —
-    // without its own counter these flows vanish from every metric.
+    // Graceful-path abrupt drop (transactional kRemoved or omission): not
+    // a failure reset, not a drained-to-zero — without its own counter
+    // these flows vanish from every metric.
     flows_dropped_.fetch_add(n, std::memory_order_relaxed);
   }
 }
@@ -484,16 +421,6 @@ std::uint64_t Mux::backend_id(std::size_t i) const {
   return ref.gen->backends()[i].id;
 }
 
-bool Mux::backend_enabled(std::size_t i) const {
-  auto ref = read_gen();
-  if (i >= ref.gen->size()) {
-    util::log_warn(kLog) << "backend_enabled(" << i << ") out of range ("
-                         << ref.gen->size() << " backends)";
-    return false;
-  }
-  return ref.gen->backends()[i].enabled;
-}
-
 bool Mux::backend_draining(std::size_t i) const {
   auto ref = read_gen();
   return i < ref.gen->size() && ref.gen->backends()[i].draining;
@@ -523,54 +450,12 @@ std::uint64_t Mux::active_connections(std::size_t i) const {
              : 0;
 }
 
-// --- imperative weight programming ---------------------------------------------
-
-bool Mux::set_weight_units(const std::vector<std::int64_t>& units) {
-  util::MutexLock lk(control_mutex_);
-  auto draft = draft_locked();
-  if (units.size() != draft.size()) {
-    rejected_programmings_.fetch_add(1, std::memory_order_relaxed);
-    util::log_warn(kLog) << "rejecting weight programming: " << units.size()
-                         << " entries for " << draft.size()
-                         << " backends (controller out of sync with pool)";
-    return false;
-  }
-  for (std::size_t i = 0; i < draft.size(); ++i)
-    draft[i].weight_units =
-        draft[i].draining ? 0 : (units[i] < 0 ? 0 : units[i]);
-  publish_locked(std::move(draft), applied_version());
-  return true;
-}
-
 std::vector<std::int64_t> Mux::weight_units() const {
   auto ref = read_gen();
   std::vector<std::int64_t> out(ref.gen->size());
   for (std::size_t i = 0; i < ref.gen->size(); ++i)
     out[i] = ref.gen->backends()[i].weight_units;
   return out;
-}
-
-bool Mux::set_backend_enabled(std::size_t i, bool enabled) {
-  util::MutexLock lk(control_mutex_);
-  auto draft = draft_locked();
-  if (i >= draft.size()) {
-    util::log_warn(kLog) << "set_backend_enabled(" << i << ") out of range ("
-                         << draft.size() << " backends)";
-    return false;
-  }
-  if (enabled && draft[i].draining) {
-    // Enabling a drainer would leave `draining && enabled`: it keeps
-    // accepting new connections, so its affinity never empties and the
-    // promised auto-removal never completes. Cancel the drain explicitly
-    // (re-list kActive in a PoolProgram) instead.
-    util::log_warn(kLog) << "refusing to enable draining backend "
-                         << draft[i].addr.str()
-                         << " (cancel the drain via a pool program instead)";
-    return false;
-  }
-  draft[i].enabled = enabled;
-  publish_locked(std::move(draft), applied_version());
-  return true;
 }
 
 void Mux::reset_counters() {
@@ -585,7 +470,6 @@ void Mux::reset_counters() {
   flows_reset_.store(0, std::memory_order_relaxed);
   flows_gced_.store(0, std::memory_order_relaxed);
   flows_dropped_.store(0, std::memory_order_relaxed);
-  rejected_programmings_.store(0, std::memory_order_relaxed);
   superseded_programs_.store(0, std::memory_order_relaxed);
   stale_failed_admissions_.store(0, std::memory_order_relaxed);
   stateless_picks_.store(0, std::memory_order_relaxed);

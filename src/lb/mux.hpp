@@ -10,8 +10,8 @@
 //
 // Pool state is published as immutable generations (ROADMAP item 1, the
 // RCU-style scheme): every control-plane mutation — a committed
-// PoolProgram, imperative churn, a weight or enable change, a policy swap
-// — builds a fresh lb::PoolGeneration (membership, weights, flags, and a
+// PoolProgram, a failure, a drain completion, a policy swap — builds a
+// fresh lb::PoolGeneration (membership, weights, drain flags, and a
 // per-generation policy clone) and swings one atomic pointer to it. The
 // packet path pins the current generation through an EpochDomain (one CAS
 // + one store per packet, no lock, no allocation), works against that
@@ -36,12 +36,16 @@
 // concurrent pick, but never on the control plane; an epoch pin is not a
 // lock.
 //
-// Programming is transactional (see lb/pool_program.hpp): apply_program()
-// commits a whole desired pool — membership, weights, and lifecycle states
-// — atomically, and discards any transaction older than the last one
-// committed. Backends carry a stable id from registration to removal, so
-// the affinity state survives pool churn — indices shift when a backend is
-// removed, ids never do. A new connection is always decided against the
+// Programming is transactional (see lb/pool_program.hpp) and is the only
+// way to change the pool: apply_program() commits a whole desired pool —
+// membership, weights, and lifecycle states — atomically, and discards any
+// transaction older than the last one committed. Parking a backend means
+// programming it at weight 0; there is no separate enable flag, and no
+// rescale ever rewrites programmed weights. The one mutation outside a
+// program is fail_backend(addr), the dataplane observing a death. Backends
+// carry a stable id from registration to removal, so the affinity state
+// survives pool churn — indices shift when a backend is removed, ids never
+// do. A new connection is always decided against the
 // generation pinned for its packet, so no decision can outlive the pool
 // it was made for: a removed, failed, or reweighted DIP is out of the very
 // next pick.
@@ -132,7 +136,21 @@ class Mux : public net::Node, public PoolProgrammer {
   ///   kRemoved  — removed now (affinity dropped, clients reconnect).
   /// A served backend the program omits is removed — unless it is already
   /// draining, in which case the drain continues.
-  void apply_program(const PoolProgram& program) override;
+  void apply_program(const PoolProgram& program) override {
+    apply_program(program, nullptr);
+  }
+
+  /// Supplies the policy a generation carries, built from the generation's
+  /// final backend list. A MuxPool passes one so a shared table lands in
+  /// the same publication as the membership it was built from.
+  using PolicyForPool =
+      std::function<std::unique_ptr<Policy>(const std::vector<GenBackend>&)>;
+
+  /// apply_program, with the committed generation's policy taken from
+  /// `retable` (when set) instead of cloned from the current one: one
+  /// publication carries the new membership and its table together.
+  void apply_program(const PoolProgram& program, const PolicyForPool& retable)
+      KLB_EXCLUDES(control_mutex_);
 
   /// Deferred control-plane maintenance: complete drains the packet path
   /// flagged, reclaim retired generations. Cheap; call at tick rate.
@@ -161,25 +179,13 @@ class Mux : public net::Node, public PoolProgrammer {
   }
   std::size_t draining_count() const;
 
-  // --- backend lifecycle (dataplane-local / direct test access) --------------
+  // --- abrupt failure -------------------------------------------------------
 
-  /// Register a backend and return its stable id. Existing weights are
-  /// rescaled — newcomer at a fair share, existing ratios preserved, units
-  /// summing to util::kWeightScale — never reset. `server` is optional and
-  /// only consulted by the power-of-two policy.
-  std::uint64_t add_backend(net::IpAddr dip,
-                            const server::DipServer* server = nullptr)
-      KLB_EXCLUDES(control_mutex_);
-
-  /// Deregister backend `i` (scale-in): its affinity entries are dropped
-  /// and the survivors are rescaled back to kWeightScale (exactly unchanged
-  /// when the backend was already drained to weight 0; a fully parked pool
-  /// stays parked). Returns false for an out-of-range index.
-  bool remove_backend(std::size_t i) KLB_EXCLUDES(control_mutex_);
-
-  /// Abrupt backend death (host failure): like remove_backend but the
-  /// pinned flows are counted as reset — their clients see a connection
-  /// reset and retry as new flows on the survivors. The address is also
+  /// Abrupt death of the backend serving `addr` (host failure): it is
+  /// removed now and its pinned flows are counted as reset — their clients
+  /// see a connection reset and retry as new flows on the survivors, whose
+  /// weights stay exactly as programmed. The address is found under the
+  /// control lock, so a concurrent drain sweep cannot shift it. It is also
   /// tombstoned at `condemned_until_version` (default: every version this
   /// dataplane's sequence has issued so far; a MuxPool passes its own
   /// counter): a transaction issued at or before that version predates the
@@ -187,55 +193,29 @@ class Mux : public net::Node, public PoolProgrammer {
   /// old weight while riding out the programming delay — that would
   /// blackhole the dead DIP's hash space until the next post-failure
   /// commit. A transaction issued after the failure re-admits normally
-  /// (a deliberate resurrection) and clears the tombstone. `retable`, when
-  /// set, supplies the policy the failure's generation carries, built
-  /// from the surviving pool: a MuxPool passes one so the shared table
-  /// that no longer names the corpse lands in the same publication that
-  /// drops it, and no packet sees the backend gone while the table still
-  /// routes to it.
-  using PolicyForPool =
-      std::function<std::unique_ptr<Policy>(const std::vector<GenBackend>&)>;
-  bool fail_backend(std::size_t i,
+  /// (a deliberate resurrection) and clears the tombstone. A Mux that does
+  /// not serve `addr` records only the tombstone and returns false.
+  /// `retable`, when set, supplies the policy the failure's generation
+  /// carries, built from the surviving pool (see apply_program).
+  bool fail_backend(net::IpAddr addr,
                     std::optional<std::uint64_t> condemned_until_version =
                         std::nullopt,
                     const PolicyForPool& retable = nullptr)
       KLB_EXCLUDES(control_mutex_);
 
-  /// Record the failure tombstone alone (see fail_backend) without
-  /// touching any backend — a MuxPool uses it to keep members that do not
-  /// currently serve the address in agreement with those that do.
-  void condemn(net::IpAddr addr, std::uint64_t until_version)
-      KLB_EXCLUDES(control_mutex_);
-
   /// Bounds-checked accessors: an out-of-range index is loud (warn +
-  /// sentinel), matching remove_backend's convention — never UB. Indices
-  /// name positions in the *current* generation.
+  /// sentinel) — never UB. Indices name positions in the *current*
+  /// generation; a reader that needs several fields of one pool reads one
+  /// backends() snapshot instead.
   net::IpAddr backend_addr(std::size_t i) const;
   std::uint64_t backend_id(std::size_t i) const;
-  bool backend_enabled(std::size_t i) const;
   bool backend_draining(std::size_t i) const;
   /// Index currently holding stable id `id`, if the backend still exists.
   std::optional<std::size_t> index_of_id(std::uint64_t id) const;
 
-  /// Program weights (grid units, util::kWeightScale = 1.0), one entry per
-  /// backend in registration order — the legacy imperative path, kept for
-  /// direct dataplane manipulation in tests/benches (controllers go
-  /// through apply_program). A vector whose size does not match
-  /// backend_count() is rejected with a warning; returns false then.
-  /// Draining backends stay parked at 0 regardless of the vector.
-  bool set_weight_units(const std::vector<std::int64_t>& units)
-      KLB_EXCLUDES(control_mutex_);
+  /// Programmed weights (grid units, util::kWeightScale = 1.0), one entry
+  /// per backend in registration order; drainers read 0.
   std::vector<std::int64_t> weight_units() const;
-
-  /// Administratively park (enabled = false) or unpark a backend without
-  /// the removal lifecycle — a temporary maintenance knob. Enabling a
-  /// *draining* backend is refused (warn + false): the drainer would keep
-  /// accepting new connections while `draining` still promises auto-removal
-  /// on empty, so it could never complete (ISSUE 5). Cancelling a drain is
-  /// an explicit act: re-list the backend kActive in a PoolProgram.
-  /// Returns false for an out-of-range index too.
-  bool set_backend_enabled(std::size_t i, bool enabled)
-      KLB_EXCLUDES(control_mutex_);
 
   // --- affinity state --------------------------------------------------------
 
@@ -274,9 +254,6 @@ class Mux : public net::Node, public PoolProgrammer {
   std::uint64_t no_backend_drops() const {
     return no_backend_drops_.load(std::memory_order_relaxed);
   }
-  std::uint64_t rejected_programmings() const {
-    return rejected_programmings_.load(std::memory_order_relaxed);
-  }
   std::uint64_t flows_reset_by_failure() const {
     return flows_reset_.load(std::memory_order_relaxed);
   }
@@ -284,10 +261,9 @@ class Mux : public net::Node, public PoolProgrammer {
     return flows_gced_.load(std::memory_order_relaxed);
   }
   /// Pinned flows dropped by an abrupt *graceful-path* removal — a
-  /// transactional kRemoved, omission from a non-weights-only program, or
-  /// an imperative remove_backend — as opposed to reset-by-failure or
-  /// drained-to-zero. Invisible before ISSUE 5: these flows vanished from
-  /// every metric.
+  /// transactional kRemoved or omission from a non-weights-only program —
+  /// as opposed to reset-by-failure or drained-to-zero; without this
+  /// counter these flows would vanish from every metric.
   std::uint64_t flows_dropped_by_removal() const {
     return flows_dropped_.load(std::memory_order_relaxed);
   }
@@ -470,17 +446,7 @@ class Mux : public net::Node, public PoolProgrammer {
   /// control_mutex_. No-op when the pending flag is clear.
   void sweep_drains_locked() KLB_REQUIRES(control_mutex_);
 
-  void condemn_locked(net::IpAddr addr, std::uint64_t until_version)
-      KLB_REQUIRES(control_mutex_) {
-    failed_tombstones_[addr.value()] = until_version;
-  }
-  bool erase_backend(std::size_t i, bool failed,
-                     const PolicyForPool& retable = nullptr)
-      KLB_REQUIRES(control_mutex_);
   void drop_affinity_for(std::uint64_t id, bool count_as_reset);
-  /// Rescale `draft` weights to sum kWeightScale, preserving ratios.
-  /// All-zero pools stay parked (traffic deliberately weighted away).
-  static void renormalize_weights(std::vector<GenBackend>& draft);
   /// Amortized inline GC accounting for a batch of `batch` requests (the
   /// scalar path passes 1): one counter add and at most one shard sweep
   /// per call.
@@ -547,7 +513,6 @@ class Mux : public net::Node, public PoolProgrammer {
   std::atomic<std::uint64_t> flows_reset_{0};
   std::atomic<std::uint64_t> flows_gced_{0};
   std::atomic<std::uint64_t> flows_dropped_{0};
-  std::atomic<std::uint64_t> rejected_programmings_{0};
   std::atomic<std::uint64_t> applied_version_{0};
   std::atomic<std::uint64_t> superseded_programs_{0};
   std::atomic<std::uint64_t> stale_failed_admissions_{0};

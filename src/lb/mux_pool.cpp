@@ -59,7 +59,7 @@ MuxPool::MuxPool(net::Network& net, net::IpAddr vip, std::size_t mux_count,
     auto policy = std::make_unique<SharedMaglevPolicy>();
     // An empty table of the final geometry: hybrid engagement sizes its
     // slot-pin counters from the policy's table in the Mux constructor,
-    // and every table published later (publish_table) allocates the same
+    // and every table published later (retable_into) allocates the same
     // prime slot count, so the filters stay comparable for the pool's
     // whole lifetime.
     policy->set_table(std::make_shared<MaglevTable>(min_table_size_));
@@ -107,19 +107,25 @@ void MuxPool::apply_program(const PoolProgram& program) {
   }
   applied_version_ = program.version;
 
-  for (auto& m : muxes_) m->apply_program(program);
-  publish_table();
+  // One publication per member, carrying the new membership and the new
+  // shared table together: no packet can see a drained or parked backend
+  // while its table still routes new connections to it.
+  std::shared_ptr<const MaglevTable> table;
+  const auto retable = retable_into(table);
+  for (auto& m : muxes_) m->apply_program(program, retable);
+  if (table) ++shared_builds_;
 }
 
-void MuxPool::publish_table() {
-  // One maglev build per commit, derived from the post-apply pool state
-  // (member 0 is representative: every member applied the same programs,
-  // and draining stragglers are excluded from the table either way). Each
-  // member gets a fresh policy instance carrying the pointer-equal
-  // snapshot, published as a new pool generation.
-  const auto table = build_table(muxes_.front()->backends(), min_table_size_);
-  ++shared_builds_;
-  for (auto& mux : muxes_) mux->set_policy(shared_policy(table));
+Mux::PolicyForPool MuxPool::retable_into(
+    std::shared_ptr<const MaglevTable>& table) const {
+  // One maglev build per commit, from the first member's final draft
+  // (representative: every member applied the same programs, and draining
+  // stragglers are excluded from the table either way). Every member gets
+  // a fresh policy instance carrying the pointer-equal snapshot.
+  return [this, &table](const std::vector<GenBackend>& pool) {
+    if (!table) table = build_table(pool, min_table_size_);
+    return shared_policy(table);
+  };
 }
 
 void MuxPool::poll() {
@@ -135,35 +141,20 @@ bool MuxPool::fail_backend(net::IpAddr dip) {
   // Rebuild the shared table now: the dead DIP's hash space redistributes
   // to the survivors immediately (its reset flows retry as new
   // connections), instead of blackholing until the next program commits.
-  // Built once, from the first member's surviving pool, and published in
-  // the same generation that drops the corpse.
+  // Built once, from the first serving member's surviving pool, and
+  // published in the same generation that drops the corpse. A member not
+  // serving the DIP (e.g. its drain completed there first) still records
+  // the tombstone, so all members agree on which in-flight transactions
+  // may re-admit the address.
   std::shared_ptr<const MaglevTable> table;
-  const Mux::PolicyForPool retable =
-      [&](const std::vector<GenBackend>& survivors) {
-        if (!table) table = build_table(survivors, min_table_size_);
-        return shared_policy(table);
-      };
-  std::vector<bool> retabled(muxes_.size(), false);
-  for (std::size_t k = 0; k < muxes_.size(); ++k) {
-    auto& m = *muxes_[k];
-    bool served = false;
-    for (std::size_t i = 0; i < m.backend_count(); ++i) {
-      if (m.backend_addr(i) == dip) {
-        served = true;
-        retabled[k] = m.fail_backend(i, condemned, retable);
-        break;
-      }
-    }
-    // A member not serving the DIP (e.g. its drain completed there first)
-    // still records the tombstone, so all members agree on which
-    // in-flight transactions are allowed to re-admit the address.
-    if (!served) m.condemn(dip, condemned);
-  }
+  const auto retable = retable_into(table);
+  std::vector<Mux*> unserved;
+  for (auto& m : muxes_)
+    if (!m->fail_backend(dip, condemned, retable)) unserved.push_back(m.get());
   if (!table) return false;
   ++shared_builds_;
   // Members that no longer served the corpse switch to the new table too.
-  for (std::size_t k = 0; k < muxes_.size(); ++k)
-    if (!retabled[k]) muxes_[k]->set_policy(shared_policy(table));
+  for (auto* m : unserved) m->set_policy(shared_policy(table));
   return true;
 }
 
@@ -212,8 +203,9 @@ std::size_t MuxPool::affinity_size() const {
 std::uint64_t MuxPool::new_connections_to(net::IpAddr dip) const {
   std::uint64_t n = 0;
   for (const auto& m : muxes_)
-    for (std::size_t i = 0; i < m->backend_count(); ++i)
-      if (m->backend_addr(i) == dip) n += m->new_connections(i);
+    for (const auto& b : m->backends())  // one snapshot per member
+      if (b.addr == dip)
+        n += b.counters->connections.load(std::memory_order_relaxed);
   return n;
 }
 

@@ -14,7 +14,10 @@
 //      O(table) builds per programming.
 //   2. Transactions commit pool-wide: apply_program runs the version check
 //      once and applies the same program to every member, so the members
-//      can never serve different versions.
+//      can never serve different versions. Each member publishes the new
+//      membership and the new shared table in ONE generation, so no packet
+//      sees a backend drained or parked while the table still names it.
+//      fail_backend likewise drops the corpse and its table slots at once.
 //
 // The ECMP hash is salted differently from the maglev hash, so shard
 // choice and backend choice stay statistically independent.
@@ -89,9 +92,10 @@ class MuxPool : public net::Node, public PoolProgrammer {
   }
 
   /// Abrupt backend death observed by the dataplane (host failure): drops
-  /// `dip` from every member, counting pinned flows as reset — the
-  /// counterpart of a graceful kDraining program. Returns true if any
-  /// member still served the DIP.
+  /// `dip` from every member (each finds it by address under its own
+  /// control lock), counting pinned flows as reset — the counterpart of a
+  /// graceful kDraining program. Returns true if any member still served
+  /// the DIP.
   bool fail_backend(net::IpAddr dip) KLB_EXCLUDES(mu_);
 
   // --- aggregated dataplane counters -----------------------------------------
@@ -108,7 +112,8 @@ class MuxPool : public net::Node, public PoolProgrammer {
   /// drain completes per member as its pinned flows empty).
   std::size_t draining_count() const;
   std::size_t affinity_size() const;
-  /// New connections landed on `dip` across all members.
+  /// New connections landed on `dip` across all members (one backends()
+  /// snapshot per member).
   std::uint64_t new_connections_to(net::IpAddr dip) const;
   /// Stale pre-failure program entries refused pool-wide (see
   /// Mux::stale_failed_admissions).
@@ -138,11 +143,13 @@ class MuxPool : public net::Node, public PoolProgrammer {
   void on_batch(const net::Message* const* msgs, std::size_t n) override;
 
  private:
-  /// Build one table from the current pool state and hand the snapshot to
-  /// every member (runs after each commit). Caller holds mu_; the members' own control locks are taken
-  /// underneath it (klb.muxpool.control -> klb.mux.control is the legal
-  /// order, never the reverse).
-  void publish_table() KLB_REQUIRES(mu_);
+  /// The members' shared-table hook for one commit or failure: the first
+  /// call builds the table into `table` from that member's final pool,
+  /// every call returns a policy serving it. Runs under each member's
+  /// control lock while the caller holds mu_ (klb.muxpool.control ->
+  /// klb.mux.control is the legal order, never the reverse).
+  Mux::PolicyForPool retable_into(
+      std::shared_ptr<const MaglevTable>& table) const;
 
   net::Network& net_;
   net::IpAddr vip_;

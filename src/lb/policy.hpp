@@ -37,7 +37,7 @@ class MaglevTable;
 struct BackendView {
   net::IpAddr addr;
   std::int64_t weight_units = 0;  // programmed weight, util::kWeightScale = 1.0
-  bool enabled = true;
+  bool enabled = true;  // false while draining: no new connections
   std::uint64_t active_conns = 0;  // tracked by the MUX (proxy-visible FINs)
   /// Non-owning; only the power-of-two policy reads CPU from it. Real P2
   /// deployments get this signal from an agent — exactly the dependency
@@ -60,7 +60,7 @@ class Policy {
   virtual std::size_t pick(const net::FiveTuple& tuple,
                            const std::vector<BackendView>& backends,
                            util::Rng& rng) = 0;
-  /// The backend pool changed (weights, membership, enable bits). Drops
+  /// The backend pool changed (weights, membership, drain flags). Drops
   /// the cached usable list; overrides that keep extra per-pool state
   /// (maglev's table, WRR's smoothing credits) must chain up.
   virtual void invalidate() { usable_dirty_ = true; }

@@ -1,10 +1,10 @@
 // Immutable pool-state generations for the MUX dataplane (ROADMAP item 1).
 //
 // A PoolGeneration is one committed configuration of a VIP's pool:
-// membership, addresses, stable ids, weights, enable/drain flags, and the
-// policy instance that serves picks for this configuration. The Mux builds
-// one per control-plane mutation (pool program, imperative churn op,
-// weight change, policy swap), publishes it through a single atomic
+// membership, addresses, stable ids, weights, drain flags, and the policy
+// instance that serves picks for this configuration. The Mux builds one
+// per control-plane mutation (pool program, failure, drain completion,
+// policy swap), publishes it through a single atomic
 // pointer, and retires the previous one into an EpochDomain — the packet
 // path loads the current generation wait-free and never observes a
 // half-applied configuration.
@@ -67,7 +67,6 @@ struct GenBackend {
   net::IpAddr addr;
   const server::DipServer* server = nullptr;  // only P2 reads through this
   std::int64_t weight_units = 0;
-  bool enabled = true;
   bool draining = false;  // condemned: parked until affinity empties
   /// Sim time the drain started (meaningful while `draining`). Stateless
   /// mode gates drain auto-completion on a grace period past this: flows
@@ -77,7 +76,7 @@ struct GenBackend {
   std::shared_ptr<BackendCounters> counters;
 
   BackendView view() const KLB_NONBLOCKING {
-    return BackendView{addr, weight_units, enabled,
+    return BackendView{addr, weight_units, /*enabled=*/!draining,
                        counters ? counters->active.load(
                                       std::memory_order_relaxed)
                                 : 0,
@@ -153,7 +152,7 @@ class PoolGeneration {
 
   /// The one table route of a tuple-deterministic decision: the backend
   /// index the maglev table routes `hash` to, when that backend may take
-  /// new connections (enabled, not draining, positive weight). nullopt
+  /// new connections (not draining, positive weight). nullopt
   /// without a table, for an empty slot, or for an owner this generation
   /// does not carry or has parked. Lock-free: one table read, one frozen
   /// map find.
@@ -165,7 +164,7 @@ class PoolGeneration {
     const auto idx = index_of_addr(static_cast<std::uint32_t>(id));
     if (!idx) return std::nullopt;
     const auto& b = backends_[*idx];
-    if (!b.enabled || b.draining || b.weight_units <= 0) return std::nullopt;
+    if (b.draining || b.weight_units <= 0) return std::nullopt;
     return idx;
   }
 
@@ -227,7 +226,7 @@ class PoolGeneration {
       h = mix(h ^ b.id);
       h = mix(h ^ b.addr.value());
       h = mix(h ^ static_cast<std::uint64_t>(b.weight_units));
-      h = mix(h ^ ((b.enabled ? 2ull : 0ull) | (b.draining ? 1ull : 0ull)));
+      h = mix(h ^ (b.draining ? 1ull : 0ull));
     }
     return h;
   }

@@ -12,12 +12,21 @@
 // monotonic; a stale in-flight transaction that commits after a newer one
 // is discarded whole, so the old size-mismatch race is structurally
 // unreachable (there is nothing partial to apply).
+//
+// It is also the only way to change a dataplane's pool: a Mux has no
+// imperative add/remove/reweight/enable knobs beside it. The one other
+// mutation is Mux/MuxPool::fail_backend, an abrupt death the dataplane
+// observes by address.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "net/address.hpp"
+
+namespace klb::server {
+class DipServer;
+}
 
 namespace klb::lb {
 
@@ -43,6 +52,10 @@ struct PoolEntry {
   net::IpAddr dip;
   std::int64_t weight_units = 0;  // consulted only for kActive
   BackendState state = BackendState::kActive;
+  /// Optional, non-owning: the server behind `dip`, which only the
+  /// power-of-two-choices policy reads (its CPU). Copied into the backend
+  /// when this entry admits it; ignored for backends already served.
+  const server::DipServer* server = nullptr;
 };
 
 /// A whole-pool transaction. Entries list the complete desired pool in a
@@ -65,17 +78,16 @@ struct PoolProgram {
   explicit PoolProgram(std::uint64_t v) : version(v) {}
 
   PoolProgram& add(net::IpAddr dip, std::int64_t weight_units,
-                   BackendState state = BackendState::kActive) {
-    entries.push_back(PoolEntry{dip, weight_units, state});
+                   BackendState state = BackendState::kActive,
+                   const server::DipServer* server = nullptr) {
+    entries.push_back(PoolEntry{dip, weight_units, state, server});
     return *this;
   }
 };
 
 /// Anything that can serve a pool programmed this way: a MUX, an
 /// ECMP-sharded MUX pool, a DNS traffic manager, a recording sink, or the
-/// LbController decorator that adds the programming delay. This replaces
-/// the imperative WeightInterface (program_weights / set_backend_enabled /
-/// add_backend / remove_backend) wholesale.
+/// LbController decorator that adds the programming delay.
 class PoolProgrammer {
  public:
   virtual ~PoolProgrammer() = default;

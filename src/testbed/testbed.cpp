@@ -70,7 +70,8 @@ Testbed::Testbed(std::vector<DipSpec> specs, TestbedConfig cfg)
 
   // MUX + LB control plane. One Mux runs the configured policy; a pool
   // ECMP-shards the VIP over mux_count members sharing one maglev build
-  // per program (the policy knob does not apply there).
+  // per program (the policy knob does not apply there). Either way the
+  // pool is bootstrapped by one program, committed now.
   lb::FlowTableConfig flow_cfg;
   flow_cfg.expected_flows = cfg_.expected_flows;
   lb::ConsistencyConfig consistency;
@@ -79,19 +80,12 @@ Testbed::Testbed(std::vector<DipSpec> specs, TestbedConfig cfg)
     pool_ = std::make_unique<lb::MuxPool>(*net_, vip_, cfg_.mux_count,
                                           lb::MaglevTable::kDefaultMinSize,
                                           flow_cfg, consistency);
-    lb::PoolProgram bootstrap(pool_->issue_version());
-    const auto units = util::normalize_to_units(
-        std::vector<double>(dip_addrs.size(), 1.0));
-    for (std::size_t i = 0; i < dip_addrs.size(); ++i)
-      bootstrap.add(dip_addrs[i], units[i]);
-    pool_->apply_program(bootstrap);
   } else {
     mux_ = std::make_unique<lb::Mux>(*net_, vip_, lb::make_policy(cfg_.policy),
                                      /*attach_to_vip=*/true, flow_cfg,
                                      consistency);
-    for (std::size_t i = 0; i < dips_.size(); ++i)
-      mux_->add_backend(dip_addrs[i], dips_[i].get());
   }
+  dataplane().apply_program(live_pool_program(dataplane().issue_version()));
   lb_ctrl_ = std::make_unique<lb::LbController>(*sim_, dataplane(),
                                                 cfg_.programming_delay);
 
@@ -298,12 +292,7 @@ bool Testbed::fail_dip(std::size_t i) {
   if (pool_) {
     pool_->fail_backend(addr);
   } else {
-    for (std::size_t k = 0; k < mux_->backend_count(); ++k) {
-      if (mux_->backend_addr(k) == addr) {
-        mux_->fail_backend(k);
-        break;
-      }
-    }
+    mux_->fail_backend(addr);
   }
   // Ops-feed report: faster than waiting for a §4.5 probe blackout.
   if (controller_) {
@@ -315,17 +304,26 @@ bool Testbed::fail_dip(std::size_t i) {
   specs_.erase(specs_.begin() + static_cast<std::ptrdiff_t>(i));
   desired_weights_.erase(desired_weights_.begin() +
                          static_cast<std::ptrdiff_t>(i));
+  // The failure leaves the survivors' weights as programmed; without a
+  // controller to rerun, restate the live pool normalized over them.
+  if (!controller_) program_live_pool(std::nullopt);
   refresh_offered_load();
   util::log_info("klb-testbed") << "failure: DIP " << addr.str()
                                 << " down; live pool " << dips_.size();
   return true;
 }
 
-void Testbed::program_live_pool(std::optional<net::IpAddr> draining_leaver) {
-  const auto norm = util::normalize_to_units(desired_weights_);
-  lb::PoolProgram p(lb_ctrl_->issue_version());
+lb::PoolProgram Testbed::live_pool_program(std::uint64_t version) const {
+  const auto units = util::normalize_to_units(desired_weights_);
+  lb::PoolProgram p(version);
   for (std::size_t k = 0; k < dips_.size(); ++k)
-    p.add(dips_[k]->address(), norm[k]);
+    p.add(dips_[k]->address(), units[k], lb::BackendState::kActive,
+          dips_[k].get());
+  return p;
+}
+
+void Testbed::program_live_pool(std::optional<net::IpAddr> draining_leaver) {
+  auto p = live_pool_program(lb_ctrl_->issue_version());
   if (draining_leaver) p.add(*draining_leaver, 0, lb::BackendState::kDraining);
   lb_ctrl_->apply_program(p);
 }
@@ -350,11 +348,7 @@ void Testbed::set_static_weights(const std::vector<double>& weights) {
     return;
   }
   desired_weights_ = weights;
-  const auto units = util::normalize_to_units(weights);
-  lb::PoolProgram p(lb_ctrl_->issue_version());
-  for (std::size_t i = 0; i < dips_.size(); ++i)
-    p.add(dips_[i]->address(), units[i]);
-  lb_ctrl_->apply_program(p);
+  program_live_pool(std::nullopt);
 }
 
 std::vector<DipMetrics> Testbed::metrics() const {
@@ -370,13 +364,11 @@ std::vector<DipMetrics> Testbed::metrics() const {
   // change the dataplane's registration order and the live spec list
   // diverge, so a positional join would attribute weights to the wrong
   // DIP. Draining leftovers are parked at 0 and not part of the live pool.
-  const auto& m0 = mux0();
-  const auto units = m0.weight_units();
+  // One snapshot: a drain sweep may publish between separate reads.
   std::unordered_map<std::uint32_t, double> weight_by_addr;
-  for (std::size_t k = 0; k < units.size(); ++k) {
-    if (m0.backend_draining(k)) continue;
-    weight_by_addr[m0.backend_addr(k).value()] = util::units_to_weight(units[k]);
-  }
+  for (const auto& b : mux0().backends())
+    if (!b.draining)
+      weight_by_addr[b.addr.value()] = util::units_to_weight(b.weight_units);
   for (std::size_t i = 0; i < dips_.size(); ++i) {
     DipMetrics m;
     m.addr = dips_[i]->address();

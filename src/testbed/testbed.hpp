@@ -226,7 +226,9 @@ class Testbed {
   /// answering, the dataplane drops it now (its pinned flows are counted
   /// as reset, clients retry on survivors), and the controller is told via
   /// the ops feed (mark_failed) instead of waiting out a probe blackout.
-  /// Returns false for an out-of-range index.
+  /// The failure itself rescales nothing: the survivors' new weights come
+  /// from the controller's rerun, or (without one) from a program
+  /// restating the live pool. Returns false for an out-of-range index.
   bool fail_dip(std::size_t i) KLB_EXCLUDES(mu_);
 
   /// Live index of the DIP serving `addr`, if it is in the live pool.
@@ -263,6 +265,10 @@ class Testbed {
   std::unique_ptr<server::DipServer> make_dip(const DipSpec& spec)
       KLB_REQUIRES(mu_);
   double healthy_capacity_rps_locked() const KLB_REQUIRES(mu_);
+  /// The live pool at its desired weights, each entry carrying its DIP's
+  /// server (P2 reads it): the bootstrap and every no-controller program.
+  lb::PoolProgram live_pool_program(std::uint64_t version) const
+      KLB_REQUIRES(mu_);
   /// No-controller reprogramming: restate the (already mutated) live pool
   /// at its desired weights in one transaction, with `draining_leaver`
   /// appended as a kDraining rider. Emitted from the testbed's own desired

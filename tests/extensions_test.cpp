@@ -10,6 +10,7 @@
 #include "store/kv_server.hpp"
 #include "testbed/synthetic.hpp"
 #include "testbed/testbed.hpp"
+#include "util/weight.hpp"
 #include "workload/client.hpp"
 
 namespace klb::core {
@@ -109,8 +110,13 @@ struct TwoVipFixture {
       v.dips.push_back(std::move(dip));
     }
     v.mux = std::make_unique<lb::Mux>(net, v.vip, lb::make_policy("wrr"));
+    lb::PoolProgram bootstrap(v.mux->issue_version());
+    const auto units = util::normalize_to_units(
+        std::vector<double>(v.dip_addrs.size(), 1.0));
     for (std::size_t i = 0; i < v.dip_addrs.size(); ++i)
-      v.mux->add_backend(v.dip_addrs[i], v.dips[i].get());
+      bootstrap.add(v.dip_addrs[i], units[i], lb::BackendState::kActive,
+                    v.dips[i].get());
+    v.mux->apply_program(bootstrap);
     v.lb = std::make_unique<lb::LbController>(sim, *v.mux);
     v.klm = std::make_unique<klm::Klm>(
         net, net::IpAddr{10, 3, id, 1}, v.vip, v.dip_addrs,

@@ -386,7 +386,7 @@ TEST(MuxFlowTable, ReconnectLandsOnTheNewGenerationsTablePick) {
   reconnect_all({{f.a.value(), 9000}, {f.b.value(), 1000}});
   EXPECT_GT(moved, 0u);  // the reweight moved real traffic
 
-  ASSERT_TRUE(mux.fail_backend(0));  // a held no pins when it died
+  ASSERT_TRUE(mux.fail_backend(f.a));  // a held no pins when it died
   reconnect_all({{f.b.value(), util::kWeightScale}});
   for (const auto& addr : before) EXPECT_EQ(addr, f.b);
   EXPECT_EQ(mux.no_backend_drops(), 0u);

@@ -1,18 +1,18 @@
 // Pool-generation publication tests (ISSUE 6, ROADMAP item 1): the
 // EpochDomain reclamation primitive in isolation, the Mux's generation
-// lifecycle counters through control-plane mutations, the draining
-// enable-refusal warn path, and the two concurrency contracts the
-// RCU-style scheme must keep under a racing packet path — enable/weight
-// flips from one thread while another drives picks (no torn generation
-// ever observable), MuxPool::fail_backend condemnation under a
-// concurrent reader (conservation + stale re-admission refusal), and fresh
-// connections resolved lock-free from the pinned generation's table while
-// reweighting programs commit.
+// lifecycle counters through control-plane mutations, and the concurrency
+// contracts the RCU-style scheme must keep under a racing packet path —
+// park/reweight programs from one thread while another drives picks (no
+// torn generation ever observable), MuxPool::fail_backend condemnation
+// under a concurrent reader (conservation + stale re-admission refusal),
+// and fresh connections resolved lock-free from the pinned generation's
+// table while reweighting and parking programs commit.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -62,6 +62,14 @@ PoolProgram equal_program(std::uint64_t version, std::size_t dips) {
   for (std::size_t d = 0; d < dips; ++d)
     p.add(dip_addr(d),
           static_cast<std::int64_t>(util::kWeightScale / dips));
+  return p;
+}
+
+/// `equal_program` over `dips`, with DIP `parked` (if any) at weight 0.
+PoolProgram parked_program(std::uint64_t version, std::size_t dips,
+                           std::optional<std::size_t> parked) {
+  PoolProgram p = equal_program(version, dips);
+  if (parked) p.entries[*parked].weight_units = 0;
   return p;
 }
 
@@ -149,21 +157,23 @@ TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
     EXPECT_EQ(mux.generations_published(), 1u);
     EXPECT_EQ(mux.generation_seq(), 1u);
 
-    mux.apply_program(equal_program(1, 4));
+    mux.apply_program(equal_program(mux.issue_version(), 4));
     EXPECT_EQ(mux.generations_published(), 2u);
 
+    // One publication per mutation: a program (grow, park, restore), a
+    // failure, a policy swap.
     auto bump = [&mux](auto&& op) {
       const auto before = mux.generations_published();
       op();
-      EXPECT_GT(mux.generations_published(), before);
+      EXPECT_EQ(mux.generations_published(), before + 1);
     };
-    bump([&] { mux.add_backend(dip_addr(9)); });
+    bump([&] { mux.apply_program(equal_program(mux.issue_version(), 5)); });
+    bump([&] { mux.apply_program(parked_program(mux.issue_version(), 5, 0)); });
     bump([&] {
-      std::vector<std::int64_t> units(mux.backend_count(), 100);
-      EXPECT_TRUE(mux.set_weight_units(units));
+      mux.apply_program(parked_program(mux.issue_version(), 5, std::nullopt));
     });
-    bump([&] { EXPECT_TRUE(mux.set_backend_enabled(0, false)); });
-    bump([&] { EXPECT_TRUE(mux.set_backend_enabled(0, true)); });
+    bump([&] { EXPECT_TRUE(mux.fail_backend(dip_addr(4))); });
+    bump([&] { mux.set_policy(make_policy("maglev")); });
 
     // Quiesced: one poll reclaims everything but the current generation.
     mux.poll();
@@ -177,54 +187,13 @@ TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
   EXPECT_EQ(PoolGeneration::live_count(), live0);
 }
 
-TEST(GenerationTest, EnablingADrainingBackendIsRefused) {
-  sim::Simulation sim(5);
-  net::Network net(sim);
-  net.set_blackhole(true);
-  Mux mux(net, {10, 0, 0, 1}, make_policy("maglev"));
-  mux.apply_program(equal_program(1, 2));
-
-  // Pin one flow so the drain cannot auto-complete in the transaction.
-  mux.on_message(request(1, 1000));
-  std::size_t pinned = 0;
-  for (std::size_t i = 0; i < mux.backend_count(); ++i)
-    if (mux.active_connections(i) > 0) pinned = i;
-  const auto pinned_addr = mux.backend_addr(pinned);
-  const auto other_addr = mux.backend_addr(1 - pinned);
-
-  PoolProgram drain(2);
-  drain.add(other_addr, static_cast<std::int64_t>(util::kWeightScale));
-  drain.add(pinned_addr, 0, BackendState::kDraining);
-  mux.apply_program(drain);
-  ASSERT_EQ(mux.backend_count(), 2u);
-  ASSERT_EQ(mux.draining_count(), 1u);
-
-  std::size_t drain_idx = mux.backend_draining(0) ? 0 : 1;
-  const auto published_before = mux.generations_published();
-  // Un-parking a drainer would let it accept new connections while still
-  // promising auto-removal on empty — refused, nothing published.
-  EXPECT_FALSE(mux.set_backend_enabled(drain_idx, true));
-  EXPECT_TRUE(mux.backend_draining(drain_idx));
-  EXPECT_EQ(mux.generations_published(), published_before);
-  // Out-of-range is loud-but-safe, same as remove_backend.
-  EXPECT_FALSE(mux.set_backend_enabled(99, true));
-  EXPECT_FALSE(mux.set_backend_enabled(99, false));
-
-  // The FIN empties the drainer; single-threaded callers complete the
-  // removal inline (the opportunistic try_lock always succeeds here).
-  mux.on_message(fin(1, 1000));
-  EXPECT_EQ(mux.backend_count(), 1u);
-  EXPECT_EQ(mux.drains_completed(), 1u);
-  EXPECT_EQ(mux.backend_addr(0).value(), other_addr.value());
-}
-
-// One thread drives picks while another flips enable bits and shuffles
-// weights; a third keeps pinning the current generation and verifying its
-// structural checksum. Any torn publication (a reader observing a
-// half-built generation, or dereferencing a reclaimed one) fails the
-// checksum or trips the conservation counters. Runs on a single core too —
-// preemption still interleaves the threads.
-TEST(GenerationTest, ConcurrentFlagFlipsNeverTearAGeneration) {
+// One thread drives picks while another parks backends at weight 0 and
+// shuffles weights; a third keeps pinning the current generation and
+// verifying its structural checksum. Any torn publication (a reader
+// observing a half-built generation, or dereferencing a reclaimed one)
+// fails the checksum or trips the conservation counters. Runs on a single
+// core too — preemption still interleaves the threads.
+TEST(GenerationTest, ConcurrentParkingNeverTearsAGeneration) {
   constexpr std::size_t kDips = 8;
   constexpr std::uint64_t kFlows = 200;
   constexpr std::uint64_t kReqPerFlow = 3;
@@ -232,10 +201,10 @@ TEST(GenerationTest, ConcurrentFlagFlipsNeverTearAGeneration) {
   sim::Simulation sim(5);
   net::Network net(sim);
   net.set_blackhole(true);
-  // Small maglev table: control mutations stay cheap, so the flipper
+  // Small maglev table: control mutations stay cheap, so the committer
   // actually races the packet path instead of lagging it.
   Mux mux(net, {10, 0, 0, 1}, std::make_unique<MaglevPolicy>(251));
-  mux.apply_program(equal_program(1, kDips));
+  mux.apply_program(equal_program(mux.issue_version(), kDips));
 
   std::atomic<bool> stop{false};
   std::atomic<bool> torn{false};
@@ -264,18 +233,25 @@ TEST(GenerationTest, ConcurrentFlagFlipsNeverTearAGeneration) {
     }
   });
 
-  // Control plane: park/unpark one backend at a time (never more than one
-  // disabled, so picks always succeed) and shuffle weights in between.
+  // Control plane: park one backend at a time at weight 0 (never more than
+  // one, so picks always succeed), shuffle weights while it is parked, and
+  // restore it.
+  std::vector<std::int64_t> units(kDips, util::kWeightScale / kDips);
+  auto program = [&](std::optional<std::size_t> parked) {
+    PoolProgram p(mux.issue_version());
+    for (std::size_t d = 0; d < kDips; ++d)
+      p.add(dip_addr(d), parked == d ? 0 : units[d]);
+    mux.apply_program(p);
+  };
   for (int k = 0; k < 400; ++k) {
     const auto i = static_cast<std::size_t>(k) % kDips;
-    EXPECT_TRUE(mux.set_backend_enabled(i, false));
+    program(i);
     if (k % 5 == 0) {
-      std::vector<std::int64_t> units(kDips);
       for (std::size_t d = 0; d < kDips; ++d)
         units[d] = 64 + static_cast<std::int64_t>((d + k) % 7) * 8;
-      EXPECT_TRUE(mux.set_weight_units(units));
+      program(i);
     }
-    EXPECT_TRUE(mux.set_backend_enabled(i, true));
+    program(std::nullopt);
   }
   stop.store(true, std::memory_order_release);
   traffic.join();
@@ -368,10 +344,14 @@ TEST(GenerationTest, PoolFailBackendUnderConcurrentReader) {
 // Fresh connections race reweighting commits on the lock-free table route:
 // worker threads open distinct, never-seen flows in bursts (each flow one
 // opener, one mid-flow request, one FIN) on a maglev Mux and on a MuxPool
-// while a committer publishes reweighting programs to both. Every opener
+// while a committer publishes reweighting programs to both; every other
+// commit parks one DIP at weight 0 and the next restores it. Every opener
 // resolves from whichever generation its burst pinned, so every one must be
 // routed, counted once, and released by its FIN — no refused connection,
-// no leaked pin, no lost counter update.
+// no leaked pin, no lost counter update. On the pool this needs each
+// member's membership and shared table to land in one publication: a
+// generation pairing the parked membership with the previous table would
+// refuse the openers whose slot still names the parked DIP.
 TEST(GenerationTest, FreshFlowsRaceReweightingCommits) {
   constexpr std::uint32_t kThreads = 3, kBursts = 200, kBurst = 8;
   sim::Simulation sim(5);
@@ -382,11 +362,16 @@ TEST(GenerationTest, FreshFlowsRaceReweightingCommits) {
   std::uint64_t commits = 0;
   auto commit = [&] {
     ++commits;
+    const auto parked = commits % 2 == 0
+                            ? std::optional<std::size_t>((commits / 2) % 8)
+                            : std::nullopt;
     for (PoolProgrammer* dp : {static_cast<PoolProgrammer*>(&mux),
                                static_cast<PoolProgrammer*>(&pool)}) {
       PoolProgram p(dp->issue_version());
       for (std::size_t d = 0; d < 8; ++d)
-        p.add(dip_addr(d), 64 + static_cast<std::int64_t>((d + commits) % 7));
+        p.add(dip_addr(d),
+              parked == d ? 0
+                          : 64 + static_cast<std::int64_t>((d + commits) % 7));
       dp->apply_program(p);
     }
   };

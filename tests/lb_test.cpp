@@ -183,6 +183,15 @@ struct RecordingDataplane : public PoolProgrammer {
   std::vector<net::IpAddr> addrs_;
 };
 
+/// Commit `dips` at an equal split in one transaction.
+void program_equal(PoolProgrammer& dp, const std::vector<net::IpAddr>& dips) {
+  PoolProgram p(dp.issue_version());
+  const auto units =
+      util::normalize_to_units(std::vector<double>(dips.size(), 1.0));
+  for (std::size_t i = 0; i < dips.size(); ++i) p.add(dips[i], units[i]);
+  dp.apply_program(p);
+}
+
 class Sink : public net::Node {
  public:
   void on_message(const net::Message& msg) override { messages.push_back(msg); }
@@ -213,8 +222,7 @@ struct MuxFixture {
 TEST(Mux, ForwardsAndPinsConnections) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("rr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
+  program_equal(mux, {net::IpAddr{10, 1, 0, 1}, net::IpAddr{10, 1, 0, 2}});
 
   // Two requests on the same tuple must go to the same DIP even though RR
   // would alternate.
@@ -229,8 +237,7 @@ TEST(Mux, ForwardsAndPinsConnections) {
 TEST(Mux, FinReleasesAffinityAndCount) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("rr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
+  program_equal(mux, {net::IpAddr{10, 1, 0, 1}, net::IpAddr{10, 1, 0, 2}});
 
   f.net.send(f.vip, f.request(1000, 1, 1));
   f.sim.run_all();
@@ -251,9 +258,10 @@ TEST(Mux, FinReleasesAffinityAndCount) {
 TEST(Mux, WeightsSteerNewConnections) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.set_weight_units({9 * util::kWeightScale / 10, util::kWeightScale / 10});
+  PoolProgram v1(mux.issue_version());
+  v1.add(net::IpAddr{10, 1, 0, 1}, 9 * util::kWeightScale / 10)
+      .add(net::IpAddr{10, 1, 0, 2}, util::kWeightScale / 10);
+  mux.apply_program(v1);
 
   for (std::uint16_t p = 0; p < 100; ++p)
     f.net.send(f.vip, f.request(static_cast<std::uint16_t>(2000 + p),
@@ -263,12 +271,15 @@ TEST(Mux, WeightsSteerNewConnections) {
   EXPECT_EQ(f.dip2.messages.size(), 10u);
 }
 
-TEST(Mux, DisabledBackendGetsNothingNew) {
+// Parking is programming weight 0: the backend stays in the pool (its
+// pinned flows keep being served) but takes no new connection.
+TEST(Mux, ParkedBackendGetsNothingNew) {
   MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("rr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.set_backend_enabled(0, false);
+  Mux mux(f.net, f.vip, make_policy("wrr"));
+  PoolProgram v1(mux.issue_version());
+  v1.add(net::IpAddr{10, 1, 0, 1}, 0)
+      .add(net::IpAddr{10, 1, 0, 2}, util::kWeightScale);
+  mux.apply_program(v1);
   for (std::uint16_t p = 0; p < 10; ++p)
     f.net.send(f.vip, f.request(static_cast<std::uint16_t>(3000 + p),
                                 static_cast<std::uint64_t>(p + 1), 1));
@@ -279,89 +290,6 @@ TEST(Mux, DisabledBackendGetsNothingNew) {
 
 std::int64_t sum_units(const std::vector<std::int64_t>& units) {
   return std::accumulate(units.begin(), units.end(), std::int64_t{0});
-}
-
-// Regression (ISSUE 2): adding a DIP used to reset *every* backend to an
-// equal integer split, wiping controller-programmed weights and leaking the
-// kWeightScale % n remainder. Now the pool rescales: newcomer at a fair
-// share, existing ratios preserved, units summing exactly to kWeightScale.
-TEST(Mux, AddBackendPreservesProgrammedWeights) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  ASSERT_TRUE(mux.set_weight_units({5000, 3000, 2000}));
-
-  mux.add_backend(net::IpAddr{10, 1, 0, 4});
-  const auto units = mux.weight_units();
-  // Ratios 5:3:2 preserved, newcomer at the pool mean (1/4 of the total).
-  EXPECT_EQ(units, (std::vector<std::int64_t>{3750, 2250, 1500, 2500}));
-  EXPECT_EQ(sum_units(units), util::kWeightScale);
-}
-
-TEST(Mux, AddBackendSpreadsEqualSplitRemainder) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("rr"));
-  // 3 does not divide kWeightScale: the old equal-split floor programmed
-  // 3 * 3333 = 9999 units. The rescale must not leak the remainder.
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  EXPECT_EQ(sum_units(mux.weight_units()), util::kWeightScale);
-}
-
-// Regression (ISSUE 2): a weight vector sized for a different pool used to
-// be silently prefix-applied; a controller racing a membership change could
-// half-program the pool. It is now rejected loudly.
-TEST(Mux, SetWeightUnitsRejectsSizeMismatch) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  const auto before = mux.weight_units();
-
-  EXPECT_FALSE(mux.set_weight_units({9000}));          // too short
-  EXPECT_FALSE(mux.set_weight_units({1, 2, 3}));       // too long
-  EXPECT_EQ(mux.weight_units(), before);
-  EXPECT_EQ(mux.rejected_programmings(), 2u);
-}
-
-TEST(Mux, RemoveDrainedBackendLeavesSurvivorsUntouched) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  // Controller-style scale-in: drain the leaver to 0 first, then remove.
-  ASSERT_TRUE(mux.set_weight_units({4000, 0, 6000}));
-  ASSERT_TRUE(mux.remove_backend(1));
-  EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{4000, 6000}));
-}
-
-TEST(Mux, RemoveBackendKeepsParkedPoolParked) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  // The controller parked the pool except one backend; removing that
-  // backend must not resurrect the others via an equal-split fallback.
-  ASSERT_TRUE(mux.set_weight_units({0, 0, util::kWeightScale}));
-  ASSERT_TRUE(mux.remove_backend(2));
-  EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{0, 0}));
-}
-
-TEST(Mux, RemoveLoadedBackendRescalesToFullScale) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  ASSERT_TRUE(mux.set_weight_units({6000, 2000, 2000}));
-  ASSERT_TRUE(mux.remove_backend(0));
-  EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{5000, 5000}));
-  EXPECT_FALSE(mux.remove_backend(7));  // out of range
 }
 
 // --- transactional programming (PoolProgram) --------------------------------
@@ -387,7 +315,7 @@ TEST(PoolProgram, PreFailureProgramCannotResurrectFailedBackend) {
   PoolProgram v2(mux.issue_version());
   v2.add(a, 4000).add(b, 6000);
   // ...then the dataplane observes a's death before v2 commits.
-  ASSERT_TRUE(mux.fail_backend(0));
+  ASSERT_TRUE(mux.fail_backend(a));
   ASSERT_EQ(mux.backend_count(), 1u);
 
   mux.apply_program(v2);  // late commit of the pre-failure view
@@ -449,7 +377,6 @@ TEST(PoolProgram, StaleVersionDiscardedAcrossMembershipChange) {
   EXPECT_EQ(mux.superseded_programs(), 1u);
   EXPECT_EQ(mux.backend_count(), 2u);  // c not resurrected
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{6000, 4000}));
-  EXPECT_EQ(mux.rejected_programmings(), 0u);  // nothing partial to reject
 }
 
 // A backend the program omits is removed; one listed anew is admitted —
@@ -483,8 +410,7 @@ TEST(LbController, ChurnAndWeightsCannotRace) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"));
   const net::IpAddr a{10, 1, 0, 1}, b{10, 1, 0, 2}, c{10, 1, 0, 3};
-  mux.add_backend(a);
-  mux.add_backend(b);
+  program_equal(mux, {a, b});
   LbController ctrl(f.sim, mux, 200_ms);
 
   PoolProgram weights(ctrl.issue_version());  // weights for the 2-DIP pool...
@@ -498,7 +424,6 @@ TEST(LbController, ChurnAndWeightsCannotRace) {
   f.sim.run_all();
   EXPECT_EQ(mux.backend_count(), 3u);
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{5000, 3000, 2000}));
-  EXPECT_EQ(mux.rejected_programmings(), 0u);
   EXPECT_EQ(mux.superseded_programs(), 0u);  // in-order: nothing discarded
   EXPECT_EQ(sum_units(mux.weight_units()), util::kWeightScale);
 }
@@ -578,60 +503,7 @@ TEST(Mux, DrainLifecycleEdges) {
   v4.add(b, util::kWeightScale);
   mux.apply_program(v4);
   EXPECT_FALSE(mux.backend_draining(0));
-  EXPECT_TRUE(mux.backend_enabled(0));
   EXPECT_EQ(mux.weight_units()[0], util::kWeightScale);
-}
-
-// Regression (ISSUE 5): set_backend_enabled(i, true) used to silently
-// re-enable a draining backend, leaving `draining && enabled` — the
-// drainer kept accepting new connections, so its affinity never emptied
-// and the promised auto-removal never completed. It is now refused.
-TEST(Mux, EnablingDrainingBackendIsRefused) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"));
-  const net::IpAddr a{10, 1, 0, 1}, b{10, 1, 0, 2};
-  PoolProgram v1(1);
-  v1.add(a, 5000).add(b, 5000);
-  mux.apply_program(v1);
-
-  // Pin flows, then drain a.
-  for (std::uint16_t p = 0; p < 16; ++p)
-    f.net.send(f.vip, f.request(static_cast<std::uint16_t>(1000 + p), p, 1));
-  f.sim.run_all();
-  ASSERT_GT(mux.active_connections(0), 0u);
-  PoolProgram v2(2);
-  v2.add(a, 0, BackendState::kDraining).add(b, util::kWeightScale);
-  mux.apply_program(v2);
-  ASSERT_TRUE(mux.backend_draining(0));
-
-  EXPECT_FALSE(mux.set_backend_enabled(0, true));
-  EXPECT_TRUE(mux.backend_draining(0));   // still condemned
-  EXPECT_FALSE(mux.backend_enabled(0));   // still parked
-
-  // New connections still avoid the drainer...
-  const auto conns_a = mux.new_connections(0);
-  for (std::uint16_t p = 0; p < 10; ++p)
-    f.net.send(f.vip, f.request(static_cast<std::uint16_t>(3000 + p),
-                                static_cast<std::uint64_t>(100 + p), 1));
-  f.sim.run_all();
-  EXPECT_EQ(mux.new_connections(0), conns_a);
-
-  // ...and the drain still auto-completes on the last FIN.
-  for (std::uint16_t p = 0; p < 16; ++p) {
-    net::Message fin;
-    fin.type = net::MsgType::kFin;
-    fin.tuple = tuple_with_port(static_cast<std::uint16_t>(1000 + p));
-    f.net.send(f.vip, fin);
-  }
-  f.sim.run_all();
-  EXPECT_EQ(mux.backend_count(), 1u);
-  EXPECT_EQ(mux.drains_completed(), 1u);
-  EXPECT_EQ(mux.flows_reset_by_failure(), 0u);
-
-  // The maintenance knob still works on healthy backends, loudly bounded.
-  EXPECT_TRUE(mux.set_backend_enabled(0, false));
-  EXPECT_TRUE(mux.set_backend_enabled(0, true));
-  EXPECT_FALSE(mux.set_backend_enabled(7, true));  // out of range
 }
 
 // Regression (ISSUE 5): smooth-WRR credits are index-keyed, and only a
@@ -727,38 +599,19 @@ TEST(PoolProgram, WeightsOnlyDoesNotTouchMembership) {
   EXPECT_EQ(mux.backend_count(), 3u);
 }
 
-// Duplicate-address backends (degenerate, but constructible through the
-// imperative API) must reconcile without UB: the first match consumes the
-// entry, the second is treated as not desired.
-TEST(PoolProgram, DuplicateAddressBackendsReconcileSafely) {
-  MuxFixture f;
-  Mux mux(f.net, f.vip, make_policy("wrr"));
-  const net::IpAddr a{10, 1, 0, 1};
-  mux.add_backend(a);
-  mux.add_backend(a);  // duplicate registration
-  ASSERT_EQ(mux.backend_count(), 2u);
-
-  PoolProgram v1(1);
-  v1.add(a, util::kWeightScale);
-  mux.apply_program(v1);
-  EXPECT_EQ(mux.backend_count(), 1u);  // deduplicated, not crashed
-  EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{util::kWeightScale}));
-}
-
 // Out-of-range accessors are loud sentinels, not UB (they used to index
 // the backing vector unchecked).
 TEST(Mux, OutOfRangeAccessorsAreSafe) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("rr"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
+  program_equal(mux, {net::IpAddr{10, 1, 0, 1}});
   EXPECT_EQ(mux.backend_addr(5), net::IpAddr{});
   EXPECT_EQ(mux.backend_id(5), 0u);
-  EXPECT_FALSE(mux.backend_enabled(5));
   EXPECT_FALSE(mux.backend_draining(5));
   EXPECT_EQ(mux.forwarded_requests(5), 0u);
   EXPECT_EQ(mux.new_connections(5), 0u);
   EXPECT_EQ(mux.active_connections(5), 0u);
-  EXPECT_FALSE(mux.remove_backend(5));
+  EXPECT_FALSE(mux.fail_backend(net::IpAddr{10, 1, 0, 9}));  // not served
 }
 
 // Regression (ISSUE 2): DrainEstimator::finish restored kWeightScale / n
@@ -794,8 +647,7 @@ TEST(LbController, TransactionCommitsAfterDelay) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"));
   const net::IpAddr a{10, 1, 0, 1}, b{10, 1, 0, 2};
-  mux.add_backend(a);
-  mux.add_backend(b);
+  program_equal(mux, {a, b});
   LbController ctrl(f.sim, mux, 200_ms);
 
   PoolProgram p(ctrl.issue_version());
@@ -811,8 +663,7 @@ TEST(LbController, LaterTransactionWins) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"));
   const net::IpAddr a{10, 1, 0, 1}, b{10, 1, 0, 2};
-  mux.add_backend(a);
-  mux.add_backend(b);
+  program_equal(mux, {a, b});
   LbController ctrl(f.sim, mux, 200_ms);
 
   PoolProgram first(ctrl.issue_version());

@@ -1,7 +1,7 @@
 // Maglev consistent-hash dataplane tests: weighted slot apportionment,
-// minimal flow remap under DIP churn, the MUX backend lifecycle (stable
-// ids, affinity GC, weights surviving add/remove/fail), and end-to-end
-// churn under the multi-VIP controller.
+// minimal flow remap under DIP churn, the MUX backend lifecycle through
+// programs and failures (stable ids, affinity GC, weights applied
+// literally), and end-to-end churn under the multi-VIP controller.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -216,6 +216,15 @@ struct ChurnFixture {
   sim::Simulation sim{17};
   net::Network net{sim};
   net::IpAddr vip{10, 0, 0, 1};
+  const net::IpAddr a{10, 1, 0, 1}, b{10, 1, 0, 2}, c{10, 1, 0, 3};
+
+  /// Commit `entries` (address, weight units) as the whole pool.
+  static void program(Mux& mux,
+                      std::vector<std::pair<net::IpAddr, std::int64_t>> entries) {
+    PoolProgram p(mux.issue_version());
+    for (const auto& [addr, units] : entries) p.add(addr, units);
+    mux.apply_program(p);
+  }
 
   net::Message request(std::uint32_t client, std::uint16_t port) {
     net::Message m;
@@ -235,23 +244,23 @@ struct ChurnFixture {
 TEST(MuxChurn, StableIdsSurviveRemoval) {
   ChurnFixture f;
   Mux mux(f.net, f.vip, make_policy("maglev"));
-  const auto id1 = mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  const auto id2 = mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  const auto id3 = mux.add_backend(net::IpAddr{10, 1, 0, 3});
+  ChurnFixture::program(mux, {{f.a, 3334}, {f.b, 3333}, {f.c, 3333}});
+  const auto id1 = mux.backend_id(0);
+  const auto id2 = mux.backend_id(1);
+  const auto id3 = mux.backend_id(2);
   EXPECT_NE(id1, id2);
 
-  ASSERT_TRUE(mux.remove_backend(0));
+  ChurnFixture::program(mux, {{f.b, 5000}, {f.c, 5000}});  // a omitted
   // Indices shifted, ids did not.
   EXPECT_EQ(mux.index_of_id(id2), std::optional<std::size_t>{0});
   EXPECT_EQ(mux.index_of_id(id3), std::optional<std::size_t>{1});
   EXPECT_FALSE(mux.index_of_id(id1).has_value());
 }
 
-TEST(MuxChurn, RemoveBackendDropsItsAffinityOnly) {
+TEST(MuxChurn, RemovedBackendDropsItsAffinityOnly) {
   ChurnFixture f;
   Mux mux(f.net, f.vip, make_policy("maglev"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
+  ChurnFixture::program(mux, {{f.a, 5000}, {f.b, 5000}});
 
   for (std::uint32_t c = 0; c < 200; ++c)
     f.net.send(f.vip, f.request(c, 443));
@@ -260,7 +269,10 @@ TEST(MuxChurn, RemoveBackendDropsItsAffinityOnly) {
   const auto conns_kept = mux.active_connections(1);
   ASSERT_GT(conns_kept, 0u);
 
-  ASSERT_TRUE(mux.remove_backend(0));
+  PoolProgram removal(mux.issue_version());
+  removal.add(f.a, 0, BackendState::kRemoved).add(f.b, util::kWeightScale);
+  mux.apply_program(removal);
+  EXPECT_EQ(mux.flows_dropped_by_removal(), 200u - conns_kept);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
   EXPECT_EQ(mux.affinity_size(), conns_kept);
   EXPECT_EQ(mux.active_connections(0), conns_kept);  // survivor, new index
@@ -269,8 +281,7 @@ TEST(MuxChurn, RemoveBackendDropsItsAffinityOnly) {
 TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
   ChurnFixture f;
   Mux mux(f.net, f.vip, make_policy("maglev"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
+  ChurnFixture::program(mux, {{f.a, 5000}, {f.b, 5000}});
 
   for (std::uint32_t c = 0; c < 100; ++c)
     f.net.send(f.vip, f.request(c, 443));
@@ -278,7 +289,7 @@ TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
   const auto on_failed = mux.active_connections(0);
   ASSERT_GT(on_failed, 0u);
 
-  ASSERT_TRUE(mux.fail_backend(0));
+  ASSERT_TRUE(mux.fail_backend(f.a));
   EXPECT_EQ(mux.flows_reset_by_failure(), on_failed);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 
@@ -293,7 +304,7 @@ TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
 TEST(MuxChurn, AffinityGcReclaimsIdleFlows) {
   ChurnFixture f;
   Mux mux(f.net, f.vip, make_policy("maglev"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
+  ChurnFixture::program(mux, {{f.a, util::kWeightScale}});
   mux.set_affinity_idle_timeout(10_s);
 
   for (std::uint32_t c = 0; c < 5; ++c) f.net.send(f.vip, f.request(c, 443));
@@ -319,15 +330,12 @@ TEST(MuxChurn, AffinityGcReclaimsIdleFlows) {
 TEST(MuxChurn, WeightsSteerAfterChurnWithMaglev) {
   ChurnFixture f;
   Mux mux(f.net, f.vip, make_policy("maglev"));
-  mux.add_backend(net::IpAddr{10, 1, 0, 1});
-  mux.add_backend(net::IpAddr{10, 1, 0, 2});
-  mux.add_backend(net::IpAddr{10, 1, 0, 3});
-  ASSERT_TRUE(mux.set_weight_units({5000, 3000, 2000}));
-  ASSERT_TRUE(mux.remove_backend(2));
+  ChurnFixture::program(mux, {{f.a, 5000}, {f.b, 3000}, {f.c, 2000}});
+  ChurnFixture::program(mux, {{f.a, 5000}, {f.b, 3000}});  // c leaves
 
-  // Survivors rescaled 5:3; new flows follow the maglev table.
-  const auto units = mux.weight_units();
-  EXPECT_EQ(sum_units(units), util::kWeightScale);
+  // Survivors keep their programmed units (nothing rescales them); the
+  // maglev table apportions by ratio, so new flows split 5:3.
+  EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{5000, 3000}));
   for (std::uint32_t c = 0; c < 4000; ++c)
     f.net.send(f.vip, f.request(c, 8080));
   f.sim.run_all();

@@ -316,6 +316,42 @@ TEST(MuxPool, DrainCompletesWithoutDroppingPinnedFlows) {
   EXPECT_EQ(pool.new_connections_to(dips[1]), 0u);  // dead DIP reset counters gone with it
 }
 
+// One commit is one publication per member: the new membership and the
+// new shared table land together, so a drain commit never pairs the
+// drainer's parked entry with a table that still routes to it.
+TEST(MuxPool, OneCommitPublishesOnceAndDrainsDropNothing) {
+  PoolFixture f;
+  MuxPool pool(f.net, f.vip, 3);
+  const auto dips = PoolFixture::dip_addrs(4);
+  std::vector<RecordingDip> sinks(dips.size());
+  for (std::size_t i = 0; i < dips.size(); ++i) f.net.attach(dips[i], &sinks[i]);
+
+  auto published = pool.generations_published();
+  pool.apply_program(PoolFixture::equal_program(pool.issue_version(), dips));
+  EXPECT_EQ(pool.generations_published(), published + pool.mux_count());
+
+  for (std::uint32_t c = 0; c < 400; ++c) f.net.send(f.vip, f.request(c, 443));
+  f.sim.run_all();
+
+  PoolProgram drain(pool.issue_version());
+  drain.add(dips[0], 0, BackendState::kDraining);
+  const auto units = util::normalize_to_units(std::vector<double>(3, 1.0));
+  for (std::size_t i = 1; i < dips.size(); ++i) drain.add(dips[i], units[i - 1]);
+  published = pool.generations_published();
+  pool.apply_program(drain);
+  EXPECT_EQ(pool.generations_published(), published + pool.mux_count());
+  EXPECT_EQ(pool.shared_builds(), 2u);
+  for (std::size_t k = 0; k < pool.mux_count(); ++k)
+    EXPECT_EQ(pool.table_snapshot(k), pool.table_snapshot(0));
+
+  for (std::uint32_t c = 0; c < 400; ++c) f.net.send(f.vip, f.request(c, 443));
+  for (std::uint32_t c = 1000; c < 1400; ++c)
+    f.net.send(f.vip, f.request(c, 443));
+  f.sim.run_all();
+  EXPECT_EQ(pool.total_forwarded(), 1200u);
+  EXPECT_EQ(pool.no_backend_drops(), 0u);
+}
+
 // The delayed control plane drives a pool exactly like a single mux: one
 // transaction, committed on every member after the delay.
 TEST(MuxPool, LbControllerProgramsWholePool) {

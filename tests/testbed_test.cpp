@@ -167,6 +167,26 @@ TEST(TestbedChurn, MetricsStayAddressKeyedThroughChurn) {
   EXPECT_EQ(bed.retired_count(), 1u);
 }
 
+// Power-of-two-choices reads each backend's server. A DIP admitted by a
+// program (scale-out) must reach the Mux with its server, like the
+// bootstrap pool does; without it P2 reads the newcomer's CPU as 0 and
+// hands it every pair it is drawn into.
+TEST(TestbedChurn, ScaleOutCarriesTheServerForP2) {
+  TestbedConfig cfg;
+  cfg.seed = 68;
+  cfg.policy = "p2";
+  Testbed bed(three_dip_specs(1.0, 1.0, 1.0), cfg);
+  const auto idx = bed.scale_out(DipSpec{});
+  const auto addr = bed.dip(idx).address();
+  bed.run_for(1_s);  // programming delay elapses
+
+  const auto backends = bed.mux().backends();
+  ASSERT_EQ(backends.size(), 4u);
+  for (const auto& b : backends) EXPECT_NE(b.server, nullptr) << b.addr.str();
+  EXPECT_EQ(backends.back().addr, addr);
+  EXPECT_EQ(backends.back().server, &bed.dip(idx));
+}
+
 TEST(TestbedChurn, CapacityAndOfferedLoadTrackLiveList) {
   TestbedConfig cfg;
   cfg.seed = 67;
