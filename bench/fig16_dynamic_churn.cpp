@@ -34,12 +34,16 @@ struct PhaseStats {
   std::size_t live_dips = 0;
 };
 
-PhaseStats measure_phase(testbed::Testbed& bed, lb::MuxPool& pool,
-                         const std::string& name, util::SimTime window) {
+/// Measure one phase: latency and goodput over `window`, and the
+/// dataplane's resets and drains since `since` — a counter snapshot taken
+/// before the phase's churn ops, so the phase owns what its ops did even
+/// when that lands before the window opens (drains complete during the
+/// settle runs; a failure resets flows at once).
+PhaseStats measure_phase(testbed::Testbed& bed, const std::string& name,
+                         util::SimTime window,
+                         const lb::DataplaneCounters& since) {
   bed.reset_stats();
   const auto timeouts0 = bed.clients().recorder().timeouts();
-  const auto resets0 = pool.flows_reset_by_failure();
-  const auto drains0 = pool.drains_completed();
   bed.run_for(window);
 
   PhaseStats s;
@@ -49,8 +53,9 @@ PhaseStats measure_phase(testbed::Testbed& bed, lb::MuxPool& pool,
   s.mean_ms = bed.overall_latency_ms();
   s.p99_ms = bed.overall_p99_ms();
   s.timeouts = bed.clients().recorder().timeouts() - timeouts0;
-  s.flows_reset = pool.flows_reset_by_failure() - resets0;
-  s.drains_completed = pool.drains_completed() - drains0;
+  const auto d = bed.dataplane_counters() - since;
+  s.flows_reset = d.flows_reset_by_failure;
+  s.drains_completed = d.drains_completed;
   s.live_dips = bed.dip_count();
   return s;
 }
@@ -113,42 +118,43 @@ int main(int argc, char** argv) {
   bed.run_for(short_mode ? 20_s : util::SimTime::minutes(1));
 
   std::vector<PhaseStats> phases;
-  phases.push_back(measure_phase(bed, *pool, "baseline", window));
+  phases.push_back(
+      measure_phase(bed, "baseline", window, bed.dataplane_counters()));
 
   // --- capacity change (Fig. 16): two big DIPs lose a core mid-run ------
   std::size_t steal_a = short_mode ? 6 : 24;  // DS2s (short) / DS3s (full)
   std::size_t steal_b = steal_a + 1;
+  auto since = bed.dataplane_counters();
   bed.dip(steal_a).set_stolen_cores(1.0);
   bed.dip(steal_b).set_stolen_cores(1.0);
-  phases.push_back(measure_phase(bed, *pool, "capacity change", window));
+  phases.push_back(measure_phase(bed, "capacity change", window, since));
 
   // --- scale-out wave ---------------------------------------------------
+  since = bed.dataplane_counters();
   for (std::size_t i = 0; i < scale_out_n; ++i)
     bed.scale_out({server::kDs2v2, 1.0, 0.0});
   if (!bed.run_until_ready(ready_limit))
     std::cout << "[warn] newcomer exploration did not finish in time\n";
-  phases.push_back(measure_phase(bed, *pool, "scale-out wave", window));
+  phases.push_back(measure_phase(bed, "scale-out wave", window, since));
 
   // --- rolling graceful drain ------------------------------------------
-  // The drain commits land during the settle runs below, before the
-  // measured window re-baselines the counters — so the CI-gating "zero
-  // resets" invariant must span the ops themselves, not just the window.
-  const auto resets_before_drains = pool->flows_reset_by_failure();
+  // The drains complete during the settle runs, before the measured
+  // window opens: the phase's counters start before the first scale_in,
+  // so the CI-gating "zero resets, every drain completes" invariants span
+  // the ops themselves, not just the window.
+  since = bed.dataplane_counters();
   for (std::size_t i = 0; i < drain_n; ++i) {
     bed.scale_in(0);
     bed.run_for(short_mode ? 10_s : 30_s);
   }
-  const auto drain_resets =
-      pool->flows_reset_by_failure() - resets_before_drains;
-  phases.push_back(measure_phase(bed, *pool, "rolling drain", window));
+  phases.push_back(measure_phase(bed, "rolling drain", window, since));
+  const auto still_draining = pool->draining_count();
 
   // --- correlated abrupt failure ---------------------------------------
-  const auto resets_before_fail = pool->flows_reset_by_failure();
+  since = bed.dataplane_counters();
   bed.fail_dip(0);
   bed.fail_dip(0);
-  const auto failure_resets =
-      pool->flows_reset_by_failure() - resets_before_fail;
-  phases.push_back(measure_phase(bed, *pool, "correlated failure", window));
+  phases.push_back(measure_phase(bed, "correlated failure", window, since));
 
   testbed::Table table({"phase", "DIPs", "goodput rps", "mean ms", "p99 ms",
                         "timeouts", "resets", "drains"});
@@ -185,9 +191,23 @@ int main(int argc, char** argv) {
     ++failures;
   }
   const auto& drain_phase = phases[phases.size() - 2];
-  if (drain_resets + drain_phase.flows_reset != 0) {
-    std::cout << "[fail] graceful drain reset "
-              << drain_resets + drain_phase.flows_reset << " flows\n";
+  if (drain_phase.flows_reset != 0) {
+    std::cout << "[fail] graceful drain reset " << drain_phase.flows_reset
+              << " flows\n";
+    ++failures;
+  }
+  // Every leaver drains on every pool member, and none is left parked
+  // when the failure step begins.
+  const auto want_drains = drain_n * cfg.mux_count;
+  if (drain_phase.drains_completed != want_drains) {
+    std::cout << "[fail] rolling drain completed "
+              << drain_phase.drains_completed << " drains, want "
+              << want_drains << "\n";
+    ++failures;
+  }
+  if (still_draining != 0) {
+    std::cout << "[fail] " << still_draining
+              << " backends still draining before the failure step\n";
     ++failures;
   }
   const auto& fail_phase = phases.back();
@@ -195,9 +215,10 @@ int main(int argc, char** argv) {
     std::cout << "[fail] goodput collapsed after correlated failure\n";
     ++failures;
   }
-  std::cout << "correlated failure reset " << failure_resets
+  const auto dm = bed.dataplane_counters();
+  std::cout << "correlated failure reset " << fail_phase.flows_reset
             << " pinned flows; stale pre-failure re-admissions refused: "
-            << pool->stale_failed_admissions() << "\n";
+            << dm.stale_failed_admissions << "\n";
 
   std::cout << "\nPaper: capacity loss trims the degraded DIPs' weight "
                "15-17% (not the naive 25%);\nfailed DIPs' weight lands "
@@ -206,7 +227,6 @@ int main(int argc, char** argv) {
                "fails mid-run.\n";
 
   if (!json_path.empty()) {
-    const auto dm = bed.dataplane_metrics();
     auto json = bench::Json::object();
     json.set("bench", "fig16_dynamic_churn")
         .set("mode", short_mode ? "short" : "full")
@@ -234,7 +254,7 @@ int main(int argc, char** argv) {
                  .set("generations_published", dm.generations_published)
                  .set("generations_retired", dm.generations_retired)
                  .set("pending_retired_generations",
-                      dm.pending_retired_generations));
+                      pool->pending_retired_generations()));
     json.set("failures", failures);
     if (!bench::write_json_file(json_path, json)) return 1;
   }

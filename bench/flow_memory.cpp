@@ -198,10 +198,11 @@ ScenarioResult run_scenario(bool stateless, std::uint64_t flows,
   res.drive_sec = std::chrono::duration<double>(Clock::now() - t0).count();
 
   res.tap_breaks = tap_breaks;
-  res.affinity_breaks = mux.affinity_breaks();
-  res.stateless_picks = mux.stateless_picks();
-  res.exception_pins = mux.exception_pins();
-  res.breaks_avoided = mux.affinity_breaks_avoided();
+  const auto c = mux.counters();
+  res.affinity_breaks = c.affinity_breaks;
+  res.stateless_picks = c.stateless_picks;
+  res.exception_pins = c.exception_pins;
+  res.breaks_avoided = c.affinity_breaks_avoided;
 
   // Conservation: every flow opened exactly once (stateless openers count
   // connections without pinning; adoptions must not double-count), every
@@ -222,7 +223,7 @@ ScenarioResult run_scenario(bool stateless, std::uint64_t flows,
   check(mux.live_exception_pins() == 0,
         "slot-pin counters drained (" +
             std::to_string(mux.live_exception_pins()) + " left)");
-  check(mux.no_backend_drops() == 0, "no refused connections");
+  check(c.no_backend_drops == 0, "no refused connections");
   check(mux.dangling_affinity_count() == 0, "no dangling affinity entries");
   return res;
 }

@@ -135,15 +135,16 @@ RunResult run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
     conns += mux.new_connections(d);
     active += mux.active_connections(d);
   }
+  const auto c = mux.counters();
   auto check = [&res](bool cond, const std::string& what) {
     if (!cond) {
       std::cerr << "INVARIANT VIOLATED: " << what << "\n";
       res.ok = false;
     }
   };
-  check(mux.total_forwarded() == expect_requests,
+  check(c.total_forwarded == expect_requests,
         "total_forwarded == requests sent (" +
-            std::to_string(mux.total_forwarded()) + " vs " +
+            std::to_string(c.total_forwarded) + " vs " +
             std::to_string(expect_requests) + ")");
   check(conns == expect_conns, "new connections == flows opened (" +
                                    std::to_string(conns) + " vs " +
@@ -154,7 +155,7 @@ RunResult run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
                                       std::to_string(mux.affinity_size()) +
                                       " left)");
   check(mux.dangling_affinity_count() == 0, "no dangling affinity entries");
-  check(mux.no_backend_drops() == 0, "no refused connections");
+  check(c.no_backend_drops == 0, "no refused connections");
   return res;
 }
 
@@ -258,15 +259,16 @@ RunResult run_batch_one(std::size_t batch, std::uint64_t flows,
     active += mux.active_connections(d);
     delivered += sinks[d].received;
   }
+  const auto c = mux.counters();
   auto check = [&res](bool cond, const std::string& what) {
     if (!cond) {
       std::cerr << "INVARIANT VIOLATED: " << what << "\n";
       res.ok = false;
     }
   };
-  check(mux.total_forwarded() == expect_requests,
+  check(c.total_forwarded == expect_requests,
         "batch: total_forwarded == requests sent (" +
-            std::to_string(mux.total_forwarded()) + " vs " +
+            std::to_string(c.total_forwarded) + " vs " +
             std::to_string(expect_requests) + ")");
   // End-to-end conservation through the fabric: every forwarded request
   // and every pinned flow's FIN reached a sink — burst coalescing loses
@@ -286,7 +288,7 @@ RunResult run_batch_one(std::size_t batch, std::uint64_t flows,
                                       " left)");
   check(mux.dangling_affinity_count() == 0,
         "batch: no dangling affinity entries");
-  check(mux.no_backend_drops() == 0, "batch: zero drops");
+  check(c.no_backend_drops == 0, "batch: zero drops");
   return res;
 }
 
@@ -414,17 +416,18 @@ ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
     res.rate = dt > 0 ? static_cast<double>(sent) / dt : 0.0;
     res.programs_per_sec =
         commit && dt > 0 ? static_cast<double>(commits) / dt : 0.0;
-    res.generations_published = mux.generations_published();
-    res.generations_retired = mux.generations_retired();
+    const auto c = mux.counters();
+    res.generations_published = c.generations_published;
+    res.generations_retired = c.generations_retired;
 
     std::uint64_t conns = 0, active = 0;
     for (std::size_t d = 0; d < kDips; ++d) {
       conns += mux.new_connections(d);
       active += mux.active_connections(d);
     }
-    check(mux.total_forwarded() == sent,
+    check(c.total_forwarded == sent,
           "churn: total_forwarded == requests sent (" +
-              std::to_string(mux.total_forwarded()) + " vs " +
+              std::to_string(c.total_forwarded) + " vs " +
               std::to_string(sent) + ")");
     check(conns == opened, "churn: new connections == flows opened (" +
                                std::to_string(conns) + " vs " +
@@ -434,19 +437,19 @@ ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
     check(mux.affinity_size() == 0, "churn: affinity empty after all FINs");
     check(mux.dangling_affinity_count() == 0,
           "churn: no dangling affinity entries");
-    check(mux.no_backend_drops() == 0,
+    check(c.no_backend_drops == 0,
           "churn: zero no-backend drops under churn (" +
-              std::to_string(mux.no_backend_drops()) + " dropped)");
+              std::to_string(c.no_backend_drops) + " dropped)");
     // Generation lifecycle: everything retired was reclaimed (no reader
     // left pinned, no generation leaked), and only the current one lives.
     check(mux.pending_retired_generations() == 0,
           "churn: retired generations all reclaimed after poll (" +
               std::to_string(mux.pending_retired_generations()) +
               " pending)");
-    check(mux.generations_retired() == mux.generations_published() - 1,
+    check(c.generations_retired == c.generations_published - 1,
           "churn: generations retired == published - 1 (" +
-              std::to_string(mux.generations_retired()) + " vs " +
-              std::to_string(mux.generations_published()) + " published)");
+              std::to_string(c.generations_retired) + " vs " +
+              std::to_string(c.generations_published) + " published)");
     check(mux.oldest_live_epoch() == mux.current_epoch(),
           "churn: no reader pinned below the current epoch");
     check(mux.debug_check_generation(),

@@ -74,8 +74,7 @@ ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only) {
   const auto phase = invariants_only ? 2_s : (short_mode ? 5_s : 15_s);
 
   testbed::Testbed bed(specs, cfg);
-  auto* pool = bed.mux_pool();
-  if (pool == nullptr) {
+  if (bed.mux_pool() == nullptr) {
     std::cerr << "expected a MuxPool (mux_count > 1)\n";
     ShardRun bad;
     bad.ok = false;
@@ -83,6 +82,9 @@ ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only) {
   }
   bed.run_for(short_mode ? 5_s : 10_s);  // warmup, untimed
   bed.reset_stats();
+  // Dataplane counters are cumulative: the timed region is a delta from
+  // here.
+  const auto c0 = bed.dataplane_counters();
 
   // The timed region: fixed virtual duration, live churn riding along.
   ShardRun r;
@@ -96,14 +98,14 @@ ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only) {
   // can briefly name a parked or failed backend and the member refuses
   // rather than guesses (the client retries); those refusals are correct
   // behavior and are reported, not gated.
-  r.no_backend_drops = bed.dataplane_metrics().no_backend_drops;
+  r.no_backend_drops = (bed.dataplane_counters() - c0).no_backend_drops;
   bed.scale_out({server::kDs2v2, 1.0, 0.0});
   bed.run_for(phase);
-  const auto resets_before_drain = pool->flows_reset_by_failure();
+  const auto before_drain = bed.dataplane_counters();
   bed.scale_in(0);  // graceful: pinned flows served out, zero resets
   bed.run_for(phase);
   r.graceful_resets =
-      pool->flows_reset_by_failure() - resets_before_drain;
+      (bed.dataplane_counters() - before_drain).flows_reset_by_failure;
   bed.fail_dip(0);  // abrupt: survivors absorb, clients retry
   bed.run_for(phase);
   const auto t1 = std::chrono::steady_clock::now();
@@ -113,7 +115,7 @@ ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only) {
   r.successes = bed.client_successes();
   r.timeouts = bed.client_timeouts();
   r.requests_sent = bed.client_requests_sent();
-  r.drains_completed = pool->drains_completed();
+  r.drains_completed = (bed.dataplane_counters() - c0).drains_completed;
 
   auto check = [&r, shards](bool cond, const std::string& what) {
     if (!cond) {

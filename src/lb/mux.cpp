@@ -34,7 +34,45 @@ std::uint32_t displaced_owner(const PoolGeneration& gen,
              ? ExceptionFilter::kNoOwner
              : prev;
 }
+
+/// Every DataplaneCounters field, for the field-wise operators.
+constexpr std::uint64_t DataplaneCounters::*kCounterFields[] = {
+    &DataplaneCounters::total_forwarded,
+    &DataplaneCounters::no_backend_drops,
+    &DataplaneCounters::drains_completed,
+    &DataplaneCounters::flows_reset_by_failure,
+    &DataplaneCounters::flows_gced_idle,
+    &DataplaneCounters::flows_dropped_by_removal,
+    &DataplaneCounters::superseded_programs,
+    &DataplaneCounters::stale_failed_admissions,
+    &DataplaneCounters::stateless_picks,
+    &DataplaneCounters::exception_pins,
+    &DataplaneCounters::affinity_breaks_avoided,
+    &DataplaneCounters::affinity_breaks,
+    &DataplaneCounters::generations_published,
+    &DataplaneCounters::generations_retired,
+};
+static_assert(sizeof(kCounterFields) / sizeof(kCounterFields[0]) *
+                      sizeof(std::uint64_t) ==
+                  sizeof(DataplaneCounters),
+              "kCounterFields must list every DataplaneCounters field");
 }  // namespace
+
+DataplaneCounters& DataplaneCounters::operator+=(const DataplaneCounters& o) {
+  for (auto f : kCounterFields) this->*f += o.*f;
+  return *this;
+}
+
+DataplaneCounters operator-(DataplaneCounters a, const DataplaneCounters& b) {
+  for (auto f : kCounterFields) a.*f -= b.*f;
+  return a;
+}
+
+bool operator==(const DataplaneCounters& a, const DataplaneCounters& b) {
+  for (auto f : kCounterFields)
+    if (a.*f != b.*f) return false;
+  return true;
+}
 
 Mux::Mux(net::Network& net, net::IpAddr vip, std::unique_ptr<Policy> policy,
          bool attach_to_vip, FlowTableConfig flow_cfg,
@@ -458,24 +496,24 @@ std::vector<std::int64_t> Mux::weight_units() const {
   return out;
 }
 
-void Mux::reset_counters() {
-  util::MutexLock lk(control_mutex_);
-  for (const auto& b : current_owner_->backends()) {
-    b.counters->connections.store(0, std::memory_order_relaxed);
-    b.counters->forwarded.store(0, std::memory_order_relaxed);
-  }
-  total_forwarded_.store(0, std::memory_order_relaxed);
-  no_backend_drops_.store(0, std::memory_order_relaxed);
-  drains_completed_.store(0, std::memory_order_relaxed);
-  flows_reset_.store(0, std::memory_order_relaxed);
-  flows_gced_.store(0, std::memory_order_relaxed);
-  flows_dropped_.store(0, std::memory_order_relaxed);
-  superseded_programs_.store(0, std::memory_order_relaxed);
-  stale_failed_admissions_.store(0, std::memory_order_relaxed);
-  stateless_picks_.store(0, std::memory_order_relaxed);
-  exception_pins_.store(0, std::memory_order_relaxed);
-  affinity_breaks_avoided_.store(0, std::memory_order_relaxed);
-  affinity_breaks_.store(0, std::memory_order_relaxed);
+DataplaneCounters Mux::counters() const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  DataplaneCounters c;
+  c.total_forwarded = total_forwarded_.load(kRelaxed);
+  c.no_backend_drops = no_backend_drops_.load(kRelaxed);
+  c.drains_completed = drains_completed_.load(kRelaxed);
+  c.flows_reset_by_failure = flows_reset_.load(kRelaxed);
+  c.flows_gced_idle = flows_gced_.load(kRelaxed);
+  c.flows_dropped_by_removal = flows_dropped_.load(kRelaxed);
+  c.superseded_programs = superseded_programs_.load(kRelaxed);
+  c.stale_failed_admissions = stale_failed_admissions_.load(kRelaxed);
+  c.stateless_picks = stateless_picks_.load(kRelaxed);
+  c.exception_pins = exception_pins_.load(kRelaxed);
+  c.affinity_breaks_avoided = affinity_breaks_avoided_.load(kRelaxed);
+  c.affinity_breaks = affinity_breaks_.load(kRelaxed);
+  c.generations_published = generations_published_.load(kRelaxed);
+  c.generations_retired = epochs_.reclaimed_total();
+  return c;
 }
 
 std::size_t Mux::exception_slots() const {

@@ -75,6 +75,14 @@
 // bitmap bit + one slot-pin counter, one table read, forward. Drain
 // auto-completion additionally waits out consistency.drain_grace_us,
 // because a drainer may be serving stateless flows that hold no pin.
+//
+// Counters: one system. The packet and control paths bump relaxed atomics;
+// counters() reads all of them as one DataplaneCounters value. They are
+// cumulative from construction and never reset — a measurement window is
+// the difference of two snapshots. Instantaneous gauges (affinity_size,
+// draining_count, pending_retired_generations, live_exception_pins,
+// exception_slots) keep their own accessors: a delta of a gauge means
+// nothing.
 #pragma once
 
 #include <atomic>
@@ -99,6 +107,61 @@
 namespace klb::lb {
 
 class MaglevTable;
+
+/// The dataplane's cumulative counters, read as one snapshot
+/// (Mux::counters, MuxPool::counters, Testbed::dataplane_counters). Every
+/// field only grows; `+=` aggregates snapshots, `-` turns two into a delta.
+/// Each field is read relaxed, so a snapshot under traffic is exact per
+/// field but not a cut across fields.
+struct DataplaneCounters {
+  /// Requests forwarded to a backend.
+  std::uint64_t total_forwarded = 0;
+  /// New connections refused because the policy had no usable backend
+  /// (clients see a timeout). The testbed asserts this stays zero through
+  /// steady phases.
+  std::uint64_t no_backend_drops = 0;
+  /// Drains that auto-completed to removal.
+  std::uint64_t drains_completed = 0;
+  /// Pinned flows reset by an abrupt backend failure (their clients
+  /// retry on the survivors).
+  std::uint64_t flows_reset_by_failure = 0;
+  /// Affinity entries reclaimed by idle-flow GC.
+  std::uint64_t flows_gced_idle = 0;
+  /// Pinned flows dropped by an abrupt *graceful-path* removal — a
+  /// transactional kRemoved or omission from a non-weights-only program —
+  /// as opposed to reset-by-failure or drained-to-zero; without this
+  /// counter these flows would vanish from every metric.
+  std::uint64_t flows_dropped_by_removal = 0;
+  /// Transactions discarded because a newer version had already committed
+  /// (a MuxPool counts its one pool-wide version check).
+  std::uint64_t superseded_programs = 0;
+  /// Program entries skipped because they would have re-admitted a failed
+  /// backend from a transaction issued before the failure was observed.
+  std::uint64_t stale_failed_admissions = 0;
+  /// Requests routed purely by hash — no FlowTable entry ever existed.
+  std::uint64_t stateless_picks = 0;
+  /// Flows pinned while the hybrid dataplane is engaged (exception flows).
+  std::uint64_t exception_pins = 0;
+  /// Mid-flow packets whose slot's pick moved and that were adopted onto
+  /// their previous backend (each one is a break the filter prevented).
+  std::uint64_t affinity_breaks_avoided = 0;
+  /// Mid-flow packets whose slot's pick moved and whose previous backend
+  /// is gone — the flow genuinely re-homed (zero under graceful churn;
+  /// failures break flows in stateful mode too).
+  std::uint64_t affinity_breaks = 0;
+  /// Generations published since construction (>= 1 per Mux: the
+  /// constructor publishes the initial empty-pool generation).
+  std::uint64_t generations_published = 0;
+  /// Retired generations actually freed. After quiescing + poll() this
+  /// equals generations_published - 1 per Mux (only the current one lives).
+  std::uint64_t generations_retired = 0;
+
+  DataplaneCounters& operator+=(const DataplaneCounters& o);
+  friend DataplaneCounters operator-(DataplaneCounters a,
+                                     const DataplaneCounters& b);
+  friend bool operator==(const DataplaneCounters& a,
+                         const DataplaneCounters& b);
+};
 
 class Mux : public net::Node, public PoolProgrammer {
  public:
@@ -169,14 +232,6 @@ class Mux : public net::Node, public PoolProgrammer {
   std::uint64_t applied_version() const {
     return applied_version_.load(std::memory_order_relaxed);
   }
-  /// Transactions discarded because a newer version had already committed.
-  std::uint64_t superseded_programs() const {
-    return superseded_programs_.load(std::memory_order_relaxed);
-  }
-  /// Drains that auto-completed to removal.
-  std::uint64_t drains_completed() const {
-    return drains_completed_.load(std::memory_order_relaxed);
-  }
   std::size_t draining_count() const;
 
   // --- abrupt failure -------------------------------------------------------
@@ -242,61 +297,16 @@ class Mux : public net::Node, public PoolProgrammer {
   const FlowTable& flow_table() const { return flows_; }
 
   // --- dataplane counters ----------------------------------------------------
+  /// Every cumulative counter, read now (see DataplaneCounters).
+  DataplaneCounters counters() const;
   std::uint64_t forwarded_requests(std::size_t i) const;
   std::uint64_t new_connections(std::size_t i) const;
   std::uint64_t active_connections(std::size_t i) const;
-  std::uint64_t total_forwarded() const {
-    return total_forwarded_.load(std::memory_order_relaxed);
-  }
-  /// New connections refused because the policy had no usable backend
-  /// (clients see a timeout). The testbed asserts this stays zero through
-  /// steady phases (ISSUE 5 — it used to be counted but unreadable).
-  std::uint64_t no_backend_drops() const {
-    return no_backend_drops_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t flows_reset_by_failure() const {
-    return flows_reset_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t flows_gced_idle() const {
-    return flows_gced_.load(std::memory_order_relaxed);
-  }
-  /// Pinned flows dropped by an abrupt *graceful-path* removal — a
-  /// transactional kRemoved or omission from a non-weights-only program —
-  /// as opposed to reset-by-failure or drained-to-zero; without this
-  /// counter these flows would vanish from every metric.
-  std::uint64_t flows_dropped_by_removal() const {
-    return flows_dropped_.load(std::memory_order_relaxed);
-  }
-  /// Program entries skipped because they would have re-admitted a failed
-  /// backend from a transaction issued before the failure was observed.
-  std::uint64_t stale_failed_admissions() const {
-    return stale_failed_admissions_.load(std::memory_order_relaxed);
-  }
-  void reset_counters() KLB_EXCLUDES(control_mutex_);
 
   // --- stateless fast path (lb/consistency.hpp) ------------------------------
   /// True when the hybrid stateless/stateful dataplane engaged at
   /// construction (stateless requested + table-bearing policy).
   bool stateless_engaged() const { return slot_pins_ != nullptr; }
-  /// Requests routed purely by hash — no FlowTable entry ever existed.
-  std::uint64_t stateless_picks() const {
-    return stateless_picks_.load(std::memory_order_relaxed);
-  }
-  /// Flows pinned while the hybrid dataplane is engaged (exception flows).
-  std::uint64_t exception_pins() const {
-    return exception_pins_.load(std::memory_order_relaxed);
-  }
-  /// Mid-flow packets whose slot's pick moved and that were adopted onto
-  /// their previous backend (each one is a break the filter prevented).
-  std::uint64_t affinity_breaks_avoided() const {
-    return affinity_breaks_avoided_.load(std::memory_order_relaxed);
-  }
-  /// Mid-flow packets whose slot's pick moved and whose previous backend
-  /// is gone — the flow genuinely re-homed (zero under graceful churn;
-  /// failures break flows in stateful mode too).
-  std::uint64_t affinity_breaks() const {
-    return affinity_breaks_.load(std::memory_order_relaxed);
-  }
   /// Table slots flagged exceptional in the current generation's filter.
   std::size_t exception_slots() const;
   /// Live exception pins summed over all slots (O(table) scan).
@@ -305,15 +315,12 @@ class Mux : public net::Node, public PoolProgrammer {
   }
 
   // --- generation / reclamation observability --------------------------------
-  /// Generations published since construction (>= 1: the constructor
-  /// publishes the initial empty-pool generation).
+  // benchmark/ is the only caller of these two; read counters() instead.
   std::uint64_t generations_published() const {
-    return generations_published_.load(std::memory_order_relaxed);
+    return counters().generations_published;
   }
-  /// Retired generations actually freed. After quiescing + poll() this
-  /// equals generations_published() - 1 (only the current one lives).
   std::uint64_t generations_retired() const {
-    return epochs_.reclaimed_total();
+    return counters().generations_retired;
   }
   /// Retired generations still parked behind a pinned reader.
   std::size_t pending_retired_generations() const {

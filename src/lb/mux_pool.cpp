@@ -158,34 +158,12 @@ bool MuxPool::fail_backend(net::IpAddr dip) {
   return true;
 }
 
-std::uint64_t MuxPool::total_forwarded() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->total_forwarded();
-  return n;
-}
-
-std::uint64_t MuxPool::flows_reset_by_failure() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->flows_reset_by_failure();
-  return n;
-}
-
-std::uint64_t MuxPool::no_backend_drops() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->no_backend_drops();
-  return n;
-}
-
-std::uint64_t MuxPool::flows_dropped_by_removal() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->flows_dropped_by_removal();
-  return n;
-}
-
-std::uint64_t MuxPool::drains_completed() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->drains_completed();
-  return n;
+DataplaneCounters MuxPool::counters() const {
+  DataplaneCounters c;
+  for (const auto& m : muxes_) c += m->counters();
+  util::MutexLock lk(mu_);
+  c.superseded_programs = superseded_programs_;
+  return c;
 }
 
 std::size_t MuxPool::draining_count() const {
@@ -197,33 +175,6 @@ std::size_t MuxPool::draining_count() const {
 std::size_t MuxPool::affinity_size() const {
   std::size_t n = 0;
   for (const auto& m : muxes_) n += m->affinity_size();
-  return n;
-}
-
-std::uint64_t MuxPool::new_connections_to(net::IpAddr dip) const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_)
-    for (const auto& b : m->backends())  // one snapshot per member
-      if (b.addr == dip)
-        n += b.counters->connections.load(std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t MuxPool::stale_failed_admissions() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->stale_failed_admissions();
-  return n;
-}
-
-std::uint64_t MuxPool::generations_published() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->generations_published();
-  return n;
-}
-
-std::uint64_t MuxPool::generations_retired() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->generations_retired();
   return n;
 }
 
@@ -239,39 +190,13 @@ bool MuxPool::stateless_engaged() const {
   return true;
 }
 
-std::uint64_t MuxPool::stateless_picks() const {
+std::uint64_t MuxPool::new_connections_to(net::IpAddr dip) const {
   std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->stateless_picks();
+  for (const auto& m : muxes_)
+    for (const auto& b : m->backends())  // one snapshot per member
+      if (b.addr == dip)
+        n += b.counters->connections.load(std::memory_order_relaxed);
   return n;
-}
-
-std::uint64_t MuxPool::exception_pins() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->exception_pins();
-  return n;
-}
-
-std::uint64_t MuxPool::affinity_breaks_avoided() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->affinity_breaks_avoided();
-  return n;
-}
-
-std::uint64_t MuxPool::affinity_breaks() const {
-  std::uint64_t n = 0;
-  for (const auto& m : muxes_) n += m->affinity_breaks();
-  return n;
-}
-
-FlowTableMemory MuxPool::flow_memory() const {
-  FlowTableMemory out;
-  for (const auto& m : muxes_) {
-    const auto mem = m->flow_table().memory();
-    out.entries += mem.entries;
-    out.buckets += mem.buckets;
-    out.approx_bytes += mem.approx_bytes;
-  }
-  return out;
 }
 
 void MuxPool::on_message(const net::Message& msg) {

@@ -21,6 +21,10 @@
 //
 // The ECMP hash is salted differently from the maglev hash, so shard
 // choice and backend choice stay statistically independent.
+//
+// counters() is the members' cumulative DataplaneCounters summed field-wise
+// (see lb/mux.hpp); gauges (draining_count, affinity_size, ...) are summed
+// by their own accessors.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +85,6 @@ class MuxPool : public net::Node, public PoolProgrammer {
     util::MutexLock lk(mu_);
     return applied_version_;
   }
-  std::uint64_t superseded_programs() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return superseded_programs_;
-  }
   /// Shared maglev builds (one per committed version, not per mux).
   std::uint64_t shared_builds() const KLB_EXCLUDES(mu_) {
     util::MutexLock lk(mu_);
@@ -98,42 +98,29 @@ class MuxPool : public net::Node, public PoolProgrammer {
   /// the DIP.
   bool fail_backend(net::IpAddr dip) KLB_EXCLUDES(mu_);
 
-  // --- aggregated dataplane counters -----------------------------------------
-  std::uint64_t total_forwarded() const;
-  std::uint64_t flows_reset_by_failure() const;
-  /// New connections refused pool-wide (no usable backend on the owning
-  /// shard's member) — the testbed's no-drop invariant reads this.
-  std::uint64_t no_backend_drops() const;
-  /// Pinned flows dropped by abrupt graceful-path removals pool-wide (see
-  /// Mux::flows_dropped_by_removal).
-  std::uint64_t flows_dropped_by_removal() const;
-  std::uint64_t drains_completed() const;
-  /// Backends still parked in the draining state, summed over members (a
-  /// drain completes per member as its pinned flows empty).
+  // --- dataplane counters ----------------------------------------------------
+  /// The members' counters summed field-wise, except superseded_programs:
+  /// the pool runs the one version check, so that is the pool's own count
+  /// (members are never offered a stale program).
+  DataplaneCounters counters() const KLB_EXCLUDES(mu_);
+  // benchmark/ is the only caller of these three; read counters() instead.
+  std::uint64_t no_backend_drops() const { return counters().no_backend_drops; }
+  std::uint64_t drains_completed() const { return counters().drains_completed; }
+  std::uint64_t generations_published() const {
+    return counters().generations_published;
+  }
+
+  // --- gauges and per-DIP reads, over members --------------------------------
+  /// Backends still parked in the draining state (a drain completes per
+  /// member as its pinned flows empty).
   std::size_t draining_count() const;
   std::size_t affinity_size() const;
+  std::size_t pending_retired_generations() const;
+  /// True when every member engaged the hybrid dataplane.
+  bool stateless_engaged() const;
   /// New connections landed on `dip` across all members (one backends()
   /// snapshot per member).
   std::uint64_t new_connections_to(net::IpAddr dip) const;
-  /// Stale pre-failure program entries refused pool-wide (see
-  /// Mux::stale_failed_admissions).
-  std::uint64_t stale_failed_admissions() const;
-  /// Pool-state generations published / reclaimed, summed over members
-  /// (see Mux::generations_published / generations_retired).
-  std::uint64_t generations_published() const;
-  std::uint64_t generations_retired() const;
-  std::size_t pending_retired_generations() const;
-
-  // --- stateless fast path (lb/consistency.hpp), summed over members ----------
-  /// True when every member engaged the hybrid dataplane.
-  bool stateless_engaged() const;
-  std::uint64_t stateless_picks() const;
-  std::uint64_t exception_pins() const;
-  std::uint64_t affinity_breaks_avoided() const;
-  std::uint64_t affinity_breaks() const;
-  /// Flow-table footprint aggregated over members (bench/flow_memory.cpp
-  /// gates the stateless-vs-stateful byte ratio on this).
-  FlowTableMemory flow_memory() const;
 
   // --- net::Node -------------------------------------------------------------
   void on_message(const net::Message& msg) override;

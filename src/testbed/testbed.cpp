@@ -182,12 +182,6 @@ void Testbed::reset_stats() {
   util::MutexLock lk(mu_);
   for (auto& d : dips_) d->reset_stats();
   for (auto& c : client_pools_) c->recorder().reset();
-  if (pool_) {
-    for (std::size_t k = 0; k < pool_->mux_count(); ++k)
-      pool_->mux(k).reset_counters();
-  } else {
-    mux_->reset_counters();
-  }
 }
 
 std::unique_ptr<server::DipServer> Testbed::make_dip(const DipSpec& spec) {
@@ -389,33 +383,8 @@ std::vector<DipMetrics> Testbed::metrics() const {
   return out;
 }
 
-DataplaneMetrics Testbed::dataplane_metrics() const {
-  DataplaneMetrics out;
-  const auto add = [&out](const lb::Mux& m) {
-    out.flows_reset_by_failure += m.flows_reset_by_failure();
-    out.flows_gced_idle += m.flows_gced_idle();
-    out.flows_dropped_by_removal += m.flows_dropped_by_removal();
-    out.no_backend_drops += m.no_backend_drops();
-    out.drains_completed += m.drains_completed();
-    out.stale_failed_admissions += m.stale_failed_admissions();
-    out.affinity_entries += m.affinity_size();
-    out.generations_published += m.generations_published();
-    out.generations_retired += m.generations_retired();
-    out.pending_retired_generations += m.pending_retired_generations();
-    out.stateless_picks += m.stateless_picks();
-    out.exception_pins += m.exception_pins();
-    out.affinity_breaks_avoided += m.affinity_breaks_avoided();
-    out.affinity_breaks += m.affinity_breaks();
-    const auto mem = m.flow_table().memory();
-    out.flow_table_bytes += mem.approx_bytes;
-    out.flow_table_capacity += mem.buckets;
-  };
-  if (pool_) {
-    for (std::size_t k = 0; k < pool_->mux_count(); ++k) add(pool_->mux(k));
-  } else {
-    add(*mux_);
-  }
-  return out;
+lb::DataplaneCounters Testbed::dataplane_counters() const {
+  return pool_ ? pool_->counters() : mux_->counters();
 }
 
 double Testbed::overall_latency_ms() const {

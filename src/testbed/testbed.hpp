@@ -10,7 +10,10 @@
 //   - optionally the KnapsackLB controller.
 //
 // Benches and examples construct a Testbed, run phases of virtual time,
-// and read per-DIP CPU / client-observed latency off it.
+// and read per-DIP CPU / client-observed latency off it. reset_stats()
+// opens a new measurement window for those; the dataplane's counters are
+// cumulative and never reset, so a window's dataplane figure is the
+// difference of two dataplane_counters() snapshots.
 #pragma once
 
 #include <memory>
@@ -93,36 +96,6 @@ struct TestbedConfig {
   util::SimTime driver_window = util::SimTime::zero();
 };
 
-/// Pool-level dataplane lifecycle counters, aggregated over every MUX
-/// behind the VIP (one Mux, or all MuxPool members). These are the flows
-/// that do NOT show up in per-DIP metrics: reset by failure, reclaimed by
-/// idle-GC, dropped by an abrupt removal (ISSUE 5 — previously invisible),
-/// or refused because no backend was usable.
-struct DataplaneMetrics {
-  std::uint64_t flows_reset_by_failure = 0;
-  std::uint64_t flows_gced_idle = 0;
-  std::uint64_t flows_dropped_by_removal = 0;
-  std::uint64_t no_backend_drops = 0;
-  std::uint64_t drains_completed = 0;
-  std::uint64_t stale_failed_admissions = 0;
-  std::size_t affinity_entries = 0;
-  /// Pool-generation publication/reclamation (see Mux: every committed
-  /// program or churn op publishes one immutable generation; retired ones
-  /// are freed epoch-style once no reader can hold them).
-  std::uint64_t generations_published = 0;
-  std::uint64_t generations_retired = 0;
-  std::size_t pending_retired_generations = 0;
-  /// Stateless fast path (lb/consistency.hpp; all zero when not engaged).
-  std::uint64_t stateless_picks = 0;
-  std::uint64_t exception_pins = 0;
-  std::uint64_t affinity_breaks_avoided = 0;
-  std::uint64_t affinity_breaks = 0;
-  /// Flow-table footprint across the dataplane (the memory the stateless
-  /// path exists to avoid). Capacity = bucket count.
-  std::size_t flow_table_bytes = 0;
-  std::size_t flow_table_capacity = 0;
-};
-
 /// Per-DIP metrics snapshot for reporting.
 struct DipMetrics {
   net::IpAddr addr;
@@ -147,7 +120,9 @@ class Testbed {
   /// Run until the KnapsackLB controller reports every DIP Ready (requires
   /// use_knapsacklb). Returns false if `limit` elapses first.
   bool run_until_ready(util::SimTime limit);
-  /// Clear all measurement windows (after warmup / before a window).
+  /// Clear the measurement windows (after warmup / before a window): DIP
+  /// CPU windows and client recorders. Dataplane counters are cumulative
+  /// and untouched — take a dataplane_counters() snapshot here instead.
   void reset_stats() KLB_EXCLUDES(mu_);
 
   // --- topology access --------------------------------------------------------
@@ -244,8 +219,9 @@ class Testbed {
 
   // --- metrics ---------------------------------------------------------------
   std::vector<DipMetrics> metrics() const KLB_EXCLUDES(mu_);
-  /// Pool-level lifecycle counters (see DataplaneMetrics).
-  DataplaneMetrics dataplane_metrics() const;
+  /// The dataplane's cumulative counters: the single Mux's, or the
+  /// MuxPool's sum over its members (see lb::DataplaneCounters).
+  lb::DataplaneCounters dataplane_counters() const;
   /// Mean client latency over the current window.
   double overall_latency_ms() const;
   double overall_p99_ms() const;

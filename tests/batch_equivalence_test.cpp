@@ -95,7 +95,7 @@ struct MuxUnderTest {
 struct Snapshot {
   std::vector<std::uint64_t> forwarded, connections, active;
   std::size_t affinity = 0;
-  std::uint64_t total_forwarded = 0, drops = 0, stateless = 0, pins = 0;
+  DataplaneCounters counters;
 
   static Snapshot of(const Mux& m) {
     Snapshot s;
@@ -105,18 +105,8 @@ struct Snapshot {
       s.active.push_back(m.active_connections(i));
     }
     s.affinity = m.affinity_size();
-    s.total_forwarded = m.total_forwarded();
-    s.drops = m.no_backend_drops();
-    s.stateless = m.stateless_picks();
-    s.pins = m.exception_pins();
+    s.counters = m.counters();
     return s;
-  }
-
-  bool operator==(const Snapshot& o) const {
-    return forwarded == o.forwarded && connections == o.connections &&
-           active == o.active && affinity == o.affinity &&
-           total_forwarded == o.total_forwarded && drops == o.drops &&
-           stateless == o.stateless && pins == o.pins;
   }
 };
 
@@ -126,10 +116,14 @@ void expect_equal(const Snapshot& scalar, const Snapshot& batch,
   EXPECT_EQ(scalar.connections, batch.connections) << what;
   EXPECT_EQ(scalar.active, batch.active) << what;
   EXPECT_EQ(scalar.affinity, batch.affinity) << what;
-  EXPECT_EQ(scalar.total_forwarded, batch.total_forwarded) << what;
-  EXPECT_EQ(scalar.drops, batch.drops) << what;
-  EXPECT_EQ(scalar.stateless, batch.stateless) << what;
-  EXPECT_EQ(scalar.pins, batch.pins) << what;
+  // Every counter but affinity_breaks_avoided: when an opener and its
+  // mid-flow packet share a batch chunk on a flagged slot, the batch path
+  // counts an adoption for the mid-flow lane before the opener's pin
+  // lands, and the scalar path does not. Routing is identical; the
+  // divergence is an open ROADMAP item.
+  auto a = scalar.counters, b = batch.counters;
+  a.affinity_breaks_avoided = b.affinity_breaks_avoided = 0;
+  EXPECT_EQ(a, b) << what;
 }
 
 void drive_scalar(Mux& mux, const std::vector<net::Message>& msgs) {
@@ -155,8 +149,8 @@ TEST_P(BatchEquivalence, MaglevCountersAreByteIdentical) {
   drive_scalar(scalar.mux, msgs);
   drive_batched(batched.mux, msgs, GetParam());
   const auto a = Snapshot::of(scalar.mux), b = Snapshot::of(batched.mux);
-  EXPECT_EQ(a.drops, 0u);
-  EXPECT_GT(a.total_forwarded, 0u);
+  EXPECT_EQ(a.counters.no_backend_drops, 0u);
+  EXPECT_GT(a.counters.total_forwarded, 0u);
   expect_equal(a, b, "maglev");
 }
 
@@ -199,7 +193,7 @@ TEST_P(BatchEquivalence, HybridStatelessDataplane) {
   drive_scalar(scalar.mux, msgs);
   drive_batched(batched.mux, msgs, GetParam());
   const auto a = Snapshot::of(scalar.mux), b = Snapshot::of(batched.mux);
-  EXPECT_GT(a.stateless, 0u);
+  EXPECT_GT(a.counters.stateless_picks, 0u);
   expect_equal(a, b, "hybrid");
 }
 
@@ -261,8 +255,8 @@ TEST(MuxPoolBatch, EcmpPartitionMatchesScalarDispatch) {
     expect_equal(Snapshot::of(scalar->pool.mux(k)),
                  Snapshot::of(batched->pool.mux(k)), "pool member");
   }
-  EXPECT_EQ(scalar->pool.total_forwarded(), batched->pool.total_forwarded());
-  EXPECT_EQ(scalar->pool.no_backend_drops(), 0u);
+  EXPECT_EQ(scalar->pool.counters(), batched->pool.counters());
+  EXPECT_EQ(scalar->pool.counters().no_backend_drops, 0u);
 }
 
 }  // namespace

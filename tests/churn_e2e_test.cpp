@@ -36,6 +36,8 @@ TEST(ChurnE2E, ScaleOutDrainAndFailUnderLiveTraffic) {
 
   // --- Phase A: scale-out under traffic --------------------------------
   bed.reset_stats();
+  // Dataplane counters are cumulative: Phase A's window starts here.
+  const auto c0 = bed.dataplane_counters();
   DipSpec grown;
   grown.vm = server::kDs2v2;
   const auto ni = bed.scale_out(grown);
@@ -55,14 +57,16 @@ TEST(ChurnE2E, ScaleOutDrainAndFailUnderLiveTraffic) {
     EXPECT_NEAR(*cw, metrics[ni].weight, 2e-3);
     EXPECT_GT(pool->new_connections_to(new_addr), 0u);
   }
-  EXPECT_EQ(pool->flows_reset_by_failure(), 0u);
-  // Steady no-drop invariant (ISSUE 5 — the counter existed but was
-  // unreadable): scale-out must never leave a new connection without a
-  // usable backend, pool-wide.
-  EXPECT_EQ(pool->no_backend_drops(), 0u);
+  // Steady no-drop invariant: scale-out must never reset a flow or leave
+  // a new connection without a usable backend, pool-wide.
+  {
+    const auto grown_window = bed.dataplane_counters() - c0;
+    EXPECT_EQ(grown_window.flows_reset_by_failure, 0u);
+    EXPECT_EQ(grown_window.no_backend_drops, 0u);
+  }
 
   // --- Phase B: rolling graceful scale-in ------------------------------
-  const auto resets_before_drain = pool->flows_reset_by_failure();
+  const auto before_drain = bed.dataplane_counters();
   const auto timeouts_before_drain = bed.clients().recorder().timeouts();
   const auto goodput_before_drain = bed.clients().recorder().overall().count();
   ASSERT_TRUE(bed.scale_in(0));
@@ -72,16 +76,17 @@ TEST(ChurnE2E, ScaleOutDrainAndFailUnderLiveTraffic) {
   EXPECT_EQ(bed.dip_count(), 5u);
   // Graceful: each leaver drained on every pool member without resetting
   // a single pinned flow, and no client request timed out because of it.
-  EXPECT_EQ(pool->drains_completed(), 2 * pool->mux_count());
+  const auto drained = bed.dataplane_counters() - before_drain;
+  EXPECT_EQ(drained.drains_completed, 2 * pool->mux_count());
   EXPECT_EQ(pool->draining_count(), 0u);
-  EXPECT_EQ(pool->flows_reset_by_failure(), resets_before_drain);
+  EXPECT_EQ(drained.flows_reset_by_failure, 0u);
   EXPECT_EQ(bed.clients().recorder().timeouts(), timeouts_before_drain);
   // Traffic kept flowing through the drains.
   EXPECT_GT(bed.clients().recorder().overall().count(), goodput_before_drain);
   // Rolling drains are graceful end to end: no connection was ever refused
   // and no pinned flow was abruptly dropped by a removal.
-  EXPECT_EQ(pool->no_backend_drops(), 0u);
-  EXPECT_EQ(pool->flows_dropped_by_removal(), 0u);
+  EXPECT_EQ(drained.no_backend_drops, 0u);
+  EXPECT_EQ(drained.flows_dropped_by_removal, 0u);
 
   // --- Phase C: abrupt failure ----------------------------------------
   const auto dead_addr = bed.dip(1).address();
@@ -92,10 +97,13 @@ TEST(ChurnE2E, ScaleOutDrainAndFailUnderLiveTraffic) {
       if (m.backend_addr(b) == dead_addr) dead_active += m.active_connections(b);
   }
   const auto affinity_before = pool->affinity_size();
-  const auto resets_before_fail = pool->flows_reset_by_failure();
+  const auto resets_before_fail =
+      bed.dataplane_counters().flows_reset_by_failure;
   ASSERT_TRUE(bed.fail_dip(1));
   // Exactly the dead DIP's pinned flows are reset; survivors keep theirs.
-  EXPECT_EQ(pool->flows_reset_by_failure() - resets_before_fail, dead_active);
+  EXPECT_EQ(bed.dataplane_counters().flows_reset_by_failure -
+                resets_before_fail,
+            dead_active);
   EXPECT_EQ(pool->affinity_size(), affinity_before - dead_active);
   bed.run_for(60_s);
   EXPECT_EQ(bed.dip_count(), 4u);
@@ -131,14 +139,15 @@ TEST(ChurnE2E, ScaleOutDrainAndFailUnderLiveTraffic) {
   // the whole scenario reset exactly the dead DIP's flows, dropped none by
   // abrupt removal, and never refused a connection (the failure's maglev
   // rebuild redistributes the corpse's hash space in the same step).
-  const auto dm = bed.dataplane_metrics();
-  EXPECT_EQ(dm.flows_dropped_by_removal, 0u);
-  EXPECT_EQ(dm.no_backend_drops, 0u);
+  const auto dm = bed.dataplane_counters();
+  const auto run = dm - c0;  // everything since Phase A began
+  EXPECT_EQ(run.flows_dropped_by_removal, 0u);
+  EXPECT_EQ(run.no_backend_drops, 0u);
   // Exactly the dead DIP's pinned flows (captured before fail_dip), on top
   // of whatever the pre-failure phases had already reset (zero, asserted
   // above) — the independent expectation, not the pool's own sum.
   EXPECT_EQ(dm.flows_reset_by_failure, resets_before_fail + dead_active);
-  EXPECT_EQ(dm.drains_completed, 2 * pool->mux_count());
+  EXPECT_EQ(run.drains_completed, 2 * pool->mux_count());
 
   const auto successes = bed.clients().recorder().overall().count();
   const auto timeouts = bed.clients().recorder().timeouts();
@@ -171,9 +180,12 @@ TEST(ChurnE2E, NoControllerChurnKeepsPoolConsistent) {
   ASSERT_TRUE(bed.scale_in(0));
   bed.run_for(10_s);
   EXPECT_EQ(pool->draining_count(), 0u);
-  EXPECT_EQ(pool->flows_reset_by_failure(), 0u);
-  EXPECT_EQ(pool->no_backend_drops(), 0u);
-  EXPECT_EQ(pool->flows_dropped_by_removal(), 0u);
+  {
+    const auto c = pool->counters();
+    EXPECT_EQ(c.flows_reset_by_failure, 0u);
+    EXPECT_EQ(c.no_backend_drops, 0u);
+    EXPECT_EQ(c.flows_dropped_by_removal, 0u);
+  }
 
   ASSERT_TRUE(bed.fail_dip(0));
   bed.run_for(10_s);
@@ -213,7 +225,7 @@ TEST(ChurnE2E, StatelessGracefulDrainsBreakNoAffinity) {
 
   // Steady state routes by hash: the flow tables stay (near) empty.
   {
-    const auto dm = bed.dataplane_metrics();
+    const auto dm = bed.dataplane_counters();
     EXPECT_GT(dm.stateless_picks, 0u);
     EXPECT_EQ(dm.affinity_breaks, 0u);
   }
@@ -225,9 +237,9 @@ TEST(ChurnE2E, StatelessGracefulDrainsBreakNoAffinity) {
   bed.run_for(15_s);
   EXPECT_EQ(bed.dip_count(), 3u);
   EXPECT_EQ(pool->draining_count(), 0u);
-  EXPECT_EQ(pool->drains_completed(), 2 * pool->mux_count());
 
-  const auto dm = bed.dataplane_metrics();
+  const auto dm = bed.dataplane_counters();
+  EXPECT_EQ(dm.drains_completed, 2 * pool->mux_count());
   // The invariant this subsystem exists for: graceful drains with the
   // stateless path on re-home zero flows. Anything caught mid-drain shows
   // up as an avoided break (an adoption), never a real one.

@@ -194,7 +194,7 @@ TEST(StatelessFastPath, UnchangedSlotFlowNeverPinsAcrossPublishes) {
   // Opener: routed by hash, counted as a connection, never pinned.
   mux.on_message(request(7, 4242, /*req_id=*/1));
   EXPECT_EQ(mux.affinity_size(), 0u);
-  EXPECT_EQ(mux.stateless_picks(), 1u);
+  EXPECT_EQ(mux.counters().stateless_picks, 1u);
   const auto owner = owner_of_only_flow(mux);
   ASSERT_NE(owner, kNoBackend);
   EXPECT_EQ(mux.new_connections(owner), 1u);
@@ -211,8 +211,8 @@ TEST(StatelessFastPath, UnchangedSlotFlowNeverPinsAcrossPublishes) {
     EXPECT_EQ(mux.forwarded_requests(owner), g);
     EXPECT_EQ(mux.new_connections(owner), 1u);  // opener counted once
   }
-  EXPECT_EQ(mux.stateless_picks(), 6u);
-  EXPECT_EQ(mux.exception_pins(), 0u);
+  EXPECT_EQ(mux.counters().stateless_picks, 6u);
+  EXPECT_EQ(mux.counters().exception_pins, 0u);
   EXPECT_EQ(mux.live_exception_pins(), 0u);
 
   // The close is stateless too: nothing to erase, the FIN is forwarded to
@@ -221,7 +221,7 @@ TEST(StatelessFastPath, UnchangedSlotFlowNeverPinsAcrossPublishes) {
   mux.on_message(fin(7, 4242));
   EXPECT_EQ(net.messages_blackholed(), sent_before + 1);
   EXPECT_EQ(mux.affinity_size(), 0u);
-  EXPECT_EQ(mux.affinity_breaks(), 0u);
+  EXPECT_EQ(mux.counters().affinity_breaks, 0u);
 }
 
 TEST(StatelessFastPath, MidFlowAdoptionPinsToThePreviousOwner) {
@@ -260,10 +260,10 @@ TEST(StatelessFastPath, MidFlowAdoptionPinsToThePreviousOwner) {
   // Mid-flow packet: the pick moved away, so the flow is adopted — pinned
   // to the drainer it was opened on instead of breaking onto the new pick.
   mux.on_message(request(1, 5555, /*req_id=*/2));
-  EXPECT_EQ(mux.affinity_breaks_avoided(), 1u);
-  EXPECT_EQ(mux.affinity_breaks(), 0u);
+  EXPECT_EQ(mux.counters().affinity_breaks_avoided, 1u);
+  EXPECT_EQ(mux.counters().affinity_breaks, 0u);
   EXPECT_EQ(mux.affinity_size(), 1u);
-  EXPECT_EQ(mux.exception_pins(), 1u);
+  EXPECT_EQ(mux.counters().exception_pins, 1u);
   EXPECT_EQ(mux.live_exception_pins(), 1u);
   EXPECT_EQ(mux.forwarded_requests(owner), 2u);
   EXPECT_EQ(mux.active_connections(owner), 1u);
@@ -273,16 +273,16 @@ TEST(StatelessFastPath, MidFlowAdoptionPinsToThePreviousOwner) {
   // The pinned drainer cannot auto-complete while the flow lives.
   mux.poll();
   EXPECT_EQ(mux.draining_count(), 1u);
-  EXPECT_EQ(mux.drains_completed(), 0u);
+  EXPECT_EQ(mux.counters().drains_completed, 0u);
 
   // G+1 un-changes the slot: cancelling the drain hands the slot back to
   // the original owner. The pin must survive the publish — the next packet
   // is an affinity hit (not a stateless pick), still on the same backend.
   mux.apply_program(equal_program(3, 8));
   ASSERT_EQ(mux.draining_count(), 0u);
-  const auto picks_before = mux.stateless_picks();
+  const auto picks_before = mux.counters().stateless_picks;
   mux.on_message(request(1, 5555, /*req_id=*/3));
-  EXPECT_EQ(mux.stateless_picks(), picks_before);
+  EXPECT_EQ(mux.counters().stateless_picks, picks_before);
   EXPECT_EQ(mux.affinity_size(), 1u);
   EXPECT_EQ(mux.live_exception_pins(), 1u);
   EXPECT_EQ(mux.forwarded_requests(owner), 3u);
@@ -331,7 +331,7 @@ TEST(StatelessFastPath, DrainWaitsOutTheAdoptionGrace) {
 
   // The window is exactly what the flow needs to adopt a pin mid-flow.
   mux.on_message(request(2, 6000, /*req_id=*/2));
-  EXPECT_EQ(mux.affinity_breaks_avoided(), 1u);
+  EXPECT_EQ(mux.counters().affinity_breaks_avoided, 1u);
   EXPECT_EQ(mux.active_connections(owner), 1u);
 
   // Once the pin drops AND the grace has elapsed, the drain completes.
@@ -340,8 +340,8 @@ TEST(StatelessFastPath, DrainWaitsOutTheAdoptionGrace) {
   mux.poll();
   EXPECT_EQ(mux.draining_count(), 0u);
   EXPECT_EQ(mux.backend_count(), 3u);
-  EXPECT_EQ(mux.drains_completed(), 1u);
-  EXPECT_EQ(mux.affinity_breaks(), 0u);
+  EXPECT_EQ(mux.counters().drains_completed, 1u);
+  EXPECT_EQ(mux.counters().affinity_breaks, 0u);
 }
 
 }  // namespace

@@ -337,8 +337,8 @@ TEST(MuxFlowTable, CrossShardDrainCompletion) {
   mux.on_message(f.fin(pinned_to_a.back()));
   EXPECT_EQ(mux.backend_count(), 1u);
   EXPECT_EQ(mux.backend_addr(0), f.b);
-  EXPECT_EQ(mux.drains_completed(), 1u);
-  EXPECT_EQ(mux.flows_reset_by_failure(), 0u);
+  EXPECT_EQ(mux.counters().drains_completed, 1u);
+  EXPECT_EQ(mux.counters().flows_reset_by_failure, 0u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }
 
@@ -389,9 +389,9 @@ TEST(MuxFlowTable, ReconnectLandsOnTheNewGenerationsTablePick) {
   ASSERT_TRUE(mux.fail_backend(f.a));  // a held no pins when it died
   reconnect_all({{f.b.value(), util::kWeightScale}});
   for (const auto& addr : before) EXPECT_EQ(addr, f.b);
-  EXPECT_EQ(mux.no_backend_drops(), 0u);
+  EXPECT_EQ(mux.counters().no_backend_drops, 0u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
-  EXPECT_EQ(mux.flows_reset_by_failure(), 0u);
+  EXPECT_EQ(mux.counters().flows_reset_by_failure, 0u);
 }
 
 // Abrupt graceful-path removal (transactional kRemoved / omission) drops
@@ -411,13 +411,13 @@ TEST(MuxFlowTable, RemovalDropsAreCounted) {
   PoolProgram v2(2);  // a cut short, not drained
   v2.add(f.a, 0, BackendState::kRemoved).add(f.b, util::kWeightScale);
   mux.apply_program(v2);
-  EXPECT_EQ(mux.flows_dropped_by_removal(), pinned_a);
-  EXPECT_EQ(mux.flows_reset_by_failure(), 0u);
+  EXPECT_EQ(mux.counters().flows_dropped_by_removal, pinned_a);
+  EXPECT_EQ(mux.counters().flows_reset_by_failure, 0u);
 
   PoolProgram v3(3);  // b omitted: same abrupt drop, same counter
   v3.add(net::IpAddr{10, 1, 0, 3}, util::kWeightScale);
   mux.apply_program(v3);
-  EXPECT_EQ(mux.flows_dropped_by_removal(), pinned_a + pinned_b);
+  EXPECT_EQ(mux.counters().flows_dropped_by_removal, pinned_a + pinned_b);
   EXPECT_EQ(mux.affinity_size(), 0u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }

@@ -154,18 +154,18 @@ TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
     Mux mux(net, {10, 0, 0, 1}, make_policy("maglev"));
 
     // The constructor publishes generation 1 (empty pool).
-    EXPECT_EQ(mux.generations_published(), 1u);
+    EXPECT_EQ(mux.counters().generations_published, 1u);
     EXPECT_EQ(mux.generation_seq(), 1u);
 
     mux.apply_program(equal_program(mux.issue_version(), 4));
-    EXPECT_EQ(mux.generations_published(), 2u);
+    EXPECT_EQ(mux.counters().generations_published, 2u);
 
     // One publication per mutation: a program (grow, park, restore), a
     // failure, a policy swap.
     auto bump = [&mux](auto&& op) {
-      const auto before = mux.generations_published();
+      const auto before = mux.counters().generations_published;
       op();
-      EXPECT_EQ(mux.generations_published(), before + 1);
+      EXPECT_EQ(mux.counters().generations_published, before + 1);
     };
     bump([&] { mux.apply_program(equal_program(mux.issue_version(), 5)); });
     bump([&] { mux.apply_program(parked_program(mux.issue_version(), 5, 0)); });
@@ -178,7 +178,8 @@ TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
     // Quiesced: one poll reclaims everything but the current generation.
     mux.poll();
     EXPECT_EQ(mux.pending_retired_generations(), 0u);
-    EXPECT_EQ(mux.generations_retired(), mux.generations_published() - 1);
+    const auto c = mux.counters();
+    EXPECT_EQ(c.generations_retired, c.generations_published - 1);
     EXPECT_EQ(mux.oldest_live_epoch(), mux.current_epoch());
     EXPECT_TRUE(mux.debug_check_generation());
     EXPECT_EQ(PoolGeneration::live_count(), live0 + 1);
@@ -259,7 +260,8 @@ TEST(GenerationTest, ConcurrentParkingNeverTearsAGeneration) {
   mux.poll();
 
   EXPECT_FALSE(torn.load()) << "a reader observed a torn generation";
-  EXPECT_EQ(mux.total_forwarded(), sent.load());
+  const auto c = mux.counters();
+  EXPECT_EQ(c.total_forwarded, sent.load());
   std::uint64_t conns = 0, active = 0;
   for (std::size_t d = 0; d < kDips; ++d) {
     conns += mux.new_connections(d);
@@ -267,11 +269,11 @@ TEST(GenerationTest, ConcurrentParkingNeverTearsAGeneration) {
   }
   EXPECT_EQ(conns, opened.load());
   EXPECT_EQ(active, 0u);
-  EXPECT_EQ(mux.no_backend_drops(), 0u);
+  EXPECT_EQ(c.no_backend_drops, 0u);
   EXPECT_EQ(mux.affinity_size(), 0u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
   EXPECT_EQ(mux.pending_retired_generations(), 0u);
-  EXPECT_EQ(mux.generations_retired(), mux.generations_published() - 1);
+  EXPECT_EQ(c.generations_retired, c.generations_published - 1);
   EXPECT_EQ(mux.oldest_live_epoch(), mux.current_epoch());
 }
 
@@ -318,7 +320,7 @@ TEST(GenerationTest, PoolFailBackendUnderConcurrentReader) {
   PoolProgram stale = equal_program(stale_version, kDips);
   pool.apply_program(stale);
   EXPECT_EQ(pool.backend_count(), kDips - 1);
-  EXPECT_GE(pool.stale_failed_admissions(), 1u);
+  EXPECT_GE(pool.counters().stale_failed_admissions, 1u);
 
   stop.store(true, std::memory_order_release);
   reader.join();
@@ -326,8 +328,9 @@ TEST(GenerationTest, PoolFailBackendUnderConcurrentReader) {
 
   // Every request either forwarded or (never, here) counted as dropped —
   // nothing vanishes across the failure commit.
-  EXPECT_EQ(pool.total_forwarded() + pool.no_backend_drops(), sent.load());
-  EXPECT_EQ(pool.no_backend_drops(), 0u);
+  const auto c = pool.counters();
+  EXPECT_EQ(c.total_forwarded + c.no_backend_drops, sent.load());
+  EXPECT_EQ(c.no_backend_drops, 0u);
   EXPECT_EQ(pool.affinity_size(), 0u);
   EXPECT_EQ(pool.pending_retired_generations(), 0u);
   // Shared-build invariant survives the churn: members still serve the
@@ -359,6 +362,16 @@ TEST(GenerationTest, FreshFlowsRaceReweightingCommits) {
   net.set_blackhole(true);
   Mux mux(net, {10, 0, 0, 1}, std::make_unique<MaglevPolicy>(251));
   MuxPool pool(net, {10, 0, 0, 2}, 2, 251);
+  // The committer snapshots both dataplanes' counters after every commit,
+  // while the workers bump them: cumulative counters never run backwards,
+  // and every commit publishes.
+  DataplaneCounters mux_seen, pool_seen;
+  auto snapshot_advanced = [](const DataplaneCounters& now,
+                              DataplaneCounters& seen) {
+    EXPECT_GE(now.total_forwarded, seen.total_forwarded);
+    EXPECT_GT(now.generations_published, seen.generations_published);
+    seen = now;
+  };
   std::uint64_t commits = 0;
   auto commit = [&] {
     ++commits;
@@ -374,6 +387,8 @@ TEST(GenerationTest, FreshFlowsRaceReweightingCommits) {
                           : 64 + static_cast<std::int64_t>((d + commits) % 7));
       dp->apply_program(p);
     }
+    snapshot_advanced(mux.counters(), mux_seen);
+    snapshot_advanced(pool.counters(), pool_seen);
   };
 
   std::atomic<bool> go{false};
@@ -407,25 +422,24 @@ TEST(GenerationTest, FreshFlowsRaceReweightingCommits) {
 
   // Conservation per dataplane: the bare Mux, and the pool's members summed.
   const std::uint64_t opens = std::uint64_t{kThreads} * kBursts * kBurst;
-  auto conserved = [opens](std::vector<const Mux*> members) {
-    std::uint64_t conns = 0, active = 0, forwarded = 0, drops = 0, pins = 0;
+  auto conserved = [opens](const DataplaneCounters& c,
+                           std::vector<const Mux*> members) {
+    std::uint64_t conns = 0, active = 0, pins = 0;
     for (const auto* m : members) {
       for (std::size_t d = 0; d < m->backend_count(); ++d) {
         conns += m->new_connections(d);
         active += m->active_connections(d);
       }
-      forwarded += m->total_forwarded();
-      drops += m->no_backend_drops();
       pins += m->affinity_size();
     }
     EXPECT_EQ(conns, opens);
     EXPECT_EQ(active, 0u);
-    EXPECT_EQ(forwarded, 2 * opens);
-    EXPECT_EQ(drops, 0u);
+    EXPECT_EQ(c.total_forwarded, 2 * opens);
+    EXPECT_EQ(c.no_backend_drops, 0u);
     EXPECT_EQ(pins, 0u);
   };
-  conserved({&mux});
-  conserved({&pool.mux(0), &pool.mux(1)});
+  conserved(mux.counters(), {&mux});
+  conserved(pool.counters(), {&pool.mux(0), &pool.mux(1)});
 }
 
 }  // namespace

@@ -231,7 +231,7 @@ TEST(Mux, ForwardsAndPinsConnections) {
   f.sim.run_all();
   EXPECT_EQ(f.dip1.messages.size() + f.dip2.messages.size(), 2u);
   EXPECT_TRUE(f.dip1.messages.empty() || f.dip2.messages.empty());
-  EXPECT_EQ(mux.total_forwarded(), 2u);
+  EXPECT_EQ(mux.counters().total_forwarded, 2u);
 }
 
 TEST(Mux, FinReleasesAffinityAndCount) {
@@ -319,7 +319,7 @@ TEST(PoolProgram, PreFailureProgramCannotResurrectFailedBackend) {
   ASSERT_EQ(mux.backend_count(), 1u);
 
   mux.apply_program(v2);  // late commit of the pre-failure view
-  EXPECT_EQ(mux.stale_failed_admissions(), 1u);
+  EXPECT_EQ(mux.counters().stale_failed_admissions, 1u);
   EXPECT_EQ(mux.backend_count(), 1u);  // the corpse stays out...
   EXPECT_EQ(mux.backend_addr(0), b);
   EXPECT_EQ(mux.weight_units(),
@@ -330,7 +330,7 @@ TEST(PoolProgram, PreFailureProgramCannotResurrectFailedBackend) {
   v3.add(b, 8000).add(a, 2000);
   mux.apply_program(v3);
   EXPECT_EQ(mux.backend_count(), 2u);
-  EXPECT_EQ(mux.stale_failed_admissions(), 1u);
+  EXPECT_EQ(mux.counters().stale_failed_admissions, 1u);
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{8000, 2000}));
 }
 
@@ -348,7 +348,7 @@ TEST(PoolProgram, StaleVersionDiscardedAfterCommit) {
   v1.add(a, 7000).add(b, 3000);
   mux.apply_program(v1);
 
-  EXPECT_EQ(mux.superseded_programs(), 1u);
+  EXPECT_EQ(mux.counters().superseded_programs, 1u);
   EXPECT_EQ(mux.applied_version(), 2u);
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{1000, 9000}));
 }
@@ -374,7 +374,7 @@ TEST(PoolProgram, StaleVersionDiscardedAcrossMembershipChange) {
   v2.add(a, 2000).add(b, 2000).add(c, 6000);
   mux.apply_program(v2);
 
-  EXPECT_EQ(mux.superseded_programs(), 1u);
+  EXPECT_EQ(mux.counters().superseded_programs, 1u);
   EXPECT_EQ(mux.backend_count(), 2u);  // c not resurrected
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{6000, 4000}));
 }
@@ -424,7 +424,8 @@ TEST(LbController, ChurnAndWeightsCannotRace) {
   f.sim.run_all();
   EXPECT_EQ(mux.backend_count(), 3u);
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{5000, 3000, 2000}));
-  EXPECT_EQ(mux.superseded_programs(), 0u);  // in-order: nothing discarded
+  // In-order: nothing discarded.
+  EXPECT_EQ(mux.counters().superseded_programs, 0u);
   EXPECT_EQ(sum_units(mux.weight_units()), util::kWeightScale);
 }
 
@@ -469,8 +470,8 @@ TEST(Mux, DrainingBackendCompletesOnLastFin) {
   f.sim.run_all();
   EXPECT_EQ(mux.backend_count(), 1u);
   EXPECT_EQ(mux.backend_addr(0), b);
-  EXPECT_EQ(mux.drains_completed(), 1u);
-  EXPECT_EQ(mux.flows_reset_by_failure(), 0u);
+  EXPECT_EQ(mux.counters().drains_completed, 1u);
+  EXPECT_EQ(mux.counters().flows_reset_by_failure, 0u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }
 
@@ -488,7 +489,7 @@ TEST(Mux, DrainLifecycleEdges) {
   v2.add(a, 0, BackendState::kDraining).add(b, util::kWeightScale);
   mux.apply_program(v2);
   EXPECT_EQ(mux.backend_count(), 1u);
-  EXPECT_EQ(mux.drains_completed(), 1u);
+  EXPECT_EQ(mux.counters().drains_completed, 1u);
 
   // Pin a flow on b, condemn it, then change course: re-activate.
   f.net.send(f.vip, f.request(1000, 1, 1));

@@ -272,7 +272,7 @@ TEST(MuxChurn, RemovedBackendDropsItsAffinityOnly) {
   PoolProgram removal(mux.issue_version());
   removal.add(f.a, 0, BackendState::kRemoved).add(f.b, util::kWeightScale);
   mux.apply_program(removal);
-  EXPECT_EQ(mux.flows_dropped_by_removal(), 200u - conns_kept);
+  EXPECT_EQ(mux.counters().flows_dropped_by_removal, 200u - conns_kept);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
   EXPECT_EQ(mux.affinity_size(), conns_kept);
   EXPECT_EQ(mux.active_connections(0), conns_kept);  // survivor, new index
@@ -290,7 +290,7 @@ TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
   ASSERT_GT(on_failed, 0u);
 
   ASSERT_TRUE(mux.fail_backend(f.a));
-  EXPECT_EQ(mux.flows_reset_by_failure(), on_failed);
+  EXPECT_EQ(mux.counters().flows_reset_by_failure, on_failed);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 
   // The reset clients reconnect: all flows land on the survivor now.
@@ -319,7 +319,7 @@ TEST(MuxChurn, AffinityGcReclaimsIdleFlows) {
   EXPECT_EQ(mux.gc_affinity(), 4u);
   EXPECT_EQ(mux.affinity_size(), 1u);
   EXPECT_EQ(mux.active_connections(0), 1u);
-  EXPECT_EQ(mux.flows_gced_idle(), 4u);
+  EXPECT_EQ(mux.counters().flows_gced_idle, 4u);
 
   // A FIN for a reclaimed flow is a no-op, not an underflow.
   f.net.send(f.vip, f.fin(1, 443));

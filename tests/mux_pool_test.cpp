@@ -108,28 +108,45 @@ TEST(MuxPool, SharedSnapshotPointerEqualAcrossMuxes) {
 }
 
 // A stale transaction is discarded pool-wide: no member applies it, no
-// per-mux build happens, the snapshot pointer does not move.
+// per-mux build happens, the snapshot pointer does not move. The pool's
+// counters are its members' summed field-wise, except superseded_programs:
+// the pool runs the one version check, so it counts the stale program once.
 TEST(MuxPool, StaleProgramDiscardedPoolWide) {
   PoolFixture f;
   MuxPool pool(f.net, f.vip, 3);
   const auto dips = PoolFixture::dip_addrs(4);
+  std::vector<RecordingDip> sinks(dips.size());
+  for (std::size_t i = 0; i < dips.size(); ++i) f.net.attach(dips[i], &sinks[i]);
 
   pool.apply_program(PoolFixture::equal_program(2, dips));
   const auto snap = pool.table_snapshot(0);
+  for (std::uint32_t c = 0; c < 300; ++c) f.net.send(f.vip, f.request(c, 443));
+  f.sim.run_all();
 
   PoolProgram stale = PoolFixture::equal_program(1, dips);
   stale.entries.pop_back();  // stale view: 3-DIP pool
   pool.apply_program(stale);
 
-  EXPECT_EQ(pool.superseded_programs(), 1u);
+  EXPECT_EQ(pool.counters().superseded_programs, 1u);
   EXPECT_EQ(pool.applied_version(), 2u);
   EXPECT_EQ(pool.shared_builds(), 1u);
   for (std::size_t k = 0; k < pool.mux_count(); ++k) {
     EXPECT_EQ(pool.table_snapshot(k), snap);
     EXPECT_EQ(pool.mux(k).applied_version(), 2u);
     EXPECT_EQ(pool.mux(k).backend_count(), 4u);
-    EXPECT_EQ(pool.mux(k).superseded_programs(), 0u);  // never even offered
+    // Never even offered.
+    EXPECT_EQ(pool.mux(k).counters().superseded_programs, 0u);
   }
+
+  // A failure resets pinned flows on every member that served them.
+  EXPECT_TRUE(pool.fail_backend(dips[0]));
+  DataplaneCounters members;
+  for (std::size_t k = 0; k < pool.mux_count(); ++k)
+    members += pool.mux(k).counters();
+  EXPECT_EQ(members.total_forwarded, 300u);
+  EXPECT_GT(members.flows_reset_by_failure, 0u);
+  members.superseded_programs = 1;  // the pool's own version check
+  EXPECT_EQ(pool.counters(), members);
 }
 
 // ECMP spreads flows across the members; every member serves traffic and
@@ -148,9 +165,9 @@ TEST(MuxPool, EcmpShardsFlowsAcrossMuxes) {
   }
   f.sim.run_all();
 
-  EXPECT_EQ(pool.total_forwarded(), 4000u);
-  for (std::size_t k = 0; k < pool.mux_count(); ++k)
-    EXPECT_GT(pool.mux(k).total_forwarded(), 500u);  // ~1000 +- spread
+  EXPECT_EQ(pool.counters().total_forwarded, 4000u);
+  for (std::size_t k = 0; k < pool.mux_count(); ++k)  // ~1000 +- spread
+    EXPECT_GT(pool.mux(k).counters().total_forwarded, 500u);
   std::uint64_t landed = 0;
   for (const auto& s : sinks) landed += s.messages();
   EXPECT_EQ(landed, 4000u);
@@ -220,10 +237,10 @@ TEST(MuxPool, PicksConsistentAcrossMembers) {
   for (std::uint32_t c = 0; c < 2000; ++c) f.net.send(f.vip, f.fin(c, 443));
   f.sim.run_all();
   ASSERT_EQ(pool.affinity_size(), 0u);
-  const auto forwarded_before = pool.total_forwarded();
+  const auto forwarded_before = pool.counters().total_forwarded;
   for (std::uint32_t c = 0; c < 2000; ++c) f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
-  EXPECT_EQ(pool.total_forwarded(), forwarded_before + 2000);
+  EXPECT_EQ(pool.counters().total_forwarded, forwarded_before + 2000);
   std::uint64_t reconnections = 0;
   for (std::size_t k = 0; k < pool.mux_count(); ++k)
     for (std::size_t i = 0; i < pool.mux(k).backend_count(); ++i)
@@ -276,8 +293,9 @@ TEST(MuxPool, DrainCompletesWithoutDroppingPinnedFlows) {
   for (std::uint32_t c = 0; c < 400; ++c) f.net.send(f.vip, f.fin(c, 443));
   for (std::uint32_t c = 1000; c < 1400; ++c) f.net.send(f.vip, f.fin(c, 443));
   f.sim.run_all();
-  EXPECT_EQ(pool.drains_completed(), pool.mux_count());
-  EXPECT_EQ(pool.flows_reset_by_failure(), 0u);
+  const auto drained = pool.counters();
+  EXPECT_EQ(drained.drains_completed, pool.mux_count());
+  EXPECT_EQ(drained.flows_reset_by_failure, 0u);
   EXPECT_EQ(pool.backend_count(), 3u);
   for (std::size_t k = 0; k < pool.mux_count(); ++k)
     EXPECT_EQ(pool.mux(k).backend_count(), 3u);
@@ -299,7 +317,7 @@ TEST(MuxPool, DrainCompletesWithoutDroppingPinnedFlows) {
   ASSERT_GT(active_on_failed, 0u);
   const auto snap_before_fail = pool.table_snapshot(0);
   EXPECT_TRUE(pool.fail_backend(dips[1]));
-  EXPECT_EQ(pool.flows_reset_by_failure(), active_on_failed);
+  EXPECT_EQ(pool.counters().flows_reset_by_failure, active_on_failed);
   EXPECT_EQ(pool.backend_count(), 2u);
 
   // The shared table rebuilt immediately: the dead DIP's hash space went
@@ -308,11 +326,11 @@ TEST(MuxPool, DrainCompletesWithoutDroppingPinnedFlows) {
   EXPECT_NE(pool.table_snapshot(0), snap_before_fail);
   for (std::size_t k = 1; k < pool.mux_count(); ++k)
     EXPECT_EQ(pool.table_snapshot(k), pool.table_snapshot(0));
-  const auto fwd_before_retry = pool.total_forwarded();
+  const auto fwd_before_retry = pool.counters().total_forwarded;
   for (std::uint32_t c = 2000; c < 2400; ++c)
     f.net.send(f.vip, f.request(c, 443));  // the reset clients reconnect
   f.sim.run_all();
-  EXPECT_EQ(pool.total_forwarded(), fwd_before_retry + 400);
+  EXPECT_EQ(pool.counters().total_forwarded, fwd_before_retry + 400);
   EXPECT_EQ(pool.new_connections_to(dips[1]), 0u);  // dead DIP reset counters gone with it
 }
 
@@ -326,9 +344,10 @@ TEST(MuxPool, OneCommitPublishesOnceAndDrainsDropNothing) {
   std::vector<RecordingDip> sinks(dips.size());
   for (std::size_t i = 0; i < dips.size(); ++i) f.net.attach(dips[i], &sinks[i]);
 
-  auto published = pool.generations_published();
+  auto published = pool.counters().generations_published;
   pool.apply_program(PoolFixture::equal_program(pool.issue_version(), dips));
-  EXPECT_EQ(pool.generations_published(), published + pool.mux_count());
+  EXPECT_EQ(pool.counters().generations_published,
+            published + pool.mux_count());
 
   for (std::uint32_t c = 0; c < 400; ++c) f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
@@ -337,9 +356,10 @@ TEST(MuxPool, OneCommitPublishesOnceAndDrainsDropNothing) {
   drain.add(dips[0], 0, BackendState::kDraining);
   const auto units = util::normalize_to_units(std::vector<double>(3, 1.0));
   for (std::size_t i = 1; i < dips.size(); ++i) drain.add(dips[i], units[i - 1]);
-  published = pool.generations_published();
+  published = pool.counters().generations_published;
   pool.apply_program(drain);
-  EXPECT_EQ(pool.generations_published(), published + pool.mux_count());
+  EXPECT_EQ(pool.counters().generations_published,
+            published + pool.mux_count());
   EXPECT_EQ(pool.shared_builds(), 2u);
   for (std::size_t k = 0; k < pool.mux_count(); ++k)
     EXPECT_EQ(pool.table_snapshot(k), pool.table_snapshot(0));
@@ -348,8 +368,9 @@ TEST(MuxPool, OneCommitPublishesOnceAndDrainsDropNothing) {
   for (std::uint32_t c = 1000; c < 1400; ++c)
     f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
-  EXPECT_EQ(pool.total_forwarded(), 1200u);
-  EXPECT_EQ(pool.no_backend_drops(), 0u);
+  const auto c = pool.counters();
+  EXPECT_EQ(c.total_forwarded, 1200u);
+  EXPECT_EQ(c.no_backend_drops, 0u);
 }
 
 // The delayed control plane drives a pool exactly like a single mux: one

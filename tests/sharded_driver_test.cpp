@@ -152,16 +152,16 @@ RunAggregates run_once(std::size_t shards, std::uint64_t seed) {
   std::vector<testbed::DipSpec> specs(4);
   testbed::Testbed bed(specs, cfg);
   bed.run_for(SimTime::seconds(1));
-  const auto dm = bed.dataplane_metrics();
+  const auto dm = bed.dataplane_counters();
   return RunAggregates{bed.client_successes(),
                        bed.client_requests_sent(),
                        bed.client_sessions_started(),
-                       bed.mux_pool()->total_forwarded(),
+                       dm.total_forwarded,
                        bed.network().messages_sent(),
                        bed.network().messages_cross_shard(),
                        dm.no_backend_drops,
                        bed.client_timeouts(),
-                       dm.affinity_entries};
+                       bed.mux_pool()->affinity_size()};
 }
 
 TEST(ShardedDriver, FourShardReplayIsBitExact) {

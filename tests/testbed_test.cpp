@@ -73,7 +73,26 @@ TEST(Testbed, ResetStatsClearsWindows) {
   EXPECT_GT(bed.clients().recorder().overall().count(), 0u);
   bed.reset_stats();
   EXPECT_EQ(bed.clients().recorder().overall().count(), 0u);
-  EXPECT_EQ(bed.mux().total_forwarded(), 0u);
+}
+
+// reset_stats() opens a measurement window for DIPs and clients only: the
+// dataplane counters are cumulative, so a reader after a reset (here, one
+// that follows a failure) still sees the flows that failure reset.
+TEST(TestbedTest, ResetStatsKeepsDataplaneCountersCumulative) {
+  TestbedConfig cfg;
+  cfg.seed = 67;
+  cfg.mux_count = 2;
+  Testbed bed(three_dip_specs(1.0, 1.0, 1.0), cfg);
+  bed.run_for(5_s);
+  ASSERT_TRUE(bed.fail_dip(0));
+  bed.run_for(2_s);
+
+  const auto before = bed.dataplane_counters();
+  EXPECT_GT(before.total_forwarded, 0u);
+  EXPECT_GT(before.flows_reset_by_failure, 0u);
+  bed.reset_stats();
+  EXPECT_EQ(bed.clients().recorder().overall().count(), 0u);
+  EXPECT_EQ(bed.dataplane_counters(), before);
 }
 
 // mux_count > 1 swaps the single Mux for an ECMP MuxPool behind the same
@@ -92,7 +111,7 @@ TEST(Testbed, MuxPoolServesTrafficEndToEnd) {
   bed.run_for(10_s);
 
   for (std::size_t k = 0; k < pool->mux_count(); ++k) {
-    EXPECT_GT(pool->mux(k).total_forwarded(), 0u);
+    EXPECT_GT(pool->mux(k).counters().total_forwarded, 0u);
     EXPECT_EQ(pool->mux(k).weight_units(),
               (std::vector<std::int64_t>{1000, 2000, 7000}));
     EXPECT_EQ(pool->table_snapshot(k), pool->table_snapshot(0));
