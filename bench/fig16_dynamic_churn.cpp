@@ -17,6 +17,7 @@
 // `--short` runs a scaled-down pool and shorter windows — the CI smoke
 // mode that keeps the live-churn path from rotting.
 #include "bench_common.hpp"
+#include "testbed/invariants.hpp"
 
 using namespace klb;
 using namespace klb::util::literals;
@@ -140,15 +141,18 @@ int main(int argc, char** argv) {
   // --- rolling graceful drain ------------------------------------------
   // The drains complete during the settle runs, before the measured
   // window opens: the phase's counters start before the first scale_in,
-  // so the CI-gating "zero resets, every drain completes" invariants span
-  // the ops themselves, not just the window.
+  // so the CI-gating graceful and drained contracts span the ops
+  // themselves, not just the window.
+  testbed::InvariantChecker check;
   since = bed.dataplane_counters();
   for (std::size_t i = 0; i < drain_n; ++i) {
     bed.scale_in(0);
     bed.run_for(short_mode ? 10_s : 30_s);
   }
   phases.push_back(measure_phase(bed, "rolling drain", window, since));
-  const auto still_draining = pool->draining_count();
+  const auto drain_window = bed.dataplane_counters() - since;
+  check.graceful(drain_window);
+  check.drained(bed, drain_window, drain_n);
 
   // --- correlated abrupt failure ---------------------------------------
   since = bed.dataplane_counters();
@@ -172,49 +176,12 @@ int main(int argc, char** argv) {
   // than a program mid-delay.
   bed.controller()->stop();
   bed.run_for(1_s);
-  int failures = 0;
-  const auto metrics = bed.metrics();
-  double sum = 0.0;
-  for (const auto& m : metrics) {
-    sum += m.weight;
-    const auto cw = bed.controller()->weight_of(m.addr);
-    if (!cw || std::abs(*cw - m.weight) > 2e-3) {
-      std::cout << "[fail] weight attribution diverged for " << m.addr.str()
-                << ": controller "
-                << (cw ? testbed::fmt(*cw, 4) : std::string("<untracked>"))
-                << " vs dataplane " << testbed::fmt(m.weight, 4) << "\n";
-      ++failures;
-    }
-  }
-  if (std::abs(sum - 1.0) > 1e-3) {
-    std::cout << "[fail] live-pool weights sum to " << sum << ", want ~1\n";
-    ++failures;
-  }
-  const auto& drain_phase = phases[phases.size() - 2];
-  if (drain_phase.flows_reset != 0) {
-    std::cout << "[fail] graceful drain reset " << drain_phase.flows_reset
-              << " flows\n";
-    ++failures;
-  }
-  // Every leaver drains on every pool member, and none is left parked
-  // when the failure step begins.
-  const auto want_drains = drain_n * cfg.mux_count;
-  if (drain_phase.drains_completed != want_drains) {
-    std::cout << "[fail] rolling drain completed "
-              << drain_phase.drains_completed << " drains, want "
-              << want_drains << "\n";
-    ++failures;
-  }
-  if (still_draining != 0) {
-    std::cout << "[fail] " << still_draining
-              << " backends still draining before the failure step\n";
-    ++failures;
-  }
+  check.settled(bed);
   const auto& fail_phase = phases.back();
-  if (fail_phase.goodput_rps < 0.5 * phases.front().goodput_rps) {
-    std::cout << "[fail] goodput collapsed after correlated failure\n";
-    ++failures;
-  }
+  check.expect(fail_phase.goodput_rps >= 0.5 * phases.front().goodput_rps,
+               "goodput collapsed after correlated failure");
+  std::cout << check.report();
+  const auto failures = check.violations().size();
   const auto dm = bed.dataplane_counters();
   std::cout << "correlated failure reset " << fail_phase.flows_reset
             << " pinned flows; stale pre-failure re-admissions refused: "

@@ -51,6 +51,7 @@
 #include "lb/pool_program.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
+#include "testbed/invariants.hpp"
 #include "testbed/report.hpp"
 #include "util/weight.hpp"
 
@@ -90,25 +91,20 @@ struct ScenarioResult {
   std::uint64_t exception_pins = 0;
   std::uint64_t breaks_avoided = 0;
   double drive_sec = 0.0;
-  bool ok = true;
 };
 
 /// One full drive: open `flows`, steady packets, `churn_rounds` graceful
 /// drain+cancel cycles with a packet per flow in between, FIN everything.
 /// The fabric tap watches every forwarded packet and records any flow that
-/// ever reaches a second DIP.
+/// ever reaches a second DIP; the contracts land in `check`.
 ScenarioResult run_scenario(bool stateless, std::uint64_t flows,
-                            int churn_rounds) {
+                            int churn_rounds,
+                            klb::testbed::InvariantChecker& check) {
   klb::sim::Simulation sim(11);
   klb::net::Network net(sim);
 
   ScenarioResult res;
-  auto check = [&res](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cerr << "INVARIANT VIOLATED: " << what << "\n";
-      res.ok = false;
-    }
-  };
+  check.label = stateless ? "stateless" : "stateful";
 
   // Per-flow owner observed on the wire; 0 = not yet seen. The tap runs on
   // the (single) driving thread, so plain vectors suffice.
@@ -150,8 +146,8 @@ ScenarioResult run_scenario(bool stateless, std::uint64_t flows,
     return p;
   };
   mux.apply_program(program(kDips));
-  check(!stateless || mux.stateless_engaged(),
-        "stateless mode engaged on a maglev policy");
+  check.expect(!stateless || mux.stateless_engaged(),
+               "stateless mode engaged on a maglev policy");
 
   const auto t0 = Clock::now();
   klb::net::Message msg;
@@ -204,27 +200,11 @@ ScenarioResult run_scenario(bool stateless, std::uint64_t flows,
   res.exception_pins = c.exception_pins;
   res.breaks_avoided = c.affinity_breaks_avoided;
 
-  // Conservation: every flow opened exactly once (stateless openers count
-  // connections without pinning; adoptions must not double-count), every
-  // pin released.
-  std::uint64_t conns = 0, active = 0;
-  for (std::size_t d = 0; d < kDips; ++d) {
-    conns += mux.new_connections(d);
-    active += mux.active_connections(d);
-  }
-  check(conns == flows, "new connections == flows (" + std::to_string(conns) +
-                            " vs " + std::to_string(flows) + ")");
-  check(active == 0,
-        "no active connections after all FINs (" + std::to_string(active) +
-            " left)");
-  check(mux.affinity_size() == 0,
-        "affinity empty after all FINs (" +
-            std::to_string(mux.affinity_size()) + " left)");
-  check(mux.live_exception_pins() == 0,
-        "slot-pin counters drained (" +
-            std::to_string(mux.live_exception_pins()) + " left)");
-  check(c.no_backend_drops == 0, "no refused connections");
-  check(mux.dangling_affinity_count() == 0, "no dangling affinity entries");
+  // Conservation: every packet of the 2 + 2 x rounds sweeps forwarded,
+  // every flow opened exactly once (stateless openers count connections
+  // without pinning; adoptions must not double-count), every pin released.
+  const auto sweeps = 2 + 2 * static_cast<std::uint64_t>(churn_rounds);
+  check.quiesced(mux, flows * sweeps, flows);
   return res;
 }
 
@@ -320,9 +300,13 @@ int main(int argc, char** argv) {
       " concurrent flows, " + std::to_string(churn_rounds) +
       " graceful-drain churn rounds)");
 
-  const auto stateful = run_scenario(/*stateless=*/false, flows, churn_rounds);
-  const auto hybrid = run_scenario(/*stateless=*/true, flows, churn_rounds);
-  bool ok = stateful.ok && hybrid.ok;
+  klb::testbed::InvariantChecker check;
+  const auto stateful =
+      run_scenario(/*stateless=*/false, flows, churn_rounds, check);
+  const auto hybrid =
+      run_scenario(/*stateless=*/true, flows, churn_rounds, check);
+  std::cerr << check.report();
+  bool ok = check.ok();
 
   const double ratio = static_cast<double>(stateful.peak_bytes) /
                        std::max<double>(1.0, static_cast<double>(hybrid.peak_bytes));

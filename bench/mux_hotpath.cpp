@@ -1,7 +1,7 @@
 // Multi-threaded MUX hot-path bench (ISSUE 5 + ISSUE 6): drives the real
-// Mux::handle_request/handle_fin packet path from 1/2/4 worker threads and
-// reports picks/sec, comparing the sharded FlowTable against the old
-// monolithic single-map design (1 shard — every packet behind one lock).
+// Mux::on_message packet path from 1/2/4 worker threads and reports
+// picks/sec, comparing the sharded FlowTable against the old monolithic
+// single-map design (1 shard — every packet behind one lock).
 //
 // Workload: each thread owns a disjoint flow space; per round, each flow
 // opens (a lock-free maglev table route), sends `requests_per_flow - 1`
@@ -14,22 +14,22 @@
 // enable/disable flips at a fixed cadence while the worker threads sustain
 // traffic. Each phase runs twice per thread count — once with the committer
 // idle (the "before the generation switch" stable baseline) and once with
-// it committing — and verifies, beyond counter conservation: zero
-// no-backend drops, every retired generation reclaimed (retired ==
-// published - 1, nothing pending), and the epoch floor caught up (no
-// reader left pinned). In --short mode it gates programs/s >= 100 and
+// it committing — and verifies, beyond the quiesced contract, that the
+// epoch floor caught up (no reader left pinned) and exactly the current
+// generation object is alive. In --short mode it gates programs/s >= 100 and
 // churn throughput >= 0.9x the stable baseline at 2+ threads — at worker
 // counts that leave the committer its own core (skipped entirely on
 // single-core machines). In churn mode these gates replace the stable
 // scaling gate, keeping the mode meaningful under TSan.
 //
-// Always verifies counter conservation after every run — with concurrent
-// shards, a lost update shows up as a forwarded/connection/affinity
-// mismatch — and exits non-zero on violation. In --short mode (the CI
-// smoke) it additionally fails if multi-threaded throughput on the sharded
-// table regresses below 0.9x the single-threaded baseline (skipped on
-// single-core machines, where extra threads cannot help; like
-// bench_fleet_multivip, the headline scaling needs real cores).
+// Every run ends with testbed::InvariantChecker::quiesced — request and
+// connection conservation, no pin or dangling entry left, zero no-backend
+// drops, every retired generation reclaimed; with concurrent shards, a lost
+// update shows up as a mismatch — and exits non-zero on violation. In
+// --short mode (the CI smoke) it additionally fails if multi-threaded
+// throughput on the sharded table regresses below 0.9x the single-threaded
+// baseline (skipped on single-core machines, where extra threads cannot
+// help; like bench_fleet_multivip, the headline scaling needs real cores).
 //
 // --json PATH writes every measured number as BENCH-style JSON (see
 // bench_common.hpp) for the CI perf trajectory.
@@ -53,6 +53,7 @@
 #include "lb/pool_program.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
+#include "testbed/invariants.hpp"
 #include "testbed/report.hpp"
 #include "util/weight.hpp"
 
@@ -73,13 +74,24 @@ klb::net::FiveTuple flow_tuple(unsigned thread, std::uint64_t flow) {
   return t;
 }
 
-struct RunResult {
-  double rate = 0.0;  // handled requests (picks) per second, all threads
-  bool ok = true;
-};
+/// One round of worker `w`'s flows: each opens, sends its requests, FINs.
+void drive_round(klb::lb::Mux& mux, unsigned w, std::uint64_t flows,
+                 std::uint64_t requests_per_flow) {
+  klb::net::Message msg;
+  for (std::uint64_t f = 0; f < flows; ++f) {
+    msg.tuple = flow_tuple(w, f);
+    msg.type = klb::net::MsgType::kHttpRequest;
+    for (std::uint64_t q = 0; q < requests_per_flow; ++q) mux.on_message(msg);
+    msg.type = klb::net::MsgType::kFin;
+    mux.on_message(msg);
+  }
+}
 
-RunResult run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
-                  std::uint64_t requests_per_flow, std::uint64_t rounds) {
+/// Handled requests (picks) per second over all threads; the run's
+/// invariants land in `check`.
+double run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
+               std::uint64_t requests_per_flow, std::uint64_t rounds,
+               klb::testbed::InvariantChecker& check) {
   klb::sim::Simulation sim(7);
   klb::net::Network net(sim);
   net.set_blackhole(true);  // workers must not touch the event queue
@@ -103,17 +115,8 @@ RunResult run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
     workers.emplace_back([&, w] {
       while (!go.load(std::memory_order_acquire)) {
       }
-      klb::net::Message msg;
-      for (std::uint64_t r = 0; r < rounds; ++r) {
-        for (std::uint64_t f = 0; f < flows; ++f) {
-          msg.tuple = flow_tuple(w, f);
-          msg.type = klb::net::MsgType::kHttpRequest;
-          for (std::uint64_t q = 0; q < requests_per_flow; ++q)
-            mux.on_message(msg);
-          msg.type = klb::net::MsgType::kFin;
-          mux.on_message(msg);
-        }
-      }
+      for (std::uint64_t r = 0; r < rounds; ++r)
+        drive_round(mux, w, flows, requests_per_flow);
     });
   }
   const auto t0 = Clock::now();
@@ -121,53 +124,22 @@ RunResult run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
   for (auto& w : workers) w.join();
   const auto dt = std::chrono::duration<double>(Clock::now() - t0).count();
 
-  RunResult res;
+  mux.poll();
   const auto expect_requests =
       static_cast<std::uint64_t>(threads) * flows * requests_per_flow * rounds;
-  const auto expect_conns =
-      static_cast<std::uint64_t>(threads) * flows * rounds;
-  res.rate = dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
-
   // Counter conservation: with concurrent shards, any lost update or
   // leaked pin breaks one of these exactly.
-  std::uint64_t conns = 0, active = 0;
-  for (std::size_t d = 0; d < kDips; ++d) {
-    conns += mux.new_connections(d);
-    active += mux.active_connections(d);
-  }
-  const auto c = mux.counters();
-  auto check = [&res](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cerr << "INVARIANT VIOLATED: " << what << "\n";
-      res.ok = false;
-    }
-  };
-  check(c.total_forwarded == expect_requests,
-        "total_forwarded == requests sent (" +
-            std::to_string(c.total_forwarded) + " vs " +
-            std::to_string(expect_requests) + ")");
-  check(conns == expect_conns, "new connections == flows opened (" +
-                                   std::to_string(conns) + " vs " +
-                                   std::to_string(expect_conns) + ")");
-  check(active == 0, "no active connections after all FINs (" +
-                         std::to_string(active) + " left)");
-  check(mux.affinity_size() == 0, "affinity empty after all FINs (" +
-                                      std::to_string(mux.affinity_size()) +
-                                      " left)");
-  check(mux.dangling_affinity_count() == 0, "no dangling affinity entries");
-  check(c.no_backend_drops == 0, "no refused connections");
-  return res;
+  check.label = std::to_string(threads) + "T shards=" + std::to_string(shards);
+  check.quiesced(mux, expect_requests,
+                 static_cast<std::uint64_t>(threads) * flows * rounds);
+  return dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
 }
 
-RunResult best_of(int reps, std::size_t shards, unsigned threads,
-                  std::uint64_t flows, std::uint64_t requests_per_flow,
-                  std::uint64_t rounds) {
-  RunResult best;
-  for (int i = 0; i < reps; ++i) {
-    const auto r = run_one(shards, threads, flows, requests_per_flow, rounds);
-    if (!r.ok) return r;
-    if (r.rate > best.rate) best = r;
-  }
+/// The fastest of `reps` runs.
+template <typename Run>
+double best_of(int reps, Run run) {
+  double best = 0.0;
+  for (int i = 0; i < reps; ++i) best = std::max(best, run());
   return best;
 }
 
@@ -195,9 +167,9 @@ struct SinkNode final : klb::net::Node {
 // is the scalar baseline through the same entry point. Single-threaded by
 // construction (the event queue is), which also makes the 2x gate
 // meaningful on any host, CI's single-core runners included.
-RunResult run_batch_one(std::size_t batch, std::uint64_t flows,
-                        std::uint64_t requests_per_flow,
-                        std::uint64_t rounds) {
+double run_batch_one(std::size_t batch, std::uint64_t flows,
+                     std::uint64_t requests_per_flow, std::uint64_t rounds,
+                     klb::testbed::InvariantChecker& check) {
   // 16 DIPs (not the sweep's 64): a rack-scale pool where a 32-packet
   // burst lands ~2 packets per destination, so send_burst has runs to
   // coalesce — with 64 DIPs nearly every packet in a burst is a distinct
@@ -248,60 +220,22 @@ RunResult run_batch_one(std::size_t batch, std::uint64_t flows,
   }
   const auto dt = std::chrono::duration<double>(Clock::now() - t0).count();
 
-  RunResult res;
+  mux.poll();
   const auto expect_requests = flows * requests_per_flow * rounds;
   const auto expect_conns = flows * rounds;
-  res.rate = dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
-
-  std::uint64_t conns = 0, active = 0, delivered = 0;
-  for (std::size_t d = 0; d < kBatchDips; ++d) {
-    conns += mux.new_connections(d);
-    active += mux.active_connections(d);
-    delivered += sinks[d].received;
-  }
-  const auto c = mux.counters();
-  auto check = [&res](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cerr << "INVARIANT VIOLATED: " << what << "\n";
-      res.ok = false;
-    }
-  };
-  check(c.total_forwarded == expect_requests,
-        "batch: total_forwarded == requests sent (" +
-            std::to_string(c.total_forwarded) + " vs " +
-            std::to_string(expect_requests) + ")");
+  std::uint64_t delivered = 0;
+  for (const auto& sink : sinks) delivered += sink.received;
+  check.label = "batch=" + std::to_string(batch);
+  check.quiesced(mux, expect_requests, expect_conns);
   // End-to-end conservation through the fabric: every forwarded request
   // and every pinned flow's FIN reached a sink — burst coalescing loses
   // nothing.
-  check(delivered == expect_requests + expect_conns,
-        "batch: sinks received every request + FIN (" +
-            std::to_string(delivered) + " vs " +
-            std::to_string(expect_requests + expect_conns) + ")");
-  check(net.messages_unreachable() == 0, "batch: no unreachable drops");
-  check(conns == expect_conns, "batch: new connections == flows opened (" +
-                                   std::to_string(conns) + " vs " +
-                                   std::to_string(expect_conns) + ")");
-  check(active == 0, "batch: no active connections after all FINs (" +
-                         std::to_string(active) + " left)");
-  check(mux.affinity_size() == 0, "batch: affinity empty after all FINs (" +
-                                      std::to_string(mux.affinity_size()) +
-                                      " left)");
-  check(mux.dangling_affinity_count() == 0,
-        "batch: no dangling affinity entries");
-  check(c.no_backend_drops == 0, "batch: zero drops");
-  return res;
-}
-
-RunResult best_of_batch(int reps, std::size_t batch, std::uint64_t flows,
-                        std::uint64_t requests_per_flow,
-                        std::uint64_t rounds) {
-  RunResult best;
-  for (int i = 0; i < reps; ++i) {
-    const auto r = run_batch_one(batch, flows, requests_per_flow, rounds);
-    if (!r.ok) return r;
-    if (r.rate > best.rate) best = r;
-  }
-  return best;
+  check.expect(delivered == expect_requests + expect_conns,
+               "sinks received every request + FIN (" +
+                   std::to_string(delivered) + " vs " +
+                   std::to_string(expect_requests + expect_conns) + ")");
+  check.expect(net.messages_unreachable() == 0, "no unreachable drops");
+  return dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
 }
 
 // --- churn phase (ISSUE 6): commits racing the packet path -------------------
@@ -311,7 +245,6 @@ struct ChurnResult {
   double programs_per_sec = 0.0;  // committed PoolPrograms/sec (0 if idle)
   std::uint64_t generations_published = 0;
   std::uint64_t generations_retired = 0;
-  bool ok = true;
 };
 
 // Drives `threads` workers over their flow spaces for ~duration_sec wall
@@ -324,19 +257,15 @@ struct ChurnResult {
 // hundreds of times per second.
 ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
                             std::uint64_t requests_per_flow,
-                            double duration_sec, bool commit) {
+                            double duration_sec, bool commit,
+                            klb::testbed::InvariantChecker& check) {
   klb::sim::Simulation sim(7);
   klb::net::Network net(sim);
   net.set_blackhole(true);
   const auto live0 = klb::lb::PoolGeneration::live_count();
 
   ChurnResult res;
-  auto check = [&res](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cerr << "INVARIANT VIOLATED: " << what << "\n";
-      res.ok = false;
-    }
-  };
+  check.label = (commit ? "churn " : "stable ") + std::to_string(threads) + "T";
   {
     // A smaller maglev table than the production default keeps each
     // commit's rebuild cheap enough to sustain hundreds of programs/sec
@@ -365,16 +294,8 @@ ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
       workers.emplace_back([&, w] {
         while (!go.load(std::memory_order_acquire)) {
         }
-        klb::net::Message msg;
         do {
-          for (std::uint64_t f = 0; f < flows; ++f) {
-            msg.tuple = flow_tuple(w, f);
-            msg.type = klb::net::MsgType::kHttpRequest;
-            for (std::uint64_t q = 0; q < requests_per_flow; ++q)
-              mux.on_message(msg);
-            msg.type = klb::net::MsgType::kFin;
-            mux.on_message(msg);
-          }
+          drive_round(mux, w, flows, requests_per_flow);
           ++rounds[w];
         } while (!stop.load(std::memory_order_acquire));
       });
@@ -420,49 +341,21 @@ ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
     res.generations_published = c.generations_published;
     res.generations_retired = c.generations_retired;
 
-    std::uint64_t conns = 0, active = 0;
-    for (std::size_t d = 0; d < kDips; ++d) {
-      conns += mux.new_connections(d);
-      active += mux.active_connections(d);
-    }
-    check(c.total_forwarded == sent,
-          "churn: total_forwarded == requests sent (" +
-              std::to_string(c.total_forwarded) + " vs " +
-              std::to_string(sent) + ")");
-    check(conns == opened, "churn: new connections == flows opened (" +
-                               std::to_string(conns) + " vs " +
-                               std::to_string(opened) + ")");
-    check(active == 0, "churn: no active connections after all FINs (" +
-                           std::to_string(active) + " left)");
-    check(mux.affinity_size() == 0, "churn: affinity empty after all FINs");
-    check(mux.dangling_affinity_count() == 0,
-          "churn: no dangling affinity entries");
-    check(c.no_backend_drops == 0,
-          "churn: zero no-backend drops under churn (" +
-              std::to_string(c.no_backend_drops) + " dropped)");
-    // Generation lifecycle: everything retired was reclaimed (no reader
-    // left pinned, no generation leaked), and only the current one lives.
-    check(mux.pending_retired_generations() == 0,
-          "churn: retired generations all reclaimed after poll (" +
-              std::to_string(mux.pending_retired_generations()) +
-              " pending)");
-    check(c.generations_retired == c.generations_published - 1,
-          "churn: generations retired == published - 1 (" +
-              std::to_string(c.generations_retired) + " vs " +
-              std::to_string(c.generations_published) + " published)");
-    check(mux.oldest_live_epoch() == mux.current_epoch(),
-          "churn: no reader pinned below the current epoch");
-    check(mux.debug_check_generation(),
-          "churn: current generation self-check");
-    check(klb::lb::PoolGeneration::live_count() == live0 + 1,
-          "churn: exactly the current generation object alive (" +
-              std::to_string(klb::lb::PoolGeneration::live_count() - live0) +
-              ")");
+    check.quiesced(mux, sent, opened);
+    check.expect(mux.oldest_live_epoch() == mux.current_epoch(),
+                 "no reader pinned below the current epoch");
+    check.expect(mux.debug_check_generation(),
+                 "current generation self-check");
+    check.expect(klb::lb::PoolGeneration::live_count() == live0 + 1,
+                 "exactly the current generation object alive (" +
+                     std::to_string(klb::lb::PoolGeneration::live_count() -
+                                    live0) +
+                     ")");
   }
   // Mux destroyed: its last generation must go too — a use-after-retire
   // bug would show up here as a leaked (or double-freed) snapshot.
-  check(klb::lb::PoolGeneration::live_count() == live0,
-        "churn: all generations destroyed with the Mux");
+  check.expect(klb::lb::PoolGeneration::live_count() == live0,
+               "all generations destroyed with the Mux");
   return res;
 }
 
@@ -528,26 +421,29 @@ int main(int argc, char** argv) {
 
   klb::testbed::Table table({"threads", "single-map picks/s", "sharded picks/s",
                              "sharded/single", "scaling vs 1T"});
-  bool ok = true;
+  klb::testbed::InvariantChecker check;
   double sharded_1t = 0.0, sharded_multi = 0.0;
   for (const auto t : thread_counts) {
-    const auto base = best_of(reps, 1, t, flows, requests_per_flow, rounds);
-    const auto shard = best_of(reps, sharded.shard_count, t, flows,
-                               requests_per_flow, rounds);
-    ok = ok && base.ok && shard.ok;
-    if (t == 1) sharded_1t = shard.rate;
-    if (t > 1) sharded_multi = std::max(sharded_multi, shard.rate);
+    const auto base = best_of(reps, [&] {
+      return run_one(1, t, flows, requests_per_flow, rounds, check);
+    });
+    const auto shard = best_of(reps, [&] {
+      return run_one(sharded.shard_count, t, flows, requests_per_flow, rounds,
+                     check);
+    });
+    if (t == 1) sharded_1t = shard;
+    if (t > 1) sharded_multi = std::max(sharded_multi, shard);
     table.row({std::to_string(t),
-               klb::testbed::fmt(base.rate / 1e6, 2) + "M",
-               klb::testbed::fmt(shard.rate / 1e6, 2) + "M",
-               klb::testbed::fmt(shard.rate / std::max(1.0, base.rate), 2) +
+               klb::testbed::fmt(base / 1e6, 2) + "M",
+               klb::testbed::fmt(shard / 1e6, 2) + "M",
+               klb::testbed::fmt(shard / std::max(1.0, base), 2) +
                    "x",
-               klb::testbed::fmt(shard.rate / std::max(1.0, sharded_1t), 2) +
+               klb::testbed::fmt(shard / std::max(1.0, sharded_1t), 2) +
                    "x"});
     json_stable.push(klb::bench::Json::object()
                          .set("threads", t)
-                         .set("single_map_picks_per_sec", base.rate)
-                         .set("sharded_picks_per_sec", shard.rate));
+                         .set("single_map_picks_per_sec", base)
+                         .set("sharded_picks_per_sec", shard));
   }
   table.print();
   std::cout << "\nAffinity hits and maglev table routes never take the pick "
@@ -574,17 +470,17 @@ int main(int argc, char** argv) {
     auto json_batch = klb::bench::Json::array();
     double rate1 = 0.0, rate32 = 0.0;
     for (const auto b : batch_sizes) {
-      const auto r =
-          best_of_batch(reps, b, batch_flows, requests_per_flow, rounds);
-      ok = ok && r.ok;
-      if (b == 1) rate1 = r.rate;
-      if (b == 32) rate32 = r.rate;
+      const auto r = best_of(reps, [&] {
+        return run_batch_one(b, batch_flows, requests_per_flow, rounds, check);
+      });
+      if (b == 1) rate1 = r;
+      if (b == 32) rate32 = r;
       batch_table.row(
-          {std::to_string(b), klb::testbed::fmt(r.rate / 1e6, 2) + "M",
-           klb::testbed::fmt(r.rate / std::max(1.0, rate1), 2) + "x"});
+          {std::to_string(b), klb::testbed::fmt(r / 1e6, 2) + "M",
+           klb::testbed::fmt(r / std::max(1.0, rate1), 2) + "x"});
       json_batch.push(klb::bench::Json::object()
                           .set("batch", b)
-                          .set("picks_per_sec", r.rate));
+                          .set("picks_per_sec", r));
     }
     // The headline gate: a 32-packet burst must at least double scalar
     // throughput on the same packets, or the batch path has stopped
@@ -630,11 +526,12 @@ int main(int argc, char** argv) {
                                      "programs/s", "generations"});
     auto json_churn = klb::bench::Json::array();
     for (const auto t : churn_counts) {
-      const auto stable = run_churn_phase(t, churn_flows, requests_per_flow,
-                                          duration_sec, /*commit=*/false);
-      const auto churned = run_churn_phase(t, churn_flows, requests_per_flow,
-                                           duration_sec, /*commit=*/true);
-      ok = ok && stable.ok && churned.ok;
+      const auto stable =
+          run_churn_phase(t, churn_flows, requests_per_flow, duration_sec,
+                          /*commit=*/false, check);
+      const auto churned =
+          run_churn_phase(t, churn_flows, requests_per_flow, duration_sec,
+                          /*commit=*/true, check);
       const double ratio = churned.rate / std::max(1.0, stable.rate);
       churn_table.row({std::to_string(t),
                        klb::testbed::fmt(stable.rate / 1e6, 2) + "M",
@@ -685,8 +582,9 @@ int main(int argc, char** argv) {
       !klb::bench::write_json_file(json_path, json))
     return 1;
 
-  if (!ok) {
-    std::cerr << "FAIL: hot-path counter invariants violated\n";
+  if (!check.ok()) {
+    std::cerr << check.report()
+              << "FAIL: hot-path counter invariants violated\n";
     return 1;
   }
   if (churn_gate_fail || batch_gate_fail) return 1;

@@ -22,13 +22,14 @@
 // without them, an oversubscribed run measures timesharing, not the
 // driver, and is exempt. `--invariants-only` (the TSan job) shrinks the
 // phases further and skips the gates entirely: timing under a 5-20x
-// sanitizer slowdown is noise, but the churn invariants — zero graceful
-// resets, completed drains, zero no-backend drops, request conservation —
-// must hold at every shard count.
+// sanitizer slowdown is noise, but the churn invariants (testbed/
+// invariants.hpp: steady before churn, graceful and drained over the
+// scale-in, settled at the end) must hold at every shard count.
 #include <chrono>
 #include <thread>
 
 #include "bench_common.hpp"
+#include "testbed/invariants.hpp"
 
 using namespace klb;
 using namespace klb::util::literals;
@@ -43,12 +44,11 @@ struct ShardRun {
   std::uint64_t timeouts = 0;
   std::uint64_t requests_sent = 0;
   std::uint64_t drains_completed = 0;
-  std::uint64_t graceful_resets = 0;  // resets during the drain phase
   std::uint64_t no_backend_drops = 0;
-  bool ok = true;
 };
 
-ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only) {
+ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only,
+                 testbed::InvariantChecker& check) {
   testbed::TestbedConfig cfg;
   cfg.seed = 1234;
   cfg.load_fraction = 0.85;  // more events per window = more to amortize
@@ -74,12 +74,8 @@ ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only) {
   const auto phase = invariants_only ? 2_s : (short_mode ? 5_s : 15_s);
 
   testbed::Testbed bed(specs, cfg);
-  if (bed.mux_pool() == nullptr) {
-    std::cerr << "expected a MuxPool (mux_count > 1)\n";
-    ShardRun bad;
-    bad.ok = false;
-    return bad;
-  }
+  check.label = "shards=" + std::to_string(shards);
+  check.expect(bed.mux_pool() != nullptr, "expected a MuxPool (mux_count > 1)");
   bed.run_for(short_mode ? 5_s : 10_s);  // warmup, untimed
   bed.reset_stats();
   // Dataplane counters are cumulative: the timed region is a delta from
@@ -98,14 +94,16 @@ ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only) {
   // can briefly name a parked or failed backend and the member refuses
   // rather than guesses (the client retries); those refusals are correct
   // behavior and are reported, not gated.
+  check.steady(bed.dataplane_counters() - c0);
   r.no_backend_drops = (bed.dataplane_counters() - c0).no_backend_drops;
   bed.scale_out({server::kDs2v2, 1.0, 0.0});
   bed.run_for(phase);
   const auto before_drain = bed.dataplane_counters();
   bed.scale_in(0);  // graceful: pinned flows served out, zero resets
   bed.run_for(phase);
-  r.graceful_resets =
-      (bed.dataplane_counters() - before_drain).flows_reset_by_failure;
+  const auto drain_window = bed.dataplane_counters() - before_drain;
+  check.graceful(drain_window);
+  check.drained(bed, drain_window, 1);
   bed.fail_dip(0);  // abrupt: survivors absorb, clients retry
   bed.run_for(phase);
   const auto t1 = std::chrono::steady_clock::now();
@@ -117,24 +115,13 @@ ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only) {
   r.requests_sent = bed.client_requests_sent();
   r.drains_completed = (bed.dataplane_counters() - c0).drains_completed;
 
-  auto check = [&r, shards](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cerr << "INVARIANT VIOLATED (shards=" << shards << "): " << what
-                << "\n";
-      r.ok = false;
-    }
-  };
-  check(r.successes > 0, "clients made progress");
-  check(r.successes + r.timeouts <= r.requests_sent,
-        "request conservation (successes " + std::to_string(r.successes) +
-            " + timeouts " + std::to_string(r.timeouts) + " <= sent " +
-            std::to_string(r.requests_sent) + ")");
-  check(r.graceful_resets == 0,
-        "graceful drain reset " + std::to_string(r.graceful_resets) +
-            " flows");
-  check(r.no_backend_drops == 0,
-        "steady-state no-backend drops: " +
-            std::to_string(r.no_backend_drops));
+  check.expect(r.successes > 0, "clients made progress");
+  check.expect(r.successes + r.timeouts <= r.requests_sent,
+               "request conservation (successes " +
+                   std::to_string(r.successes) + " + timeouts " +
+                   std::to_string(r.timeouts) + " <= sent " +
+                   std::to_string(r.requests_sent) + ")");
+  check.settled(bed);
   return r;
 }
 
@@ -169,11 +156,10 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> shard_counts{1, 2, 4};
   std::vector<ShardRun> runs;
-  bool ok = true;
-  for (const auto s : shard_counts) {
-    runs.push_back(run_one(s, short_mode, invariants_only));
-    ok = ok && runs.back().ok;
-  }
+  testbed::InvariantChecker check;
+  for (const auto s : shard_counts)
+    runs.push_back(run_one(s, short_mode, invariants_only, check));
+  std::cerr << check.report();
 
   const double wall1 = std::max(1e-9, runs.front().wall_sec);
   testbed::Table table({"shards", "virtual s", "wall s", "speedup",
@@ -230,8 +216,8 @@ int main(int argc, char** argv) {
                          .set("drains_completed", r.drains_completed)
                          .set("steady_no_backend_drops", r.no_backend_drops));
     json.set("runs", std::move(runs_json));
-    json.set("invariants_ok", ok).set("gates_ok", !gate_fail);
+    json.set("invariants_ok", check.ok()).set("gates_ok", !gate_fail);
     if (!bench::write_json_file(json_path, json)) return 1;
   }
-  return (ok && !gate_fail) ? 0 : 1;
+  return (check.ok() && !gate_fail) ? 0 : 1;
 }

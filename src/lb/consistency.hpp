@@ -29,7 +29,7 @@
 //     window, so a pinned flow is never prematurely routed by hash (the
 //     "no premature unpin" invariant; see ISSUE 8's churn tests).
 //
-// Routing decision (Mux::handle_request):
+// Routing decision (Mux::process_chunk_pinned):
 //
 //     slot unchanged && no live pins        -> route by hash, stateless
 //     slot changed, mid-flow, prev alive    -> adopt: pin to prev owner

@@ -98,14 +98,15 @@ struct FlowLookup {
   FlowHit hit;
 };
 
-/// One element of a batched FIN unpin (erase_batch). The caller
-/// precomputes the tuple hash; `found`/`id` report whether the flow was
-/// pinned and to which backend.
+/// One element of a batched FIN unpin (erase_batch): the caller sets the
+/// tuple and its hash; `found`, and `id` when found, name the pin. Fields
+/// stay uninitialized so a scalar FIN pays for one element of the Mux's
+/// fixed-size stack array, not all of them.
 struct FlowErase {
-  const net::FiveTuple* tuple = nullptr;
-  std::uint64_t hash = 0;
-  std::uint64_t id = 0;
-  bool found = false;
+  const net::FiveTuple* tuple;
+  std::uint64_t hash;
+  std::uint64_t id;
+  bool found;
 };
 
 class FlowTable {

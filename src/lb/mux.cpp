@@ -35,6 +35,18 @@ std::uint32_t displaced_owner(const PoolGeneration& gen,
              : prev;
 }
 
+/// Stable insertion sort of the `n` lanes in `order` by `dest[lane]`: for
+/// n <= kBatchChunk it beats std::stable_sort, which heap-allocates.
+void sort_by_destination(std::uint32_t* order, std::size_t n,
+                         const std::uint32_t* dest) KLB_NONBLOCKING {
+  for (std::size_t s = 1; s < n; ++s) {
+    const std::uint32_t v = order[s];
+    std::size_t j = s;
+    for (; j > 0 && dest[order[j - 1]] > dest[v]; --j) order[j] = order[j - 1];
+    order[j] = v;
+  }
+}
+
 /// Every DataplaneCounters field, for the field-wise operators.
 constexpr std::uint64_t DataplaneCounters::*kCounterFields[] = {
     &DataplaneCounters::total_forwarded,
@@ -605,45 +617,25 @@ void Mux::maybe_gc(std::uint64_t batch) {
 
 // --- packet path ---------------------------------------------------------------
 
-void Mux::on_message(const net::Message& msg) {
-  switch (msg.type) {
-    case net::MsgType::kHttpRequest:
-      handle_request(msg);
-      break;
-    case net::MsgType::kFin:
-      handle_fin(msg);
-      break;
-    default:
-      break;
-  }
-}
-
-void Mux::on_batch(const net::Message* const* msgs, std::size_t n) {
-  handle_batch(msgs, n);
-}
-
 void Mux::handle_batch(const net::Message* const* msgs, std::size_t n)
     KLB_NONALLOCATING {
+  // Contiguous runs of one type, chunked to the stack scratch size: request
+  // runs are staged, FIN runs unpin in a batch (one shard lock per run, one
+  // epoch pin, grouped forwards), anything else is ignored.
   std::size_t i = 0;
   while (i < n) {
-    if (msgs[i]->type == net::MsgType::kHttpRequest) {
-      // Contiguous request run: staged, chunked to the stack scratch size.
-      std::size_t j = i + 1;
-      while (j < n && msgs[j]->type == net::MsgType::kHttpRequest) ++j;
-      for (std::size_t off = i; off < j; off += kBatchChunk)
-        handle_request_chunk(msgs + off, std::min(kBatchChunk, j - off));
-      i = j;
-    } else if (msgs[i]->type == net::MsgType::kFin) {
-      // Contiguous FIN run: batched unpin (one shard lock per run, one
-      // epoch pin, grouped forwards), same chunking.
-      std::size_t j = i + 1;
-      while (j < n && msgs[j]->type == net::MsgType::kFin) ++j;
-      for (std::size_t off = i; off < j; off += kBatchChunk)
-        handle_fin_chunk(msgs + off, std::min(kBatchChunk, j - off));
-      i = j;
-    } else {
-      ++i;
+    const auto type = msgs[i]->type;
+    std::size_t j = i + 1;
+    while (j < n && msgs[j]->type == type) ++j;
+    for (std::size_t off = i; off < j; off += kBatchChunk) {
+      const auto k = std::min(kBatchChunk, j - off);
+      if (type == net::MsgType::kHttpRequest) {
+        handle_request_chunk(msgs + off, k);
+      } else if (type == net::MsgType::kFin) {
+        handle_fin_chunk(msgs + off, k);
+      }
     }
+    i = j;
   }
 }
 
@@ -719,6 +711,7 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
     std::uint8_t st;
     bool exception;
     bool adopted;  // mid-flow exception pin: not a new connection
+    bool rehomed;  // mid-flow exception whose previous owner is gone
     bool fresh;
   };
   enum : std::uint8_t {
@@ -753,6 +746,7 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
     ln.slot = 0;
     ln.exception = false;
     ln.adopted = false;
+    ln.rehomed = false;
     ln.fresh = false;
     if (slot_pins_) {
       ln.slot = static_cast<std::uint32_t>(ln.hash % slot_pins_->size());
@@ -821,7 +815,6 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
         // the slot's pick moved (for a graceful drain, the drainer — which
         // keeps serving pinned flows). This is the break the whole
         // subsystem exists to avoid.
-        affinity_breaks_avoided_.fetch_add(1, std::memory_order_relaxed);
         ln.dip = *pidx;
         ln.backend_id = gen.backends()[ln.dip].id;
         ln.adopted = true;
@@ -829,8 +822,10 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
         // The previous owner is gone (failure / completed removal): the
         // flow genuinely re-homes onto the current pick, pinned so it does
         // not break again.
-        affinity_breaks_.fetch_add(1, std::memory_order_relaxed);
+        ln.rehomed = true;
       }
+      // Both count once the pin lands (stage E): an opener earlier in the
+      // chunk pins first, and the scalar path sees its pin as a hit.
     }
     if (ln.dip == kNoBackend && table != nullptr) {
       // A new (or re-homed) connection on a table-bearing generation: the
@@ -841,6 +836,9 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
         ln.backend_id = gen.backends()[ln.dip].id;
       } else {
         no_backend_drops_.fetch_add(1, std::memory_order_relaxed);
+        // No pin will land (nor did an opener's): the break counts now.
+        if (ln.rehomed)
+          affinity_breaks_.fetch_add(1, std::memory_order_relaxed);
         ln.st = kDropped;  // connection refused; client times out
         continue;
       }
@@ -909,8 +907,13 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
         auto& c = *gen.backends()[ln.dip].counters;
         // An adopted flow's connection was already counted at its
         // stateless open; only the pin (active) is new.
-        if (!ln.adopted)
+        if (ln.adopted) {
+          affinity_breaks_avoided_.fetch_add(1, std::memory_order_relaxed);
+        } else {
           c.connections.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (ln.rehomed)
+          affinity_breaks_.fetch_add(1, std::memory_order_relaxed);
         c.active.fetch_add(1, std::memory_order_relaxed);
       }
       ln.st = kPinned;
@@ -931,34 +934,23 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
   }
 
   // --- stage F: forward, grouped per destination DIP -----------------------
-  if (n == 1) {
-    if (lanes[0].st != kDropped) forward_run(gen, lanes[0].dip, msgs, 1);
-    return;
-  }
   std::uint32_t order[kBatchChunk];
+  std::uint32_t dest[kBatchChunk];
   std::size_t n_fwd = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (lanes[i].st != kDropped) order[n_fwd++] = static_cast<std::uint32_t>(i);
-  // Stable insertion sort by destination DIP: n <= kBatchChunk, so this
-  // beats std::stable_sort (which heap-allocates a temporary buffer) and
-  // keeps burst order within a DIP for free.
-  for (std::size_t s = 1; s < n_fwd; ++s) {
-    const std::uint32_t v = order[s];
-    const std::size_t dip = lanes[v].dip;
-    std::size_t j = s;
-    for (; j > 0 && lanes[order[j - 1]].dip > dip; --j) order[j] = order[j - 1];
-    order[j] = v;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (lanes[i].st == kDropped) continue;
+    dest[i] = static_cast<std::uint32_t>(lanes[i].dip);
+    order[n_fwd++] = static_cast<std::uint32_t>(i);
   }
+  sort_by_destination(order, n_fwd, dest);
   const net::Message* out[kBatchChunk];
-  std::size_t i = 0;
-  while (i < n_fwd) {
-    const std::size_t dip = lanes[order[i]].dip;
+  for (std::size_t i = 0; i < n_fwd;) {
+    const std::uint32_t d = dest[order[i]];
     std::size_t k = 0;
     do {
-      out[k++] = msgs[order[i]];
-      ++i;
-    } while (i < n_fwd && lanes[order[i]].dip == dip);
-    forward_run(gen, dip, out, k);
+      out[k++] = msgs[order[i++]];
+    } while (i < n_fwd && dest[order[i]] == d);
+    forward_run(gen, d, out, k);
   }
 }
 
@@ -978,63 +970,8 @@ void Mux::release_connection(const PoolGeneration& gen, std::size_t i)
   });
 }
 
-std::optional<std::size_t> Mux::resolve_fin(const PoolGeneration& gen,
-                                            const FlowErase& r,
-                                            bool* drain_emptied)
-    KLB_NONALLOCATING {
-  if (!r.found) {
-    // No pin: in hybrid mode this is the normal close of a stateless flow
-    // (nothing in the table was ever its state). The server still needs
-    // the FIN to close out — deliver it where the data packets went: the
-    // displaced previous owner when the slot's pick moved away from one
-    // that is still here (exactly the mid-flow adoption rule,
-    // process_chunk_pinned), the current table route otherwise.
-    if (!slot_pins_) return std::nullopt;
-    if (const auto* f = gen.exception_filter()) {
-      const auto prev = displaced_owner(gen, *f, r.hash);
-      if (prev != ExceptionFilter::kNoOwner)
-        if (const auto idx = gen.index_of_addr(prev)) return idx;
-    }
-    return gen.table_route(r.hash);
-  }
-  if (slot_pins_)
-    slot_pins_->dec(static_cast<std::size_t>(r.hash % slot_pins_->size()));
-  const auto idx = gen.index_of(r.id);
-  if (!idx) return std::nullopt;  // backend removed while the flow was live
-  release_connection(gen, *idx);
-  const auto& b = gen.backends()[*idx];
-  if (b.draining && b.counters->active.load(std::memory_order_relaxed) == 0)
-    *drain_emptied = true;
-  return idx;
-}
-
-void Mux::handle_fin(const net::Message& msg) KLB_NONALLOCATING {
-  FlowErase r;
-  r.tuple = &msg.tuple;
-  r.hash = net::hash_tuple(msg.tuple);
-  flows_.erase_batch(&r, 1);
-  net::IpAddr addr;
-  bool forward = false;
-  bool drain_emptied = false;
-  {
-    auto ref = read_gen();
-    if (const auto idx = resolve_fin(*ref.gen, r, &drain_emptied)) {
-      addr = ref.gen->backends()[*idx].addr;
-      forward = true;
-    }
-  }
-  if (forward) net_.send(addr, msg);  // let the server close out too
-  // Flag after unpinning (see gc_shard): the completion this triggers
-  // retires a generation, and our own slot must not block its reclaim.
-  if (drain_emptied) note_drain_empty();
-}
-
 void Mux::handle_fin_chunk(const net::Message* const* msgs, std::size_t n)
     KLB_NONALLOCATING {
-  if (n == 1) {
-    handle_fin(*msgs[0]);
-    return;
-  }
   FlowErase reqs[kBatchChunk];
   for (std::size_t i = 0; i < n; ++i) {
     reqs[i].tuple = &msgs[i]->tuple;
@@ -1042,44 +979,57 @@ void Mux::handle_fin_chunk(const net::Message* const* msgs, std::size_t n)
   }
   flows_.erase_batch(reqs, n);
 
-  constexpr std::uint32_t kNoFwd = 0xffffffffu;
-  std::uint32_t dip[kBatchChunk];
   std::size_t drains_emptied = 0;
   {
     auto ref = read_gen();
     const PoolGeneration& gen = *ref.gen;
-    for (std::size_t i = 0; i < n; ++i) {
-      bool de = false;
-      const auto idx = resolve_fin(gen, reqs[i], &de);
-      dip[i] = idx ? static_cast<std::uint32_t>(*idx) : kNoFwd;
-      drains_emptied += de ? 1 : 0;
-    }
-    // Forward grouped per destination, like stage F of the request path
-    // (kNoFwd sorts last and is skipped).
+    // Each FIN goes where its flow's data went, so the server closes out
+    // too; forwards are grouped per destination like stage F's.
     std::uint32_t order[kBatchChunk];
-    for (std::size_t i = 0; i < n; ++i)
-      order[i] = static_cast<std::uint32_t>(i);
-    for (std::size_t s = 1; s < n; ++s) {
-      const std::uint32_t v = order[s];
-      const std::uint32_t d = dip[v];
-      std::size_t j = s;
-      for (; j > 0 && dip[order[j - 1]] > d; --j) order[j] = order[j - 1];
-      order[j] = v;
+    std::uint32_t dest[kBatchChunk];
+    std::size_t n_fwd = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const FlowErase& r = reqs[i];
+      std::optional<std::size_t> idx;
+      if (r.found) {
+        if (slot_pins_)
+          slot_pins_->dec(
+              static_cast<std::size_t>(r.hash % slot_pins_->size()));
+        idx = gen.index_of(r.id);
+        if (!idx) continue;  // backend removed while the flow was live
+        release_connection(gen, *idx);
+        const auto& b = gen.backends()[*idx];
+        if (b.draining &&
+            b.counters->active.load(std::memory_order_relaxed) == 0)
+          ++drains_emptied;
+      } else if (slot_pins_) {
+        // No pin: in hybrid mode the normal close of a stateless flow, whose
+        // data went to the displaced previous owner while it is still here
+        // (the mid-flow adoption rule), to the current table route otherwise.
+        if (const auto* f = gen.exception_filter()) {
+          const auto prev = displaced_owner(gen, *f, r.hash);
+          if (prev != ExceptionFilter::kNoOwner) idx = gen.index_of_addr(prev);
+        }
+        if (!idx) idx = gen.table_route(r.hash);
+      }
+      if (!idx) continue;
+      dest[i] = static_cast<std::uint32_t>(*idx);
+      order[n_fwd++] = static_cast<std::uint32_t>(i);
     }
+    sort_by_destination(order, n_fwd, dest);
     const net::Message* out[kBatchChunk];
-    std::size_t i = 0;
-    while (i < n && dip[order[i]] != kNoFwd) {
-      const std::uint32_t d = dip[order[i]];
+    for (std::size_t i = 0; i < n_fwd;) {
+      const std::uint32_t d = dest[order[i]];
       std::size_t k = 0;
       do {
-        out[k++] = msgs[order[i]];
-        ++i;
-      } while (i < n && dip[order[i]] == d);
+        out[k++] = msgs[order[i++]];
+      } while (i < n_fwd && dest[order[i]] == d);
       net_.send_burst(gen.backends()[d].addr, out, k);
     }
   }
-  // Flag after unpinning (see handle_fin): each emptied drain completes
-  // once, exactly as the scalar path would have reported it.
+  // Flag after unpinning (see gc_shard): the completion this triggers
+  // retires a generation, and our own slot must not block its reclaim.
+  // Each emptied drain completes once.
   for (std::size_t k = 0; k < drains_emptied; ++k) note_drain_empty();
 }
 

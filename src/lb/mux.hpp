@@ -340,19 +340,25 @@ class Mux : public net::Node, public PoolProgrammer {
   bool debug_check_generation() const;
 
   // --- net::Node -------------------------------------------------------------
-  void on_message(const net::Message& msg) override;
-  void on_batch(const net::Message* const* msgs, std::size_t n) override;
+  /// The scalar entry is the batch of 1: one code path.
+  void on_message(const net::Message& msg) override {
+    const net::Message* p = &msg;
+    handle_batch(&p, 1);
+  }
+  void on_batch(const net::Message* const* msgs, std::size_t n) override {
+    handle_batch(msgs, n);
+  }
 
   /// Batched packet entry: processes a burst of messages with per-burst
   /// amortization — the epoch pin and generation load happen once, affinity
   /// lookups are grouped to take each FlowTable shard lock once, new
   /// connections resolve lock-free from the generation's maglev table, and
   /// forwarding is grouped per destination DIP into fabric bursts. Counter
-  /// outcomes are element-wise identical to handle_request. Policies
-  /// without a table (rr/lc family, hash) are processed per packet under
-  /// the shared pin so their pick sequence matches the scalar path
-  /// exactly. Mixed types allowed: contiguous request runs are batched,
-  /// FIN runs are batched separately.
+  /// outcomes are element-wise identical to on_message per packet (the
+  /// scalar entry is the batch of 1). Policies without a table (rr/lc
+  /// family, hash) are processed per packet under the shared pin so their
+  /// pick sequence matches the scalar path exactly. Mixed types allowed:
+  /// contiguous request runs are batched, FIN runs are batched separately.
   void handle_batch(const net::Message* const* msgs, std::size_t n)
       KLB_NONALLOCATING KLB_EXCLUDES(control_mutex_, pick_mutex_);
 
@@ -374,12 +380,6 @@ class Mux : public net::Node, public PoolProgrammer {
     return r;
   }
 
-  /// The scalar entry is the batch-of-1 case: one code path (ISSUE 9).
-  void handle_request(const net::Message& msg)
-      KLB_NONALLOCATING KLB_EXCLUDES(control_mutex_, pick_mutex_) {
-    const net::Message* p = &msg;
-    handle_request_chunk(&p, 1);
-  }
   /// One pinned, staged pass over up to kBatchChunk requests.
   /// Nonallocating: the slow lanes it may cross are the documented
   /// escapes — "mux.maybe_gc" (amortized sweep), "mux.pick" (stage D,
@@ -391,19 +391,9 @@ class Mux : public net::Node, public PoolProgrammer {
   void process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
                             const net::Message* const* msgs, std::size_t n)
       KLB_NONALLOCATING KLB_EXCLUDES(control_mutex_, pick_mutex_);
-  void handle_fin(const net::Message& msg)
-      KLB_NONALLOCATING KLB_EXCLUDES(control_mutex_, pick_mutex_);
   /// Batched FIN run: one erase_batch over the flow shards, one epoch
-  /// pin, forwards grouped per destination. Element-wise identical to
-  /// handle_fin per message.
+  /// pin, forwards grouped per destination. A scalar FIN is the run of 1.
   void handle_fin_chunk(const net::Message* const* msgs, std::size_t n)
-      KLB_NONALLOCATING KLB_EXCLUDES(control_mutex_, pick_mutex_);
-  /// Post-unpin FIN resolution against a pinned generation: which backend
-  /// index should see the FIN (nullopt = drop), releasing the connection
-  /// and flagging `drain_emptied` when this FIN was a drainer's last.
-  std::optional<std::size_t> resolve_fin(const PoolGeneration& gen,
-                                         const FlowErase& r,
-                                         bool* drain_emptied)
       KLB_NONALLOCATING KLB_EXCLUDES(control_mutex_, pick_mutex_);
   /// Forward `k` messages to backend `i`: per-run counter updates, one
   /// fabric burst. The scalar forward is the k=1 case.

@@ -1,11 +1,11 @@
 // Batch-vs-scalar equivalence (ISSUE 9): Mux::handle_batch over a shuffled
 // burst must leave byte-identical dataplane state to driving the same
-// messages one at a time through handle_request — per-backend forwarded /
-// connections / active counters, affinity size, stateless picks, and zero
-// drops. Covered for the tuple-deterministic policies (maglev, hash), the
-// hybrid stateless dataplane, the per-packet fallback that stateful
-// policies (wrr/lc) take under the shared epoch pin, mixed request+FIN
-// bursts, and the MuxPool's ECMP batch partition.
+// messages one at a time through on_message — per-backend forwarded /
+// connections / active counters, affinity size, every DataplaneCounters
+// field, and zero drops. Covered for the tuple-deterministic policies
+// (maglev, hash), the hybrid stateless dataplane, the per-packet fallback
+// that stateful policies (wrr/lc) take under the shared epoch pin, mixed
+// request+FIN bursts, and the MuxPool's ECMP batch partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,14 +116,7 @@ void expect_equal(const Snapshot& scalar, const Snapshot& batch,
   EXPECT_EQ(scalar.connections, batch.connections) << what;
   EXPECT_EQ(scalar.active, batch.active) << what;
   EXPECT_EQ(scalar.affinity, batch.affinity) << what;
-  // Every counter but affinity_breaks_avoided: when an opener and its
-  // mid-flow packet share a batch chunk on a flagged slot, the batch path
-  // counts an adoption for the mid-flow lane before the opener's pin
-  // lands, and the scalar path does not. Routing is identical; the
-  // divergence is an open ROADMAP item.
-  auto a = scalar.counters, b = batch.counters;
-  a.affinity_breaks_avoided = b.affinity_breaks_avoided = 0;
-  EXPECT_EQ(a, b) << what;
+  EXPECT_EQ(scalar.counters, batch.counters) << what;
 }
 
 void drive_scalar(Mux& mux, const std::vector<net::Message>& msgs) {

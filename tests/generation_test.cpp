@@ -25,6 +25,7 @@
 #include "lb/pool_program.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
+#include "testbed/invariants.hpp"
 #include "util/weight.hpp"
 
 namespace klb::lb {
@@ -177,9 +178,9 @@ TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
 
     // Quiesced: one poll reclaims everything but the current generation.
     mux.poll();
-    EXPECT_EQ(mux.pending_retired_generations(), 0u);
-    const auto c = mux.counters();
-    EXPECT_EQ(c.generations_retired, c.generations_published - 1);
+    testbed::InvariantChecker check;
+    check.quiesced(mux, 0, 0);
+    EXPECT_TRUE(check.ok()) << check.report();
     EXPECT_EQ(mux.oldest_live_epoch(), mux.current_epoch());
     EXPECT_TRUE(mux.debug_check_generation());
     EXPECT_EQ(PoolGeneration::live_count(), live0 + 1);
@@ -260,20 +261,9 @@ TEST(GenerationTest, ConcurrentParkingNeverTearsAGeneration) {
   mux.poll();
 
   EXPECT_FALSE(torn.load()) << "a reader observed a torn generation";
-  const auto c = mux.counters();
-  EXPECT_EQ(c.total_forwarded, sent.load());
-  std::uint64_t conns = 0, active = 0;
-  for (std::size_t d = 0; d < kDips; ++d) {
-    conns += mux.new_connections(d);
-    active += mux.active_connections(d);
-  }
-  EXPECT_EQ(conns, opened.load());
-  EXPECT_EQ(active, 0u);
-  EXPECT_EQ(c.no_backend_drops, 0u);
-  EXPECT_EQ(mux.affinity_size(), 0u);
-  EXPECT_EQ(mux.dangling_affinity_count(), 0u);
-  EXPECT_EQ(mux.pending_retired_generations(), 0u);
-  EXPECT_EQ(c.generations_retired, c.generations_published - 1);
+  testbed::InvariantChecker check;
+  check.quiesced(mux, sent.load(), opened.load());
+  EXPECT_TRUE(check.ok()) << check.report();
   EXPECT_EQ(mux.oldest_live_epoch(), mux.current_epoch());
 }
 
@@ -419,27 +409,15 @@ TEST(GenerationTest, FreshFlowsRaceReweightingCommits) {
     std::this_thread::yield();
   } while (running.load(std::memory_order_acquire) > 0);
   for (auto& t : workers) t.join();
+  mux.poll();
+  pool.poll();
 
   // Conservation per dataplane: the bare Mux, and the pool's members summed.
   const std::uint64_t opens = std::uint64_t{kThreads} * kBursts * kBurst;
-  auto conserved = [opens](const DataplaneCounters& c,
-                           std::vector<const Mux*> members) {
-    std::uint64_t conns = 0, active = 0, pins = 0;
-    for (const auto* m : members) {
-      for (std::size_t d = 0; d < m->backend_count(); ++d) {
-        conns += m->new_connections(d);
-        active += m->active_connections(d);
-      }
-      pins += m->affinity_size();
-    }
-    EXPECT_EQ(conns, opens);
-    EXPECT_EQ(active, 0u);
-    EXPECT_EQ(c.total_forwarded, 2 * opens);
-    EXPECT_EQ(c.no_backend_drops, 0u);
-    EXPECT_EQ(pins, 0u);
-  };
-  conserved(mux.counters(), {&mux});
-  conserved(pool.counters(), {&pool.mux(0), &pool.mux(1)});
+  testbed::InvariantChecker check;
+  check.quiesced(mux, 2 * opens, opens);
+  check.quiesced(pool, 2 * opens, opens);
+  EXPECT_TRUE(check.ok()) << check.report();
 }
 
 }  // namespace
