@@ -371,7 +371,7 @@ int main(int argc, char** argv) {
              std::to_string(gc.budgeted_calls)});
     gct.print();
     std::cout << "\nA budgeted sweep bounds the per-packet pause; successive "
-                 "calls resume from the shard's bucket cursor.\n";
+                 "calls resume from the shard's slot cursor.\n";
     json.set("gc", klb::bench::Json::object()
                        .set("budget", gc_budget)
                        .set("full_sweep_worst_ms", gc.full_sweep_ms)

@@ -13,11 +13,22 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
-/// Per-entry heap cost of a node-based unordered_map: the stored pair
-/// plus the node header (next pointer + cached hash in the common
-/// libstdc++/libc++ layouts). An estimate — but build-mode independent,
-/// which is what the memory bench's ratio gate needs.
-constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);
+/// First allocation of a shard's slot array.
+constexpr std::size_t kMinCapacity = 16;
+
+/// Slots for `n` flows at no more than 3/4 load.
+std::size_t capacity_for(std::size_t n) {
+  return round_up_pow2(std::max(kMinCapacity, (n * 4 + 2) / 3));
+}
+
+/// The tuple packed as a slot's two key words.
+std::uint64_t addrs_of(const net::FiveTuple& t) KLB_NONBLOCKING {
+  return (std::uint64_t{t.src_ip.value()} << 32) | t.dst_ip.value();
+}
+std::uint64_t ports_of(const net::FiveTuple& t) KLB_NONBLOCKING {
+  return (std::uint64_t{t.src_port} << 32) | (std::uint64_t{t.dst_port} << 16) |
+         (std::uint64_t{static_cast<std::uint8_t>(t.proto)} << 8) | 1u;
+}
 
 /// Stable counting sort of batch indices by shard: afterwards idx[]
 /// enumerates [0, n) grouped by shard_of_req, burst order preserved
@@ -61,28 +72,116 @@ FlowTable::FlowTable(FlowTableConfig cfg)
   gc_scan_budget_ = cfg.gc_scan_budget;
   if (cfg.expected_flows > 0) {
     // Pre-size every shard for its share of the expected population: the
-    // fill to that scale then never rehashes (a 10M-flow rehash stalls
-    // the shard for the whole re-bucketing — the "rehash storm").
+    // fill to that scale then never grows (a 10M-flow growth stalls the
+    // shard for the whole re-insertion — the "rehash storm").
     const auto per_shard = cfg.expected_flows / shards_.size() + 1;
-    for (auto& s : shards_) s.flows.reserve(per_shard);
+    for (auto& s : shards_) {
+      util::MutexLock lk(s.mu);
+      s.slots.resize(capacity_for(per_shard));
+    }
   }
 }
 
-FlowHit FlowTable::lookup_locked(Shard& s, const net::FiveTuple& t,
+net::FiveTuple FlowTable::tuple_of(const Slot& slot) KLB_NONBLOCKING {
+  net::FiveTuple t;
+  t.src_ip = net::IpAddr(static_cast<std::uint32_t>(slot.addrs >> 32));
+  t.dst_ip = net::IpAddr(static_cast<std::uint32_t>(slot.addrs));
+  t.src_port = static_cast<std::uint16_t>(slot.ports >> 32);
+  t.dst_port = static_cast<std::uint16_t>(slot.ports >> 16);
+  t.proto = static_cast<net::Proto>(static_cast<std::uint8_t>(slot.ports >> 8));
+  return t;
+}
+
+std::size_t FlowTable::find_locked(const Shard& s, std::uint64_t hash,
+                                   const net::FiveTuple& t) KLB_NONBLOCKING {
+  if (s.slots.empty()) return kNotFound;
+  const std::uint64_t addrs = addrs_of(t);
+  const std::uint64_t ports = ports_of(t);
+  const std::size_t mask = s.slots.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = s.slots[i];
+    if (slot.ports == ports && slot.addrs == addrs) return i;
+    if (slot.ports == 0) return kNotFound;
+  }
+}
+
+FlowHit FlowTable::lookup_locked(Shard& s, std::uint64_t hash,
+                                 const net::FiveTuple& t,
                                  util::SimTime now) KLB_NONBLOCKING {
-  const auto it = s.flows.find(t);
-  if (it == s.flows.end()) return FlowHit{};
-  it->second.last_seen = now;
-  return FlowHit{FlowHit::Kind::kAffinity, it->second.backend_id};
+  const auto i = find_locked(s, hash, t);
+  if (i == kNotFound) return FlowHit{};
+  s.slots[i].last_seen = now;
+  return FlowHit{FlowHit::Kind::kAffinity, s.slots[i].backend_id};
+}
+
+void FlowTable::erase_at(Shard& s, std::size_t i) KLB_NONBLOCKING {
+  const std::size_t mask = s.slots.size() - 1;
+  for (std::size_t j = (i + 1) & mask; s.slots[j].ports != 0;
+       j = (j + 1) & mask) {
+    // The entry at j may fill the hole at i unless its home lies
+    // (cyclically) in (i, j]: then it would land before its home.
+    const std::size_t home = net::hash_tuple(tuple_of(s.slots[j])) & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      s.slots[i] = s.slots[j];
+      i = j;
+    }
+  }
+  s.slots[i].ports = 0;
+  --s.size;
+}
+
+void FlowTable::resize_locked(Shard& s, std::size_t capacity) {
+  std::vector<Slot> old(capacity);
+  old.swap(s.slots);
+  const std::size_t mask = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.ports == 0) continue;
+    std::size_t i = net::hash_tuple(tuple_of(slot)) & mask;
+    while (s.slots[i].ports != 0) i = (i + 1) & mask;
+    s.slots[i] = slot;
+  }
+}
+
+std::size_t FlowTable::empty_slot_locked(const Shard& s) {
+  std::size_t i = 0;
+  while (s.slots[i].ports != 0) ++i;
+  return i;
+}
+
+template <class Doomed, class Gone>
+std::size_t FlowTable::sweep_locked(Shard& s, std::size_t start,
+                                    std::size_t max_entries,
+                                    std::size_t& examined, Doomed&& doomed,
+                                    Gone&& gone) {
+  const std::size_t cap = s.slots.size();
+  if (cap == 0) return 0;
+  std::size_t i = start & (cap - 1);
+  for (std::size_t visited = 0; visited < cap && max_entries > 0;) {
+    Slot& slot = s.slots[i];
+    if (slot.ports != 0) {
+      ++examined;
+      --max_entries;
+      if (doomed(slot)) {
+        gone(slot);
+        // The shift may have moved a later, unexamined entry into i.
+        erase_at(s, i);
+        continue;
+      }
+    }
+    i = (i + 1) & (cap - 1);
+    ++visited;
+  }
+  return i;
 }
 
 FlowHit FlowTable::lookup(const net::FiveTuple& t,
                           util::SimTime now) KLB_NONALLOCATING {
-  auto& s = shards_[shard_of(t)];
+  const auto hash = net::hash_tuple(t);
+  auto& s = shards_[shard_index(hash)];
   FlowHit hit;
   KLB_EFFECT_ESCAPE("flow.shard_lock", {
     util::MutexLock lk(s.mu);
-    hit = lookup_locked(s, t, now);
+    hit = lookup_locked(s, hash, t, now);
   });
   return hit;
 }
@@ -94,7 +193,7 @@ void FlowTable::lookup_batch(FlowLookup* reqs, std::size_t n,
     auto& s = shards_[shard_index(reqs[0].hash)];
     KLB_EFFECT_ESCAPE("flow.shard_lock", {
       util::MutexLock lk(s.mu);
-      reqs[0].hit = lookup_locked(s, *reqs[0].tuple, now);
+      reqs[0].hit = lookup_locked(s, reqs[0].hash, *reqs[0].tuple, now);
     });
     return;
   }
@@ -121,7 +220,7 @@ void FlowTable::lookup_batch(FlowLookup* reqs, std::size_t n,
       util::MutexLock lk(s.mu);
       do {
         FlowLookup& r = reqs[idx[i]];
-        r.hit = lookup_locked(s, *r.tuple, now);
+        r.hit = lookup_locked(s, r.hash, *r.tuple, now);
         ++i;
       } while (i < n && shard_of_req[idx[i]] == shard);
     });
@@ -167,33 +266,42 @@ void FlowTable::erase_batch(FlowErase* reqs, std::size_t n) KLB_NONALLOCATING {
 
 std::optional<std::uint64_t> FlowTable::try_find(
     const net::FiveTuple& t) const {
-  const auto& s = shards_[shard_of(t)];
+  const auto hash = net::hash_tuple(t);
+  const auto& s = shards_[shard_index(hash)];
   util::MutexLock lk(s.mu);
-  const auto it = s.flows.find(t);
-  if (it == s.flows.end()) return std::nullopt;
-  return it->second.backend_id;
+  const auto i = find_locked(s, hash, t);
+  if (i == kNotFound) return std::nullopt;
+  return s.slots[i].backend_id;
 }
 
 std::pair<std::uint64_t, bool> FlowTable::try_insert(const net::FiveTuple& t,
+                                                     std::uint64_t hash,
                                                      std::uint64_t backend_id,
-                                                     util::SimTime now, bool) {
-  auto& s = shards_[shard_of(t)];
+                                                     util::SimTime now) {
+  auto& s = shards_[shard_index(hash)];
   util::MutexLock lk(s.mu);
-  const auto [it, inserted] = s.flows.emplace(t, Flow{backend_id, now});
-  if (!inserted) return {it->second.backend_id, false};
+  if (const auto i = find_locked(s, hash, t); i != kNotFound)
+    return {s.slots[i].backend_id, false};
+  if ((s.size + 1) * 4 > s.slots.size() * 3)
+    resize_locked(s, capacity_for(s.size + 1));
+  const std::size_t mask = s.slots.size() - 1;
+  std::size_t i = hash & mask;
+  while (s.slots[i].ports != 0) i = (i + 1) & mask;
+  s.slots[i] = Slot{addrs_of(t), ports_of(t), backend_id, now};
+  ++s.size;
   ++s.inserts;
   return {backend_id, true};
 }
 
-void FlowTable::erase_locked(Shard& s, FlowErase& r) {
-  const auto it = s.flows.find(*r.tuple);
-  if (it == s.flows.end()) {
+void FlowTable::erase_locked(Shard& s, FlowErase& r) KLB_NONBLOCKING {
+  const auto i = find_locked(s, r.hash, *r.tuple);
+  if (i == kNotFound) {
     r.found = false;
     return;
   }
   r.found = true;
-  r.id = it->second.backend_id;
-  s.flows.erase(it);
+  r.id = s.slots[i].backend_id;
+  erase_at(s, i);
   ++s.erases;
 }
 
@@ -220,16 +328,17 @@ std::size_t FlowTable::erase_backend(
     gone.clear();
     {
       util::MutexLock lk(s.mu);
-      for (auto it = s.flows.begin(); it != s.flows.end();) {
-        if (it->second.backend_id == backend_id) {
-          if (dropped) gone.push_back(it->first);
-          it = s.flows.erase(it);
-          ++s.erases;
-          ++total;
-        } else {
-          ++it;
-        }
-      }
+      if (s.size == 0) continue;
+      std::size_t examined = 0;
+      const auto before = s.size;
+      sweep_locked(
+          s, empty_slot_locked(s), s.size, examined,
+          [&](const Slot& f) { return f.backend_id == backend_id; },
+          [&](const Slot& f) {
+            if (dropped) gone.push_back(tuple_of(f));
+          });
+      s.erases += before - s.size;
+      total += before - s.size;
     }
     if (dropped)
       for (const auto& t : gone) dropped(t);
@@ -251,54 +360,28 @@ std::size_t FlowTable::gc_shard(
   std::vector<std::tuple<net::FiveTuple, std::uint64_t, bool>> gone;
   {
     util::MutexLock lk(s.mu);
-    auto doomed = [&](const Flow& f) {
-      const bool dead = !alive(f.backend_id);
-      const bool idled =
-          idle > util::SimTime::zero() && f.last_seen + idle < now;
-      return std::make_pair(dead || idled, dead);
+    if (s.size == 0) return 0;
+    bool dead = false;
+    const auto doomed = [&](const Slot& f) {
+      dead = !alive(f.backend_id);
+      return dead || (idle > util::SimTime::zero() && f.last_seen + idle < now);
     };
-    if (max_scan == kScanAll || max_scan >= s.flows.size()) {
-      // Unbounded: one pass over the whole shard, erasing in place.
-      s.gc_scanned += s.flows.size();
+    const auto reap = [&](const Slot& f) {
+      gone.emplace_back(tuple_of(f), f.backend_id, dead);
+    };
+    std::size_t scanned = 0;
+    if (max_scan == kScanAll || max_scan >= s.size) {
+      // Unbounded: one lap over the whole shard from an empty slot.
+      sweep_locked(s, empty_slot_locked(s), s.size, scanned, doomed, reap);
       s.gc_cursor = 0;
-      for (auto it = s.flows.begin(); it != s.flows.end();) {
-        const auto [kill, dead] = doomed(it->second);
-        if (kill) {
-          gone.emplace_back(it->first, it->second.backend_id, dead);
-          it = s.flows.erase(it);
-          ++s.gc_reclaimed;
-        } else {
-          ++it;
-        }
-      }
-    } else if (!s.flows.empty()) {
-      // Bounded: walk whole buckets from the resume cursor until the scan
-      // budget is spent (always finishing the bucket in progress), then
-      // park the cursor for the next call. Local iterators cannot erase,
-      // so doomed keys are collected and erased by lookup afterwards —
-      // still under the same lock acquisition.
-      const auto buckets = s.flows.bucket_count();
-      std::vector<net::FiveTuple> doomed_keys;
-      std::size_t scanned = 0;
-      std::size_t b = s.gc_cursor % buckets;
-      for (std::size_t visited = 0; visited < buckets && scanned < max_scan;
-           ++visited, b = (b + 1) % buckets) {
-        for (auto it = s.flows.begin(b); it != s.flows.end(b); ++it) {
-          ++scanned;
-          if (doomed(it->second).first) doomed_keys.push_back(it->first);
-        }
-      }
-      s.gc_cursor = b;
-      s.gc_scanned += scanned;
-      for (const auto& key : doomed_keys) {
-        const auto it = s.flows.find(key);
-        if (it == s.flows.end()) continue;
-        gone.emplace_back(it->first, it->second.backend_id,
-                          doomed(it->second).second);
-        s.flows.erase(it);
-        ++s.gc_reclaimed;
-      }
+    } else {
+      // Bounded: resume at the cursor, examine up to the budget, and park
+      // the cursor on the first slot not yet examined.
+      s.gc_cursor =
+          sweep_locked(s, s.gc_cursor, max_scan, scanned, doomed, reap);
     }
+    s.gc_scanned += scanned;
+    s.gc_reclaimed += gone.size();
   }
   if (reclaimed)
     for (const auto& [tuple, id, dead] : gone) reclaimed(tuple, id, dead);
@@ -320,7 +403,7 @@ std::size_t FlowTable::size() const {
   std::size_t n = 0;
   for (const auto& s : shards_) {
     util::MutexLock lk(s.mu);
-    n += s.flows.size();
+    n += s.size;
   }
   return n;
 }
@@ -328,26 +411,24 @@ std::size_t FlowTable::size() const {
 std::size_t FlowTable::shard_size(std::size_t k) const {
   const auto& s = shards_[k & shard_mask_];
   util::MutexLock lk(s.mu);
-  return s.flows.size();
+  return s.size;
 }
 
-std::size_t FlowTable::shard_buckets(std::size_t k) const {
+std::size_t FlowTable::shard_capacity(std::size_t k) const {
   const auto& s = shards_[k & shard_mask_];
   util::MutexLock lk(s.mu);
-  return s.flows.bucket_count();
+  return s.slots.size();
 }
 
 FlowTableMemory FlowTable::memory() const {
   FlowTableMemory out;
   for (const auto& s : shards_) {
     util::MutexLock lk(s.mu);
-    out.entries += s.flows.size();
-    out.buckets += s.flows.bucket_count();
+    out.entries += s.size;
+    out.slots += s.slots.size();
   }
-  using Node = std::pair<const net::FiveTuple, Flow>;
-  out.approx_bytes = out.entries * (sizeof(Node) + kNodeOverhead) +
-                     out.buckets * sizeof(void*) +
-                     shards_.size() * sizeof(Shard);
+  out.approx_bytes =
+      out.slots * sizeof(Slot) + shards_.size() * sizeof(Shard);
   return out;
 }
 
@@ -356,8 +437,8 @@ void FlowTable::for_each(
                              util::SimTime)>& fn) const {
   for (const auto& s : shards_) {
     util::MutexLock lk(s.mu);
-    for (const auto& [tuple, flow] : s.flows)
-      fn(tuple, flow.backend_id, flow.last_seen);
+    for (const Slot& slot : s.slots)
+      if (slot.ports != 0) fn(tuple_of(slot), slot.backend_id, slot.last_seen);
   }
 }
 
@@ -365,7 +446,7 @@ FlowTableStats FlowTable::stats() const {
   FlowTableStats out;
   for (const auto& s : shards_) {
     util::MutexLock lk(s.mu);
-    out.entries += s.flows.size();
+    out.entries += s.size;
     out.inserts += s.inserts;
     out.erases += s.erases;
     out.gc_reclaimed += s.gc_reclaimed;

@@ -1,10 +1,10 @@
 // Sharded connection-affinity table for the MUX hot path.
 //
 // The per-packet MUX path is: tuple hash -> affinity lookup -> (on miss)
-// routing decision -> pin. A single monolithic unordered_map serializes
-// every packet of every core behind one structure; a FlowTable splits the
-// flow space into a power-of-two number of shards, chosen by the tuple
-// hash, each with its own mutex, map, and counters. Two cores only contend
+// routing decision -> pin. A single monolithic table serializes every
+// packet of every core behind one structure; a FlowTable splits the flow
+// space into a power-of-two number of shards, chosen by the tuple hash,
+// each with its own mutex, slot array, and counters. Two cores only contend
 // when their packets hash to the same shard, so lookup/insert/FIN
 // throughput scales with cores — the per-core state-scaling problem the
 // stateful-vs-stateless LB literature (and XLB's in-kernel path) optimize.
@@ -22,13 +22,20 @@
 //
 // Per-shard counters (inserts, erases, GC reclaims) are only aggregated on
 // read — the hot path never touches a shared counter cache line.
+//
+// Each shard is one open-addressing array: linear probing over a
+// power-of-two number of 32-byte slots, erase by backward shift (no
+// tombstones), grown by doubling at 3/4 load. A flow's home slot comes
+// from the tuple hash the caller already computed for its own routing
+// (FlowLookup, FlowErase and try_insert carry it), so a packet's probe
+// neither re-hashes the tuple nor touches a node; the table re-derives a
+// hash only when it moves an entry (a backward shift or a growth). The
+// only allocation left is that amortized growth.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,15 +47,15 @@ namespace klb::lb {
 
 struct FlowTableConfig {
   /// Rounded up to a power of two. One shard degenerates to the old
-  /// monolithic single-map table (the bench baseline).
+  /// monolithic single-table layout (the bench baseline).
   std::size_t shard_count = 16;
   /// Expected concurrent flows across the whole table. Positive values
-  /// pre-reserve each shard's map for its share, so filling to that scale
-  /// never rehashes (a rehash at 10M flows stalls that shard for the
-  /// whole re-bucketing). 0 keeps the default growth behaviour.
+  /// pre-size each shard's slot array for its share, so filling to that
+  /// scale never grows it (a growth at 10M flows stalls that shard for the
+  /// whole re-insertion). 0 keeps the default growth behaviour.
   std::size_t expected_flows = 0;
   /// Default cap on entries examined per gc_shard() call (0 = sweep the
-  /// whole shard). A bounded sweep resumes from a per-shard bucket cursor
+  /// whole shard). A bounded sweep resumes from a per-shard slot cursor
   /// on the next call, so inline GC from the packet path stays O(budget)
   /// at 10M flows instead of O(shard). Explicit full sweeps can override
   /// per call.
@@ -67,15 +74,14 @@ struct FlowTableStats {
   std::uint64_t cache_misses = 0;
 };
 
-/// Memory footprint, aggregated across shards. `approx_bytes` estimates
-/// heap usage from the node-based unordered_map layout (per-entry node +
-/// bucket array) plus the shard structs — an estimate, but the *same*
-/// estimate in every build mode, so ratios
-/// (stateless vs stateful) are instrumentation-independent and hold under
-/// sanitizers (bench/flow_memory.cpp gates on the ratio).
+/// Memory footprint, aggregated across shards. `approx_bytes` is the slot
+/// arrays at their real capacity plus the shard structs — computed from
+/// sizeofs, so the same figure in every build mode and ratios (stateless
+/// vs stateful) hold under sanitizers (bench/flow_memory.cpp gates on the
+/// ratio).
 struct FlowTableMemory {
   std::size_t entries = 0;
-  std::size_t buckets = 0;  // sum of shard bucket counts
+  std::size_t slots = 0;  // sum of shard slot capacities
   std::size_t approx_bytes = 0;
 };
 
@@ -90,8 +96,8 @@ struct FlowHit {
 };
 
 /// One element of a batched affinity lookup. The caller precomputes the
-/// tuple hash (it already needs it for the stateless path); the result
-/// lands in `hit`.
+/// tuple hash, net::hash_tuple(*tuple) (it already needs it for the
+/// stateless path); the table keys on it. The result lands in `hit`.
 struct FlowLookup {
   const net::FiveTuple* tuple = nullptr;
   std::uint64_t hash = 0;
@@ -99,9 +105,9 @@ struct FlowLookup {
 };
 
 /// One element of a batched FIN unpin (erase_batch): the caller sets the
-/// tuple and its hash; `found`, and `id` when found, name the pin. Fields
-/// stay uninitialized so a scalar FIN pays for one element of the Mux's
-/// fixed-size stack array, not all of them.
+/// tuple and its net::hash_tuple hash; `found`, and `id` when found, name
+/// the pin. Fields stay uninitialized so a scalar FIN pays for one element
+/// of the Mux's fixed-size stack array, not all of them.
 struct FlowErase {
   const net::FiveTuple* tuple;
   std::uint64_t hash;
@@ -135,30 +141,38 @@ class FlowTable {
   void lookup_batch(FlowLookup* reqs, std::size_t n, util::SimTime now)
       KLB_NONALLOCATING;
 
-  /// Pin `t` to `backend_id` unless it is already pinned (a concurrent
-  /// packet of the same tuple may have won the race). Returns the owning
-  /// backend id and whether this call inserted it. The trailing bool is
-  /// ignored; only benchmark/ still passes it.
+  /// Pin `t` (whose net::hash_tuple is `hash`) to `backend_id` unless it
+  /// is already pinned (a concurrent packet of the same tuple may have won
+  /// the race). Returns the owning backend id and whether this call
+  /// inserted it. Allocates only when the shard's slot array grows.
+  std::pair<std::uint64_t, bool> try_insert(const net::FiveTuple& t,
+                                            std::uint64_t hash,
+                                            std::uint64_t backend_id,
+                                            util::SimTime now);
+  /// try_insert() hashing the tuple itself — tests and benches. The
+  /// trailing bool is ignored; only benchmark/ still passes it.
   std::pair<std::uint64_t, bool> try_insert(const net::FiveTuple& t,
                                             std::uint64_t backend_id,
                                             util::SimTime now,
-                                            bool /*unused*/ = false);
+                                            bool /*unused*/ = false) {
+    return try_insert(t, net::hash_tuple(t), backend_id, now);
+  }
 
   /// Read-only affinity probe: no last-seen touch, no counter traffic.
   /// Diagnostics and tests; the packet path uses lookup().
   std::optional<std::uint64_t> try_find(const net::FiveTuple& t) const;
 
-  /// Unpin `t`, returning the backend it was pinned to (FIN path).
+  /// Unpin `t`, returning the backend it was pinned to.
   /// Nonallocating in the lookup() split: the one shard-lock acquisition
-  /// (and the node free under it) is the "flow.shard_lock" escape.
+  /// is the "flow.shard_lock" escape.
   std::optional<std::uint64_t> erase(const net::FiveTuple& t)
       KLB_NONALLOCATING;
 
   /// Batched erase(): partitions the requests by shard and takes each
   /// shard lock once for its whole group. Element-wise identical to
   /// calling erase() per request. Nonallocating in the same split as
-  /// lookup_batch(): the staging lanes never touch the heap; the node
-  /// frees happen only inside the documented "flow.shard_lock" runs.
+  /// lookup_batch(): nothing touches the heap; the shard locks are the
+  /// documented "flow.shard_lock" runs.
   void erase_batch(FlowErase* reqs, std::size_t n) KLB_NONALLOCATING;
 
   /// Drop every flow pinned to `backend_id` (backend removal/failure).
@@ -176,7 +190,7 @@ class FlowTable {
   /// the lock is released, so it may reenter the table or take caller
   /// locks. `max_scan` bounds the entries examined (kScanAll = whole
   /// shard; kScanBudgeted = the configured gc_scan_budget); a bounded
-  /// sweep resumes from the shard's bucket cursor next call, wrapping the
+  /// sweep resumes from the shard's slot cursor next call, wrapping the
   /// whole shard over successive calls.
   static constexpr std::size_t kScanAll = 0;
   static constexpr std::size_t kScanBudgeted =
@@ -196,9 +210,9 @@ class FlowTable {
 
   std::size_t size() const;
   std::size_t shard_size(std::size_t k) const;
-  /// Shard k's current map capacity (bucket count) — pre-reserve checks.
-  std::size_t shard_buckets(std::size_t k) const;
-  /// Aggregated footprint (entries, buckets, approximate bytes).
+  /// Shard k's current slot capacity — pre-reserve checks.
+  std::size_t shard_capacity(std::size_t k) const;
+  /// Aggregated footprint (entries, slots, bytes).
   FlowTableMemory memory() const;
   std::size_t gc_scan_budget() const { return gc_scan_budget_; }
 
@@ -211,40 +225,75 @@ class FlowTable {
   FlowTableStats stats() const;
 
  private:
-  struct Flow {
-    std::uint64_t backend_id = 0;
-    util::SimTime last_seen = util::SimTime::zero();
+  /// One flow, 32 bytes: the tuple packed into two words, the pin, and the
+  /// last-seen stamp. `ports` is never 0 for a flow (its low byte is a
+  /// presence mark), so 0 marks an empty slot.
+  struct Slot {
+    std::uint64_t addrs;  // src_ip << 32 | dst_ip
+    std::uint64_t ports;  // src_port << 32 | dst_port << 16 | proto << 8 | 1
+    std::uint64_t backend_id;
+    util::SimTime last_seen;
   };
+  static_assert(sizeof(Slot) == 32, "a flow slot is 32 bytes");
 
-  /// Own cache line per shard: the mutex and map of one shard must not
+  /// Own cache line per shard: the mutex and slots of one shard must not
   /// false-share with its neighbours. All shard mutexes share one lock
   /// rank ("klb.flow.shard"): the table never nests two shard locks, so
   /// the debug validator treats any same-rank nesting as a bug.
   struct alignas(64) Shard {
     mutable util::Mutex mu{"klb.flow.shard"};
-    std::unordered_map<net::FiveTuple, Flow> flows KLB_GUARDED_BY(mu);
+    /// Empty, or a power-of-two number of slots at most 3/4 full.
+    std::vector<Slot> slots KLB_GUARDED_BY(mu);
+    std::size_t size KLB_GUARDED_BY(mu) = 0;
     std::uint64_t inserts KLB_GUARDED_BY(mu) = 0;
     std::uint64_t erases KLB_GUARDED_BY(mu) = 0;
     std::uint64_t gc_reclaimed KLB_GUARDED_BY(mu) = 0;
     std::uint64_t gc_scanned KLB_GUARDED_BY(mu) = 0;
-    /// Bucket index a budgeted GC sweep resumes from (wraps).
+    /// Slot a budgeted GC sweep resumes from (wraps).
     std::size_t gc_cursor KLB_GUARDED_BY(mu) = 0;
   };
 
-  /// Shard choice uses the hash's top bits: the low bits feed the affinity
-  /// map buckets and the maglev table index, so shard choice stays
-  /// decorrelated from both.
+  /// Shard choice uses the hash's top bits and the home slot its low bits,
+  /// so the two stay decorrelated.
   std::size_t shard_index(std::uint64_t h) const KLB_NONBLOCKING {
     return static_cast<std::size_t>(h >> 48) & shard_mask_;
   }
 
-  /// Lock-free under the shard lock: map find + in-place touch, no
-  /// allocation (nonblocking — the lock is the caller's).
-  FlowHit lookup_locked(Shard& s, const net::FiveTuple& t, util::SimTime now)
+  static constexpr std::size_t kNotFound = ~std::size_t{0};
+
+  static net::FiveTuple tuple_of(const Slot& slot) KLB_NONBLOCKING;
+
+  /// Slot index of `t` in `s`, or kNotFound. Lock-free under the shard
+  /// lock: a linear probe from the home slot, no allocation.
+  static std::size_t find_locked(const Shard& s, std::uint64_t hash,
+                                 const net::FiveTuple& t)
       KLB_NONBLOCKING KLB_REQUIRES(s.mu);
-  /// Frees the flow's map node on a hit — callers run it inside their
-  /// "flow.shard_lock" escape (the one lane where the table may free).
-  void erase_locked(Shard& s, FlowErase& r) KLB_REQUIRES(s.mu);
+  /// Find + in-place last-seen touch (nonblocking — the lock is the
+  /// caller's).
+  static FlowHit lookup_locked(Shard& s, std::uint64_t hash,
+                               const net::FiveTuple& t, util::SimTime now)
+      KLB_NONBLOCKING KLB_REQUIRES(s.mu);
+  /// Backward-shift erase of slot `i`: later entries of its probe run move
+  /// up, so no tombstone is left behind. Frees nothing.
+  static void erase_at(Shard& s, std::size_t i)
+      KLB_NONBLOCKING KLB_REQUIRES(s.mu);
+  static void erase_locked(Shard& s, FlowErase& r)
+      KLB_NONBLOCKING KLB_REQUIRES(s.mu);
+  /// Re-insert every flow into `capacity` slots (a power of two).
+  static void resize_locked(Shard& s, std::size_t capacity)
+      KLB_REQUIRES(s.mu);
+  /// Walk slots from `start` for at most one lap and `max_entries`
+  /// entries, erasing in place each flow `doomed(slot)` picks after
+  /// handing it to `gone(slot)`. Returns the next slot to examine; adds
+  /// the entries examined to `examined`.
+  template <class Doomed, class Gone>
+  static std::size_t sweep_locked(Shard& s, std::size_t start,
+                                  std::size_t max_entries,
+                                  std::size_t& examined, Doomed&& doomed,
+                                  Gone&& gone) KLB_REQUIRES(s.mu);
+  /// A slot with no flow (one exists whenever the shard has slots): a full
+  /// sweep that starts there never sees an entry shift across its start.
+  static std::size_t empty_slot_locked(const Shard& s) KLB_REQUIRES(s.mu);
 
   std::size_t shard_mask_ = 0;
   std::size_t gc_scan_budget_ = 0;

@@ -878,7 +878,7 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
           // pick already sees this connection — releasing first would let
           // concurrent opens herd onto the same least-loaded backend.
           std::tie(ln.owner, ln.fresh) =
-              flows_.try_insert(m.tuple, ln.backend_id, now);
+              flows_.try_insert(m.tuple, ln.hash, ln.backend_id, now);
           if (ln.fresh) {
             auto& c = *gen.backends()[ln.dip].counters;
             c.connections.fetch_add(1, std::memory_order_relaxed);
@@ -897,11 +897,12 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
   for (std::size_t i = 0; i < n; ++i) {
     Lane& ln = lanes[i];
     if (ln.st == kNeedPin) {
-      // One map-node allocation per new *connection* under the shard lock
-      // — the documented "flow.pin_insert" hole, not a per-packet cost.
+      // A slot write under the shard lock, keyed by the stage-A hash: the
+      // documented "flow.pin_insert" hole is that lock plus the table's
+      // amortized growth.
       KLB_EFFECT_ESCAPE("flow.pin_insert", {
         std::tie(ln.owner, ln.fresh) =
-            flows_.try_insert(msgs[i]->tuple, ln.backend_id, now);
+            flows_.try_insert(msgs[i]->tuple, ln.hash, ln.backend_id, now);
       });
       if (ln.fresh) {
         auto& c = *gen.backends()[ln.dip].counters;

@@ -13,7 +13,7 @@ constexpr const char* kLog = "klb-muxpool";
 /// choice (both start from hash_tuple).
 constexpr std::uint64_t kEcmpSalt = 0xecb99a18d7f4a7c1ull;
 
-std::uint64_t mix64(std::uint64_t x) {
+std::uint64_t mix64(std::uint64_t x) KLB_NONBLOCKING {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
   x ^= x >> 27;
@@ -72,7 +72,8 @@ MuxPool::MuxPool(net::Network& net, net::IpAddr vip, std::size_t mux_count,
 
 MuxPool::~MuxPool() { net_.attach(vip_, nullptr); }
 
-std::size_t MuxPool::shard_of(const net::FiveTuple& tuple) const {
+std::size_t MuxPool::shard_of(const net::FiveTuple& tuple) const
+    KLB_NONBLOCKING {
   return static_cast<std::size_t>(mix64(net::hash_tuple(tuple) ^ kEcmpSalt) %
                                   muxes_.size());
 }
@@ -205,42 +206,37 @@ void MuxPool::on_message(const net::Message& msg) {
   muxes_[shard_of(msg.tuple)]->on_message(msg);
 }
 
-void MuxPool::on_batch(const net::Message* const* msgs, std::size_t n) {
-  if (n == 1) {
-    on_message(*msgs[0]);
-    return;
-  }
-  // Counting-sort partition by ECMP shard (stable: a shard's sub-burst
-  // keeps the burst's relative order), then one handle_batch per member.
-  const std::size_t shards = muxes_.size();
-  if (shards == 1) {
-    muxes_[0]->handle_batch(msgs, n);
-    return;
-  }
+void MuxPool::on_batch(const net::Message* const* msgs,
+                       std::size_t n) KLB_NONALLOCATING {
+  // Partition by ECMP shard on the stack, kStack messages at a time: one
+  // handle_batch per member present, in member order, each sub-burst in
+  // the burst's relative order. A pass per member present collects that
+  // member's messages and finds the next member, so the scratch does not
+  // grow with the pool.
   constexpr std::size_t kStack = 64;
-  std::uint32_t stack_shard[kStack];
-  const net::Message* stack_out[kStack];
-  std::vector<std::uint32_t> heap_shard;
-  std::vector<const net::Message*> heap_out;
-  std::uint32_t* shard_of_msg = stack_shard;
-  const net::Message** out = stack_out;
-  if (n > kStack) {
-    heap_shard.resize(n);
-    heap_out.resize(n);
-    shard_of_msg = heap_shard.data();
-    out = heap_out.data();
-  }
-  std::vector<std::uint32_t> counts(shards + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    shard_of_msg[i] = static_cast<std::uint32_t>(shard_of(msgs[i]->tuple));
-    ++counts[shard_of_msg[i] + 1];
-  }
-  for (std::size_t k = 1; k <= shards; ++k) counts[k] += counts[k - 1];
-  std::vector<std::uint32_t> cursor(counts.begin(), counts.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) out[cursor[shard_of_msg[i]]++] = msgs[i];
-  for (std::size_t k = 0; k < shards; ++k) {
-    const std::size_t begin = counts[k], end = counts[k + 1];
-    if (begin != end) muxes_[k]->handle_batch(out + begin, end - begin);
+  std::uint32_t shard[kStack];
+  const net::Message* out[kStack];
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  for (std::size_t off = 0; off < n; off += kStack) {
+    const std::size_t m = std::min(kStack, n - off);
+    std::uint32_t next = kNone;
+    for (std::size_t i = 0; i < m; ++i) {
+      shard[i] = static_cast<std::uint32_t>(shard_of(msgs[off + i]->tuple));
+      next = std::min(next, shard[i]);
+    }
+    while (next != kNone) {
+      const std::uint32_t k = next;
+      next = kNone;
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (shard[i] == k) {
+          out[count++] = msgs[off + i];
+        } else if (shard[i] > k) {
+          next = std::min(next, shard[i]);
+        }
+      }
+      muxes_[k]->handle_batch(out, count);
+    }
   }
 }
 

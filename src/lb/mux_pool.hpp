@@ -64,7 +64,7 @@ class MuxPool : public net::Node, public PoolProgrammer {
   const Mux& mux(std::size_t k) const { return *muxes_[k]; }
 
   /// Shard index a tuple ECMP-hashes to (exposed for tests).
-  std::size_t shard_of(const net::FiveTuple& tuple) const;
+  std::size_t shard_of(const net::FiveTuple& tuple) const KLB_NONBLOCKING;
 
   /// The maglev snapshot mux `k` currently serves. Pointer-equal across
   /// all members after every commit — the single-shared-build invariant.
@@ -126,8 +126,10 @@ class MuxPool : public net::Node, public PoolProgrammer {
   void on_message(const net::Message& msg) override;
   /// Batched ECMP dispatch: partitions the burst by member shard and hands
   /// each member its sub-burst through Mux::handle_batch, preserving the
-  /// burst's relative order within a shard.
-  void on_batch(const net::Message* const* msgs, std::size_t n) override;
+  /// burst's relative order within a shard. Stack scratch only: a burst
+  /// over 64 packets is dispatched 64 at a time.
+  void on_batch(const net::Message* const* msgs, std::size_t n)
+      KLB_NONALLOCATING override;
 
  private:
   /// The members' shared-table hook for one commit or failure: the first

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -84,6 +83,55 @@ struct GenBackend {
   }
 };
 
+/// Read-only map from a backend key (stable id, or DIP address value) to
+/// its position in a generation's backend vector: one flat open-addressing
+/// array, built once with the generation and at most half full, probed
+/// linearly from a Fibonacci hash. A packet's lookup reads one or two
+/// adjacent 16-byte entries instead of walking a hash node.
+class BackendIndex {
+ public:
+  explicit BackendIndex(std::size_t n) {
+    std::size_t cap = 2;
+    while (cap < 2 * n) cap <<= 1;
+    entries_.resize(cap);
+    shift_ = 64;
+    for (std::size_t c = cap; c > 1; c >>= 1) --shift_;
+  }
+
+  /// Map `key` to `idx`; a repeated key takes the later index.
+  void set(std::uint64_t key, std::size_t idx) {
+    Entry& e = entries_[slot_of(key)];
+    e.key = key;
+    e.idx = static_cast<std::uint32_t>(idx);
+  }
+
+  std::optional<std::size_t> find(std::uint64_t key) const KLB_NONBLOCKING {
+    const Entry& e = entries_[slot_of(key)];
+    if (e.idx == kEmpty) return std::nullopt;
+    return e.idx;
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  struct Entry {
+    std::uint64_t key = 0;
+    std::uint32_t idx = kEmpty;
+  };
+
+  /// The entry holding `key`, or the empty entry where it would go.
+  std::size_t slot_of(std::uint64_t key) const KLB_NONBLOCKING {
+    const std::size_t mask = entries_.size() - 1;
+    std::size_t i =
+        static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
+    while (entries_[i].idx != kEmpty && entries_[i].key != key)
+      i = (i + 1) & mask;
+    return i;
+  }
+
+  std::vector<Entry> entries_;
+  int shift_ = 63;
+};
+
 class PoolGeneration {
  public:
   /// `seq` is the Mux's generation sequence number; `program_version` the
@@ -94,13 +142,12 @@ class PoolGeneration {
                  std::vector<GenBackend> backends,
                  std::unique_ptr<Policy> policy)
       : seq_(seq), program_version_(program_version),
-        backends_(std::move(backends)), policy_(std::move(policy)) {
-    index_by_id_.reserve(backends_.size());
+        backends_(std::move(backends)), index_by_id_(backends_.size()),
+        index_by_addr_(backends_.size()), policy_(std::move(policy)) {
     views_.reserve(backends_.size());
-    index_by_addr_.reserve(backends_.size());
     for (std::size_t i = 0; i < backends_.size(); ++i) {
-      index_by_id_.emplace(backends_[i].id, i);
-      index_by_addr_[backends_[i].addr.value()] = i;  // duplicates: last wins
+      index_by_id_.set(backends_[i].id, i);
+      index_by_addr_.set(backends_[i].addr.value(), i);  // last one wins
       views_.push_back(backends_[i].view());
     }
     policy_uses_conns_ = policy_->uses_connection_counts();
@@ -120,7 +167,8 @@ class PoolGeneration {
   PoolGeneration& operator=(const PoolGeneration&) = delete;
 
   // Read accessors consulted by the packet path under a generation pin:
-  // all nonblocking (frozen fields, read-only map finds, no allocation).
+  // all nonblocking (frozen fields, read-only flat-index probes, no
+  // allocation).
   std::uint64_t program_version() const KLB_NONBLOCKING {
     return program_version_;
   }
@@ -132,18 +180,14 @@ class PoolGeneration {
 
   std::optional<std::size_t> index_of(std::uint64_t id) const
       KLB_NONBLOCKING {
-    const auto it = index_by_id_.find(id);
-    if (it == index_by_id_.end()) return std::nullopt;
-    return it->second;
+    return index_by_id_.find(id);
   }
 
   /// Index by DIP address value — the identity maglev tables resolve to
   /// (stable ids stay dataplane-internal; the table is shared pool-wide).
   std::optional<std::size_t> index_of_addr(std::uint32_t addr) const
       KLB_NONBLOCKING {
-    const auto it = index_by_addr_.find(addr);
-    if (it == index_by_addr_.end()) return std::nullopt;
-    return it->second;
+    return index_by_addr_.find(addr);
   }
 
   /// The maglev table this generation's policy serves, or nullptr. Frozen
@@ -155,7 +199,7 @@ class PoolGeneration {
   /// new connections (not draining, positive weight). nullopt
   /// without a table, for an empty slot, or for an owner this generation
   /// does not carry or has parked. Lock-free: one table read, one frozen
-  /// map find.
+  /// index probe.
   std::optional<std::size_t> table_route(std::uint64_t hash) const
       KLB_NONBLOCKING {
     if (table_ == nullptr) return std::nullopt;
@@ -234,8 +278,8 @@ class PoolGeneration {
   std::uint64_t seq_ = 0;
   std::uint64_t program_version_ = 0;
   std::vector<GenBackend> backends_;
-  std::unordered_map<std::uint64_t, std::size_t> index_by_id_;
-  std::unordered_map<std::uint32_t, std::size_t> index_by_addr_;
+  BackendIndex index_by_id_;
+  BackendIndex index_by_addr_;
   const MaglevTable* table_ = nullptr;
   std::shared_ptr<const ExceptionFilter> filter_;
   mutable std::vector<BackendView> views_;  // active_conns patched under pick mutex

@@ -29,6 +29,10 @@ void Network::send(IpAddr to, Message&& msg) {
 }
 
 void Network::send_owned(IpAddr to, Message msg) {
+  static_assert(sim::EventQueue::fits_inline<Hop>,
+                "a scalar hop must schedule without a heap box");
+  static_assert(sim::EventQueue::fits_inline<BurstHop>,
+                "a burst hop must schedule without a heap box");
   sent_.fetch_add(1, std::memory_order_relaxed);
   sim::ShardedDriver* d = driver_;
   if (d == nullptr) {
@@ -37,9 +41,7 @@ void Network::send_owned(IpAddr to, Message msg) {
       util::MutexLock lk(mu_);
       delay = draw_delay(rng_);
     }
-    sim_.schedule_in(delay, [this, to, m = std::move(msg)]() {
-      deliver(to, m);
-    });
+    sim_.schedule_in(delay, Hop{this, to, std::move(msg)});
     return;
   }
   const std::size_t src = d->executing_shard();
@@ -47,9 +49,7 @@ void Network::send_owned(IpAddr to, Message msg) {
   const util::SimTime delay = draw_delay(shard_rngs_[src]);
   sim::Simulation& src_sim = d->shard_sim(src);
   if (dst == src) {
-    src_sim.schedule_in(delay, [this, to, m = std::move(msg)]() {
-      deliver(to, m);
-    });
+    src_sim.schedule_in(delay, Hop{this, to, std::move(msg)});
     return;
   }
   cross_shard_.fetch_add(1, std::memory_order_relaxed);
@@ -81,9 +81,8 @@ void Network::send_burst(IpAddr to, const Message* const* msgs,
 void Network::enqueue_burst(IpAddr to, const Message* const* msgs,
                             std::size_t n) {
   sent_.fetch_add(n, std::memory_order_relaxed);
-  std::vector<Message> burst;
-  burst.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) burst.push_back(*msgs[i]);
+  std::vector<Message> burst = take_burst_buffer(n);
+  for (std::size_t i = 0; i < n; ++i) burst[i] = *msgs[i];
 
   sim::ShardedDriver* d = driver_;
   if (d == nullptr) {
@@ -92,9 +91,7 @@ void Network::enqueue_burst(IpAddr to, const Message* const* msgs,
       util::MutexLock lk(mu_);
       delay = draw_delay(rng_);
     }
-    sim_.schedule_in(delay, [this, to, b = std::move(burst)]() {
-      deliver_burst(to, b);
-    });
+    sim_.schedule_in(delay, BurstHop{this, to, std::move(burst)});
     return;
   }
   const std::size_t src = d->executing_shard();
@@ -102,9 +99,7 @@ void Network::enqueue_burst(IpAddr to, const Message* const* msgs,
   const util::SimTime delay = draw_delay(shard_rngs_[src]);
   sim::Simulation& src_sim = d->shard_sim(src);
   if (dst == src) {
-    src_sim.schedule_in(delay, [this, to, b = std::move(burst)]() {
-      deliver_burst(to, b);
-    });
+    src_sim.schedule_in(delay, BurstHop{this, to, std::move(burst)});
     return;
   }
   cross_shard_.fetch_add(n, std::memory_order_relaxed);
@@ -114,10 +109,22 @@ void Network::enqueue_burst(IpAddr to, const Message* const* msgs,
   box.parcels.push_back(std::move(parcel));
 }
 
+std::vector<Message> Network::take_burst_buffer(std::size_t n) {
+  auto& spare = spare_bursts();
+  std::vector<Message> burst;
+  if (!spare.empty()) {
+    burst = std::move(spare.back());
+    spare.pop_back();
+  }
+  burst.resize(n);
+  return burst;
+}
+
 void Network::set_driver(sim::ShardedDriver* driver) {
   shard_rngs_.clear();
   mailboxes_.clear();
   driver_ = driver;
+  spare_bursts_.assign(driver ? driver->shard_count() : 1, {});
   if (driver == nullptr) return;
   const std::size_t n = driver->shard_count();
   shard_rngs_.reserve(n);
@@ -181,14 +188,9 @@ void Network::drain_mailboxes() {
       }
       for (Parcel& p : taken) {
         if (p.burst.empty()) {
-          dst_sim.schedule_at(p.at, [this, to = p.to, m = std::move(p.msg)]() {
-            deliver(to, m);
-          });
+          dst_sim.schedule_at(p.at, Hop{this, p.to, std::move(p.msg)});
         } else {
-          dst_sim.schedule_at(p.at,
-                              [this, to = p.to, b = std::move(p.burst)]() {
-                                deliver_burst(to, b);
-                              });
+          dst_sim.schedule_at(p.at, BurstHop{this, p.to, std::move(p.burst)});
         }
       }
     }

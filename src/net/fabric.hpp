@@ -17,7 +17,9 @@
 // callback at the far end (the default on_batch falls back to per-message
 // on_message). The Mux uses it to forward a batch's worth of packets per
 // DIP; the coalescing is by construction (the sender hands the fabric a
-// same-tick burst) rather than by queue inspection.
+// same-tick burst) rather than by queue inspection. A hop's event callback
+// fits the event queue's inline storage and a burst's message buffer is
+// recycled, so after warm-up a payload-free hop does not allocate.
 //
 // Sharded driver: when a sim::ShardedDriver is attached, sim() returns the
 // *executing shard's* Simulation (thread-local), so components schedule
@@ -218,15 +220,49 @@ class Network {
     return *mailboxes_[src * shard_rngs_.size() + dst];
   }
 
+  /// One scalar fabric hop as an event callback. Scheduled by value and
+  /// small enough for the event queue's inline storage, so a hop never
+  /// allocates beyond the message's own payload copy.
+  struct Hop {
+    Network* net;
+    IpAddr to;
+    Message msg;
+    void operator()() const { net->deliver(to, msg); }
+  };
+  /// One burst hop. The buffer comes from, and goes back to, the
+  /// delivering shard's spare list (take_burst_buffer/recycle).
+  struct BurstHop {
+    Network* net;
+    IpAddr to;
+    std::vector<Message> msgs;
+    void operator()() {
+      net->deliver_burst(to, msgs);
+      net->recycle(std::move(msgs));
+    }
+  };
+
   Node* resolve(IpAddr to, std::uint64_t count) KLB_EXCLUDES(mu_);
   /// The post-tap, post-blackhole tail of send(): owns the message and
   /// routes it onto the right shard's event queue or mailbox.
   void send_owned(IpAddr to, Message msg);
   /// The post-tap, post-blackhole tail of send_burst(): copies the burst
-  /// and routes it. Callers enter through the "fabric.enqueue" escape.
+  /// into a recycled buffer and routes it. Callers enter through the
+  /// "fabric.enqueue" escape.
   void enqueue_burst(IpAddr to, const Message* const* msgs, std::size_t n);
   void deliver(IpAddr to, const Message& msg);
   void deliver_burst(IpAddr to, const std::vector<Message>& msgs);
+  /// The executing shard's spare burst buffers (one list per shard, each
+  /// touched only by that shard's executor; one list without a driver).
+  std::vector<std::vector<Message>>& spare_bursts() {
+    sim::ShardedDriver* d = driver_;
+    return spare_bursts_[d ? d->executing_shard() : 0];
+  }
+  /// A spare buffer holding `n` messages: the old elements are assigned
+  /// over, so their payload strings keep their capacity.
+  std::vector<Message> take_burst_buffer(std::size_t n);
+  void recycle(std::vector<Message>&& burst) {
+    spare_bursts().push_back(std::move(burst));
+  }
   void drain_mailboxes();
 
   sim::Simulation& sim_;
@@ -251,6 +287,8 @@ class Network {
   sim::ShardedDriver* driver_ = nullptr;
   std::vector<util::Rng> shard_rngs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // src * N + dst
+  std::vector<std::vector<std::vector<Message>>> spare_bursts_ =
+      std::vector<std::vector<std::vector<Message>>>(1);
 };
 
 }  // namespace klb::net

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "util/logging.hpp"
@@ -27,9 +28,11 @@ class Simulation {
   util::SimTime now() const { return now_; }
   util::Rng& rng() { return rng_; }
 
-  /// Schedule `fn` to run `delay` after the current time.
-  EventId schedule_in(util::SimTime delay, EventQueue::Callback fn) {
-    return queue_.schedule(now_ + delay, std::move(fn));
+  /// Schedule `fn` (any void() callable, moved into the queue) to run
+  /// `delay` after the current time.
+  template <class F>
+  EventId schedule_in(util::SimTime delay, F&& fn) {
+    return queue_.schedule(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at an absolute virtual time (must be >= now()).
@@ -38,7 +41,8 @@ class Simulation {
   /// normally a bug in the caller (with a sharded driver: a cross-shard
   /// send that outran the virtual-time window), so the clamp is counted
   /// and logged instead of silent.
-  EventId schedule_at(util::SimTime at, EventQueue::Callback fn) {
+  template <class F>
+  EventId schedule_at(util::SimTime at, F&& fn) {
     if (at < now_) {
       ++late_events_;
       util::log_debug("sim") << "late event clamped to now(): scheduled at "
@@ -47,7 +51,7 @@ class Simulation {
                              << " total)";
       at = now_;
     }
-    return queue_.schedule(at, std::move(fn));
+    return queue_.schedule(at, std::forward<F>(fn));
   }
 
   /// Number of schedule_at() calls whose target time was already in the
@@ -62,8 +66,10 @@ class Simulation {
   /// `until` at the end (unless `until` is the drain-everything sentinel).
   std::uint64_t run_until(util::SimTime until) {
     std::uint64_t executed = 0;
-    while (!queue_.empty() && queue_.next_time() <= until) {
-      now_ = queue_.next_time();
+    while (!queue_.empty()) {
+      const util::SimTime at = queue_.next_time();
+      if (at > until) break;
+      now_ = at;
       queue_.pop_and_run();
       ++executed;
     }

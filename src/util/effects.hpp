@@ -21,11 +21,12 @@
 //      pins the analysis the same way the TSA cases pin -Wthread-safety.
 //
 //   2. Run time: a RealtimeSanitizer CI job (-fsanitize=realtime) drives
-//      bench_mux_hotpath and flow_table_test. RTSan enters a "realtime
-//      context" at every [[clang::nonblocking]] function and aborts on
-//      malloc/lock/syscall anywhere downstream — including through the
-//      type-erased calls (std::function taps, virtual picks) the static
-//      analysis cannot see through.
+//      bench_mux_hotpath, flow_table_test, batch_equivalence_test and
+//      zero_alloc_test. RTSan enters a "realtime context" at every
+//      [[clang::nonblocking]] function and aborts on malloc/lock/syscall
+//      anywhere downstream — including through the type-erased calls
+//      (std::function taps, virtual picks) the static analysis cannot see
+//      through.
 //
 // KLB_EFFECT_ESCAPE(site, stmt...) is the one sanctioned hole: it
 // suppresses the static diagnostic, suspends RTSan for the enclosed
@@ -105,8 +106,9 @@ inline constexpr const char* kDocumentedEscapeSites[] = {
     // lb/flow_table.cpp — per-thread grouping scratch grows once per
     // high-water mark (first oversized batch on a thread), then is reused.
     "flow.scratch_grow",
-    // lb/mux.cpp — pinning a new flow inserts a FlowTable map node (one
-    // allocation per *connection*, not per packet) under the shard lock.
+    // lb/mux.cpp — pinning a new flow writes a FlowTable slot under the
+    // shard lock; it allocates only when the shard's slot array grows
+    // (amortized doubling), never per connection.
     "flow.pin_insert",
     // lb/mux.cpp — stage D: the pick_mutex_ acquire plus the policy pick
     // under it (policies may rebuild caches). Reached only by policies
@@ -129,9 +131,13 @@ inline constexpr const char* kDocumentedEscapeSites[] = {
     // net/fabric.cpp — the observation tap is a type-erased std::function
     // installed by benches; the default (none) is a single atomic load.
     "fabric.tap",
-    // net/fabric.cpp — post-staging enqueue tail: copies the burst onto
-    // the event queue / cross-shard mailbox. Blackhole-mode benches (the
-    // packet-path rate measurements) never reach it.
+    // net/fabric.cpp — post-staging enqueue tail: copies the message into
+    // an inline event callback, or the burst into a recycled buffer, and
+    // schedules it (or parks it in a cross-shard mailbox). It allocates
+    // only for a payload past the string's small buffer, at a new
+    // high-water mark of the event slab, heap or spare-buffer list, and
+    // on the mailbox path. Blackhole-mode benches (the packet-path rate
+    // measurements) never reach it.
     "fabric.enqueue",
 };
 

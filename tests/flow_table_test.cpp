@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "lb/flow_table.hpp"
@@ -16,6 +18,7 @@
 #include "lb/mux.hpp"
 #include "lb/policy.hpp"
 #include "lb/pool_program.hpp"
+#include "util/rng.hpp"
 #include "util/weight.hpp"
 
 namespace klb::lb {
@@ -153,26 +156,26 @@ TEST(FlowTable, TryFindIsReadOnly) {
 }
 
 TEST(FlowTable, ExpectedFlowsHintPreReservesShards) {
-  // Hinted: the buckets for the expected population exist up front, and
-  // filling to that scale never rehashes (capacity is stable).
+  // Hinted: the slots for the expected population exist up front, and
+  // filling to that scale never grows the table (capacity is stable).
   FlowTableConfig hinted{8};
   hinted.expected_flows = 64'000;
   FlowTable table(hinted);
-  std::vector<std::size_t> buckets_at_start(table.shard_count());
+  std::vector<std::size_t> capacity_at_start(table.shard_count());
   for (std::size_t k = 0; k < table.shard_count(); ++k) {
-    buckets_at_start[k] = table.shard_buckets(k);
-    EXPECT_GE(buckets_at_start[k] * 2, 64'000u / table.shard_count())
+    capacity_at_start[k] = table.shard_capacity(k);
+    EXPECT_GE(capacity_at_start[k] * 2, 64'000u / table.shard_count())
         << "shard " << k << " not pre-reserved";
   }
   for (std::uint64_t i = 0; i < 64'000; ++i)
     table.try_insert(flow_tuple(i), i % 3, 0_s);
   for (std::size_t k = 0; k < table.shard_count(); ++k)
-    EXPECT_EQ(table.shard_buckets(k), buckets_at_start[k])
-        << "shard " << k << " rehashed despite the hint";
+    EXPECT_EQ(table.shard_capacity(k), capacity_at_start[k])
+        << "shard " << k << " grew despite the hint";
 
   // Unhinted default: starts near-empty (the hint is opt-in).
   FlowTable bare(FlowTableConfig{8});
-  EXPECT_LT(bare.shard_buckets(0), buckets_at_start[0]);
+  EXPECT_LT(bare.shard_capacity(0), capacity_at_start[0]);
 }
 
 TEST(FlowTable, MemoryTracksEntriesAndBuckets) {
@@ -184,8 +187,8 @@ TEST(FlowTable, MemoryTracksEntriesAndBuckets) {
     table.try_insert(flow_tuple(i), 1, 0_s);
   const auto full = table.memory();
   EXPECT_EQ(full.entries, 10'000u);
-  EXPECT_GT(full.buckets, 0u);
-  // Each entry costs at least its node; the ratio a bench gates on is
+  EXPECT_GT(full.slots, 0u);
+  // Each entry costs at least its slot; the ratio a bench gates on is
   // driven by this growth.
   EXPECT_GE(full.approx_bytes,
             empty.approx_bytes + 10'000u * sizeof(net::FiveTuple));
@@ -265,6 +268,250 @@ TEST(FlowTable, GcUnderConcurrentInsert) {
   table.for_each([](const net::FiveTuple&, std::uint64_t id, util::SimTime) {
     EXPECT_EQ(id % 2, 0u);
   });
+}
+
+// --- the open-addressing shards against a reference map ---------------------
+
+/// Distinct tuples whose hash has its low `bits` bits all set: in any
+/// shard of at most 2^bits slots they share the LAST home slot, so their
+/// probe run wraps the table's end and every erase among them shifts
+/// entries back across it.
+std::vector<net::FiveTuple> end_colliders(std::size_t count, int bits,
+                                          std::uint64_t salt) {
+  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+  std::vector<net::FiveTuple> out;
+  for (std::uint64_t i = 0; out.size() < count; ++i) {
+    net::FiveTuple t = flow_tuple(salt + i);
+    t.dst_port = 443;
+    if ((net::hash_tuple(t) & mask) == mask) out.push_back(t);
+  }
+  return out;
+}
+
+struct RefFlow {
+  std::uint64_t id;
+  util::SimTime seen;
+};
+using RefTable = std::unordered_map<net::FiveTuple, RefFlow>;
+
+/// The whole table equals the reference: same size, every reference flow
+/// found with its pin and last-seen stamp, nothing else visited.
+void expect_matches(const FlowTable& table, const RefTable& ref) {
+  ASSERT_EQ(table.size(), ref.size());
+  std::size_t visited = 0;
+  table.for_each([&](const net::FiveTuple& t, std::uint64_t id,
+                     util::SimTime seen) {
+    ++visited;
+    const auto it = ref.find(t);
+    ASSERT_NE(it, ref.end()) << "table holds a flow the reference lacks";
+    EXPECT_EQ(id, it->second.id);
+    EXPECT_EQ(seen, it->second.seen);
+  });
+  ASSERT_EQ(visited, ref.size());
+  for (const auto& [t, f] : ref)
+    ASSERT_EQ(table.try_find(t), std::optional<std::uint64_t>(f.id));
+}
+
+// Random interleavings of every mutating operation, checked after each
+// step against a std::unordered_map. A third of the tuple pool collides on
+// the last home slot of every shard capacity up to 256, so probe runs wrap
+// and backward-shift erase moves entries across the table's end; the
+// table grows from empty through several doublings on the way.
+TEST(FlowTableDifferential, RandomOpsMatchReferenceMap) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    util::Rng rng(shards * 1'000 + 7);
+    FlowTableConfig cfg{shards};
+    cfg.gc_scan_budget = 5;
+    FlowTable table(cfg);
+    RefTable ref;
+    std::vector<net::FiveTuple> pool = end_colliders(120, 8, 1'000'000);
+    for (std::uint64_t i = 0; i < 240; ++i) pool.push_back(flow_tuple(i));
+    const auto pick = [&] { return pool[rng.uniform_int(pool.size())]; };
+    const auto in_shard = [&](const net::FiveTuple& t, std::size_t k) {
+      return table.shard_of(t) == k;
+    };
+    std::int64_t clock = 0;
+    for (int step = 0; step < 6'000; ++step) {
+      const auto now = util::SimTime::micros(++clock);
+      const auto op = rng.uniform_int(std::uint64_t{20});
+      if (op < 8) {
+        const auto t = pick();
+        const auto id = rng.uniform_int(std::uint64_t{6});
+        const auto [owner, fresh] =
+            table.try_insert(t, net::hash_tuple(t), id, now);
+        const auto [it, inserted] = ref.emplace(t, RefFlow{id, now});
+        ASSERT_EQ(fresh, inserted);
+        ASSERT_EQ(owner, it->second.id);
+      } else if (op < 11) {
+        const std::size_t n = 1 + rng.uniform_int(std::uint64_t{40});
+        std::vector<net::FiveTuple> keys(n);
+        std::vector<FlowLookup> reqs(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          keys[i] = pick();
+          reqs[i].tuple = &keys[i];
+          reqs[i].hash = net::hash_tuple(keys[i]);
+        }
+        table.lookup_batch(reqs.data(), n, now);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto it = ref.find(keys[i]);
+          if (it == ref.end()) {
+            ASSERT_EQ(reqs[i].hit.kind, FlowHit::Kind::kMiss);
+          } else {
+            ASSERT_EQ(reqs[i].hit.kind, FlowHit::Kind::kAffinity);
+            ASSERT_EQ(reqs[i].hit.backend_id, it->second.id);
+            it->second.seen = now;
+          }
+        }
+      } else if (op < 15) {
+        // Duplicates allowed: element-wise identical to erase() in order.
+        const std::size_t n = 1 + rng.uniform_int(std::uint64_t{40});
+        std::vector<net::FiveTuple> keys(n);
+        std::vector<FlowErase> reqs(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          keys[i] = pick();
+          reqs[i].tuple = &keys[i];
+          reqs[i].hash = net::hash_tuple(keys[i]);
+        }
+        table.erase_batch(reqs.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto it = ref.find(keys[i]);
+          ASSERT_EQ(reqs[i].found, it != ref.end());
+          if (it == ref.end()) continue;
+          ASSERT_EQ(reqs[i].id, it->second.id);
+          ref.erase(it);
+        }
+      } else if (op < 16) {
+        const auto id = rng.uniform_int(std::uint64_t{6});
+        std::set<std::pair<std::uint32_t, std::uint16_t>> dropped;
+        const auto n = table.erase_backend(id, [&](const net::FiveTuple& t) {
+          dropped.insert({t.src_ip.value(), t.dst_port});
+          EXPECT_EQ(ref.count(t), 1u);
+          EXPECT_EQ(ref.at(t).id, id);
+        });
+        std::size_t expect = 0;
+        for (auto it = ref.begin(); it != ref.end();) {
+          if (it->second.id == id) {
+            ++expect;
+            it = ref.erase(it);
+          } else {
+            ++it;
+          }
+        }
+        ASSERT_EQ(n, expect);
+      } else {
+        // GC one shard: dead ids are a random subset, idle cut-off random.
+        const auto k = rng.uniform_int(shards);
+        const auto dead_mask = rng.uniform_int(std::uint64_t{64});
+        const auto alive = [dead_mask](std::uint64_t id) {
+          return ((dead_mask >> id) & 1) == 0;
+        };
+        const auto idle =
+            util::SimTime::micros(static_cast<std::int64_t>(
+                rng.uniform_int(std::uint64_t{3'000})));
+        const bool budgeted = op == 19;
+        std::vector<std::pair<net::FiveTuple, bool>> gone;
+        const auto n = table.gc_shard(
+            k, now, idle, alive,
+            [&](const net::FiveTuple& t, std::uint64_t id, bool dead) {
+              gone.push_back({t, dead});
+              const auto it = ref.find(t);
+              ASSERT_NE(it, ref.end());
+              EXPECT_EQ(it->second.id, id);
+              EXPECT_EQ(dead, !alive(id));
+            },
+            budgeted ? FlowTable::kScanBudgeted : FlowTable::kScanAll);
+        ASSERT_EQ(n, gone.size());
+        if (budgeted) {
+          ASSERT_LE(n, cfg.gc_scan_budget);
+        }
+        const auto doomed = [&](const RefFlow& f) {
+          return !alive(f.id) ||
+                 (idle > util::SimTime::zero() && f.seen + idle < now);
+        };
+        for (const auto& [t, dead] : gone) {
+          ASSERT_TRUE(in_shard(t, k));
+          ASSERT_TRUE(doomed(ref.at(t)));
+          ref.erase(t);
+        }
+        if (!budgeted) {
+          for (const auto& [t, f] : ref)
+            ASSERT_FALSE(in_shard(t, k) && doomed(f))
+                << "a full sweep left a doomed flow behind";
+        }
+      }
+      expect_matches(table, ref);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// A hand-built wrap: ten flows homed on the last slot of a 16-slot shard
+// occupy slots 15, 0, 1, ... 8. Erasing from the front, the middle and
+// across the end must keep every survivor reachable from its home.
+TEST(FlowTableDifferential, ProbeRunWrappingTheEndSurvivesErase) {
+  FlowTable table(FlowTableConfig{1});
+  const auto run = end_colliders(10, 4, 5'000'000);
+  RefTable ref;
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    table.try_insert(run[i], net::hash_tuple(run[i]), i, 0_s);
+    ref[run[i]] = RefFlow{i, 0_s};
+  }
+  ASSERT_EQ(table.shard_capacity(0), 16u);  // 10 flows: no growth yet
+  expect_matches(table, ref);
+  for (const std::size_t victim : {0u, 5u, 1u, 9u, 2u}) {
+    EXPECT_EQ(table.erase(run[victim]), std::optional<std::uint64_t>(victim));
+    ref.erase(run[victim]);
+    expect_matches(table, ref);
+  }
+  // Re-inserting into the holes the shifts left keeps the run consistent.
+  for (const std::size_t back : {9u, 0u}) {
+    table.try_insert(run[back], net::hash_tuple(run[back]), back, 1_s);
+    ref[run[back]] = RefFlow{back, 1_s};
+    expect_matches(table, ref);
+  }
+  // A full GC of the odd ids sweeps across the wrapped run in one lap.
+  table.gc(2_s, util::SimTime::zero(),
+           [](std::uint64_t id) { return id % 2 == 0; });
+  for (auto it = ref.begin(); it != ref.end();)
+    it = it->second.id % 2 ? ref.erase(it) : std::next(it);
+  expect_matches(table, ref);
+}
+
+// Filling past the expected_flows hint grows the pre-sized shards by
+// doubling; every flow stays reachable and memory() counts the real
+// capacity.
+TEST(FlowTableDifferential, GrowthPastTheReserveKeepsEveryFlow) {
+  FlowTableConfig cfg{4};
+  cfg.expected_flows = 1'000;
+  FlowTable table(cfg);
+  std::vector<std::size_t> reserved(table.shard_count());
+  for (std::size_t k = 0; k < table.shard_count(); ++k)
+    reserved[k] = table.shard_capacity(k);
+  RefTable ref;
+  for (std::uint64_t i = 0; i < 6'000; ++i) {
+    const auto t = flow_tuple(i);
+    table.try_insert(t, net::hash_tuple(t), i % 5, 0_s);
+    ref[t] = RefFlow{i % 5, 0_s};
+  }
+  std::size_t slots = 0;
+  for (std::size_t k = 0; k < table.shard_count(); ++k) {
+    EXPECT_GT(table.shard_capacity(k), reserved[k]);
+    EXPECT_LE(table.shard_size(k) * 4, table.shard_capacity(k) * 3);
+    slots += table.shard_capacity(k);
+  }
+  expect_matches(table, ref);
+  const auto mem = table.memory();
+  EXPECT_EQ(mem.entries, 6'000u);
+  EXPECT_EQ(mem.slots, slots);
+  EXPECT_GE(mem.approx_bytes, slots * 32);
+  // Erasing half leaves the capacity (no shrink) and the other half intact.
+  for (std::uint64_t i = 0; i < 6'000; i += 2) {
+    EXPECT_TRUE(table.erase(flow_tuple(i)).has_value());
+    ref.erase(flow_tuple(i));
+  }
+  expect_matches(table, ref);
+  EXPECT_EQ(table.memory().slots, slots);
 }
 
 // --- Mux on top of the sharded table ----------------------------------------

@@ -146,6 +146,38 @@ TEST(EpochDomainTest, GuardMoveTransfersTheSlot) {
 
 // --- Mux generation lifecycle ------------------------------------------------
 
+// index_of / index_of_addr read flat arrays built once per generation:
+// every carried id and address resolves to its position (a repeated
+// address to its last), and anything else misses — with sparse 64-bit
+// ids and enough backends that probe runs collide.
+TEST(GenerationTest, IndexesResolveEveryBackendAndMissEverythingElse) {
+  std::vector<GenBackend> backends;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    GenBackend b;
+    b.id = (i * 0x9e3779b97f4a7c15ull) | 1;  // sparse, never 0
+    b.addr = net::IpAddr{10, 1, static_cast<std::uint8_t>(i / 200),
+                         static_cast<std::uint8_t>(1 + i % 200)};
+    backends.push_back(b);
+  }
+  backends[99].addr = backends[3].addr;  // duplicate address: last wins
+  const PoolGeneration gen(1, 1, backends, make_policy("rr"));
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    EXPECT_EQ(gen.index_of(backends[i].id), std::optional<std::size_t>(i));
+    if (i != 3) {
+      EXPECT_EQ(gen.index_of_addr(backends[i].addr.value()),
+                std::optional<std::size_t>(i));
+    }
+  }
+  EXPECT_EQ(gen.index_of_addr(backends[3].addr.value()),
+            std::optional<std::size_t>(99));
+  EXPECT_FALSE(gen.index_of(0).has_value());
+  EXPECT_FALSE(gen.index_of(2).has_value());
+  EXPECT_FALSE(gen.index_of_addr(net::IpAddr{10, 9, 9, 9}.value()).has_value());
+  const PoolGeneration empty(2, 1, {}, make_policy("rr"));
+  EXPECT_FALSE(empty.index_of(1).has_value());
+  EXPECT_FALSE(empty.index_of_addr(0).has_value());
+}
+
 TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
   const auto live0 = PoolGeneration::live_count();
   {
