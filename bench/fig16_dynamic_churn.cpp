@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
 
   testbed::TestbedConfig cfg;
   cfg.seed = 99;
-  cfg.policy = "wrr";  // pool runs maglev-shared; knob unused
+  cfg.policy = "wrr";  // the pool runs "maglev"; knob unused
   cfg.use_knapsacklb = true;
   cfg.mux_count = 3;
   cfg.requests_per_session = 1.0;

@@ -1,13 +1,16 @@
 // Dataplane pick-path scaling: weighted Maglev vs the 5-tuple modulo hash.
 //
-// Two properties let the maglev policy carry 10k-DIP pools (ISSUE 2):
-//   1. pick cost: one hash + one array read, O(1) in the DIP count, where
-//      HashTuple re-scans the pool for usable backends on every packet;
+// Two properties let the maglev policy carry 10k-DIP pools:
+//   1. pick cost: one hash + one array read of the built table
+//      (MaglevTable::lookup, the Mux's per-pick cost), O(1) in the DIP
+//      count — as cheap as HashTuple's pick from its cached usable list,
+//      while honouring the programmed weights;
 //   2. churn disruption: removing one DIP remaps a few percent of flows,
 //      where `hash % n` remaps essentially all of them (every pinned flow
 //      turns into a cross-DIP move once its affinity entry ages out).
 //
 // Usage: bench_maglev_lookup [picks_per_size]   (default 2'000'000)
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -16,6 +19,7 @@
 
 #include "lb/maglev.hpp"
 #include "lb/policy.hpp"
+#include "net/five_tuple.hpp"
 #include "testbed/report.hpp"
 #include "util/rng.hpp"
 
@@ -44,41 +48,40 @@ klb::net::FiveTuple flow(std::uint64_t f) {
   return t;
 }
 
-/// Picks/sec over `picks` distinct-ish flows (volatile sink defeats DCE).
-double measure_rate(klb::lb::Policy& policy,
-                    const std::vector<BackendView>& views,
-                    std::uint64_t picks, klb::util::Rng& rng) {
+/// Picks/sec of `pick(f)` over `picks` distinct-ish flows (volatile sink
+/// defeats DCE).
+template <class Pick>
+double measure_rate(std::uint64_t picks, Pick pick) {
   volatile std::size_t sink = 0;
   const auto t0 = Clock::now();
-  for (std::uint64_t f = 0; f < picks; ++f)
-    sink = sink + policy.pick(flow(f), views, rng);
+  for (std::uint64_t f = 0; f < picks; ++f) sink = sink + pick(f);
   const auto dt = std::chrono::duration<double>(Clock::now() - t0).count();
   return dt > 0 ? static_cast<double>(picks) / dt : 0.0;
 }
 
-/// Fraction of flows (not mapped to the removed DIP) that change backend
-/// when one DIP leaves the pool.
-double remap_fraction(klb::lb::Policy& policy, std::vector<BackendView> views,
-                      klb::util::Rng& rng) {
-  const std::uint64_t flows = 50'000;
-  std::vector<klb::net::IpAddr> before(flows);
-  for (std::uint64_t f = 0; f < flows; ++f) {
-    const auto i = policy.pick(flow(f), views, rng);
-    before[f] = i == klb::lb::kNoBackend ? klb::net::IpAddr{} : views[i].addr;
-  }
-  const auto removed = views[views.size() / 2].addr;
-  views.erase(views.begin() +
-              static_cast<std::ptrdiff_t>(views.size() / 2));
-  policy.invalidate();
+/// The table a Mux serves over `views`: ids are DIP address values.
+klb::lb::MaglevTable build(const std::vector<BackendView>& views,
+                           std::size_t min_table_size) {
+  std::vector<klb::lb::MaglevEntry> entries;
+  for (const auto& v : views)
+    entries.push_back({v.addr.value(), v.weight_units});
+  klb::lb::MaglevTable table(min_table_size);
+  table.build(entries);
+  return table;
+}
 
+/// Fraction of flows (not routed to `removed`) that `after` routes to a
+/// different DIP than `before` did.
+template <class Before, class After>
+double remap_fraction(Before before, After after, klb::net::IpAddr removed) {
+  const std::uint64_t flows = 50'000;
   std::uint64_t moved = 0;
   std::uint64_t eligible = 0;
   for (std::uint64_t f = 0; f < flows; ++f) {
-    if (before[f] == removed) continue;
+    const auto was = before(f);
+    if (was == removed) continue;
     ++eligible;
-    const auto i = policy.pick(flow(f), views, rng);
-    const auto now = i == klb::lb::kNoBackend ? klb::net::IpAddr{} : views[i].addr;
-    if (now != before[f]) ++moved;
+    if (after(f) != was) ++moved;
   }
   return eligible ? static_cast<double>(moved) / static_cast<double>(eligible)
                   : 0.0;
@@ -98,19 +101,41 @@ int main(int argc, char** argv) {
   for (const std::size_t dips : {100u, 1'000u, 10'000u}) {
     const auto views = make_views(dips, rng);
 
-    klb::lb::HashTuple hash;
-    klb::lb::MaglevPolicy maglev(std::max<std::size_t>(65'537, dips * 13));
-    // One warm pick builds maglev's table outside the timed loop; steady
-    // state re-picks, not rebuilds, are the packet path being measured.
-    maglev.pick(flow(0), views, rng);
+    auto shrunk = views;
+    const auto removed = shrunk[dips / 2].addr;
+    shrunk.erase(shrunk.begin() + static_cast<std::ptrdiff_t>(dips / 2));
 
-    const double hash_rate = measure_rate(hash, views, picks / 10, rng);
-    const double maglev_rate = measure_rate(maglev, views, picks, rng);
+    // Hash: the policy pick over the pool's views.
+    klb::lb::HashTuple hash, hash_shrunk;
+    const auto hash_pick = [&rng](klb::lb::HashTuple& p,
+                                  const std::vector<BackendView>& pool,
+                                  std::uint64_t f) {
+      const auto i = p.pick(flow(f), pool, rng);
+      return i == klb::lb::kNoBackend ? klb::net::IpAddr{} : pool[i].addr;
+    };
+    const double hash_rate = measure_rate(picks / 10, [&](std::uint64_t f) {
+      return hash.pick(flow(f), views, rng);
+    });
+    const double hash_remap = remap_fraction(
+        [&](std::uint64_t f) { return hash_pick(hash, views, f); },
+        [&](std::uint64_t f) { return hash_pick(hash_shrunk, shrunk, f); },
+        removed);
 
-    klb::lb::HashTuple hash_r;
-    klb::lb::MaglevPolicy maglev_r(std::max<std::size_t>(65'537, dips * 13));
-    const double hash_remap = remap_fraction(hash_r, views, rng);
-    const double maglev_remap = remap_fraction(maglev_r, views, rng);
+    // Maglev: what the Mux's table route pays per new connection — the
+    // tuple hash and one slot read of the generation's built table.
+    const auto size = std::max<std::size_t>(65'537, dips * 13);
+    const auto maglev = build(views, size);
+    const auto maglev_shrunk = build(shrunk, size);
+    const double maglev_rate = measure_rate(picks, [&](std::uint64_t f) {
+      return maglev.lookup(klb::net::hash_tuple(flow(f)));
+    });
+    const auto owner = [](const klb::lb::MaglevTable& t, std::uint64_t f) {
+      const auto id = t.lookup_id(klb::net::hash_tuple(flow(f)));
+      return klb::net::IpAddr(static_cast<std::uint32_t>(id));
+    };
+    const double maglev_remap = remap_fraction(
+        [&](std::uint64_t f) { return owner(maglev, f); },
+        [&](std::uint64_t f) { return owner(maglev_shrunk, f); }, removed);
 
     table.row({std::to_string(dips),
                klb::testbed::fmt(hash_rate / 1e6, 2) + "M",

@@ -52,7 +52,7 @@ ShardRun run_one(std::size_t shards, bool short_mode, bool invariants_only,
   testbed::TestbedConfig cfg;
   cfg.seed = 1234;
   cfg.load_fraction = 0.85;  // more events per window = more to amortize
-  cfg.mux_count = 2;  // maglev-shared pool: tuple-deterministic, VIP anycast
+  cfg.mux_count = 2;  // shared-maglev pool: tuple-deterministic, VIP anycast
   cfg.requests_per_session = 1.0;
   cfg.closed_loop_factor = 20.0;
   cfg.dip.backlog_per_core = 24;

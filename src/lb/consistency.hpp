@@ -14,8 +14,9 @@
 // Three pieces:
 //
 //   * GenerationDiff — control-plane-only engine owned by the Mux. On
-//     every generation publish it resolves the new table to a per-slot
-//     owner vector, diffs it against the running history, and emits an
+//     every generation publish it diffs the new table snapshot slot by
+//     slot against the last snapshot it diffed (which it keeps: tables
+//     are immutable and shared with their generations), and emits an
 //     immutable ExceptionFilter for the generation being published. It
 //     remembers, per slot, the last *breaking* change (a non-empty owner
 //     replaced) and the owner that change displaced.
@@ -88,7 +89,7 @@ struct ConsistencyConfig {
 class ExceptionFilter {
  public:
   /// Sentinel owner: "no previous owner recorded" / empty slot. Owner ids
-  /// are DIP address values (see MaglevTable::resolve_slots).
+  /// are DIP address values (MaglevTable ids), which fit in 32 bits.
   static constexpr std::uint32_t kNoOwner = 0xFFFFFFFFu;
 
   ExceptionFilter(std::uint64_t seq, std::size_t table_size)
@@ -176,13 +177,15 @@ class GenerationDiff {
  public:
   explicit GenerationDiff(ConsistencyConfig cfg);
 
-  /// Diff `table` against the running history and build the filter for
-  /// the generation being published as `seq`. Returns nullptr (stateless
-  /// disengaged for this generation) when the table's size does not match
-  /// the first-seen size — a policy swap changed table geometry, so slot
-  /// indexes are incomparable.
-  std::shared_ptr<const ExceptionFilter> on_publish(const MaglevTable& table,
-                                                    std::uint64_t seq);
+  /// Diff `table` against the last snapshot diffed and build the filter
+  /// for the generation being published as `seq`; a pointer-equal
+  /// snapshot (a drain completion) moves nothing. Returns nullptr
+  /// (stateless disengaged for this generation) when the table's size
+  /// does not match the first-seen size — a policy swap changed table
+  /// geometry, so slot indexes are incomparable. This is the one geometry
+  /// check of the hybrid dataplane; it logs once per disengagement.
+  std::shared_ptr<const ExceptionFilter> on_publish(
+      std::shared_ptr<const MaglevTable> table, std::uint64_t seq);
 
   /// Publishes diffed so far (the window clock).
   std::uint64_t publishes() const { return publishes_; }
@@ -190,10 +193,10 @@ class GenerationDiff {
  private:
   ConsistencyConfig cfg_;
   std::uint64_t publishes_ = 0;
-  std::vector<std::uint32_t> owners_;    // current owner per slot
+  bool disengaged_ = false;  // the last publish had incomparable geometry
+  std::shared_ptr<const MaglevTable> last_;  // the last snapshot diffed
   std::vector<std::uint32_t> prev_;      // owner displaced by the last change
   std::vector<std::uint64_t> changed_at_;  // publish count of it (0 = never)
-  std::vector<std::uint32_t> scratch_;   // resolve_slots target, reused
 };
 
 }  // namespace klb::lb

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lb/pool_generation.hpp"
 #include "net/five_tuple.hpp"
 #include "util/weight.hpp"
 
@@ -41,7 +42,6 @@ MaglevTable::MaglevTable(std::size_t min_table_size) {
 }
 
 void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
-  ++builds_;
   const std::size_t m = slots_.size();
   std::fill(slots_.begin(), slots_.end(), kEmptySlot);
   ids_.resize(entries.size());
@@ -95,15 +95,6 @@ void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
   }
 }
 
-void MaglevTable::resolve_slots(std::vector<std::uint32_t>& out) const {
-  out.resize(slots_.size());
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    const auto e = slots_[s];
-    out[s] = e == kEmptySlot ? 0xFFFFFFFFu
-                             : static_cast<std::uint32_t>(ids_[e]);
-  }
-}
-
 std::vector<std::size_t> MaglevTable::slot_counts() const {
   std::vector<std::size_t> counts(ids_.size(), 0);
   for (const auto s : slots_)
@@ -111,19 +102,20 @@ std::vector<std::size_t> MaglevTable::slot_counts() const {
   return counts;
 }
 
+std::shared_ptr<const MaglevTable> build_table(
+    const std::vector<GenBackend>& backends, std::size_t min_table_size) {
+  std::vector<MaglevEntry> entries;
+  for (const auto& b : backends)
+    if (!b.draining)
+      entries.push_back(MaglevEntry{b.addr.value(), b.weight_units});
+  auto table = std::make_shared<MaglevTable>(min_table_size);
+  table->build(entries);
+  return table;
+}
+
 std::size_t MaglevPolicy::pick(const net::FiveTuple& tuple,
                                const std::vector<BackendView>& backends,
                                util::Rng&) KLB_NONALLOCATING {
-  if (dirty_ || backends.size() != cached_count_)
-    KLB_EFFECT_ESCAPE("policy.maglev_rebuild", rebuild(backends));
-  const auto idx = table_.lookup(net::hash_tuple(tuple));
-  if (idx == MaglevTable::kEmptySlot) return kNoBackend;
-  return idx;  // entries are built 1:1 with backend indexes
-}
-
-std::size_t SharedMaglevPolicy::pick(const net::FiveTuple& tuple,
-                                     const std::vector<BackendView>& backends,
-                                     util::Rng&) KLB_NONALLOCATING {
   if (!table_) return kNoBackend;
   const auto id = table_->lookup_id(net::hash_tuple(tuple));
   if (id == MaglevTable::kNoId) return kNoBackend;
@@ -133,21 +125,9 @@ std::size_t SharedMaglevPolicy::pick(const net::FiveTuple& tuple,
   for (std::size_t i = backends.size(); i-- > 0;) {
     const auto& b = backends[i];
     if (b.addr.value() != id) continue;
-    return b.weight_units > 0 ? i : kNoBackend;
+    return b.enabled && b.weight_units > 0 ? i : kNoBackend;
   }
   return kNoBackend;
-}
-
-void MaglevPolicy::rebuild(const std::vector<BackendView>& backends) {
-  std::vector<MaglevEntry> entries(backends.size());
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    entries[i].id = backends[i].addr.value();
-    entries[i].weight_units =
-        backends[i].enabled ? backends[i].weight_units : 0;
-  }
-  table_.build(entries);
-  cached_count_ = backends.size();
-  dirty_ = false;
 }
 
 }  // namespace klb::lb

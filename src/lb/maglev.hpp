@@ -33,6 +33,8 @@ struct MaglevEntry {
   std::int64_t weight_units = 0;
 };
 
+struct GenBackend;  // lb/pool_generation.hpp
+
 class MaglevTable {
  public:
   static constexpr std::uint32_t kEmptySlot =
@@ -60,114 +62,68 @@ class MaglevTable {
 
   /// As lookup(), but resolves to the entry's stable id (kNoId if empty).
   std::uint64_t lookup_id(std::uint64_t hash) const KLB_NONBLOCKING {
-    const auto e = lookup(hash);
+    return slot_owner(hash % slots_.size());
+  }
+
+  /// Stable id owning `slot` (< table_size()), or kNoId if it is empty —
+  /// what GenerationDiff (lb/consistency.hpp) compares across publishes.
+  std::uint64_t slot_owner(std::size_t slot) const KLB_NONBLOCKING {
+    const auto e = slots_[slot];
     return e == kEmptySlot ? kNoId : ids_[e];
   }
 
   std::size_t table_size() const { return slots_.size(); }
   std::size_t entry_count() const { return ids_.size(); }
-  std::uint64_t builds() const { return builds_; }
 
   /// Slots owned per entry index (weight-proportionality checks).
   std::vector<std::size_t> slot_counts() const;
 
-  /// Resolve every slot to its owner's stable id, truncated to 32 bits
-  /// (the Mux keys tables by DIP address values, which fit), with
-  /// 0xFFFFFFFF for empty slots. `out` is resized to table_size(). This
-  /// is what GenerationDiff (lb/consistency.hpp) diffs across publishes
-  /// to find the slots whose pick changed.
-  void resolve_slots(std::vector<std::uint32_t>& out) const;
-
  private:
   std::vector<std::uint32_t> slots_;  // entry index or kEmptySlot
   std::vector<std::uint64_t> ids_;    // stable id per entry index
-  std::uint64_t builds_ = 0;
 };
+
+/// The one table build of the dataplane: an immutable weighted table over
+/// `backends` (one generation's pool) of `min_table_size`'s geometry. Ids
+/// are DIP address values, so the table is servable by every Mux that
+/// holds the same addresses, and entry order follows the pool's
+/// registration order, which keeps a rebuild minimally disruptive.
+/// Drainers take no slots — which is why a drain completion can keep
+/// serving the snapshot it already has.
+std::shared_ptr<const MaglevTable> build_table(
+    const std::vector<GenBackend>& backends, std::size_t min_table_size);
 
 /// The "maglev" MUX policy: consistent-hash DIP selection over the 5-tuple,
-/// weight-aware, O(1) per pick.
+/// weight-aware, O(1) per pick, served from an immutable table snapshot.
 ///
-/// The table is rebuilt lazily on the next pick after invalidate(); the Mux
-/// calls invalidate() on every weight/membership/enable change. Direct
-/// users that mutate their BackendView vector (tests, benches) must do the
-/// same — a size change is detected automatically, a pure weight change is
-/// not (detecting it would cost the O(n) scan this policy exists to avoid).
+/// The policy never builds: whoever publishes a generation builds its
+/// table with build_table and hands the snapshot in. A standalone Mux does
+/// that on every membership or weight change (apply_program, fail_backend,
+/// set_policy); a MuxPool builds once per commit and hands the
+/// pointer-equal snapshot to every member, so any two members pick the
+/// same DIP for the same 5-tuple. A drain completion clones the policy,
+/// which aliases the snapshot. The table resolves hashes to DIP address
+/// values, which each Mux maps to its own view through
+/// PoolGeneration::table_route; a Mux never calls pick().
 class MaglevPolicy : public Policy {
  public:
+  /// An empty table of `min_table_size`'s geometry: routes nothing until a
+  /// Mux builds one over its pool, and sizes the hybrid dataplane's
+  /// slot-pin counters (lb/consistency.hpp) when the Mux is constructed.
   explicit MaglevPolicy(std::size_t min_table_size = MaglevTable::kDefaultMinSize)
-      : table_(min_table_size), min_table_size_(min_table_size) {}
+      : table_(std::make_shared<const MaglevTable>(min_table_size)) {}
+  explicit MaglevPolicy(std::shared_ptr<const MaglevTable> table)
+      : table_(std::move(table)) {}
 
   std::string name() const override { return "maglev"; }
-  void invalidate() override {
-    Policy::invalidate();
-    dirty_ = true;
-  }
-  /// Fresh same-sized instance, not a copy: the table is derived state
-  /// that prepare()/the next pick rebuilds, and copying O(table) slots per
-  /// generation publish would put a 65k memcpy on the control path.
+  /// Copying is cheap and correct: the clone aliases the immutable
+  /// snapshot.
   std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<MaglevPolicy>(min_table_size_);
+    return std::make_unique<MaglevPolicy>(*this);
   }
-  /// Eager build on the control plane so the first pick after a
-  /// generation publish doesn't pay the O(table) fill under the pick lock.
-  void prepare(const std::vector<BackendView>& backends) override {
-    rebuild(backends);
-  }
-
-  /// Steady-state: hash + one table read, allocation-free. The lazy
-  /// rebuild after invalidate() is the "policy.maglev_rebuild" escape
-  /// (published generations are prepared eagerly and never take it).
-  std::size_t pick(const net::FiveTuple& tuple,
-                   const std::vector<BackendView>& backends,
-                   util::Rng& rng) KLB_NONALLOCATING override;
-
-  const MaglevTable& table() const { return table_; }
-  /// Member table: pointer stable for the policy's lifetime, contents
-  /// frozen after prepare() (published generations are never re-prepared).
-  const MaglevTable* maglev_table() const override { return &table_; }
-
- private:
-  void rebuild(const std::vector<BackendView>& backends);
-
-  MaglevTable table_;
-  std::size_t min_table_size_ = MaglevTable::kDefaultMinSize;
-  bool dirty_ = true;
-  std::size_t cached_count_ = 0;
-};
-
-/// Maglev policy backed by an externally built, immutable table snapshot.
-///
-/// A MuxPool ECMP-shards one VIP over N muxes; for their picks to agree
-/// (per-connection consistency even when ECMP re-shards a flow to another
-/// mux), all N must consult the *same* table. The pool builds one
-/// MaglevTable per committed program version and publishes it to every
-/// member's policy as a shared_ptr<const> snapshot — pointer-equal across
-/// the pool, swapped atomically, never mutated in place.
-///
-/// The table resolves hashes to stable ids (DIP address values), which
-/// each mux maps to its own view (a draining backend may linger on one mux
-/// and be gone from another). A Mux does that through
-/// PoolGeneration::table_route and never calls pick().
-class SharedMaglevPolicy : public Policy {
- public:
-  std::string name() const override { return "maglev-shared"; }
-  /// Copying is cheap and correct here: the table is an immutable shared
-  /// snapshot (the clone aliases it).
-  std::unique_ptr<Policy> clone() const override {
-    return std::make_unique<SharedMaglevPolicy>(*this);
-  }
-
-  /// Publish a new snapshot (pool-wide, once per program version).
-  void set_table(std::shared_ptr<const MaglevTable> table) {
-    table_ = std::move(table);
-  }
-  /// The current snapshot — pointer-equal across all muxes of a pool.
-  const std::shared_ptr<const MaglevTable>& table_snapshot() const {
+  std::shared_ptr<const MaglevTable> maglev_table() const override {
     return table_;
   }
-  /// The shared snapshot (immutable by contract); clones alias it, so the
-  /// pointer outlives any generation that carries this policy.
-  const MaglevTable* maglev_table() const override { return table_.get(); }
 
   /// Hash + table read + a scan of `backends` for the owner (the Mux's
   /// route is O(1); this serves direct callers). Allocation-free.

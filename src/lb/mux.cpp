@@ -99,7 +99,7 @@ Mux::Mux(net::Network& net, net::IpAddr vip, std::unique_ptr<Policy> policy,
     // ever inserted is slot-counted (exact counts even across later
     // policy swaps — a filterless generation pins everything, and those
     // pins still inc/dec their slots).
-    const auto* table = policy->maglev_table();
+    const auto table = policy->maglev_table();
     if (table != nullptr && table->table_size() > 0) {
       slot_pins_ = std::make_unique<SlotPinCounts>(table->table_size());
       diff_ = std::make_unique<GenerationDiff>(consistency_);
@@ -125,18 +125,27 @@ Mux::~Mux() {
 }
 
 void Mux::set_policy(std::unique_ptr<Policy> policy) {
-  util::MutexLock lk(control_mutex_);
-  publish_locked(draft_locked(), applied_version(), std::move(policy));
+  // A maglev policy's table only names the geometry: the generation serves
+  // a table built over its own pool. Capturing by reference is safe — the
+  // hook runs before set_policy returns.
+  set_policy([&policy](const std::vector<GenBackend>& pool) {
+    if (const auto table = policy->maglev_table())
+      policy = std::make_unique<MaglevPolicy>(
+          build_table(pool, table->table_size()));
+    return std::move(policy);
+  });
 }
 
-std::shared_ptr<const MaglevTable> Mux::shared_table_snapshot() const {
+void Mux::set_policy(const PolicyForPool& retable) {
+  util::MutexLock lk(control_mutex_);
+  auto draft = draft_locked();
+  auto policy = retable(draft);
+  publish_locked(std::move(draft), applied_version(), std::move(policy));
+}
+
+std::shared_ptr<const MaglevTable> Mux::table_snapshot() const {
   auto ref = read_gen();
-  const auto* shared =
-      dynamic_cast<const SharedMaglevPolicy*>(&ref.gen->policy());
-  // Reading without pick_mutex_ is safe: a published generation's policy
-  // never has set_table called on it again — the snapshot is frozen at
-  // publication.
-  return shared ? shared->table_snapshot() : nullptr;
+  return ref.gen->table_snapshot();
 }
 
 // --- generation publication ----------------------------------------------------
@@ -159,19 +168,15 @@ void Mux::publish_locked(std::vector<GenBackend> backends,
   auto gen = std::make_shared<PoolGeneration>(seq, program_version,
                                               std::move(backends),
                                               std::move(policy));
-  // Eager per-pool state build (maglev's table fill) on the control
-  // thread: no reader can see this generation yet, so no lock is needed,
-  // and the first pick against it pays nothing extra under pick_mutex_.
-  gen->policy().prepare(gen->views());
 
-  // Hybrid dataplane: diff the freshly built table against the history
-  // and attach the exception filter — still before publication, so the
-  // packet path sees generation + filter as one atomic unit. A policy
-  // without a table (or with incomparable geometry) publishes without a
-  // filter: every flow pins, exactly the classic dataplane.
-  if (const auto* table = gen->maglev_table();
-      diff_ && table != nullptr && table->table_size() == slot_pins_->size())
-    gen->set_exception_filter(diff_->on_publish(*table, seq));
+  // Hybrid dataplane: diff the generation's table against the last one
+  // diffed and attach the exception filter — still before publication, so
+  // the packet path sees generation + filter as one atomic unit. A policy
+  // without a table (or with incomparable geometry, which the diff
+  // refuses) publishes without a filter: every flow pins, exactly the
+  // classic dataplane.
+  if (diff_ && gen->maglev_table() != nullptr)
+    gen->set_exception_filter(diff_->on_publish(gen->table_snapshot(), seq));
 
   epochs_.debug_mark_published(gen.get());
   current_.store(gen.get(), std::memory_order_release);
@@ -181,6 +186,15 @@ void Mux::publish_locked(std::vector<GenBackend> backends,
   // Retire only after the swap: the epoch tag then proves any reader
   // pinned at or above it can only be holding the new generation.
   if (old) epochs_.retire(std::shared_ptr<const void>(std::move(old)));
+}
+
+std::unique_ptr<Policy> Mux::policy_for_locked(
+    const std::vector<GenBackend>& pool, const PolicyForPool& retable) const {
+  if (retable) return retable(pool);
+  if (const auto* table = current_owner_->maglev_table())
+    return std::make_unique<MaglevPolicy>(
+        build_table(pool, table->table_size()));
+  return nullptr;
 }
 
 void Mux::poll() {
@@ -367,7 +381,7 @@ void Mux::apply_program(const PoolProgram& program,
 
   // Weights apply literally — the transaction declares the whole pool, so
   // there is nothing to rescale.
-  auto policy = retable ? retable(draft) : nullptr;
+  auto policy = policy_for_locked(draft, retable);
   publish_locked(std::move(draft), program.version, std::move(policy));
   for (const auto id : dropped_ids) drop_affinity_for(id, false);
 }
@@ -420,7 +434,7 @@ bool Mux::fail_backend(net::IpAddr addr,
                               std::memory_order_relaxed)
                        << " pinned flows";
   draft.erase(draft.begin() + static_cast<std::ptrdiff_t>(*i));
-  auto policy = retable ? retable(draft) : nullptr;
+  auto policy = policy_for_locked(draft, retable);
   publish_locked(std::move(draft), applied_version(), std::move(policy));
   drop_affinity_for(id, /*count_as_reset=*/true);
   return true;
@@ -444,11 +458,6 @@ void Mux::drop_affinity_for(std::uint64_t id, bool count_as_reset) {
   }
 }
 
-std::optional<std::size_t> Mux::index_of_id(std::uint64_t id) const {
-  auto ref = read_gen();
-  return ref.gen->index_of(id);
-}
-
 // --- bounds-checked accessors --------------------------------------------------
 
 net::IpAddr Mux::backend_addr(std::size_t i) const {
@@ -459,45 +468,6 @@ net::IpAddr Mux::backend_addr(std::size_t i) const {
     return net::IpAddr{};
   }
   return ref.gen->backends()[i].addr;
-}
-
-std::uint64_t Mux::backend_id(std::size_t i) const {
-  auto ref = read_gen();
-  if (i >= ref.gen->size()) {
-    util::log_warn(kLog) << "backend_id(" << i << ") out of range ("
-                         << ref.gen->size() << " backends)";
-    return 0;
-  }
-  return ref.gen->backends()[i].id;
-}
-
-bool Mux::backend_draining(std::size_t i) const {
-  auto ref = read_gen();
-  return i < ref.gen->size() && ref.gen->backends()[i].draining;
-}
-
-std::uint64_t Mux::forwarded_requests(std::size_t i) const {
-  auto ref = read_gen();
-  return i < ref.gen->size()
-             ? ref.gen->backends()[i].counters->forwarded.load(
-                   std::memory_order_relaxed)
-             : 0;
-}
-
-std::uint64_t Mux::new_connections(std::size_t i) const {
-  auto ref = read_gen();
-  return i < ref.gen->size()
-             ? ref.gen->backends()[i].counters->connections.load(
-                   std::memory_order_relaxed)
-             : 0;
-}
-
-std::uint64_t Mux::active_connections(std::size_t i) const {
-  auto ref = read_gen();
-  return i < ref.gen->size()
-             ? ref.gen->backends()[i].counters->active.load(
-                   std::memory_order_relaxed)
-             : 0;
 }
 
 std::vector<std::int64_t> Mux::weight_units() const {

@@ -26,8 +26,8 @@
 //   * pick_mutex_ — picks of policies without a maglev table (stateful
 //     policies + the shared RNG) and the per-generation views'
 //     active_conns patching. Affinity hits and every decision on a
-//     generation with a table (maglev, maglev-shared) bypass it: those
-//     resolve from the pinned generation's frozen table. The control plane
+//     generation with a maglev table bypass it: those resolve from the
+//     pinned generation's immutable table snapshot. The control plane
 //     takes it only for the instants of cloning the old policy into a new
 //     generation.
 //   * per-shard FlowTable mutexes — affinity state, per shard.
@@ -181,12 +181,14 @@ class Mux : public net::Node, public PoolProgrammer {
   net::IpAddr vip() const { return vip_; }
 
   /// Replace the policy (connection table survives, like a HAProxy
-  /// reload). Publishes a new generation carrying the given instance.
+  /// reload). Publishes a new generation carrying the given instance; a
+  /// maglev policy's table only names the geometry, and the generation
+  /// serves a table built over the current pool at it (build_table).
   void set_policy(std::unique_ptr<Policy> policy) KLB_EXCLUDES(control_mutex_);
 
-  /// The maglev snapshot the current generation's policy serves, or null
-  /// when the policy is not a SharedMaglevPolicy (MuxPool introspection).
-  std::shared_ptr<const MaglevTable> shared_table_snapshot() const;
+  /// The maglev snapshot the current generation serves, or null when its
+  /// policy has no table (MuxPool introspection).
+  std::shared_ptr<const MaglevTable> table_snapshot() const;
 
   // --- transactional programming (PoolProgrammer) ----------------------------
 
@@ -210,10 +212,16 @@ class Mux : public net::Node, public PoolProgrammer {
       std::function<std::unique_ptr<Policy>(const std::vector<GenBackend>&)>;
 
   /// apply_program, with the committed generation's policy taken from
-  /// `retable` (when set) instead of cloned from the current one: one
+  /// `retable` when set. Unset, a maglev Mux builds its own table over
+  /// the final pool and any other policy is cloned: either way one
   /// publication carries the new membership and its table together.
   void apply_program(const PoolProgram& program, const PolicyForPool& retable)
       KLB_EXCLUDES(control_mutex_);
+
+  /// set_policy, with the policy `retable` supplies for the current pool
+  /// (a MuxPool member that has no other publication to carry the pool's
+  /// new table).
+  void set_policy(const PolicyForPool& retable) KLB_EXCLUDES(control_mutex_);
 
   /// Deferred control-plane maintenance: complete drains the packet path
   /// flagged, reclaim retired generations. Cheap; call at tick rate.
@@ -251,22 +259,19 @@ class Mux : public net::Node, public PoolProgrammer {
   /// (a deliberate resurrection) and clears the tombstone. A Mux that does
   /// not serve `addr` records only the tombstone and returns false.
   /// `retable`, when set, supplies the policy the failure's generation
-  /// carries, built from the surviving pool (see apply_program).
+  /// carries, built from the surviving pool; unset, a maglev Mux builds
+  /// its own (see apply_program).
   bool fail_backend(net::IpAddr addr,
                     std::optional<std::uint64_t> condemned_until_version =
                         std::nullopt,
                     const PolicyForPool& retable = nullptr)
       KLB_EXCLUDES(control_mutex_);
 
-  /// Bounds-checked accessors: an out-of-range index is loud (warn +
-  /// sentinel) — never UB. Indices name positions in the *current*
-  /// generation; a reader that needs several fields of one pool reads one
-  /// backends() snapshot instead.
+  /// Bounds-checked accessor: an out-of-range index is loud (warn +
+  /// sentinel) — never UB. The index names a position in the *current*
+  /// generation; a reader that needs several fields of one pool (ids,
+  /// drain flags, per-backend counters) reads one backends() snapshot.
   net::IpAddr backend_addr(std::size_t i) const;
-  std::uint64_t backend_id(std::size_t i) const;
-  bool backend_draining(std::size_t i) const;
-  /// Index currently holding stable id `id`, if the backend still exists.
-  std::optional<std::size_t> index_of_id(std::uint64_t id) const;
 
   /// Programmed weights (grid units, util::kWeightScale = 1.0), one entry
   /// per backend in registration order; drainers read 0.
@@ -299,9 +304,6 @@ class Mux : public net::Node, public PoolProgrammer {
   // --- dataplane counters ----------------------------------------------------
   /// Every cumulative counter, read now (see DataplaneCounters).
   DataplaneCounters counters() const;
-  std::uint64_t forwarded_requests(std::size_t i) const;
-  std::uint64_t new_connections(std::size_t i) const;
-  std::uint64_t active_connections(std::size_t i) const;
 
   // --- stateless fast path (lb/consistency.hpp) ------------------------------
   /// True when the hybrid stateless/stateful dataplane engaged at
@@ -417,13 +419,20 @@ class Mux : public net::Node, public PoolProgrammer {
       KLB_NONALLOCATING KLB_EXCLUDES(pick_mutex_);
 
   /// Build and publish the next generation from `backends`, cloning the
-  /// current policy unless `policy_override` supplies one. Swings the
-  /// pointer, retires the predecessor. Caller holds control_mutex_ (and
-  /// NOT pick_mutex_).
+  /// current policy unless `policy_override` supplies one (a clone of a
+  /// maglev policy aliases its snapshot: what a drain completion serves,
+  /// since drainers own no slots). Swings the pointer, retires the
+  /// predecessor. Caller holds control_mutex_ (and NOT pick_mutex_).
   void publish_locked(std::vector<GenBackend> backends,
                       std::uint64_t program_version,
                       std::unique_ptr<Policy> policy_override = nullptr)
       KLB_REQUIRES(control_mutex_) KLB_EXCLUDES(pick_mutex_);
+  /// The policy a membership or weight change publishes over `pool`:
+  /// `retable`'s when set, else a table built over `pool` at the current
+  /// geometry when the current generation serves one, else null (clone).
+  std::unique_ptr<Policy> policy_for_locked(const std::vector<GenBackend>& pool,
+                                            const PolicyForPool& retable) const
+      KLB_REQUIRES(control_mutex_);
   /// Copy of the current generation's backends — the draft every
   /// control-plane mutation edits. Caller holds control_mutex_.
   std::vector<GenBackend> draft_locked() const KLB_REQUIRES(control_mutex_) {

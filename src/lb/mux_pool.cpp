@@ -21,29 +21,6 @@ std::uint64_t mix64(std::uint64_t x) KLB_NONBLOCKING {
   x ^= x >> 31;
   return x;
 }
-
-/// One shared maglev table over `backends` (a member's pool, read as one
-/// generation). Entry order follows the members' registration order, which
-/// tracks the programs' stable relative order, so a rebuild stays
-/// minimally disruptive. Ids are DIP address values — identical on every
-/// mux by construction, which is what makes one table servable by all of
-/// them. Drainers take no slots.
-std::shared_ptr<const MaglevTable> build_table(
-    const std::vector<GenBackend>& backends, std::size_t min_table_size) {
-  std::vector<MaglevEntry> entries;
-  for (const auto& b : backends)
-    if (!b.draining)
-      entries.push_back(MaglevEntry{b.addr.value(), b.weight_units});
-  auto table = std::make_shared<MaglevTable>(min_table_size);
-  table->build(entries);
-  return table;
-}
-
-std::unique_ptr<Policy> shared_policy(std::shared_ptr<const MaglevTable> t) {
-  auto policy = std::make_unique<SharedMaglevPolicy>();
-  policy->set_table(std::move(t));
-  return policy;
-}
 }  // namespace
 
 MuxPool::MuxPool(net::Network& net, net::IpAddr vip, std::size_t mux_count,
@@ -55,18 +32,10 @@ MuxPool::MuxPool(net::Network& net, net::IpAddr vip, std::size_t mux_count,
   // even share of the pool-wide flow population.
   flow_cfg.expected_flows /= mux_count;
   muxes_.reserve(mux_count);
-  for (std::size_t k = 0; k < mux_count; ++k) {
-    auto policy = std::make_unique<SharedMaglevPolicy>();
-    // An empty table of the final geometry: hybrid engagement sizes its
-    // slot-pin counters from the policy's table in the Mux constructor,
-    // and every table published later (retable_into) allocates the same
-    // prime slot count, so the filters stay comparable for the pool's
-    // whole lifetime.
-    policy->set_table(std::make_shared<MaglevTable>(min_table_size_));
-    muxes_.push_back(std::make_unique<Mux>(net_, vip_, std::move(policy),
-                                           /*attach_to_vip=*/false, flow_cfg,
-                                           consistency));
-  }
+  for (std::size_t k = 0; k < mux_count; ++k)
+    muxes_.push_back(std::make_unique<Mux>(
+        net_, vip_, std::make_unique<MaglevPolicy>(min_table_size_),
+        /*attach_to_vip=*/false, flow_cfg, consistency));
   net_.attach(vip_, this);
 }
 
@@ -80,7 +49,7 @@ std::size_t MuxPool::shard_of(const net::FiveTuple& tuple) const
 
 std::shared_ptr<const MaglevTable> MuxPool::table_snapshot(
     std::size_t k) const {
-  return muxes_[k]->shared_table_snapshot();
+  return muxes_[k]->table_snapshot();
 }
 
 std::size_t MuxPool::backend_count() const {
@@ -125,7 +94,7 @@ Mux::PolicyForPool MuxPool::retable_into(
   // a fresh policy instance carrying the pointer-equal snapshot.
   return [this, &table](const std::vector<GenBackend>& pool) {
     if (!table) table = build_table(pool, min_table_size_);
-    return shared_policy(table);
+    return std::make_unique<MaglevPolicy>(table);
   };
 }
 
@@ -155,7 +124,7 @@ bool MuxPool::fail_backend(net::IpAddr dip) {
   if (!table) return false;
   ++shared_builds_;
   // Members that no longer served the corpse switch to the new table too.
-  for (auto* m : unserved) m->set_policy(shared_policy(table));
+  for (auto* m : unserved) m->set_policy(retable);
   return true;
 }
 

@@ -4,14 +4,15 @@
 // routers ECMP-spray flows across them (Ananta/Maglev). Two properties
 // make that safe here:
 //
-//   1. One Maglev build per program version, shared by every mux. The
-//      pool builds a single weighted MaglevTable from each committed
-//      PoolProgram and publishes it to all members as an immutable
-//      shared_ptr<const> snapshot (pointer-equal across the pool), so any
-//      two muxes pick the same DIP for the same 5-tuple — a flow that ECMP
-//      re-shards to a different mux (router churn) still reaches its DIP
-//      even before an affinity entry exists there. This is also N-1 fewer
-//      O(table) builds per programming.
+//   1. One Maglev build per program version, shared by every mux. Like a
+//      standalone Mux, the pool builds each table with build_table
+//      (lb/maglev.hpp), but once per committed PoolProgram, and hands it
+//      to all members through the retable hook as one immutable snapshot
+//      (pointer-equal across the pool), so any two muxes pick the same DIP
+//      for the same 5-tuple — a flow that ECMP re-shards to a different
+//      mux (router churn) still reaches its DIP even before an affinity
+//      entry exists there. This is also N-1 fewer O(table) builds per
+//      programming.
 //   2. Transactions commit pool-wide: apply_program runs the version check
 //      once and applies the same program to every member, so the members
 //      can never serve different versions. Each member publishes the new
@@ -42,14 +43,11 @@ namespace klb::lb {
 class MuxPool : public net::Node, public PoolProgrammer {
  public:
   /// Build `mux_count` muxes behind `vip`. The pool binds the VIP; the
-  /// members are detached and run the shared-snapshot maglev policy.
-  /// `flow_cfg` sizes each member's flow table (expected_flows is split
-  /// evenly across members — ECMP spreads the flow space uniformly);
-  /// `consistency` opts every member into the stateless fast path. The
-  /// pool hands each member policy an empty table of min_table_size before
-  /// construction, so hybrid engagement (which must size its slot-pin
-  /// counters in the Mux constructor) works even though the first real
-  /// table is only built at the first commit.
+  /// members are detached and run the maglev policy at min_table_size's
+  /// geometry. `flow_cfg` sizes each member's flow table (expected_flows
+  /// is split evenly across members — ECMP spreads the flow space
+  /// uniformly); `consistency` opts every member into the stateless fast
+  /// path.
   MuxPool(net::Network& net, net::IpAddr vip, std::size_t mux_count,
           std::size_t min_table_size = MaglevTable::kDefaultMinSize,
           FlowTableConfig flow_cfg = {}, ConsistencyConfig consistency = {});

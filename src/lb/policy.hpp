@@ -62,30 +62,22 @@ class Policy {
                            util::Rng& rng) = 0;
   /// The backend pool changed (weights, membership, drain flags). Drops
   /// the cached usable list; overrides that keep extra per-pool state
-  /// (maglev's table, WRR's smoothing credits) must chain up.
+  /// (WRR's smoothing credits) must chain up.
   virtual void invalidate() { usable_dirty_ = true; }
   /// Duplicate this policy, carrying rotation/smoothing state forward so a
   /// pool-generation swap doesn't restart RR at index 0 or drop WRR
   /// credits. The clone is independent: mutating it never touches the
   /// original (generations each own their policy instance).
   virtual std::unique_ptr<Policy> clone() const = 0;
-  /// Eagerly rebuild any lazily-maintained per-pool state (maglev's
-  /// lookup table) for exactly `backends`, off the packet path. Called on
-  /// the control plane after invalidate(), before the generation carrying
-  /// this policy is published; the default is a no-op because most
-  /// policies rebuild cheaply inside pick().
-  virtual void prepare(const std::vector<BackendView>& backends) {
-    (void)backends;
-  }
-  /// The maglev lookup table backing this policy's deterministic picks,
-  /// or nullptr when it has none. Non-null means the Mux resolves every
-  /// new connection from the table itself (ids are DIP address values),
+  /// The maglev table snapshot backing this policy's deterministic picks,
+  /// or null when it has none. Non-null means the Mux resolves every new
+  /// connection from the table itself (ids are DIP address values),
   /// lock-free, and never calls pick(); it also enables the stateless fast
-  /// path (lb/consistency.hpp). The table pointer must stay stable for the
-  /// policy's lifetime, and its *contents* must be frozen once the
-  /// generation carrying the policy is published (prepare() fills it
-  /// before publication) — the packet path reads it without a lock.
-  virtual const MaglevTable* maglev_table() const { return nullptr; }
+  /// path (lb/consistency.hpp). The snapshot is immutable (build_table in
+  /// lb/maglev.hpp makes it), so the packet path reads it without a lock.
+  virtual std::shared_ptr<const MaglevTable> maglev_table() const {
+    return nullptr;
+  }
 
  protected:
   /// Indices of enabled backends (positive weight too when `need_weight`),

@@ -136,8 +136,8 @@ class PoolGeneration {
  public:
   /// `seq` is the Mux's generation sequence number; `program_version` the
   /// last committed transaction. The policy instance becomes
-  /// generation-owned: it must already be invalidated/prepared for exactly
-  /// this backend list.
+  /// generation-owned: it must already be invalidated for exactly this
+  /// backend list, and carry any table built over it.
   PoolGeneration(std::uint64_t seq, std::uint64_t program_version,
                  std::vector<GenBackend> backends,
                  std::unique_ptr<Policy> policy)
@@ -151,10 +151,7 @@ class PoolGeneration {
       views_.push_back(backends_[i].view());
     }
     policy_uses_conns_ = policy_->uses_connection_counts();
-    // The pointer is stable even though the table's *contents* are filled
-    // later (prepare() runs before publication); null for policies with
-    // no maglev table.
-    table_ = policy_->maglev_table();
+    table_ = policy_->maglev_table();  // null without a maglev table
     checksum_ = compute_checksum();
     live_count_ref().fetch_add(1, std::memory_order_relaxed);
   }
@@ -190,9 +187,16 @@ class PoolGeneration {
     return index_by_addr_.find(addr);
   }
 
-  /// The maglev table this generation's policy serves, or nullptr. Frozen
-  /// at publication; the packet path reads it lock-free under its pin.
-  const MaglevTable* maglev_table() const KLB_NONBLOCKING { return table_; }
+  /// The maglev table this generation's policy serves, or nullptr. An
+  /// immutable snapshot; the packet path reads it lock-free under its pin.
+  const MaglevTable* maglev_table() const KLB_NONBLOCKING {
+    return table_.get();
+  }
+  /// The same table as a shared snapshot (control path: the exception
+  /// diff keeps it, a MuxPool compares it across members).
+  const std::shared_ptr<const MaglevTable>& table_snapshot() const {
+    return table_;
+  }
 
   /// The one table route of a tuple-deterministic decision: the backend
   /// index the maglev table routes `hash` to, when that backend may take
@@ -280,7 +284,7 @@ class PoolGeneration {
   std::vector<GenBackend> backends_;
   BackendIndex index_by_id_;
   BackendIndex index_by_addr_;
-  const MaglevTable* table_ = nullptr;
+  std::shared_ptr<const MaglevTable> table_;
   std::shared_ptr<const ExceptionFilter> filter_;
   mutable std::vector<BackendView> views_;  // active_conns patched under pick mutex
   std::unique_ptr<Policy> policy_;

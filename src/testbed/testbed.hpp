@@ -61,7 +61,7 @@ struct TestbedConfig {
   util::SimTime programming_delay = util::SimTime::millis(200);
   /// MUXes ECMP-sharded behind the VIP. 1 = a single Mux running `policy`;
   /// >1 = a lb::MuxPool whose members share one maglev build per program
-  /// version (`policy` is ignored — the pool runs maglev-shared).
+  /// version (`policy` is ignored — the pool runs "maglev").
   std::size_t mux_count = 1;
   /// Recompute the offered load (load_fraction x live healthy capacity)
   /// after every scale_out/scale_in/fail_dip, so the load tracks the pool

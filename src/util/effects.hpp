@@ -125,9 +125,6 @@ inline constexpr const char* kDocumentedEscapeSites[] = {
     // lb/policy.cpp — usable-index cache rebuild after invalidate(); a
     // steady-state pick takes the cached branch.
     "policy.usable_rebuild",
-    // lb/maglev.cpp — lazy table rebuild after invalidate(); published
-    // generations are prepared eagerly and never hit this.
-    "policy.maglev_rebuild",
     // net/fabric.cpp — the observation tap is a type-erased std::function
     // installed by benches; the default (none) is a single atomic load.
     "fabric.tap",

@@ -99,10 +99,10 @@ struct Snapshot {
 
   static Snapshot of(const Mux& m) {
     Snapshot s;
-    for (std::size_t i = 0; i < m.backend_count(); ++i) {
-      s.forwarded.push_back(m.forwarded_requests(i));
-      s.connections.push_back(m.new_connections(i));
-      s.active.push_back(m.active_connections(i));
+    for (const auto& b : m.backends()) {
+      s.forwarded.push_back(b.counters->forwarded.load());
+      s.connections.push_back(b.counters->connections.load());
+      s.active.push_back(b.counters->active.load());
     }
     s.affinity = m.affinity_size();
     s.counters = m.counters();

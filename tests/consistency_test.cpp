@@ -60,34 +60,50 @@ PoolProgram equal_program(std::uint64_t version, std::size_t dips) {
   return p;
 }
 
+/// Backend `i`'s counters, read from one backends() snapshot.
+std::shared_ptr<BackendCounters> counters_of(const Mux& mux, std::size_t i) {
+  return mux.backends()[i].counters;
+}
+
 /// The backend index that owns the single live flow (by connection count).
 std::size_t owner_of_only_flow(const Mux& mux) {
   std::size_t owner = kNoBackend;
-  for (std::size_t i = 0; i < mux.backend_count(); ++i)
-    if (mux.new_connections(i) > 0) owner = i;
+  const auto pool = mux.backends();
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    if (pool[i].counters->connections.load() > 0) owner = i;
   return owner;
+}
+
+/// An immutable table of `min_size`'s geometry over `entries`.
+std::shared_ptr<const MaglevTable> built_table(
+    std::size_t min_size, const std::vector<MaglevEntry>& entries) {
+  auto t = std::make_shared<MaglevTable>(min_size);
+  t->build(entries);
+  return t;
 }
 
 // --- GenerationDiff / ExceptionFilter in isolation ---------------------------
 
 TEST(GenerationDiffTest, BaselineAndIdenticalRebuildsFlagNothing) {
   GenerationDiff diff(ConsistencyConfig{});
-  MaglevTable table(251);
-  table.build({{1, 100}, {2, 100}, {3, 100}});
+  const std::vector<MaglevEntry> entries{{1, 100}, {2, 100}, {3, 100}};
+  const auto table = built_table(251, entries);
 
   // First publish seeds the history: nothing to diff against, no flags.
   const auto f1 = diff.on_publish(table, 1);
   ASSERT_NE(f1, nullptr);
   EXPECT_EQ(f1->seq(), 1u);
-  EXPECT_EQ(f1->table_size(), table.table_size());
+  EXPECT_EQ(f1->table_size(), table->table_size());
   EXPECT_EQ(f1->exception_slots(), 0u);
 
   // An identical rebuild moves no slots, so nothing is flagged and every
-  // slot reads kNoOwner.
-  const auto f2 = diff.on_publish(table, 2);
+  // slot reads kNoOwner; nor does republishing the same snapshot (a drain
+  // completion).
+  const auto f2 = diff.on_publish(built_table(251, entries), 2);
   ASSERT_NE(f2, nullptr);
   EXPECT_EQ(f2->exception_slots(), 0u);
-  for (std::size_t s = 0; s < table.table_size(); ++s) {
+  EXPECT_EQ(diff.on_publish(table, 3)->exception_slots(), 0u);
+  for (std::size_t s = 0; s < table->table_size(); ++s) {
     EXPECT_FALSE(f2->is_exception(s));
     EXPECT_EQ(f2->prev_owner(s), ExceptionFilter::kNoOwner);
   }
@@ -95,28 +111,25 @@ TEST(GenerationDiffTest, BaselineAndIdenticalRebuildsFlagNothing) {
 
 TEST(GenerationDiffTest, OwnerChangesAreFlaggedWithTheDisplacedOwner) {
   GenerationDiff diff(ConsistencyConfig{});
-  MaglevTable before(251);
-  before.build({{1, 100}, {2, 100}, {3, 100}});
-  MaglevTable after(251);
-  after.build({{1, 100}, {3, 100}});  // id 2 leaves; its slots re-home
-
-  std::vector<std::uint32_t> owners_before, owners_after;
-  before.resolve_slots(owners_before);
-  after.resolve_slots(owners_after);
-  ASSERT_EQ(owners_before.size(), owners_after.size());
+  const auto before = built_table(251, {{1, 100}, {2, 100}, {3, 100}});
+  // id 2 leaves; its slots re-home
+  const auto after = built_table(251, {{1, 100}, {3, 100}});
+  const auto n = before->table_size();
+  ASSERT_EQ(n, after->table_size());
 
   diff.on_publish(before, 1);
   const auto f = diff.on_publish(after, 2);
   ASSERT_NE(f, nullptr);
 
   std::size_t changed = 0;
-  for (std::size_t s = 0; s < owners_before.size(); ++s) {
-    if (owners_before[s] != owners_after[s]) {
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto was = before->slot_owner(s);
+    if (was != after->slot_owner(s)) {
       ++changed;
       // Every moved slot is flagged and remembers who it displaced —
       // where that slot's pre-change stateless flows actually live.
       EXPECT_TRUE(f->is_exception(s)) << "slot " << s;
-      EXPECT_EQ(f->prev_owner(s), owners_before[s]) << "slot " << s;
+      EXPECT_EQ(f->prev_owner(s), was) << "slot " << s;
     } else {
       EXPECT_FALSE(f->is_exception(s)) << "slot " << s;
       EXPECT_EQ(f->prev_owner(s), ExceptionFilter::kNoOwner) << "slot " << s;
@@ -125,7 +138,7 @@ TEST(GenerationDiffTest, OwnerChangesAreFlaggedWithTheDisplacedOwner) {
   // Removing one of three equal backends must move some slots (its whole
   // share) but not all of them (maglev's minimal disruption).
   EXPECT_GT(changed, 0u);
-  EXPECT_LT(changed, owners_before.size());
+  EXPECT_LT(changed, n);
   EXPECT_EQ(f->exception_slots(), changed);
 }
 
@@ -133,10 +146,8 @@ TEST(GenerationDiffTest, ChangesAgeOutOfTheHistoryWindow) {
   ConsistencyConfig cfg;
   cfg.history = 2;
   GenerationDiff diff(cfg);
-  MaglevTable before(251);
-  before.build({{1, 100}, {2, 100}});
-  MaglevTable after(251);
-  after.build({{1, 100}});
+  const auto before = built_table(251, {{1, 100}, {2, 100}});
+  const auto after = built_table(251, {{1, 100}});
 
   diff.on_publish(before, 1);
   const auto changed = diff.on_publish(after, 2)->exception_slots();
@@ -148,17 +159,17 @@ TEST(GenerationDiffTest, ChangesAgeOutOfTheHistoryWindow) {
 
 TEST(GenerationDiffTest, GeometryChangeDisengagesThatPublishOnly) {
   GenerationDiff diff(ConsistencyConfig{});
-  MaglevTable small(251);
-  small.build({{1, 100}});
-  MaglevTable large(509);
-  large.build({{1, 100}});
+  const auto small = built_table(251, {{1, 100}});
+  const auto large = built_table(509, {{1, 100}});
 
   ASSERT_NE(diff.on_publish(small, 1), nullptr);
   // Incomparable slot geometry: no filter for this publish (the Mux then
-  // pins every flow of that generation — the classic dataplane).
+  // pins every flow of that generation — the classic dataplane), however
+  // often it is offered.
   EXPECT_EQ(diff.on_publish(large, 2), nullptr);
+  EXPECT_EQ(diff.on_publish(large, 3), nullptr);
   // A same-geometry publish re-engages.
-  EXPECT_NE(diff.on_publish(small, 3), nullptr);
+  EXPECT_NE(diff.on_publish(small, 4), nullptr);
 }
 
 TEST(SlotPinCountsTest, CountsPerSlotAndDecrementFloorsAtZero) {
@@ -197,9 +208,9 @@ TEST(StatelessFastPath, UnchangedSlotFlowNeverPinsAcrossPublishes) {
   EXPECT_EQ(mux.counters().stateless_picks, 1u);
   const auto owner = owner_of_only_flow(mux);
   ASSERT_NE(owner, kNoBackend);
-  EXPECT_EQ(mux.new_connections(owner), 1u);
+  EXPECT_EQ(counters_of(mux, owner)->connections.load(), 1u);
   // Stateless flows hold no pin: `active` counts pins, which drains wait on.
-  EXPECT_EQ(mux.active_connections(owner), 0u);
+  EXPECT_EQ(counters_of(mux, owner)->active.load(), 0u);
 
   // Identical re-publishes move no slots: every later packet keeps routing
   // by hash to the same backend, with the flow table untouched.
@@ -208,8 +219,9 @@ TEST(StatelessFastPath, UnchangedSlotFlowNeverPinsAcrossPublishes) {
     EXPECT_EQ(mux.exception_slots(), 0u);
     mux.on_message(request(7, 4242, /*req_id=*/g));
     EXPECT_EQ(mux.affinity_size(), 0u);
-    EXPECT_EQ(mux.forwarded_requests(owner), g);
-    EXPECT_EQ(mux.new_connections(owner), 1u);  // opener counted once
+    EXPECT_EQ(counters_of(mux, owner)->forwarded.load(), g);
+    // The opener is counted once.
+    EXPECT_EQ(counters_of(mux, owner)->connections.load(), 1u);
   }
   EXPECT_EQ(mux.counters().stateless_picks, 6u);
   EXPECT_EQ(mux.counters().exception_pins, 0u);
@@ -265,10 +277,10 @@ TEST(StatelessFastPath, MidFlowAdoptionPinsToThePreviousOwner) {
   EXPECT_EQ(mux.affinity_size(), 1u);
   EXPECT_EQ(mux.counters().exception_pins, 1u);
   EXPECT_EQ(mux.live_exception_pins(), 1u);
-  EXPECT_EQ(mux.forwarded_requests(owner), 2u);
-  EXPECT_EQ(mux.active_connections(owner), 1u);
+  EXPECT_EQ(counters_of(mux, owner)->forwarded.load(), 2u);
+  EXPECT_EQ(counters_of(mux, owner)->active.load(), 1u);
   // Adoption is not a new connection: the opener already counted it.
-  EXPECT_EQ(mux.new_connections(owner), 1u);
+  EXPECT_EQ(counters_of(mux, owner)->connections.load(), 1u);
 
   // The pinned drainer cannot auto-complete while the flow lives.
   mux.poll();
@@ -285,13 +297,13 @@ TEST(StatelessFastPath, MidFlowAdoptionPinsToThePreviousOwner) {
   EXPECT_EQ(mux.counters().stateless_picks, picks_before);
   EXPECT_EQ(mux.affinity_size(), 1u);
   EXPECT_EQ(mux.live_exception_pins(), 1u);
-  EXPECT_EQ(mux.forwarded_requests(owner), 3u);
+  EXPECT_EQ(counters_of(mux, owner)->forwarded.load(), 3u);
 
   // FIN unpins cleanly: slot counts drain back to zero, nothing dangles.
   mux.on_message(fin(1, 5555));
   EXPECT_EQ(mux.affinity_size(), 0u);
   EXPECT_EQ(mux.live_exception_pins(), 0u);
-  EXPECT_EQ(mux.active_connections(owner), 0u);
+  EXPECT_EQ(counters_of(mux, owner)->active.load(), 0u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }
 
@@ -323,7 +335,7 @@ TEST(StatelessFastPath, DrainWaitsOutTheAdoptionGrace) {
     }
     mux.apply_program(drain);
   }
-  ASSERT_EQ(mux.active_connections(owner), 0u);
+  ASSERT_EQ(counters_of(mux, owner)->active.load(), 0u);
   // Inside the grace window: the drain holds, however often it is polled.
   mux.poll();
   EXPECT_EQ(mux.draining_count(), 1u);
@@ -332,7 +344,7 @@ TEST(StatelessFastPath, DrainWaitsOutTheAdoptionGrace) {
   // The window is exactly what the flow needs to adopt a pin mid-flow.
   mux.on_message(request(2, 6000, /*req_id=*/2));
   EXPECT_EQ(mux.counters().affinity_breaks_avoided, 1u);
-  EXPECT_EQ(mux.active_connections(owner), 1u);
+  EXPECT_EQ(counters_of(mux, owner)->active.load(), 1u);
 
   // Once the pin drops AND the grace has elapsed, the drain completes.
   mux.on_message(fin(2, 6000));

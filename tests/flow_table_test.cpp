@@ -557,7 +557,7 @@ TEST(MuxFlowTable, CrossShardDrainCompletion) {
   mux.apply_program(v1);
 
   for (std::uint16_t p = 0; p < 200; ++p) mux.on_message(f.request(p));
-  const auto id_a = mux.backend_id(0);
+  const auto id_a = mux.backends()[0].id;
   std::vector<std::uint16_t> pinned_to_a;
   mux.flow_table().for_each(
       [&](const net::FiveTuple& t, std::uint64_t id, util::SimTime) {
@@ -572,14 +572,14 @@ TEST(MuxFlowTable, CrossShardDrainCompletion) {
   PoolProgram v2(2);
   v2.add(f.a, 0, BackendState::kDraining).add(f.b, util::kWeightScale);
   mux.apply_program(v2);
-  ASSERT_TRUE(mux.backend_draining(0));
+  ASSERT_TRUE(mux.backends()[0].draining);
 
   // FIN all but the last pinned flow: every shard but one empties, and the
   // drain must still be running.
   for (std::size_t i = 0; i + 1 < pinned_to_a.size(); ++i)
     mux.on_message(f.fin(pinned_to_a[i]));
   EXPECT_EQ(mux.backend_count(), 2u);
-  EXPECT_TRUE(mux.backend_draining(0));
+  EXPECT_TRUE(mux.backends()[0].draining);
 
   mux.on_message(f.fin(pinned_to_a.back()));
   EXPECT_EQ(mux.backend_count(), 1u);
@@ -592,8 +592,9 @@ TEST(MuxFlowTable, CrossShardDrainCompletion) {
 /// The backend `t` is pinned to, by address (0.0.0.0 when unpinned).
 net::IpAddr pinned_addr(const Mux& mux, const net::FiveTuple& t) {
   const auto id = mux.flow_table().try_find(t);
-  const auto idx = id ? mux.index_of_id(*id) : std::nullopt;
-  return idx ? mux.backend_addr(*idx) : net::IpAddr{};
+  for (const auto& b : mux.backends())
+    if (id && b.id == *id) return b.addr;
+  return net::IpAddr{};
 }
 
 // Reconnecting tuples land on the CURRENT generation's table pick — after
@@ -650,8 +651,9 @@ TEST(MuxFlowTable, RemovalDropsAreCounted) {
   v1.add(f.a, 5000).add(f.b, 5000);
   mux.apply_program(v1);
   for (std::uint16_t p = 0; p < 100; ++p) mux.on_message(f.request(p));
-  const auto pinned_a = mux.active_connections(0);
-  const auto pinned_b = mux.active_connections(1);
+  const auto pool = mux.backends();
+  const auto pinned_a = pool[0].counters->active.load();
+  const auto pinned_b = pool[1].counters->active.load();
   ASSERT_GT(pinned_a, 0u);
   ASSERT_GT(pinned_b, 0u);
 

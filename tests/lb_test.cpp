@@ -242,7 +242,7 @@ TEST(Mux, FinReleasesAffinityAndCount) {
   f.net.send(f.vip, f.request(1000, 1, 1));
   f.sim.run_all();
   const std::size_t target = f.dip1.messages.empty() ? 1 : 0;
-  EXPECT_EQ(mux.active_connections(target), 1u);
+  EXPECT_EQ(mux.backends()[target].counters->active.load(), 1u);
 
   net::Message fin;
   fin.type = net::MsgType::kFin;
@@ -250,7 +250,7 @@ TEST(Mux, FinReleasesAffinityAndCount) {
   fin.conn_id = 1;
   f.net.send(f.vip, fin);
   f.sim.run_all();
-  EXPECT_EQ(mux.active_connections(target), 0u);
+  EXPECT_EQ(mux.backends()[target].counters->active.load(), 0u);
   // The FIN is forwarded to the DIP.
   EXPECT_EQ(f.dip1.messages.size() + f.dip2.messages.size(), 2u);
 }
@@ -389,7 +389,7 @@ TEST(PoolProgram, OmittedBackendRemovedNewcomerAdmitted) {
   PoolProgram v1(1);
   v1.add(a, 5000).add(b, 5000);
   mux.apply_program(v1);
-  const auto id_b = mux.backend_id(1);
+  const auto id_b = mux.backends()[1].id;
 
   PoolProgram v2(2);  // a leaves (omitted), c joins
   v2.add(b, 2500).add(c, 7500);
@@ -398,7 +398,7 @@ TEST(PoolProgram, OmittedBackendRemovedNewcomerAdmitted) {
   ASSERT_EQ(mux.backend_count(), 2u);
   EXPECT_EQ(mux.backend_addr(0), b);
   EXPECT_EQ(mux.backend_addr(1), c);
-  EXPECT_EQ(mux.backend_id(0), id_b);  // stable id survives the transaction
+  EXPECT_EQ(mux.backends()[0].id, id_b);  // stable id survives the transaction
   EXPECT_EQ(mux.weight_units(), (std::vector<std::int64_t>{2500, 7500}));
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }
@@ -443,14 +443,14 @@ TEST(Mux, DrainingBackendCompletesOnLastFin) {
   for (std::uint16_t p = 0; p < 8; ++p)
     f.net.send(f.vip, f.request(static_cast<std::uint16_t>(1000 + p), p, 1));
   f.sim.run_all();
-  ASSERT_GT(mux.active_connections(0), 0u);
-  const auto pinned_on_a = mux.active_connections(0);
+  const auto pinned_on_a = mux.backends()[0].counters->active.load();
+  ASSERT_GT(pinned_on_a, 0u);
 
   PoolProgram v2(2);
   v2.add(a, 0, BackendState::kDraining).add(b, util::kWeightScale);
   mux.apply_program(v2);
   ASSERT_EQ(mux.backend_count(), 2u);  // still serving pinned flows
-  EXPECT_TRUE(mux.backend_draining(0));
+  EXPECT_TRUE(mux.backends()[0].draining);
   EXPECT_EQ(mux.weight_units()[0], 0);
 
   // New connections all land on b while a's flows stay pinned to a.
@@ -458,7 +458,7 @@ TEST(Mux, DrainingBackendCompletesOnLastFin) {
     f.net.send(f.vip, f.request(static_cast<std::uint16_t>(3000 + p),
                                 static_cast<std::uint64_t>(100 + p), 1));
   f.sim.run_all();
-  EXPECT_EQ(mux.active_connections(0), pinned_on_a);
+  EXPECT_EQ(mux.backends()[0].counters->active.load(), pinned_on_a);
 
   // FIN the pinned flows: the drain completes without a single reset.
   for (std::uint16_t p = 0; p < 8; ++p) {
@@ -498,12 +498,12 @@ TEST(Mux, DrainLifecycleEdges) {
   v3.add(b, 0, BackendState::kDraining);
   mux.apply_program(v3);
   ASSERT_EQ(mux.backend_count(), 1u);
-  EXPECT_TRUE(mux.backend_draining(0));
+  EXPECT_TRUE(mux.backends()[0].draining);
 
   PoolProgram v4(4);
   v4.add(b, util::kWeightScale);
   mux.apply_program(v4);
-  EXPECT_FALSE(mux.backend_draining(0));
+  EXPECT_FALSE(mux.backends()[0].draining);
   EXPECT_EQ(mux.weight_units()[0], util::kWeightScale);
 }
 
@@ -557,8 +557,11 @@ TEST(Mux, TransactionalSameSizeSwapResetsWrrState) {
   w1.add(a, 7500).add(c, 2500);
   fresh.apply_program(w1);
 
-  const auto base_a = seasoned.new_connections(0);  // pre-swap history
-  const auto base_c = seasoned.new_connections(1);
+  const auto conns = [](const Mux& m, std::size_t i) {
+    return m.backends()[i].counters->connections.load();
+  };
+  const auto base_a = conns(seasoned, 0);  // pre-swap history
+  const auto base_c = conns(seasoned, 1);
   for (std::uint16_t p = 0; p < 20; ++p) {
     net::Message m;
     m.type = net::MsgType::kHttpRequest;
@@ -567,9 +570,9 @@ TEST(Mux, TransactionalSameSizeSwapResetsWrrState) {
     fresh.on_message(m);
     // Identical pick sequences <=> identical per-backend tallies at every
     // step (the newcomer inherited nothing).
-    ASSERT_EQ(seasoned.new_connections(0) - base_a, fresh.new_connections(0))
+    ASSERT_EQ(conns(seasoned, 0) - base_a, conns(fresh, 0))
         << "diverged at connection " << p;
-    ASSERT_EQ(seasoned.new_connections(1) - base_c, fresh.new_connections(1))
+    ASSERT_EQ(conns(seasoned, 1) - base_c, conns(fresh, 1))
         << "diverged at connection " << p;
   }
 }
@@ -600,18 +603,13 @@ TEST(PoolProgram, WeightsOnlyDoesNotTouchMembership) {
   EXPECT_EQ(mux.backend_count(), 3u);
 }
 
-// Out-of-range accessors are loud sentinels, not UB (they used to index
+// An out-of-range accessor is a loud sentinel, not UB (it used to index
 // the backing vector unchecked).
 TEST(Mux, OutOfRangeAccessorsAreSafe) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("rr"));
   program_equal(mux, {net::IpAddr{10, 1, 0, 1}});
   EXPECT_EQ(mux.backend_addr(5), net::IpAddr{});
-  EXPECT_EQ(mux.backend_id(5), 0u);
-  EXPECT_FALSE(mux.backend_draining(5));
-  EXPECT_EQ(mux.forwarded_requests(5), 0u);
-  EXPECT_EQ(mux.new_connections(5), 0u);
-  EXPECT_EQ(mux.active_connections(5), 0u);
   EXPECT_FALSE(mux.fail_backend(net::IpAddr{10, 1, 0, 9}));  // not served
 }
 

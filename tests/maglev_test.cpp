@@ -1,10 +1,13 @@
 // Maglev consistent-hash dataplane tests: weighted slot apportionment,
-// minimal flow remap under DIP churn, the MUX backend lifecycle through
+// minimal flow remap under DIP churn, the snapshot policy's picks, the one
+// table build behind every publication, the MUX backend lifecycle through
 // programs and failures (stable ids, affinity GC, weights applied
 // literally), and end-to-end churn under the multi-VIP controller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
 
@@ -30,10 +33,36 @@ std::vector<MaglevEntry> equal_entries(std::size_t n,
   return out;
 }
 
-/// Owner id per table slot (probing hash h in [0, M) hits slot h % M = h).
+/// Owner id per table slot.
 std::vector<std::uint64_t> owners(const MaglevTable& t) {
   std::vector<std::uint64_t> out(t.table_size());
-  for (std::size_t s = 0; s < t.table_size(); ++s) out[s] = t.lookup_id(s);
+  for (std::size_t s = 0; s < t.table_size(); ++s) out[s] = t.slot_owner(s);
+  return out;
+}
+
+net::FiveTuple flow(std::uint32_t client, std::uint16_t port) {
+  net::FiveTuple t;
+  t.src_ip = net::IpAddr(0x0a020000 + client);
+  t.dst_ip = net::IpAddr{10, 0, 0, 1};
+  t.src_port = port;
+  t.dst_port = 80;
+  return t;
+}
+
+/// A pool as a generation carries it: backend i at 10.1.0.(i+1).
+std::vector<GenBackend> make_pool(const std::vector<std::int64_t>& weights) {
+  std::vector<GenBackend> out(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    out[i].id = i + 1;
+    out[i].addr = net::IpAddr{10, 1, 0, static_cast<std::uint8_t>(i + 1)};
+    out[i].weight_units = weights[i];
+  }
+  return out;
+}
+
+std::vector<BackendView> views_of(const std::vector<GenBackend>& pool) {
+  std::vector<BackendView> out;
+  for (const auto& b : pool) out.push_back(b.view());
   return out;
 }
 
@@ -60,6 +89,21 @@ TEST(MaglevTable, SlotCountsProportionalToWeights) {
   EXPECT_NEAR(counts[1], m * 0.2, 1.0);
   EXPECT_NEAR(counts[2], m * 0.3, 1.0);
   EXPECT_NEAR(counts[3], m * 0.4, 1.0);
+
+  // And so do the snapshot policy's picks over flows.
+  const auto pool = make_pool({5000, 3000, 2000});
+  MaglevPolicy p(build_table(pool, MaglevTable::kDefaultMinSize));
+  const auto views = views_of(pool);
+  util::Rng rng(1);
+  std::map<std::size_t, int> picks;
+  const int n = 30'000;
+  for (int i = 0; i < n; ++i)
+    picks[p.pick(flow(static_cast<std::uint32_t>(i / 100),
+                      static_cast<std::uint16_t>(i % 100)),
+                 views, rng)]++;
+  EXPECT_NEAR(picks[0], n * 0.5, n * 0.02);
+  EXPECT_NEAR(picks[1], n * 0.3, n * 0.02);
+  EXPECT_NEAR(picks[2], n * 0.2, n * 0.02);
 }
 
 TEST(MaglevTable, ZeroWeightEntryOwnsNoSlots) {
@@ -68,6 +112,27 @@ TEST(MaglevTable, ZeroWeightEntryOwnsNoSlots) {
   const auto counts = t.slot_counts();
   EXPECT_EQ(counts[1], 0u);
   EXPECT_EQ(counts[0] + counts[2], t.table_size());
+}
+
+// A drainer keeps its place in the pool at weight 0 until its drain
+// completes. Slot ownership must not depend on whether a build lists it
+// (at weight 0) or leaves it out, as build_table does: that is what lets a
+// drain completion keep serving the snapshot it has.
+TEST(MaglevTable, ZeroWeightDrainersOwnTheSameSlotsAsAnExcludedOne) {
+  util::Rng rng(11);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<MaglevEntry> kept, excluded;
+    for (std::uint64_t d = 0; d < 30; ++d) {
+      const bool drainer = rng.uniform() < 0.2;
+      const auto units = 1 + static_cast<std::int64_t>(rng.uniform() * 500);
+      kept.push_back({0x0a010000 + d, drainer ? 0 : units});
+      if (!drainer) excluded.push_back({0x0a010000 + d, units});
+    }
+    MaglevTable with(4999), without(4999);
+    with.build(kept);
+    without.build(excluded);
+    ASSERT_EQ(owners(with), owners(without)) << "trial " << trial;
+  }
 }
 
 TEST(MaglevTable, EmptyPoolMapsNothing) {
@@ -125,89 +190,41 @@ TEST(MaglevTable, RebuildIsDeterministic) {
 
 // --- MaglevPolicy ------------------------------------------------------------
 
-net::FiveTuple flow(std::uint32_t client, std::uint16_t port) {
-  net::FiveTuple t;
-  t.src_ip = net::IpAddr(0x0a020000 + client);
-  t.dst_ip = net::IpAddr{10, 0, 0, 1};
-  t.src_port = port;
-  t.dst_port = 80;
-  return t;
-}
-
-std::vector<BackendView> make_views(std::vector<std::int64_t> weights) {
-  std::vector<BackendView> out;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    BackendView v;
-    v.addr = net::IpAddr{10, 1, 0, static_cast<std::uint8_t>(i + 1)};
-    v.weight_units = weights[i];
-    out.push_back(v);
-  }
-  return out;
-}
-
-TEST(MaglevPolicy, FactoryBuildsIt) {
+TEST(MaglevPolicy, FactoryGivesAnEmptyTableOfDefaultGeometry) {
   const auto p = make_policy("maglev");
   EXPECT_EQ(p->name(), "maglev");
-  EXPECT_NE(p->maglev_table(), nullptr);
+  const auto table = p->maglev_table();
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->table_size(), MaglevTable::kDefaultMinSize);
+  util::Rng rng(1);
+  EXPECT_EQ(p->pick(flow(1, 80), views_of(make_pool({5000})), rng),
+            kNoBackend);
 }
 
 TEST(MaglevPolicy, PicksAreAffineToTuple) {
-  MaglevPolicy p;
+  const auto pool = make_pool({5000, 3000, 2000});
+  MaglevPolicy p(build_table(pool, MaglevTable::kDefaultMinSize));
   util::Rng rng(1);
-  const auto views = make_views({5000, 3000, 2000});
+  const auto views = views_of(pool);
   const auto t = flow(1, 12'345);
   const auto first = p.pick(t, views, rng);
+  ASSERT_NE(first, kNoBackend);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(p.pick(t, views, rng), first);
+  // The pick is the table's owner, found by address.
+  EXPECT_EQ(views[first].addr.value(),
+            p.maglev_table()->lookup_id(net::hash_tuple(t)));
 }
 
-TEST(MaglevPolicy, PickDistributionFollowsWeights) {
-  MaglevPolicy p;
+TEST(MaglevPolicy, DrainingBackendExcluded) {
+  auto pool = make_pool({5000, 3000, 2000});
+  pool[1].draining = true;
+  MaglevPolicy p(build_table(pool, MaglevTable::kDefaultMinSize));
   util::Rng rng(1);
-  const auto views = make_views({5000, 3000, 2000});
-  std::map<std::size_t, int> counts;
-  const int n = 30'000;
-  for (int i = 0; i < n; ++i)
-    counts[p.pick(flow(static_cast<std::uint32_t>(i / 100),
-                       static_cast<std::uint16_t>(i % 100)),
-                  views, rng)]++;
-  EXPECT_NEAR(counts[0], n * 0.5, n * 0.02);
-  EXPECT_NEAR(counts[1], n * 0.3, n * 0.02);
-  EXPECT_NEAR(counts[2], n * 0.2, n * 0.02);
-}
-
-TEST(MaglevPolicy, DisabledBackendExcludedAfterInvalidate) {
-  MaglevPolicy p;
-  util::Rng rng(1);
-  auto views = make_views({5000, 3000, 2000});
-  views[1].enabled = false;
-  p.invalidate();
+  const auto views = views_of(pool);
   for (int i = 0; i < 200; ++i)
     EXPECT_NE(p.pick(flow(static_cast<std::uint32_t>(i), 80), views, rng), 1u);
-}
-
-TEST(MaglevPolicy, SingleDipRemovalRemapsFewFlows) {
-  MaglevPolicy p;
-  util::Rng rng(1);
-  std::vector<std::int64_t> weights(50, 200);
-  auto views = make_views(weights);
-
-  const int flows = 20'000;
-  std::vector<net::IpAddr> before(flows);
-  for (int i = 0; i < flows; ++i)
-    before[i] = views[p.pick(flow(static_cast<std::uint32_t>(i), 443),
-                             views, rng)].addr;
-
-  const auto removed = views[25].addr;
-  views.erase(views.begin() + 25);
-  p.invalidate();
-
-  int moved = 0;
-  for (int i = 0; i < flows; ++i) {
-    const auto now = views[p.pick(flow(static_cast<std::uint32_t>(i), 443),
-                                  views, rng)].addr;
-    if (before[i] != removed && now != before[i]) ++moved;
-  }
-  EXPECT_LT(static_cast<double>(moved) / flows, 0.05);
+  const auto o = owners(*p.maglev_table());
+  EXPECT_EQ(std::count(o.begin(), o.end(), pool[1].addr.value()), 0);
 }
 
 // --- Mux lifecycle with the maglev policy ------------------------------------
@@ -241,20 +258,85 @@ struct ChurnFixture {
   }
 };
 
+/// Backend `i`'s counters, read from one backends() snapshot.
+std::shared_ptr<BackendCounters> counters_of(const Mux& mux, std::size_t i) {
+  return mux.backends()[i].counters;
+}
+
+/// `mux` serves exactly a fresh build over its current pool's
+/// non-draining backends, at the served table's geometry.
+void expect_serves_fresh_build(const Mux& mux) {
+  const auto served = mux.table_snapshot();
+  ASSERT_NE(served, nullptr);
+  std::vector<MaglevEntry> entries;
+  for (const auto& b : mux.backends())
+    if (!b.draining) entries.push_back({b.addr.value(), b.weight_units});
+  MaglevTable fresh(served->table_size());
+  fresh.build(entries);
+  EXPECT_EQ(owners(*served), owners(fresh));
+}
+
+// Every publication of a standalone maglev Mux serves the one build over
+// its pool: a program, a failure and a policy swap each build it, and a
+// drain completion — whose drainer owned no slots — keeps the snapshot.
+TEST(MuxChurn, EveryPublicationServesTheBuildOverItsPool) {
+  ChurnFixture f;
+  const net::IpAddr d{10, 1, 0, 4};
+  Mux mux(f.net, f.vip, make_policy("maglev"));
+  ChurnFixture::program(mux,
+                        {{f.a, 4000}, {f.b, 3000}, {f.c, 2000}, {d, 1000}});
+  expect_serves_fresh_build(mux);
+
+  ASSERT_TRUE(mux.fail_backend(d));
+  expect_serves_fresh_build(mux);
+
+  const auto before_swap = mux.table_snapshot();
+  mux.set_policy(make_policy("maglev"));
+  EXPECT_NE(mux.table_snapshot(), before_swap);  // rebuilt, not the empty one
+  expect_serves_fresh_build(mux);
+
+  // Pin one flow, then drain its backend: the program's build leaves the
+  // drainer out while the drainer keeps serving the pinned flow.
+  f.net.send(f.vip, f.request(1, 443));
+  f.sim.run_all();
+  const auto pool = mux.backends();
+  std::size_t owner = 0;
+  while (pool[owner].counters->active.load() == 0) ++owner;
+  PoolProgram drain(mux.issue_version());
+  for (const auto& b : pool)
+    drain.add(b.addr, b.weight_units,
+              b.addr == pool[owner].addr ? BackendState::kDraining
+                                         : BackendState::kActive);
+  mux.apply_program(drain);
+  ASSERT_EQ(mux.draining_count(), 1u);
+  expect_serves_fresh_build(mux);
+
+  // The FIN empties the drainer and completes the drain: one more
+  // publication, serving the pointer-equal snapshot.
+  const auto before_completion = mux.table_snapshot();
+  const auto published = mux.counters().generations_published;
+  f.net.send(f.vip, f.fin(1, 443));
+  f.sim.run_all();
+  EXPECT_EQ(mux.counters().drains_completed, 1u);
+  EXPECT_EQ(mux.counters().generations_published, published + 1);
+  EXPECT_EQ(mux.backend_count(), 2u);
+  EXPECT_EQ(mux.table_snapshot(), before_completion);
+  expect_serves_fresh_build(mux);
+}
+
 TEST(MuxChurn, StableIdsSurviveRemoval) {
   ChurnFixture f;
   Mux mux(f.net, f.vip, make_policy("maglev"));
   ChurnFixture::program(mux, {{f.a, 3334}, {f.b, 3333}, {f.c, 3333}});
-  const auto id1 = mux.backend_id(0);
-  const auto id2 = mux.backend_id(1);
-  const auto id3 = mux.backend_id(2);
-  EXPECT_NE(id1, id2);
+  const auto before = mux.backends();
+  EXPECT_NE(before[0].id, before[1].id);
 
   ChurnFixture::program(mux, {{f.b, 5000}, {f.c, 5000}});  // a omitted
   // Indices shifted, ids did not.
-  EXPECT_EQ(mux.index_of_id(id2), std::optional<std::size_t>{0});
-  EXPECT_EQ(mux.index_of_id(id3), std::optional<std::size_t>{1});
-  EXPECT_FALSE(mux.index_of_id(id1).has_value());
+  const auto after = mux.backends();
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0].id, before[1].id);
+  EXPECT_EQ(after[1].id, before[2].id);
 }
 
 TEST(MuxChurn, RemovedBackendDropsItsAffinityOnly) {
@@ -266,7 +348,7 @@ TEST(MuxChurn, RemovedBackendDropsItsAffinityOnly) {
     f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
   ASSERT_EQ(mux.affinity_size(), 200u);
-  const auto conns_kept = mux.active_connections(1);
+  const auto conns_kept = counters_of(mux, 1)->active.load();
   ASSERT_GT(conns_kept, 0u);
 
   PoolProgram removal(mux.issue_version());
@@ -275,7 +357,8 @@ TEST(MuxChurn, RemovedBackendDropsItsAffinityOnly) {
   EXPECT_EQ(mux.counters().flows_dropped_by_removal, 200u - conns_kept);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
   EXPECT_EQ(mux.affinity_size(), conns_kept);
-  EXPECT_EQ(mux.active_connections(0), conns_kept);  // survivor, new index
+  // The survivor, at its new index.
+  EXPECT_EQ(counters_of(mux, 0)->active.load(), conns_kept);
 }
 
 TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
@@ -286,7 +369,7 @@ TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
   for (std::uint32_t c = 0; c < 100; ++c)
     f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
-  const auto on_failed = mux.active_connections(0);
+  const auto on_failed = counters_of(mux, 0)->active.load();
   ASSERT_GT(on_failed, 0u);
 
   ASSERT_TRUE(mux.fail_backend(f.a));
@@ -297,7 +380,7 @@ TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
   for (std::uint32_t c = 0; c < 100; ++c)
     f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
-  EXPECT_EQ(mux.active_connections(0), 100u);
+  EXPECT_EQ(counters_of(mux, 0)->active.load(), 100u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }
 
@@ -309,7 +392,7 @@ TEST(MuxChurn, AffinityGcReclaimsIdleFlows) {
 
   for (std::uint32_t c = 0; c < 5; ++c) f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
-  ASSERT_EQ(mux.active_connections(0), 5u);
+  ASSERT_EQ(counters_of(mux, 0)->active.load(), 5u);
 
   f.sim.run_for(6_s);
   f.net.send(f.vip, f.request(0, 443));  // flow 0 stays active
@@ -318,13 +401,13 @@ TEST(MuxChurn, AffinityGcReclaimsIdleFlows) {
 
   EXPECT_EQ(mux.gc_affinity(), 4u);
   EXPECT_EQ(mux.affinity_size(), 1u);
-  EXPECT_EQ(mux.active_connections(0), 1u);
+  EXPECT_EQ(counters_of(mux, 0)->active.load(), 1u);
   EXPECT_EQ(mux.counters().flows_gced_idle, 4u);
 
   // A FIN for a reclaimed flow is a no-op, not an underflow.
   f.net.send(f.vip, f.fin(1, 443));
   f.sim.run_all();
-  EXPECT_EQ(mux.active_connections(0), 1u);
+  EXPECT_EQ(counters_of(mux, 0)->active.load(), 1u);
 }
 
 TEST(MuxChurn, WeightsSteerAfterChurnWithMaglev) {
@@ -339,10 +422,10 @@ TEST(MuxChurn, WeightsSteerAfterChurnWithMaglev) {
   for (std::uint32_t c = 0; c < 4000; ++c)
     f.net.send(f.vip, f.request(c, 8080));
   f.sim.run_all();
-  const auto total = static_cast<double>(mux.new_connections(0) +
-                                         mux.new_connections(1));
-  EXPECT_NEAR(static_cast<double>(mux.new_connections(0)) / total, 0.625,
-              0.03);
+  const auto pool = mux.backends();
+  const auto on_a = static_cast<double>(pool[0].counters->connections.load());
+  const auto on_b = static_cast<double>(pool[1].counters->connections.load());
+  EXPECT_NEAR(on_a / (on_a + on_b), 0.625, 0.03);
 }
 
 // --- churn under the multi-VIP controller ------------------------------------

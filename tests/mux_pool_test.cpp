@@ -243,8 +243,8 @@ TEST(MuxPool, PicksConsistentAcrossMembers) {
   EXPECT_EQ(pool.counters().total_forwarded, forwarded_before + 2000);
   std::uint64_t reconnections = 0;
   for (std::size_t k = 0; k < pool.mux_count(); ++k)
-    for (std::size_t i = 0; i < pool.mux(k).backend_count(); ++i)
-      reconnections += pool.mux(k).new_connections(i);
+    for (const auto& b : pool.mux(k).backends())
+      reconnections += b.counters->connections.load();
   EXPECT_EQ(reconnections, 4000u);  // 2000 first + 2000 replayed
   // Every replayed flow reached the DIP of its first landing: per-DIP new
   // connection counts doubled exactly.
@@ -309,9 +309,8 @@ TEST(MuxPool, DrainCompletesWithoutDroppingPinnedFlows) {
   const auto active_on_failed = [&] {
     std::uint64_t n = 0;
     for (std::size_t k = 0; k < pool.mux_count(); ++k)
-      for (std::size_t i = 0; i < pool.mux(k).backend_count(); ++i)
-        if (pool.mux(k).backend_addr(i) == dips[1])
-          n += pool.mux(k).active_connections(i);
+      for (const auto& b : pool.mux(k).backends())
+        if (b.addr == dips[1]) n += b.counters->active.load();
     return n;
   }();
   ASSERT_GT(active_on_failed, 0u);

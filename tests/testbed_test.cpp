@@ -155,7 +155,7 @@ TEST(TestbedChurn, MetricsStayAddressKeyedThroughChurn) {
   bed.network().send(bed.vip(), req);
   bed.run_for(1_s);
   ASSERT_EQ(bed.mux().affinity_size(), 1u);
-  ASSERT_EQ(bed.mux().new_connections(0), 1u);
+  ASSERT_EQ(bed.mux().backends()[0].counters->connections.load(), 1u);
 
   bed.set_static_weights({1.0, 2.0, 7.0});
   bed.run_for(1_s);
