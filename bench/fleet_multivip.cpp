@@ -6,6 +6,10 @@
 // measures coordinator round throughput on a synthetic V x D fleet —
 // every VIP dirty every round, unlimited slot budget, so each round is
 // exactly V ILP solves — serial first, then pooled at growing widths.
+// It also reports freshness: the median, over rounds, of the p50 wall time
+// from a round's start to a VIP's program being live in its sink. A pooled
+// round applies each VIP as soon as its own solve is done, so freshness
+// falls with pool width even where rounds/sec cannot grow.
 //
 //   ./bench_fleet_multivip [--vips 100] [--dips 30] [--rounds 10]
 //                          [--threads 4] [--seed 1]
@@ -25,6 +29,7 @@ namespace {
 struct RunStats {
   double seconds = 0.0;
   double rounds_per_sec = 0.0;
+  double fresh_p50_ms = 0.0;
   std::uint64_t solves = 0;
 };
 
@@ -42,14 +47,23 @@ RunStats run_fleet(std::size_t vips, std::size_t dips, int rounds,
   for (std::size_t v = 0; v < vips; ++v)
     warmup_solves += fleet.coordinator().controller(v).ilp_runs();
 
+  std::vector<double> p50s, fresh(vips);
   const auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < rounds; ++r) {
     fleet.mark_all_dirty();
+    const auto t0 = std::chrono::steady_clock::now();
     fleet.tick_round();
+    for (std::size_t v = 0; v < vips; ++v)
+      fresh[v] = std::chrono::duration<double, std::milli>(
+                     fleet.lb(v).live_at() - t0).count();
+    std::nth_element(fresh.begin(), fresh.begin() + vips / 2, fresh.end());
+    p50s.push_back(fresh[vips / 2]);
   }
   const auto end = std::chrono::steady_clock::now();
 
   RunStats stats;
+  std::nth_element(p50s.begin(), p50s.begin() + rounds / 2, p50s.end());
+  stats.fresh_p50_ms = p50s[rounds / 2];
   stats.seconds = std::chrono::duration<double>(end - start).count();
   stats.rounds_per_sec = rounds / stats.seconds;
   for (std::size_t v = 0; v < vips; ++v)
@@ -62,7 +76,8 @@ RunStats run_fleet(std::size_t vips, std::size_t dips, int rounds,
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  const auto vips = static_cast<std::size_t>(flags.get_int("vips", 100));
+  const auto vips = static_cast<std::size_t>(
+      std::max(1, static_cast<int>(flags.get_int("vips", 100))));
   const auto dips = static_cast<std::size_t>(flags.get_int("dips", 30));
   const int rounds = std::max(1, static_cast<int>(flags.get_int("rounds", 10)));
   const int max_threads = flags.get_int("threads", 4);
@@ -74,12 +89,12 @@ int main(int argc, char** argv) {
               vips, dips, rounds, std::thread::hardware_concurrency());
   if (std::thread::hardware_concurrency() < 2)
     std::printf("note: single-core host — pooled speedup needs >1 core\n\n");
-  std::printf("%-10s %12s %12s %10s %10s\n", "threads", "total (s)",
-              "rounds/sec", "solves", "speedup");
+  std::printf("%-10s %12s %12s %16s %10s %10s\n", "threads", "total (s)",
+              "rounds/sec", "fresh p50 (ms)", "solves", "speedup");
 
   const auto serial = run_fleet(vips, dips, rounds, 1, seed);
-  std::printf("%-10d %12.3f %12.2f %10llu %9.2fx\n", 1, serial.seconds,
-              serial.rounds_per_sec,
+  std::printf("%-10d %12.3f %12.2f %16.2f %10llu %9.2fx\n", 1,
+              serial.seconds, serial.rounds_per_sec, serial.fresh_p50_ms,
               static_cast<unsigned long long>(serial.solves), 1.0);
 
   double best_speedup = 1.0;
@@ -87,8 +102,8 @@ int main(int argc, char** argv) {
     const auto pooled = run_fleet(vips, dips, rounds, t, seed);
     const double speedup = pooled.rounds_per_sec / serial.rounds_per_sec;
     best_speedup = std::max(best_speedup, speedup);
-    std::printf("%-10d %12.3f %12.2f %10llu %9.2fx\n", t, pooled.seconds,
-                pooled.rounds_per_sec,
+    std::printf("%-10d %12.3f %12.2f %16.2f %10llu %9.2fx\n", t,
+                pooled.seconds, pooled.rounds_per_sec, pooled.fresh_p50_ms,
                 static_cast<unsigned long long>(pooled.solves), speedup);
   }
 

@@ -101,15 +101,17 @@ class Controller {
   /// `if (tick_prepare()) apply_ilp(solve_ilp());`.
   bool tick_prepare();
 
-  /// Phase 2 (expensive, thread-safe): run the Fig. 7 ILP over the current
-  /// ready curves. Pure compute — mutates nothing, so a SolverPool worker
-  /// may run it while other VIPs solve concurrently, as long as nothing
-  /// mutates this controller until apply_ilp().
+  /// Phase 2, solve (expensive, thread-safe): run the Fig. 7 ILP over the
+  /// current ready curves. Pure compute — mutates nothing and reads only
+  /// this controller, so a SolverPool worker may run it while other VIPs
+  /// solve or apply concurrently, as long as nothing mutates this
+  /// controller until apply_ilp().
   IlpSolveOutcome solve_ilp() const;
 
-  /// Phase 3 (serial, sim thread): program the solved weights, update
-  /// counters, clear the dirty flag. Applying outcomes in VIP order makes
-  /// a pooled run bit-identical to a serial one.
+  /// Phase 2, apply (serial, sim thread): program the solved weights,
+  /// update counters, clear the dirty flag. The coordinator applies each
+  /// VIP as soon as its own solve is done, in VIP order, which makes a
+  /// pooled run's commits and weights bit-identical to a serial one.
   void apply_ilp(const IlpSolveOutcome& outcome);
 
   /// A curve changed and the steady-state ILP has not rerun yet.

@@ -6,18 +6,22 @@
 // The controller by default runs ILP for each VIP every 5 seconds."
 //
 // The coordinator owns one Controller per VIP and drives their rounds on
-// a shared timer. Each round has three phases:
+// a shared timer. Each round has two phases:
 //
 //   1. prepare (serial, sim thread): every controller consumes samples and
-//      schedules measurements — Controller::tick_prepare(), cheap;
-//   2. solve (parallel): VIPs that want a steady-state ILP recomputation
-//      are granted solver slots — dirty-curve VIPs packed least-recently-
-//      granted first, so no VIP starves — and the granted solves
-//      (Controller::solve_ilp, pure compute) run on the SolverPool's
-//      worker threads;
-//   3. apply (serial, sim thread): outcomes are applied in ascending VIP
-//      order (Controller::apply_ilp), so weights are bit-identical to a
-//      serial run regardless of worker scheduling.
+//      schedules measurements — Controller::tick_prepare(), cheap. VIPs
+//      that want a steady-state ILP recomputation are granted solver
+//      slots — dirty-curve VIPs packed least-recently-granted first, so no
+//      VIP starves;
+//   2. solve→apply, pipelined in ascending VIP order: each granted VIP's
+//      weights go live (Controller::apply_ilp, sim thread) as soon as its
+//      own solve (Controller::solve_ilp, pure compute) is done, without
+//      waiting for any later VIP's solve. Serially that is
+//      apply_ilp(solve_ilp()) per VIP; with a SolverPool every solve is
+//      submitted first, and the sim thread applies VIP i once job i has
+//      finished while the workers solve the rest. Either way the applies
+//      run in VIP order, so the commit sequence and the weights are
+//      bit-identical to a serial run regardless of worker scheduling.
 //
 // The grant budget is `max_ilp_per_round` per worker thread: the slot
 // budget models one solver core's round capacity, and adding workers
@@ -100,25 +104,27 @@ class MultiVipCoordinator {
       if (budget > 0) --budget;
     }
 
-    // Phase 2: granted solves — on the pool when one exists, else inline.
-    std::vector<Controller::IlpSolveOutcome> outcomes(vips_.size());
-    if (pool_) {
-      for (std::size_t i = 0; i < vips_.size(); ++i) {
-        if (!granted[i]) continue;
-        auto* vip = vips_[i].get();
-        auto* slot = &outcomes[i];
-        pool_->submit([vip, slot] { *slot = vip->solve_ilp(); });
-      }
-      pool_->wait_idle();
-    } else {
+    // Phase 2: solve→apply in VIP order. Serially each VIP solves and
+    // applies in turn; pooled, every solve is in flight first and VIP i
+    // applies as soon as its own job is done, while workers solve the rest.
+    if (!pool_) {
       for (std::size_t i = 0; i < vips_.size(); ++i)
-        if (granted[i]) outcomes[i] = vips_[i]->solve_ilp();
+        if (granted[i]) vips_[i]->apply_ilp(vips_[i]->solve_ilp());
+      return;
     }
-
-    // Phase 3 (serial): apply in VIP order — deterministic regardless of
-    // which worker finished first.
-    for (std::size_t i = 0; i < vips_.size(); ++i)
-      if (granted[i]) vips_[i]->apply_ilp(outcomes[i]);
+    std::vector<Controller::IlpSolveOutcome> outcomes(vips_.size());
+    std::vector<SolverPool::Ticket> tickets(vips_.size());
+    for (std::size_t i = 0; i < vips_.size(); ++i) {
+      if (!granted[i]) continue;
+      auto* vip = vips_[i].get();
+      auto* slot = &outcomes[i];
+      tickets[i] = pool_->submit([vip, slot] { *slot = vip->solve_ilp(); });
+    }
+    for (std::size_t i = 0; i < vips_.size(); ++i) {
+      if (!granted[i]) continue;
+      pool_->wait(tickets[i]);
+      vips_[i]->apply_ilp(outcomes[i]);
+    }
   }
 
   std::size_t vip_count() const { return vips_.size(); }

@@ -21,19 +21,27 @@ SolverPool::~SolverPool() {
   for (auto& w : workers_) w.join();
 }
 
-void SolverPool::submit(Job job) {
+SolverPool::Ticket SolverPool::submit(Job job) {
+  Ticket ticket;
   {
     util::MutexLock lock(mu_);
+    ticket = dequeued_ + queue_.size();
     queue_.push_back(std::move(job));
   }
   work_cv_.notify_one();
+  return ticket;
 }
 
-void SolverPool::wait_idle() {
+bool SolverPool::finished(Ticket ticket) const {
+  return ticket < dequeued_ &&
+         std::find(running_.begin(), running_.end(), ticket) == running_.end();
+}
+
+void SolverPool::wait(Ticket ticket) {
   util::MutexLock lock(mu_);
   // Explicit loop rather than a predicate lambda: the analysis treats
   // lambda bodies as separate functions, so guarded reads stay inline.
-  while (!(queue_.empty() && in_flight_ == 0)) idle_cv_.wait(mu_);
+  while (!finished(ticket)) done_cv_.wait(mu_);
 }
 
 std::uint64_t SolverPool::jobs_run() const {
@@ -44,21 +52,23 @@ std::uint64_t SolverPool::jobs_run() const {
 void SolverPool::worker_loop() {
   for (;;) {
     Job job;
+    Ticket ticket;
     {
       util::MutexLock lock(mu_);
       while (!stopping_ && queue_.empty()) work_cv_.wait(mu_);
       if (queue_.empty()) return;  // stopping_ with a drained queue
       job = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
+      ticket = dequeued_++;
+      running_.push_back(ticket);
     }
     job();
     {
       util::MutexLock lock(mu_);
-      --in_flight_;
+      running_.erase(std::find(running_.begin(), running_.end(), ticket));
       ++jobs_run_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
     }
+    done_cv_.notify_all();
   }
 }
 

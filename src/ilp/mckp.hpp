@@ -34,8 +34,13 @@ struct MckpResult {
   std::vector<int> choice;
 };
 
-/// Exact DP: O(groups * total * max_items_per_group) time,
-/// O(groups * total) reconstruction memory (16-bit choice ids).
+/// Exact DP over a band of sums: after group g only the sums in
+/// [max(0, lo - Σ_{h>g} maxw_h), min(total, Σ_{h≤g} maxw_h)] are computed,
+/// with lo = total - slack and maxw_h group h's largest weight in
+/// [0, total]; no other sum can be reached and still reach the window.
+/// O(Σ_g band_g * items_g) time, at most O(groups * total * max_items);
+/// O(Σ_g band_g) reconstruction memory (16-bit choice ids). Costs, choices
+/// and tie-breaks equal the full-width DP's.
 MckpResult solve_mckp(const std::vector<MckpGroup>& groups,
                       std::int64_t total_units, std::int64_t slack_units);
 

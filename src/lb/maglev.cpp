@@ -63,14 +63,16 @@ void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
       std::vector<double>(weights.begin(), weights.end()),
       static_cast<std::int64_t>(m));
 
-  // Per-backend permutation state: slot_j = (offset + j * skip) % m. With
-  // m prime every skip in [1, m-1] walks all m slots, so the fill below
-  // always terminates (sum of targets == m).
+  // Per-backend permutation: slot_j = (offset + j * skip) % m. With m
+  // prime every skip in [1, m-1] walks all m slots, so the fill below
+  // always terminates (sum of targets == m). pos[k] is backend k's next
+  // slot; since pos and skip are both below m, one conditional subtract
+  // after each step keeps it equal to the % form without a division.
   const std::size_t n = usable.size();
-  std::vector<std::size_t> offset(n), skip(n), next(n, 0), taken(n, 0);
+  std::vector<std::size_t> pos(n), skip(n), taken(n, 0);
   for (std::size_t k = 0; k < n; ++k) {
     const std::uint64_t h = mix64(entries[usable[k]].id);
-    offset[k] = static_cast<std::size_t>(h % m);
+    pos[k] = static_cast<std::size_t>(h % m);
     skip[k] = static_cast<std::size_t>(
                   1 + mix64(h ^ 0x9e3779b97f4a7c15ull) % (m - 1));
   }
@@ -83,12 +85,14 @@ void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
   while (filled < m) {
     for (std::size_t k = 0; k < n && filled < m; ++k) {
       if (taken[k] >= static_cast<std::size_t>(targets[k])) continue;
-      std::size_t pos;
-      do {
-        pos = (offset[k] + next[k] * skip[k]) % m;
-        ++next[k];
-      } while (slots_[pos] != kEmptySlot);
-      slots_[pos] = usable[k];
+      std::size_t& p = pos[k];
+      const auto step = [&] {
+        p += skip[k];
+        if (p >= m) p -= m;
+      };
+      while (slots_[p] != kEmptySlot) step();
+      slots_[p] = usable[k];
+      step();
       ++taken[k];
       ++filled;
     }

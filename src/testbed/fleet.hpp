@@ -9,6 +9,7 @@
 // traffic.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -60,12 +61,15 @@ class SinkDataplane : public lb::PoolProgrammer {
     last_units_.clear();
     for (const auto& b : backends_) last_units_.push_back(b.weight_units);
     ++programs_;
+    live_at_ = std::chrono::steady_clock::now();
   }
 
   const std::vector<std::int64_t>& last_units() const { return last_units_; }
   std::uint64_t programs() const { return programs_; }
   std::uint64_t applied_version() const { return applied_version_; }
   std::uint64_t superseded_programs() const { return superseded_; }
+  /// Wall time the last committed program went live (freshness benches).
+  std::chrono::steady_clock::time_point live_at() const { return live_at_; }
 
  private:
   struct Backend {
@@ -78,6 +82,7 @@ class SinkDataplane : public lb::PoolProgrammer {
   std::uint64_t applied_version_ = 0;
   std::uint64_t programs_ = 0;
   std::uint64_t superseded_ = 0;
+  std::chrono::steady_clock::time_point live_at_;
 };
 
 class SyntheticFleet {

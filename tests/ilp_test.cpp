@@ -1,10 +1,14 @@
 // ILP branch & bound + MCKP DP tests: known-answer knapsacks, timeout
-// behaviour, infeasibility, and the key cross-validation property — on
-// random MCKP instances the generic B&B and the specialized DP must agree.
+// behaviour, infeasibility, and the key cross-validation properties — on
+// random MCKP instances the generic B&B and the specialized DP must agree,
+// and the banded DP must return exactly what the full-width DP returns.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "ilp/mckp.hpp"
 #include "ilp/model.hpp"
@@ -194,6 +198,199 @@ TEST_P(MckpAgreement, BnbAndDpAgreeOnRandomInstances) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MckpAgreement, ::testing::Range(0, 40));
+
+// --- Banded DP == full-width DP ----------------------------------------------
+
+/// The full-width DP, kept as the reference for solve_mckp's banded one:
+/// every sum in [0, total] for every group, items in order with strict <,
+/// the window scanned from the top with a 1e-12 tie margin.
+MckpResult full_width_mckp(const std::vector<MckpGroup>& groups,
+                           std::int64_t total_units, std::int64_t slack_units) {
+  MckpResult result;
+  if (groups.empty() || total_units < 0) return result;
+  for (const auto& g : groups)
+    if (g.items.empty() || g.items.size() > 65'535) return result;
+  const auto capacity = static_cast<std::size_t>(total_units) + 1;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> prev(capacity, kInf), cur(capacity, kInf);
+  std::vector<std::vector<std::uint16_t>> parent(
+      groups.size(), std::vector<std::uint16_t>(capacity, 0xffff));
+  prev[0] = 0.0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::fill(cur.begin(), cur.end(), kInf);
+    for (std::size_t item = 0; item < groups[g].items.size(); ++item) {
+      const auto& it = groups[g].items[item];
+      if (it.weight_units < 0 || it.weight_units > total_units) continue;
+      const auto w = static_cast<std::size_t>(it.weight_units);
+      for (std::size_t u = w; u < capacity; ++u) {
+        const double base = prev[u - w];
+        if (base == kInf) continue;
+        const double cost = base + it.cost;
+        if (cost < cur[u]) {
+          cur[u] = cost;
+          parent[g][u] = static_cast<std::uint16_t>(item);
+        }
+      }
+    }
+    std::swap(prev, cur);
+  }
+  const std::int64_t lo = std::max<std::int64_t>(0, total_units - slack_units);
+  std::size_t best_u = capacity;
+  double best_cost = kInf;
+  for (std::int64_t u = total_units; u >= lo; --u) {
+    const auto uu = static_cast<std::size_t>(u);
+    if (prev[uu] < best_cost - 1e-12) {
+      best_cost = prev[uu];
+      best_u = uu;
+    }
+  }
+  if (best_u == capacity) return result;
+  result.feasible = true;
+  result.cost = best_cost;
+  result.total_units = static_cast<std::int64_t>(best_u);
+  result.choice.assign(groups.size(), -1);
+  std::size_t u = best_u;
+  for (std::size_t g = groups.size(); g-- > 0;) {
+    const std::uint16_t item = parent[g][u];
+    result.choice[g] = static_cast<int>(item);
+    u -= static_cast<std::size_t>(groups[g].items[item].weight_units);
+  }
+  return result;
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// Compares the two DPs on one instance; returns whether it was feasible
+/// so callers can check their generator covers both outcomes.
+bool expect_same_as_full_width(const std::vector<MckpGroup>& groups,
+                               std::int64_t total, std::int64_t slack,
+                               const std::string& what) {
+  const auto ref = full_width_mckp(groups, total, slack);
+  const auto got = solve_mckp(groups, total, slack);
+  EXPECT_EQ(got.feasible, ref.feasible) << what;
+  EXPECT_EQ(got.choice, ref.choice) << what;
+  EXPECT_EQ(got.total_units, ref.total_units) << what;
+  EXPECT_EQ(bits_of(got.cost), bits_of(ref.cost)) << what;  // bit-identical
+  return ref.feasible;
+}
+
+/// The controller's shape: one group per DIP, candidate weights spread
+/// evenly over [0, wmax] in grid units, costs a convex latency curve.
+std::vector<MckpGroup> controller_like(util::Rng& rng, std::size_t dips,
+                                       std::int64_t total) {
+  std::vector<MckpGroup> groups(dips);
+  const double fair = static_cast<double>(total) / static_cast<double>(dips);
+  for (auto& g : groups) {
+    const double wmax = fair * rng.uniform(0.6, 2.5);
+    const double l0 = rng.uniform(1.0, 3.0);
+    const int points = 2 + static_cast<int>(rng.uniform_int(std::uint64_t{20}));
+    for (int i = 0; i < points; ++i) {
+      const double w = wmax * i / (points - 1);
+      const double x = w / wmax;
+      g.items.push_back(MckpItem{static_cast<std::int64_t>(std::llround(w)),
+                                 l0 * (1.0 + x * x * x) / (1.0 - 0.5 * x)});
+    }
+  }
+  return groups;
+}
+
+TEST(MckpBanded, MatchesFullWidthAtTheControllersShape) {
+  util::Rng rng(90'001);
+  int feasible = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    // Mostly the benchmark's 30 DIPs; some smaller pools.
+    const auto dips = trial % 3 == 0
+                          ? static_cast<std::size_t>(rng.uniform_int(1, 29))
+                          : std::size_t{30};
+    const auto groups = controller_like(rng, dips, 10'000);
+    const std::int64_t slack = rng.uniform_int(1, 800);
+    feasible += expect_same_as_full_width(groups, 10'000, slack,
+                                          "trial " + std::to_string(trial));
+  }
+  EXPECT_GE(feasible, 12);
+}
+
+TEST(MckpBanded, MatchesFullWidthOnExactCostTies) {
+  // Costs from a four-value set and weights on a coarse lattice: many
+  // sums are reached by equal-cost paths, so item order and the window's
+  // top-down tie-break decide the choice.
+  util::Rng rng(90'002);
+  int feasible = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    std::vector<MckpGroup> groups(n);
+    for (auto& g : groups) {
+      const int items = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{6}));
+      for (int i = 0; i < items; ++i)
+        g.items.push_back(
+            MckpItem{5 * rng.uniform_int(0, 8),
+                     0.5 * static_cast<double>(rng.uniform_int(0, 3))});
+    }
+    feasible += expect_same_as_full_width(groups, 100, rng.uniform_int(0, 20),
+                                          "trial " + std::to_string(trial));
+  }
+  EXPECT_GE(feasible, 20);
+}
+
+TEST(MckpBanded, MatchesFullWidthOnOddShapes) {
+  util::Rng rng(90'003);
+  int feasible = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::int64_t total = rng.uniform_int(0, 300);
+    // slack from negative (an empty window) through >= total (window
+    // reaching 0).
+    const std::int64_t slack = rng.uniform_int(-5, total + 50);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    std::vector<MckpGroup> groups(n);
+    for (auto& g : groups) {
+      const int items = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{7}));
+      for (int i = 0; i < items; ++i) {
+        // Some weights are negative or above total: never pickable.
+        const std::int64_t w = rng.uniform_int(-20, total + 40);
+        g.items.push_back(MckpItem{w, rng.uniform(0.0, 10.0)});
+      }
+    }
+    feasible += expect_same_as_full_width(
+        groups, total, slack,
+        "trial " + std::to_string(trial) + " total " + std::to_string(total) +
+            " slack " + std::to_string(slack));
+  }
+  EXPECT_GE(feasible, 40);   // both outcomes covered
+  EXPECT_LE(feasible, 160);
+}
+
+TEST(MckpBanded, MatchesFullWidthOnInfeasibleWindows) {
+  std::vector<MckpGroup> groups(3);
+  for (auto& g : groups) g.items = {{10, 1.0}, {20, 2.0}, {30, 0.5}};
+  // Too small to reach: max sum 90 < 95.
+  EXPECT_FALSE(expect_same_as_full_width(groups, 100, 5, "above every sum"));
+  // A hole: sums are multiples of 10, window [41, 49].
+  EXPECT_FALSE(expect_same_as_full_width(groups, 49, 8, "in a lattice hole"));
+  // Below every sum: the smallest is 30.
+  EXPECT_FALSE(expect_same_as_full_width(groups, 25, 25, "below every sum"));
+  // Every item of one group is out of range.
+  groups[1].items = {{-1, 0.0}, {200, 0.0}};
+  EXPECT_FALSE(expect_same_as_full_width(groups, 100, 100, "no pickable item"));
+}
+
+TEST(MckpBanded, MatchesFullWidthOnASingleGroup) {
+  util::Rng rng(90'004);
+  int feasible = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<MckpGroup> groups(1);
+    const int items = 1 + static_cast<int>(rng.uniform_int(std::uint64_t{10}));
+    for (int i = 0; i < items; ++i)
+      groups[0].items.push_back(
+          MckpItem{rng.uniform_int(0, 120), rng.uniform(0.0, 5.0)});
+    feasible += expect_same_as_full_width(groups, 100, rng.uniform_int(0, 120),
+                                          "trial " + std::to_string(trial));
+  }
+  EXPECT_GE(feasible, 10);
+}
 
 }  // namespace
 }  // namespace klb::ilp

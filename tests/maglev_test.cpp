@@ -15,6 +15,7 @@
 #include "lb/maglev.hpp"
 #include "lb/mux.hpp"
 #include "testbed/fleet.hpp"
+#include "util/rng.hpp"
 #include "util/weight.hpp"
 
 namespace klb::lb {
@@ -186,6 +187,74 @@ TEST(MaglevTable, RebuildIsDeterministic) {
   t1.build(entries);
   t2.build(entries);
   EXPECT_EQ(owners(t1), owners(t2));
+}
+
+/// The textbook fill, kept as the reference: every probe takes
+/// (offset + j * skip) % m. Same mixer, apportionment and round-robin
+/// order as MaglevTable::build, so the two must agree slot for slot.
+std::vector<std::uint64_t> reference_owners(
+    const std::vector<MaglevEntry>& entries, std::size_t m) {
+  const auto mix64 = [](std::uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebull;
+    x ^= x >> 31;
+    return x;
+  };
+  std::vector<std::uint64_t> out(m, MaglevTable::kNoId);
+  std::vector<std::size_t> usable;
+  std::vector<double> weights;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].weight_units <= 0) continue;
+    usable.push_back(i);
+    weights.push_back(static_cast<double>(entries[i].weight_units));
+  }
+  if (usable.empty()) return out;
+  const auto targets =
+      util::normalize_to_units(weights, static_cast<std::int64_t>(m));
+  const std::size_t n = usable.size();
+  std::vector<std::size_t> offset(n), skip(n), next(n, 0), taken(n, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint64_t h = mix64(entries[usable[k]].id);
+    offset[k] = h % m;
+    skip[k] = 1 + mix64(h ^ 0x9e3779b97f4a7c15ull) % (m - 1);
+  }
+  std::size_t filled = 0;
+  while (filled < m) {
+    for (std::size_t k = 0; k < n && filled < m; ++k) {
+      if (taken[k] >= static_cast<std::size_t>(targets[k])) continue;
+      std::size_t pos;
+      do {
+        pos = (offset[k] + next[k] * skip[k]) % m;
+        ++next[k];
+      } while (out[pos] != MaglevTable::kNoId);
+      out[pos] = entries[usable[k]].id;
+      ++taken[k];
+      ++filled;
+    }
+  }
+  return out;
+}
+
+TEST(MaglevTable, FillMatchesTheModuloReferenceSlotForSlot) {
+  util::Rng rng(20'261);
+  for (const std::size_t m : {3u, 7u, 251u, 65'537u}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      // 1-300 entries with random ids, a quarter of them at weight 0.
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+      std::vector<MaglevEntry> entries(n);
+      for (auto& e : entries) {
+        e.id = rng.next() >> 1;
+        e.weight_units = rng.bernoulli(0.25) ? 0 : rng.uniform_int(1, 500);
+      }
+      MaglevTable t(m);
+      ASSERT_EQ(t.table_size(), m);
+      t.build(entries);
+      EXPECT_EQ(owners(t), reference_owners(entries, m))
+          << "m " << m << " trial " << trial << " entries " << n;
+    }
+  }
 }
 
 // --- MaglevPolicy ------------------------------------------------------------
