@@ -347,7 +347,7 @@ void Controller::apply_ilp(const IlpSolveOutcome& out) {
   if (!out.attempted) return;  // no ready curves yet: stay dirty
 
   ++ilp_runs_;
-  last_ilp_ms_ = out.result.elapsed;
+  last_ilp_elapsed_ = out.result.elapsed;
   if (!out.result.feasible) {
     // Degenerate (e.g. sum of wmax < 1 after failures): proportional to
     // wmax keeps everyone maximally utilized without a better signal.

@@ -61,7 +61,7 @@ struct IlpWeightsResult {
   double estimated_total_latency_ms = 0.0;
   int steps_run = 0;
   std::int64_t nodes_explored = 0;
-  std::chrono::milliseconds elapsed{0};
+  std::chrono::microseconds elapsed{0};
 };
 
 class IlpWeights {

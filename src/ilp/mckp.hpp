@@ -39,8 +39,10 @@ struct MckpResult {
 /// with lo = total - slack and maxw_h group h's largest weight in
 /// [0, total]; no other sum can be reached and still reach the window.
 /// O(Σ_g band_g * items_g) time, at most O(groups * total * max_items);
-/// O(Σ_g band_g) reconstruction memory (16-bit choice ids). Costs, choices
-/// and tie-breaks equal the full-width DP's.
+/// O(Σ_g band_g) memory, one double per band cell, all freed on return.
+/// The choices are recovered from the cost rows, so a group may hold any
+/// number of items. Costs, choices and tie-breaks equal the full-width
+/// DP's; a NaN or +inf cost never wins.
 MckpResult solve_mckp(const std::vector<MckpGroup>& groups,
                       std::int64_t total_units, std::int64_t slack_units);
 

@@ -138,7 +138,7 @@ struct Solver {
 
       if (lp_sol.status == lp::Status::kMemLimit) {
         result.status = IlpStatus::kMemLimit;
-        result.elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+        result.elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start);
         return result;
       }
@@ -200,7 +200,7 @@ struct Solver {
       best_open_bound = std::max(best_open_bound, node_obj);
     }
 
-    result.elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+    result.elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
         std::chrono::steady_clock::now() - start);
 
     const bool finished = open.empty() &&

@@ -76,7 +76,7 @@ struct IlpResult {
   double objective = 0.0;
   std::int64_t nodes_explored = 0;
   double best_bound = 0.0;
-  std::chrono::milliseconds elapsed{0};
+  std::chrono::microseconds elapsed{0};
 
   bool has_solution() const {
     return status == IlpStatus::kOptimal ||

@@ -81,6 +81,9 @@ void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
   // permutation until it holds its apportioned share. Because permutations
   // depend only on the id, a pool change leaves every surviving backend
   // claiming (almost) the same slots — the minimal-disruption property.
+  // The probes test a local occupancy bitmap (m bits: 8 KB at the default
+  // size, so it stays in L1) rather than the slot array itself.
+  std::vector<std::uint64_t> occupied((m + 63) / 64, 0);
   std::size_t filled = 0;
   while (filled < m) {
     for (std::size_t k = 0; k < n && filled < m; ++k) {
@@ -90,7 +93,8 @@ void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
         p += skip[k];
         if (p >= m) p -= m;
       };
-      while (slots_[p] != kEmptySlot) step();
+      while (occupied[p >> 6] >> (p & 63) & 1) step();
+      occupied[p >> 6] |= std::uint64_t{1} << (p & 63);
       slots_[p] = usable[k];
       step();
       ++taken[k];

@@ -130,6 +130,27 @@ TEST(Mckp, ZeroWeightItemsAllowed) {
   EXPECT_NEAR(r.cost, 1.5, 1e-12);
 }
 
+TEST(Mckp, ManyItemsInOneGroup) {
+  // Choice ids are plain ints: a group may hold more than 65,535 items.
+  // One group's answer is its cheapest item in the window, the lowest
+  // index on a tie.
+  util::Rng rng(4'243);
+  std::vector<MckpGroup> groups(1);
+  for (int i = 0; i < 70'000; ++i)
+    groups[0].items.push_back(
+        MckpItem{rng.uniform_int(0, 150), rng.uniform(1.0, 2.0)});
+  for (const std::size_t i : {66'000u, 68'000u, 69'999u})
+    groups[0].items[i] = MckpItem{90, 0.5};
+  groups[0].items[67'000] = MckpItem{120, 0.1};  // above the window
+  groups[0].items[67'500] = MckpItem{50, 0.1};   // below the window
+  const auto r = solve_mckp(groups, 100, 20);
+  ASSERT_TRUE(r.feasible);
+  ASSERT_EQ(r.choice.size(), 1u);
+  EXPECT_EQ(r.choice[0], 66'000);
+  EXPECT_EQ(r.total_units, 90);
+  EXPECT_EQ(r.cost, 0.5);
+}
+
 /// Builds the Fig. 7 ILP for an MCKP instance (theta = infinity) — shared
 /// by the agreement property test below.
 IlpResult solve_via_bnb(const std::vector<MckpGroup>& groups,
@@ -312,6 +333,29 @@ TEST(MckpBanded, MatchesFullWidthAtTheControllersShape) {
                                           "trial " + std::to_string(trial));
   }
   EXPECT_GE(feasible, 12);
+}
+
+TEST(MckpBanded, MatchesFullWidthWithNonFiniteCosts) {
+  // +inf and NaN costs must lose every comparison in both DPs: a NaN sum
+  // never replaces a cell and never equals one on the backtrack.
+  util::Rng rng(90'005);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  int feasible = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto dips = static_cast<std::size_t>(rng.uniform_int(1, 30));
+    auto groups = controller_like(rng, dips, 10'000);
+    for (auto& g : groups)
+      for (auto& it : g.items) {
+        const double r = rng.uniform(0.0, 1.0);
+        if (r < 0.15) it.cost = kInf;
+        else if (r < 0.30) it.cost = kNaN;
+      }
+    const std::int64_t slack = rng.uniform_int(1, 800);
+    feasible += expect_same_as_full_width(groups, 10'000, slack,
+                                          "trial " + std::to_string(trial));
+  }
+  EXPECT_GE(feasible, 6);
 }
 
 TEST(MckpBanded, MatchesFullWidthOnExactCostTies) {

@@ -257,6 +257,27 @@ TEST(MaglevTable, FillMatchesTheModuloReferenceSlotForSlot) {
   }
 }
 
+TEST(MaglevTable, ReusedTableMatchesAFreshBuild) {
+  // The fill's occupancy state must not outlive a build: a second build on
+  // the same object, over other ids and weights, equals a fresh table's.
+  util::Rng rng(20'262);
+  for (const std::size_t m : {7u, 251u, 65'537u}) {
+    MaglevTable reused(m);
+    reused.build(equal_entries(40, 13));
+    std::vector<MaglevEntry> entries(static_cast<std::size_t>(
+        rng.uniform_int(1, 120)));
+    for (auto& e : entries) {
+      e.id = rng.next() >> 1;
+      e.weight_units = rng.uniform_int(1, 500);
+    }
+    reused.build(entries);
+    MaglevTable fresh(m);
+    fresh.build(entries);
+    EXPECT_EQ(owners(reused), owners(fresh)) << "m " << m;
+    EXPECT_EQ(owners(reused), reference_owners(entries, m)) << "m " << m;
+  }
+}
+
 // --- MaglevPolicy ------------------------------------------------------------
 
 TEST(MaglevPolicy, FactoryGivesAnEmptyTableOfDefaultGeometry) {
