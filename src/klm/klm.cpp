@@ -139,7 +139,7 @@ void Klm::send_probe(std::uint64_t round_key, std::uint32_t seq) {
   out.timeout_event = net_.sim().schedule_in(
       cfg_.probe_timeout, [this, probe_id] { resolve_timeout(probe_id); });
   outstanding_[probe_id] = out;
-  net_.send(round.dip, msg);
+  net_.send(round.dip, std::move(msg));
 }
 
 void Klm::resolve_timeout(std::uint64_t probe_id) {
@@ -170,8 +170,8 @@ void Klm::on_message(const net::Message& msg) {
   Round& round = rit->second;
   ++round.resolved;
 
-  const auto http = net::HttpResponse::parse(msg.payload);
-  if (http && http->ok()) {
+  const auto head = net::read_response_head(msg.payload);
+  if (head && head->ok()) {
     round.latency_ms.add((net_.sim().now() - sent_at).ms());
   } else {
     ++round.errors;

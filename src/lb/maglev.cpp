@@ -43,7 +43,6 @@ MaglevTable::MaglevTable(std::size_t min_table_size) {
 
 void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
   const std::size_t m = slots_.size();
-  std::fill(slots_.begin(), slots_.end(), kEmptySlot);
   ids_.resize(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) ids_[i] = entries[i].id;
 
@@ -54,7 +53,12 @@ void MaglevTable::build(const std::vector<MaglevEntry>& entries) {
     usable.push_back(static_cast<std::uint32_t>(i));
     weights.push_back(entries[i].weight_units);
   }
-  if (usable.empty()) return;
+  // The fill below claims every slot whenever any entry has weight, so
+  // only a table with no weight at all has slots to clear.
+  if (usable.empty()) {
+    std::fill(slots_.begin(), slots_.end(), kEmptySlot);
+    return;
+  }
 
   // Largest-remainder slot apportionment — the same algorithm (and code)
   // the controller uses to make weight units sum to kWeightScale, here

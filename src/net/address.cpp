@@ -5,7 +5,7 @@
 
 namespace klb::net {
 
-std::optional<IpAddr> IpAddr::parse(const std::string& s) {
+std::optional<IpAddr> IpAddr::parse(std::string_view s) {
   std::array<std::uint32_t, 4> octets{};
   std::size_t pos = 0;
   for (int i = 0; i < 4; ++i) {
@@ -30,10 +30,22 @@ std::optional<IpAddr> IpAddr::parse(const std::string& s) {
 }
 
 std::string IpAddr::str() const {
-  return std::to_string((addr_ >> 24) & 0xff) + "." +
-         std::to_string((addr_ >> 16) & 0xff) + "." +
-         std::to_string((addr_ >> 8) & 0xff) + "." +
-         std::to_string(addr_ & 0xff);
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void IpAddr::append_to(std::string& out) const {
+  char buf[15];  // "255.255.255.255"
+  std::size_t n = 0;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    const std::uint32_t octet = (addr_ >> shift) & 0xff;
+    if (octet >= 100) buf[n++] = static_cast<char>('0' + octet / 100);
+    if (octet >= 10) buf[n++] = static_cast<char>('0' + octet / 10 % 10);
+    buf[n++] = static_cast<char>('0' + octet % 10);
+    if (shift > 0) buf[n++] = '.';
+  }
+  out.append(buf, n);
 }
 
 }  // namespace klb::net

@@ -9,6 +9,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace klb::net {
 
@@ -21,10 +22,13 @@ class IpAddr {
       : addr_((std::uint32_t{a} << 24) | (std::uint32_t{b} << 16) |
               (std::uint32_t{c} << 8) | std::uint32_t{d}) {}
 
-  static std::optional<IpAddr> parse(const std::string& s);
+  /// Dotted quad; the whole of `s` must be the address.
+  static std::optional<IpAddr> parse(std::string_view s);
 
   constexpr std::uint32_t value() const { return addr_; }
   std::string str() const;
+  /// Appends str()'s text to `out` without a temporary string.
+  void append_to(std::string& out) const;
 
   constexpr bool operator==(const IpAddr& o) const { return addr_ == o.addr_; }
   constexpr bool operator!=(const IpAddr& o) const { return addr_ != o.addr_; }

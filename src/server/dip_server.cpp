@@ -7,7 +7,11 @@
 namespace klb::server {
 
 DipServer::DipServer(net::Network& net, net::IpAddr addr, DipConfig cfg)
-    : net_(net), addr_(addr), cfg_(cfg), rng_(net.sim().rng().fork()) {
+    : net_(net),
+      addr_(addr),
+      cfg_(cfg),
+      rng_(net.sim().rng().fork()),
+      server_header_("klb-dip/" + addr.str()) {
   net_.attach(addr_, this);
   busy_tw_.set(net_.sim().now().sec(), 0.0);
 }
@@ -94,12 +98,13 @@ void DipServer::handle_request(const net::Message& msg) {
   // it; conn-less probes (req_id 0) are counted as one-shot connections.
   if (msg.req_id <= 1) ++active_conns_;
 
+  const RequestRoute route{msg.tuple, msg.conn_id, msg.req_id};
   if (static_cast<int>(queue_.size()) >= backlog_limit()) {
     ++dropped_;
-    send_response(msg, 503, cfg_.kernel_latency);
+    send_response(route, 503, cfg_.kernel_latency);
     return;
   }
-  queue_.push_back(PendingRequest{msg, net_.sim().now()});
+  queue_.push_back(PendingRequest{route, net_.sim().now()});
   dispatch();
 }
 
@@ -119,7 +124,10 @@ void DipServer::handle_ping(const net::Message& msg) {
       static_cast<std::int64_t>(rng_.exponential(20.0)));
   const auto delay = cfg_.kernel_latency + jitter;
   net::IpAddr to = msg.tuple.src_ip;
-  net_.sim().schedule_in(delay, [this, to, reply] { net_.send(to, reply); });
+  net_.sim().schedule_in(delay,
+                         [this, to, reply = std::move(reply)]() mutable {
+                           net_.send(to, std::move(reply));
+                         });
 }
 
 void DipServer::dispatch() {
@@ -148,32 +156,29 @@ void DipServer::complete(PendingRequest req, util::SimTime /*started_at*/) {
   ++completed_;
   const auto server_time = net_.sim().now() - req.enqueued_at;
   latency_ms_.add(server_time.ms());
-  send_response(req.msg, 200, util::SimTime::zero());
+  send_response(req.route, 200, util::SimTime::zero());
   dispatch();
 }
 
-void DipServer::send_response(const net::Message& req, int status,
+void DipServer::send_response(const RequestRoute& req, int status,
                               util::SimTime extra_delay) {
-  net::HttpResponse http;
-  http.status = status;
-  http.reason = net::default_reason(status);
-  http.headers["Server"] = "klb-dip/" + addr_.str();
-  http.body = (status == 200) ? "result" : "overloaded";
-
   net::Message resp;
   resp.type = net::MsgType::kHttpResponse;
   resp.tuple = req.tuple;
   resp.conn_id = req.conn_id;
   resp.req_id = req.req_id;
-  resp.payload = http.serialize();
+  net::write_response(resp.payload, status, server_header_,
+                      status == 200 ? "result" : "overloaded");
 
   // Direct server return: the response goes straight to the client.
   const net::IpAddr to = req.tuple.src_ip;
   if (extra_delay > util::SimTime::zero()) {
     net_.sim().schedule_in(extra_delay,
-                           [this, to, resp] { net_.send(to, resp); });
+                           [this, to, resp = std::move(resp)]() mutable {
+                             net_.send(to, std::move(resp));
+                           });
   } else {
-    net_.send(to, resp);
+    net_.send(to, std::move(resp));
   }
 }
 

@@ -102,8 +102,15 @@ class DipServer : public net::Node {
   void on_message(const net::Message& msg) override;
 
  private:
+  /// What a response needs from its request: where it goes and what it
+  /// answers. The request's payload is never read, so it is not kept.
+  struct RequestRoute {
+    net::FiveTuple tuple;
+    std::uint64_t conn_id = 0;
+    std::uint64_t req_id = 0;
+  };
   struct PendingRequest {
-    net::Message msg;
+    RequestRoute route;
     util::SimTime enqueued_at;
   };
 
@@ -112,7 +119,7 @@ class DipServer : public net::Node {
   void handle_ping(const net::Message& msg);
   void dispatch();
   void complete(PendingRequest req, util::SimTime started_at);
-  void send_response(const net::Message& req, int status,
+  void send_response(const RequestRoute& req, int status,
                      util::SimTime server_time);
   void touch_cpu_accounting();
 
@@ -124,6 +131,7 @@ class DipServer : public net::Node {
   net::IpAddr addr_;
   DipConfig cfg_;
   util::Rng rng_;
+  std::string server_header_;  // "klb-dip/<addr>", every response's Server
 
   double capacity_factor_ = 1.0;
   double stolen_cores_ = 0.0;

@@ -93,23 +93,16 @@ void ClientPool::start_session() {
   s.tuple.dst_port = 80;
 
   ++sessions_started_;
-  const auto conn_id = s.conn_id;
-  sessions_.emplace(conn_id, s);
-  send_request(sessions_.at(conn_id));
+  send_request(sessions_.emplace(s.conn_id, s).first->second);
 }
 
 void ClientPool::send_request(Session& s) {
-  net::HttpRequest http;
-  http.method = "GET";
-  http.target = cfg_.url;
-  http.headers["Host"] = s.tuple.dst_ip.str();
-
   net::Message msg;
   msg.type = net::MsgType::kHttpRequest;
   msg.tuple = s.tuple;
   msg.conn_id = s.conn_id;
   msg.req_id = s.next_req_id++;
-  msg.payload = http.serialize();
+  net::write_get_request(msg.payload, cfg_.url, s.tuple.dst_ip);
 
   s.sent_at = sim().now();
   ++requests_sent_;
@@ -118,7 +111,7 @@ void ClientPool::send_request(Session& s) {
   s.timeout_event = sim().schedule_in(
       cfg_.request_timeout, [this, conn_id] { on_timeout(conn_id); });
 
-  net_.send(s.target, msg);
+  net_.send(s.target, std::move(msg));
 }
 
 void ClientPool::on_message(const net::Message& msg) {
@@ -133,29 +126,28 @@ void ClientPool::on_message(const net::Message& msg) {
   }
 
   const auto latency = sim().now() - s.sent_at;
-  const auto http = net::HttpResponse::parse(msg.payload);
+  const auto head = net::read_response_head(msg.payload);
+  const bool ok = head && head->ok();
 
-  // Attribute the response to the DIP from the Server header.
+  // Attribute the response to the DIP from the Server header
+  // ("klb-dip/<addr>").
   net::IpAddr dip;
-  if (http) {
-    const auto hdr = http->headers.find("Server");
-    if (hdr != http->headers.end()) {
-      const auto slash = hdr->second.find('/');
-      if (slash != std::string::npos) {
-        if (const auto a = net::IpAddr::parse(hdr->second.substr(slash + 1)))
-          dip = *a;
-      }
+  if (head) {
+    const auto slash = head->server.find('/');
+    if (slash != std::string_view::npos) {
+      if (const auto a = net::IpAddr::parse(head->server.substr(slash + 1)))
+        dip = *a;
     }
   }
 
-  if (http && http->ok()) {
+  if (ok) {
     recorder_.record_success(dip, latency.ms());
   } else {
     recorder_.record_error(dip);
   }
 
   --s.requests_left;
-  if (s.requests_left == 0 || !http || !http->ok()) {
+  if (s.requests_left == 0 || !ok) {
     finish_session(s);
   } else {
     send_request(s);
@@ -168,7 +160,7 @@ void ClientPool::finish_session(Session& s) {
   fin.tuple = s.tuple;
   fin.conn_id = s.conn_id;
   // In DNS mode there is no MUX: the FIN goes straight to the DIP.
-  net_.send(dns_ ? s.target : vip_, fin);
+  net_.send(dns_ ? s.target : vip_, std::move(fin));
   sessions_.erase(s.conn_id);
   if (deferred_sessions_ > 0 && running_) {
     --deferred_sessions_;

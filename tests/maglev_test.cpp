@@ -275,6 +275,15 @@ TEST(MaglevTable, ReusedTableMatchesAFreshBuild) {
     fresh.build(entries);
     EXPECT_EQ(owners(reused), owners(fresh)) << "m " << m;
     EXPECT_EQ(owners(reused), reference_owners(entries, m)) << "m " << m;
+    // A rebuild with no weight left empties the previously full table.
+    for (auto& e : entries) e.weight_units = 0;
+    reused.build(entries);
+    MaglevTable empty(m);
+    empty.build(entries);
+    EXPECT_EQ(owners(reused), owners(empty)) << "m " << m;
+    EXPECT_EQ(owners(reused),
+              std::vector<std::uint64_t>(m, MaglevTable::kNoId))
+        << "m " << m;
   }
 }
 

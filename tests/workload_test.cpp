@@ -1,8 +1,10 @@
 // Workload module tests: traffic patterns, the latency recorder, and
 // client behaviour — open-loop rate accuracy, closed-loop concurrency
-// caps, session/FIN lifecycle, and timeout handling.
+// caps, session/FIN lifecycle, timeout handling, and per-DIP attribution
+// from the Server response header.
 #include <gtest/gtest.h>
 
+#include "lb/dns_lb.hpp"
 #include "server/dip_server.hpp"
 #include "workload/client.hpp"
 #include "workload/recorder.hpp"
@@ -166,6 +168,44 @@ TEST(ClientPool, ErrorResponsesRecorded) {
   clients.stop();
   sim.run_for(1_s);
   EXPECT_GT(clients.recorder().errors(), 100u);
+}
+
+TEST(ClientPool, AttributesResponsesToTheServerHeader) {
+  // Two DIPs behind DNS, one healthy and one so overloaded that most of
+  // its requests overflow into 503s. The recorder must credit each
+  // success and each error to the DIP that named itself in the response's
+  // Server header, which the servers' own counters confirm one for one.
+  sim::Simulation sim(55);
+  net::Network net(sim);
+  server::DipServer healthy(net, net::IpAddr{10, 1, 0, 1},
+                            server::DipConfig{});
+  server::DipConfig slow;
+  slow.demand_core_ms = 100.0;
+  slow.backlog_per_core = 1;
+  server::DipServer overloaded(net, net::IpAddr{10, 1, 0, 2}, slow);
+  lb::DnsTrafficManager dns(sim, {healthy.address(), overloaded.address()});
+
+  ClientConfig cfg;
+  cfg.requests_per_session = 1.0;
+  ClientPool clients(net, net::IpAddr{10, 2, 0, 1}, dns,
+                     TrafficPattern(200.0), cfg);
+  clients.start();
+  sim.run_until(10_s);
+  clients.stop();
+  sim.run_for(2_s);  // every in-flight request is answered
+
+  const auto& rec = clients.recorder();
+  ASSERT_EQ(rec.timeouts(), 0u);
+  EXPECT_GT(overloaded.dropped(), 50u);
+  EXPECT_EQ(rec.errors_for(overloaded.address()), overloaded.dropped());
+  EXPECT_EQ(rec.errors_for(healthy.address()), 0u);
+  EXPECT_EQ(rec.errors(), overloaded.dropped());  // none unattributed
+  EXPECT_EQ(rec.per_dip().size(), 2u);
+  EXPECT_EQ(rec.per_dip().at(healthy.address()).count(), healthy.completed());
+  EXPECT_EQ(rec.per_dip().at(overloaded.address()).count(),
+            overloaded.completed());
+  EXPECT_EQ(rec.overall().count(),
+            healthy.completed() + overloaded.completed());
 }
 
 TEST(ClientPool, PatternChangeTakesEffect) {

@@ -11,6 +11,9 @@
 // are sized for twice the open flows up front: the one allocation a table
 // may still make is its amortized growth, which a shard whose share of the
 // open flows drifts past 3/4 load would otherwise hit at random times.
+//
+// The same counter checks the client's side of a response: reading a DIP
+// response's status and Server header allocates nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +26,7 @@
 #include "lb/mux_pool.hpp"
 #include "lb/pool_program.hpp"
 #include "net/fabric.hpp"
+#include "net/http.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/weight.hpp"
@@ -203,6 +207,25 @@ TEST(ZeroAlloc, BurstStepAllocatesNothingAfterWarmUp) {
   drive.drain();
   EXPECT_EQ(drive.delivered(), drive.offered());
   EXPECT_EQ(drive.pool().counters().no_backend_drops, 0u);
+}
+
+TEST(ZeroAlloc, ReadingADipResponseHeadAllocatesNothing) {
+  // The client reads every response's status and Server header in place.
+  std::string ok_wire, overloaded_wire;  // built before the count starts
+  net::write_response(ok_wire, 200, "klb-dip/10.1.0.7", "result");
+  net::write_response(overloaded_wire, 503, "klb-dip/10.1.0.7", "overloaded");
+  constexpr int kReads = 1'000;
+  int ok = 0, attributed = 0;
+  const auto before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kReads; ++i) {
+    const auto head =
+        net::read_response_head(i % 2 == 0 ? ok_wire : overloaded_wire);
+    ok += head && head->ok() ? 1 : 0;
+    attributed += head && head->server == "klb-dip/10.1.0.7" ? 1 : 0;
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(ok, kReads / 2);
+  EXPECT_EQ(attributed, kReads);
 }
 
 }  // namespace
