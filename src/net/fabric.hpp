@@ -21,14 +21,9 @@
 // fits the event queue's inline storage and a burst's message buffer is
 // recycled, so after warm-up a payload-free hop does not allocate.
 //
-// Sharded driver: when a sim::ShardedDriver is attached, sim() returns the
-// *executing shard's* Simulation (thread-local), so components schedule
-// onto whichever shard runs them without code changes. Sends between
-// shards go through per-(src,dst) mailboxes — SPSC by construction: one
-// producing shard, drained only by the main thread at window boundaries —
-// and become events in the destination shard's queue. Each shard draws
-// jitter from its own forked RNG, so the packet path touches no fabric
-// lock at all.
+// Event loop: every hop is an event on the one Simulation the Network was
+// built with, which is also the one sim() hands attached components for
+// their own clocks and timers.
 #pragma once
 
 #include <atomic>
@@ -41,7 +36,6 @@
 
 #include "net/address.hpp"
 #include "net/five_tuple.hpp"
-#include "sim/sharded_driver.hpp"
 #include "sim/simulation.hpp"
 #include "util/effects.hpp"
 #include "util/sync.hpp"
@@ -147,9 +141,9 @@ class Network {
   /// (send() is the packet path's per-forward cost in the benches).
   /// Nonallocating up to the staging split: classification (tap presence,
   /// blackhole) is lock-free; the type-erased tap runs in the
-  /// "fabric.tap" escape and the copying enqueue tail (event queue or
-  /// cross-shard mailbox) in "fabric.enqueue". Blackhole-mode benches —
-  /// the packet-path rate measurements — never enter either.
+  /// "fabric.tap" escape and the copying enqueue tail in "fabric.enqueue".
+  /// Blackhole-mode benches — the packet-path rate measurements — never
+  /// enter either.
   void send(IpAddr to, const Message& msg) KLB_NONALLOCATING;
   void send(IpAddr to, Message&& msg);
 
@@ -160,30 +154,8 @@ class Network {
   void send_burst(IpAddr to, const Message* const* msgs, std::size_t n)
       KLB_NONALLOCATING;
 
-  /// The Simulation the calling thread should schedule on: the executing
-  /// shard's when a ShardedDriver is attached, the root Simulation
-  /// otherwise. Packet-path components use this implicitly for clocks and
-  /// timers and need no changes to run sharded.
-  sim::Simulation& sim() {
-    sim::ShardedDriver* d = driver_;
-    return d ? d->current_sim() : sim_;
-  }
-
-  /// The Simulation owned by the shard that owns `addr` — the same answer
-  /// from every thread. Components that keep cancellable timers (e.g. a
-  /// ClientPool's arrival/timeout events) must bind their scheduling to
-  /// their own shard through this, not to the caller-relative sim().
-  sim::Simulation& sim_for(IpAddr addr) {
-    sim::ShardedDriver* d = driver_;
-    return d ? d->shard_sim(d->owner_of(addr.value())) : sim_;
-  }
-
-  /// Attach the sharded driver: forks one jitter RNG per shard, sets up the
-  /// per-(src,dst) cross-shard mailboxes, and registers the mailbox drain
-  /// as the driver's window-boundary hook. Call once, before traffic, from
-  /// the main thread. Pass nullptr to detach (tests).
-  void set_driver(sim::ShardedDriver* driver);
-  sim::ShardedDriver* driver() const { return driver_; }
+  /// The Simulation every attached component schedules on.
+  sim::Simulation& sim() { return sim_; }
 
   std::uint64_t messages_sent() const {
     return sent_.load(std::memory_order_relaxed);
@@ -191,33 +163,14 @@ class Network {
   std::uint64_t messages_unreachable() const {
     return dropped_unreachable_.load(std::memory_order_relaxed);
   }
-  /// Messages that crossed a shard boundary through a mailbox.
-  std::uint64_t messages_cross_shard() const {
-    return cross_shard_.load(std::memory_order_relaxed);
-  }
 
  private:
-  /// A message (or burst) parked in a cross-shard mailbox until the next
-  /// window boundary. `burst` empty means scalar (`msg` is live).
-  struct Parcel {
-    util::SimTime at;
-    IpAddr to;
-    Message msg;
-    std::vector<Message> burst;
-  };
-  struct Mailbox {
-    util::Mutex mu{"klb.sim.mailbox"};
-    std::vector<Parcel> parcels KLB_GUARDED_BY(mu);
-  };
-
-  util::SimTime draw_delay(util::Rng& rng) const {
+  /// One hop's latency: base + exponential jitter from the fabric RNG.
+  util::SimTime draw_delay() KLB_EXCLUDES(mu_) {
+    util::MutexLock lk(mu_);
     return cfg_.base_latency +
            util::SimTime::micros(static_cast<std::int64_t>(
-               rng.exponential(static_cast<double>(cfg_.jitter_mean.us()))));
-  }
-
-  Mailbox& mailbox(std::size_t src, std::size_t dst) {
-    return *mailboxes_[src * shard_rngs_.size() + dst];
+               rng_.exponential(static_cast<double>(cfg_.jitter_mean.us()))));
   }
 
   /// One scalar fabric hop as an event callback. Scheduled by value and
@@ -229,8 +182,8 @@ class Network {
     Message msg;
     void operator()() const { net->deliver(to, msg); }
   };
-  /// One burst hop. The buffer comes from, and goes back to, the
-  /// delivering shard's spare list (take_burst_buffer/recycle).
+  /// One burst hop. The buffer comes from, and goes back to, the spare
+  /// list (take_burst_buffer/recycle).
   struct BurstHop {
     Network* net;
     IpAddr to;
@@ -243,31 +196,24 @@ class Network {
 
   Node* resolve(IpAddr to, std::uint64_t count) KLB_EXCLUDES(mu_);
   /// The post-tap, post-blackhole tail of send(): owns the message and
-  /// routes it onto the right shard's event queue or mailbox.
+  /// schedules its hop.
   void send_owned(IpAddr to, Message msg);
   /// The post-tap, post-blackhole tail of send_burst(): copies the burst
-  /// into a recycled buffer and routes it. Callers enter through the
-  /// "fabric.enqueue" escape.
+  /// into a recycled buffer and schedules its hop. Callers enter through
+  /// the "fabric.enqueue" escape.
   void enqueue_burst(IpAddr to, const Message* const* msgs, std::size_t n);
   void deliver(IpAddr to, const Message& msg);
   void deliver_burst(IpAddr to, const std::vector<Message>& msgs);
-  /// The executing shard's spare burst buffers (one list per shard, each
-  /// touched only by that shard's executor; one list without a driver).
-  std::vector<std::vector<Message>>& spare_bursts() {
-    sim::ShardedDriver* d = driver_;
-    return spare_bursts_[d ? d->executing_shard() : 0];
-  }
   /// A spare buffer holding `n` messages: the old elements are assigned
   /// over, so their payload strings keep their capacity.
   std::vector<Message> take_burst_buffer(std::size_t n);
   void recycle(std::vector<Message>&& burst) {
-    spare_bursts().push_back(std::move(burst));
+    spare_bursts_.push_back(std::move(burst));
   }
-  void drain_mailboxes();
 
   sim::Simulation& sim_;
   FabricConfig cfg_;
-  /// Guards the address table and the root fabric RNG: attach/detach runs
+  /// Guards the address table and the fabric RNG: attach/detach runs
   /// from component ctors/dtors on the control plane while MUX worker
   /// threads forward through send(). Send counters are relaxed atomics and
   /// never take this lock.
@@ -280,15 +226,7 @@ class Network {
   std::atomic<const Tap*> tap_live_{nullptr};
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> dropped_unreachable_{0};
-  std::atomic<std::uint64_t> cross_shard_{0};
-
-  // Sharded-driver state. Set once by set_driver() before traffic; the
-  // per-shard RNGs are each touched only by their shard's executor thread.
-  sim::ShardedDriver* driver_ = nullptr;
-  std::vector<util::Rng> shard_rngs_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // src * N + dst
-  std::vector<std::vector<std::vector<Message>>> spare_bursts_ =
-      std::vector<std::vector<std::vector<Message>>>(1);
+  std::vector<std::vector<Message>> spare_bursts_;
 };
 
 }  // namespace klb::net

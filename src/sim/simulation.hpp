@@ -38,9 +38,8 @@ class Simulation {
   /// Schedule `fn` at an absolute virtual time (must be >= now()).
   /// A past-due `at` is clamped to now(): the event still runs, but its
   /// intended ordering against already-executed events is lost. That is
-  /// normally a bug in the caller (with a sharded driver: a cross-shard
-  /// send that outran the virtual-time window), so the clamp is counted
-  /// and logged instead of silent.
+  /// normally a bug in the caller, so the clamp is counted and logged
+  /// instead of silent.
   template <class F>
   EventId schedule_at(util::SimTime at, F&& fn) {
     if (at < now_) {

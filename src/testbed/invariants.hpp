@@ -15,7 +15,7 @@ class Testbed;
 
 class InvariantChecker {
  public:
-  /// Prefixes the violations recorded while it is set (e.g. "shards=2").
+  /// Prefixes the violations recorded while it is set (e.g. "seed=3").
   std::string label;
 
   /// Once traffic stopped, every FIN arrived and poll() ran, membership

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <unordered_map>
 
 #include "util/logging.hpp"
@@ -32,29 +31,8 @@ std::vector<DipSpec> three_dip_specs(double hc1, double hc2, double lc) {
 Testbed::Testbed(std::vector<DipSpec> specs, TestbedConfig cfg)
     : cfg_(cfg), specs_(std::move(specs)) {
   sim_ = std::make_unique<sim::Simulation>(cfg_.seed);
-  const std::size_t shards = std::max<std::size_t>(1, cfg_.driver_shards);
-  if (shards > 1) {
-    const auto window = cfg_.driver_window > util::SimTime::zero()
-                            ? cfg_.driver_window
-                            : cfg_.fabric.base_latency;
-    driver_ = std::make_unique<sim::ShardedDriver>(*sim_, shards, window);
-  }
   net_ = std::make_unique<net::Network>(*sim_, cfg_.fabric);
-  if (driver_) net_->set_driver(driver_.get());
   vip_ = kVip;
-  if (driver_) {
-    // The VIP is anycast — the mux packet path runs on whichever shard
-    // sent to it, which is the whole scaling win — when every shard would
-    // route a given tuple identically (thread-safe AND order-insensitive).
-    // Stateful policies (rr/lc family) mutate pick state per packet, so
-    // their mux stays pinned to shard 0.
-    const bool tuple_deterministic = cfg_.mux_count > 1 ||
-                                     cfg_.policy == "maglev" ||
-                                     cfg_.policy == "hash";
-    driver_->set_owner(vip_.value(), tuple_deterministic
-                                         ? sim::ShardedDriver::kAnycast
-                                         : 0);
-  }
 
   // Construction is single-threaded, but make_dip and the pool bookkeeping
   // require the control lock, so hold it for the wiring below.
@@ -101,47 +79,25 @@ Testbed::Testbed(std::vector<DipSpec> specs, TestbedConfig cfg)
                                     kStoreAddr, cfg_.klm);
   klm_->start();
 
-  // Clients at load_fraction of healthy capacity: one pool per driver
-  // shard, each offering an even split of the rate from its own shard.
+  // Clients at load_fraction of healthy capacity.
   offered_rps_ = cfg_.load_fraction * healthy_capacity_rps_locked();
   workload::ClientConfig ccfg;
   ccfg.requests_per_session = cfg_.requests_per_session;
-  std::uint64_t total_cap = 0;
   if (cfg_.closed_loop_factor > 0.0) {
     // Nominal in-flight ~= offered * (service + queueing headroom + RTT).
     const double nominal_latency_s =
         cfg_.dip.demand_core_ms / 1e3 * 2.0 + 0.001;
-    total_cap = static_cast<std::uint64_t>(
+    ccfg.max_outstanding_sessions = static_cast<std::uint64_t>(
         std::max(4.0, std::ceil(cfg_.closed_loop_factor * offered_rps_ *
                                 nominal_latency_s /
                                 std::max(1.0, cfg_.requests_per_session))));
   }
-  for (std::size_t p = 0; p < shards; ++p) {
-    // 256 addresses per pool keeps the per-shard IP ranges disjoint.
-    const auto base = kClientBase.next(static_cast<std::uint32_t>(p) * 256);
-    if (driver_) {
-      // Register owners before construction: the pool forks its RNG from
-      // (and binds its cancellable events to) its owner shard's sim.
-      for (int i = 0; i < ccfg.client_ips; ++i)
-        driver_->set_owner(base.next(static_cast<std::uint32_t>(i)).value(),
-                           static_cast<std::uint32_t>(p));
-    }
-    auto pool_cfg = ccfg;
-    if (total_cap > 0)
-      pool_cfg.max_outstanding_sessions =
-          std::max<std::uint64_t>(1, (total_cap + shards - 1) / shards);
-    client_pools_.push_back(std::make_unique<workload::ClientPool>(
-        *net_, base, vip_,
-        workload::TrafficPattern(offered_rps_ / static_cast<double>(shards)),
-        pool_cfg));
-    client_pools_.back()->start();
-  }
+  clients_ = std::make_unique<workload::ClientPool>(
+      *net_, kClientBase, vip_, workload::TrafficPattern(offered_rps_), ccfg);
+  clients_->start();
 
   // Dataplane heartbeat (see testbed.hpp): poll() at tick rate regardless
-  // of whether a controller runs. It lives on shard 0 and is safe against
-  // packet processing on other shards: poll's drain sweeps and generation
-  // reclamation only take control-plane locks and try-locks the packet
-  // path never holds across a window.
+  // of whether a controller runs.
   dataplane_poll_ = std::make_unique<sim::PeriodicTimer>(
       *sim_, util::SimTime::millis(50), [this] { dataplane().poll(); });
   dataplane_poll_->start();
@@ -156,17 +112,11 @@ Testbed::Testbed(std::vector<DipSpec> specs, TestbedConfig cfg)
 
 Testbed::~Testbed() {
   if (controller_) controller_->stop();
-  for (auto& c : client_pools_) c->stop();
+  clients_->stop();
   if (klm_) klm_->stop();
 }
 
-void Testbed::run_for(util::SimTime duration) {
-  if (driver_) {
-    driver_->run_for(duration);
-  } else {
-    sim_->run_for(duration);
-  }
-}
+void Testbed::run_for(util::SimTime duration) { sim_->run_for(duration); }
 
 bool Testbed::run_until_ready(util::SimTime limit) {
   if (!controller_) return false;
@@ -181,7 +131,7 @@ bool Testbed::run_until_ready(util::SimTime limit) {
 void Testbed::reset_stats() {
   util::MutexLock lk(mu_);
   for (auto& d : dips_) d->reset_stats();
-  for (auto& c : client_pools_) c->recorder().reset();
+  clients_->recorder().reset();
 }
 
 std::unique_ptr<server::DipServer> Testbed::make_dip(const DipSpec& spec) {
@@ -191,13 +141,6 @@ std::unique_ptr<server::DipServer> Testbed::make_dip(const DipSpec& spec) {
   auto dip = std::make_unique<server::DipServer>(*net_, addr, dip_cfg);
   dip->set_capacity_factor(spec.capacity_factor);
   dip->set_stolen_cores(spec.stolen_cores);
-  // Round-robin shard ownership by construction order (stable across
-  // churn: offsets are never reused). The DIP's service events then run on
-  // its shard, spreading server work across cores like the clients.
-  if (driver_)
-    driver_->set_owner(addr.value(),
-                       static_cast<std::uint32_t>((next_dip_offset_ - 1) %
-                                                  driver_->shard_count()));
   return dip;
 }
 
@@ -325,10 +268,7 @@ void Testbed::program_live_pool(std::optional<net::IpAddr> draining_leaver) {
 void Testbed::refresh_offered_load() {
   if (!cfg_.rescale_load_on_churn) return;
   offered_rps_ = cfg_.load_fraction * healthy_capacity_rps_locked();
-  const double per_pool =
-      offered_rps_ / static_cast<double>(client_pools_.size());
-  for (auto& c : client_pools_)
-    c->set_pattern(workload::TrafficPattern(per_pool));
+  clients_->set_pattern(workload::TrafficPattern(offered_rps_));
 }
 
 void Testbed::set_static_weights(const std::vector<double>& weights) {
@@ -348,12 +288,7 @@ void Testbed::set_static_weights(const std::vector<double>& weights) {
 std::vector<DipMetrics> Testbed::metrics() const {
   util::MutexLock lk(mu_);
   std::vector<DipMetrics> out;
-  // Merge the per-shard pools' attributions (Welford moments compose
-  // exactly). One pool — the common case — merges trivially.
-  std::map<net::IpAddr, util::Welford> per_dip;
-  for (const auto& c : client_pools_)
-    for (const auto& [addr, w] : c->recorder().per_dip())
-      per_dip[addr].merge(w);
+  const auto& per_dip = clients_->recorder().per_dip();
   // Join the dataplane's weights by DIP address: after any membership
   // change the dataplane's registration order and the live spec list
   // diverge, so a positional join would attribute weights to the wrong
@@ -388,50 +323,11 @@ lb::DataplaneCounters Testbed::dataplane_counters() const {
 }
 
 double Testbed::overall_latency_ms() const {
-  util::Welford all;
-  for (const auto& c : client_pools_) all.merge(c->recorder().overall());
-  return all.mean();
+  return clients_->recorder().overall().mean();
 }
 
 double Testbed::overall_p99_ms() const {
-  if (client_pools_.size() == 1)
-    return client_pools_.front()->recorder().percentile_ms(0.99);
-  // Sharded runs: exact percentile over the merged raw samples (the
-  // per-pool log-histograms do not merge).
-  std::vector<double> lat;
-  for (const auto& c : client_pools_) {
-    const auto& raw = c->recorder().raw_latencies_ms();
-    lat.insert(lat.end(), raw.begin(), raw.end());
-  }
-  if (lat.empty()) return 0.0;
-  const auto k = static_cast<std::ptrdiff_t>(
-      0.99 * static_cast<double>(lat.size() - 1));
-  std::nth_element(lat.begin(), lat.begin() + k, lat.end());
-  return lat[static_cast<std::size_t>(k)];
-}
-
-std::uint64_t Testbed::client_successes() const {
-  std::uint64_t n = 0;
-  for (const auto& c : client_pools_) n += c->recorder().overall().count();
-  return n;
-}
-
-std::uint64_t Testbed::client_timeouts() const {
-  std::uint64_t n = 0;
-  for (const auto& c : client_pools_) n += c->recorder().timeouts();
-  return n;
-}
-
-std::uint64_t Testbed::client_requests_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& c : client_pools_) n += c->requests_sent();
-  return n;
-}
-
-std::uint64_t Testbed::client_sessions_started() const {
-  std::uint64_t n = 0;
-  for (const auto& c : client_pools_) n += c->sessions_started();
-  return n;
+  return clients_->recorder().percentile_ms(0.99);
 }
 
 double Testbed::healthy_capacity_rps_locked() const {

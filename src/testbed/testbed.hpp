@@ -28,7 +28,7 @@
 #include "lb/mux.hpp"
 #include "lb/mux_pool.hpp"
 #include "server/dip_server.hpp"
-#include "sim/sharded_driver.hpp"
+#include "sim/simulation.hpp"
 #include "store/kv_server.hpp"
 #include "util/sync.hpp"
 #include "workload/client.hpp"
@@ -78,22 +78,8 @@ struct TestbedConfig {
   /// Expected concurrent flows pool-wide: pre-reserves the flow-table
   /// shards so filling to that scale never rehashes. 0 = default growth.
   std::size_t expected_flows = 0;
-  /// Event-loop driver shards (ISSUE 9). 1 = the single-threaded
-  /// Simulation (determinism reference). N > 1 runs N per-shard event
-  /// queues on host threads in bounded virtual-time windows: DIPs are
-  /// assigned round-robin to shards, each shard gets its own ClientPool
-  /// (the offered rate splits evenly), and the VIP is anycast — processed
-  /// on the sending client's shard — when the dataplane is
-  /// tuple-deterministic (mux_count > 1, or policy "maglev"/"hash"),
-  /// pinned to shard 0 otherwise. Control plane (KLM, store, controller,
-  /// churn ops, poll heartbeat) stays on shard 0.
-  std::size_t driver_shards = 1;
-  /// Fabric latency model. Shard benches raise base_latency so the window
-  /// (which must not exceed it) amortizes more events per barrier.
+  /// Fabric latency model.
   net::FabricConfig fabric;
-  /// Virtual-time window per barrier; zero = fabric.base_latency, the
-  /// largest window that cannot reorder cross-shard messages.
-  util::SimTime driver_window = util::SimTime::zero();
 };
 
 /// Per-DIP metrics snapshot for reporting.
@@ -128,8 +114,6 @@ class Testbed {
   // --- topology access --------------------------------------------------------
   sim::Simulation& sim() { return *sim_; }
   net::Network& network() { return *net_; }
-  /// The sharded event-loop driver, or nullptr when driver_shards == 1.
-  sim::ShardedDriver* driver() { return driver_.get(); }
   std::size_t dip_count() const KLB_EXCLUDES(mu_) {
     util::MutexLock lk(mu_);
     return dips_.size();
@@ -150,19 +134,20 @@ class Testbed {
                  : static_cast<lb::PoolProgrammer&>(*mux_);
   }
   lb::LbController& lb_controller() { return *lb_ctrl_; }
-  /// Shard 0's client pool (the only one when driver_shards == 1 — the
-  /// common case; per-pool reads are exact there). Sharded runs drive one
-  /// pool per shard: use the client_* aggregates below for totals.
-  workload::ClientPool& clients() { return *client_pools_.front(); }
-  std::size_t client_pool_count() const { return client_pools_.size(); }
-  workload::ClientPool& client_pool(std::size_t p) {
-    return *client_pools_[p];
+  workload::ClientPool& clients() { return *clients_; }
+  /// Pool-generic reads for callers that sum over client pools; the
+  /// testbed drives exactly one, so `p` must be 0.
+  std::size_t client_pool_count() const { return 1; }
+  workload::ClientPool& client_pool(std::size_t /*p*/) { return *clients_; }
+  std::uint64_t client_successes() const {
+    return clients_->recorder().overall().count();
   }
-  /// Aggregates over every per-shard client pool.
-  std::uint64_t client_successes() const;
-  std::uint64_t client_timeouts() const;
-  std::uint64_t client_requests_sent() const;
-  std::uint64_t client_sessions_started() const;
+  std::uint64_t client_timeouts() const {
+    return clients_->recorder().timeouts();
+  }
+  std::uint64_t client_requests_sent() const {
+    return clients_->requests_sent();
+  }
   klm::Klm& klm() { return *klm_; }
   store::LatencyStore& latency_store() { return *lat_store_; }
   core::Controller* controller() { return controller_.get(); }
@@ -259,12 +244,9 @@ class Testbed {
 
   TestbedConfig cfg_;
 
+  /// Declared before every component: each schedules and cancels events
+  /// on it, so it must outlive them all.
   std::unique_ptr<sim::Simulation> sim_;
-  /// Declared between sim_ and net_: the driver's shard Simulations must
-  /// outlive every component that cancels events through net_->sim_for()
-  /// on destruction (the per-shard client pools), and the driver itself
-  /// joins its workers before sim_ goes away.
-  std::unique_ptr<sim::ShardedDriver> driver_;
   std::unique_ptr<net::Network> net_;
   net::IpAddr vip_;
   /// Serializes churn ops (scale_out/scale_in/fail_dip) and metric reads
@@ -291,10 +273,7 @@ class Testbed {
   std::unique_ptr<store::KvServer> kv_server_;
   std::unique_ptr<store::LatencyStore> lat_store_;
   std::unique_ptr<klm::Klm> klm_;
-  /// One pool per driver shard (a single pool when unsharded), each bound
-  /// to its shard through net_->sim_for so its cancellable arrival/timeout
-  /// events stay on one event queue.
-  std::vector<std::unique_ptr<workload::ClientPool>> client_pools_;
+  std::unique_ptr<workload::ClientPool> clients_;
   std::unique_ptr<core::Controller> controller_;
   /// Control-plane heartbeat: Mux::poll() is a tick-rate contract (drain
   /// sweeps, generation reclamation), and the KnapsackLB controller's loop

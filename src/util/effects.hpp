@@ -130,10 +130,9 @@ inline constexpr const char* kDocumentedEscapeSites[] = {
     "fabric.tap",
     // net/fabric.cpp — post-staging enqueue tail: copies the message into
     // an inline event callback, or the burst into a recycled buffer, and
-    // schedules it (or parks it in a cross-shard mailbox). It allocates
-    // only for a payload past the string's small buffer, at a new
-    // high-water mark of the event slab, heap or spare-buffer list, and
-    // on the mailbox path. Blackhole-mode benches (the packet-path rate
+    // schedules it. It allocates only for a payload past the string's
+    // small buffer, or at a new high-water mark of the event slab, heap or
+    // spare-buffer list. Blackhole-mode benches (the packet-path rate
     // measurements) never reach it.
     "fabric.enqueue",
 };

@@ -11,7 +11,7 @@ ClientPool::ClientPool(net::Network& net, net::IpAddr first_client_ip,
                        net::IpAddr vip, TrafficPattern pattern,
                        ClientConfig cfg)
     : net_(net), first_ip_(first_client_ip), vip_(vip),
-      pattern_(std::move(pattern)), cfg_(cfg), rng_(net.sim_for(first_client_ip).rng().fork()) {
+      pattern_(std::move(pattern)), cfg_(cfg), rng_(net.sim().rng().fork()) {
   for (int i = 0; i < cfg_.client_ips; ++i)
     net_.attach(first_ip_.next(static_cast<std::uint32_t>(i)), this);
 }
@@ -20,7 +20,7 @@ ClientPool::ClientPool(net::Network& net, net::IpAddr first_client_ip,
                        lb::DnsTrafficManager& dns, TrafficPattern pattern,
                        ClientConfig cfg)
     : net_(net), first_ip_(first_client_ip), dns_(&dns),
-      pattern_(std::move(pattern)), cfg_(cfg), rng_(net.sim_for(first_client_ip).rng().fork()) {
+      pattern_(std::move(pattern)), cfg_(cfg), rng_(net.sim().rng().fork()) {
   for (int i = 0; i < cfg_.client_ips; ++i)
     net_.attach(first_ip_.next(static_cast<std::uint32_t>(i)), this);
 }
@@ -40,25 +40,25 @@ void ClientPool::start() {
 void ClientPool::stop() {
   running_ = false;
   if (arrival_event_ != sim::kInvalidEvent) {
-    sim().cancel(arrival_event_);
+    net_.sim().cancel(arrival_event_);
     arrival_event_ = sim::kInvalidEvent;
   }
 }
 
 void ClientPool::schedule_next_arrival() {
   if (!running_) return;
-  const double rps = pattern_.rate_at(sim().now());
+  const double rps = pattern_.rate_at(net_.sim().now());
   const double session_rate =
       rps / std::max(1.0, cfg_.requests_per_session);
   if (session_rate <= 0.0) {
     // No load right now: poll the pattern again shortly.
-    arrival_event_ = sim().schedule_in(
+    arrival_event_ = net_.sim().schedule_in(
         util::SimTime::millis(100), [this] { schedule_next_arrival(); });
     return;
   }
   const double gap_s = rng_.exponential(1.0 / session_rate);
   arrival_event_ =
-      sim().schedule_in(util::SimTime::seconds(gap_s), [this] {
+      net_.sim().schedule_in(util::SimTime::seconds(gap_s), [this] {
         start_session();
         schedule_next_arrival();
       });
@@ -104,11 +104,11 @@ void ClientPool::send_request(Session& s) {
   msg.req_id = s.next_req_id++;
   net::write_get_request(msg.payload, cfg_.url, s.tuple.dst_ip);
 
-  s.sent_at = sim().now();
+  s.sent_at = net_.sim().now();
   ++requests_sent_;
 
   const auto conn_id = s.conn_id;
-  s.timeout_event = sim().schedule_in(
+  s.timeout_event = net_.sim().schedule_in(
       cfg_.request_timeout, [this, conn_id] { on_timeout(conn_id); });
 
   net_.send(s.target, std::move(msg));
@@ -121,11 +121,11 @@ void ClientPool::on_message(const net::Message& msg) {
   Session& s = it->second;
 
   if (s.timeout_event != sim::kInvalidEvent) {
-    sim().cancel(s.timeout_event);
+    net_.sim().cancel(s.timeout_event);
     s.timeout_event = sim::kInvalidEvent;
   }
 
-  const auto latency = sim().now() - s.sent_at;
+  const auto latency = net_.sim().now() - s.sent_at;
   const auto head = net::read_response_head(msg.payload);
   const bool ok = head && head->ok();
 

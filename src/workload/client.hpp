@@ -80,13 +80,6 @@ class ClientPool : public net::Node {
     sim::EventId timeout_event = sim::kInvalidEvent;
   };
 
-  /// The Simulation this pool's events live on: the owner shard of its
-  /// client IPs under a sharded driver, the root sim otherwise. Arrival and
-  /// timeout events are cancellable, so every schedule/cancel/clock read
-  /// must go through this fixed binding — the caller-relative net_.sim()
-  /// would scatter them across whichever shard happened to be executing.
-  sim::Simulation& sim() { return net_.sim_for(first_ip_); }
-
   void schedule_next_arrival();
   void start_session();
   void send_request(Session& s);

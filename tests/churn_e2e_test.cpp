@@ -11,6 +11,8 @@
 //     weights sum to 1 and match the controller's per-address view.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "testbed/invariants.hpp"
 #include "testbed/testbed.hpp"
 
@@ -167,13 +169,23 @@ TEST(ChurnE2E, NoControllerChurnKeepsPoolConsistent) {
   ASSERT_TRUE(bed.scale_in(0));
   bed.run_for(10_s);
   InvariantChecker check;
-  check.drained(bed, pool->counters() - before_drain, 1);
+  const auto drain_window = pool->counters() - before_drain;
+  check.graceful(drain_window);
+  check.drained(bed, drain_window, 1);
   check.steady(pool->counters());
 
   ASSERT_TRUE(bed.fail_dip(0));
   bed.run_for(10_s);
   EXPECT_EQ(bed.dip_count(), 3u);
   check.settled(bed);
+  // Request conservation: every answer and every timeout was sent once.
+  const auto ok = bed.client_successes();
+  const auto timeouts = bed.client_timeouts();
+  const auto sent = bed.client_requests_sent();
+  check.expect(ok + timeouts <= sent,
+               "request conservation (successes " + std::to_string(ok) +
+                   " + timeouts " + std::to_string(timeouts) + " <= sent " +
+                   std::to_string(sent) + ")");
   EXPECT_TRUE(check.ok()) << check.report();
   for (const auto& m : bed.metrics()) EXPECT_GT(m.client_requests, 0u);
   // KLM only probes the live pool: exactly one store key per live DIP has

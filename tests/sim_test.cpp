@@ -83,8 +83,10 @@ TEST(Simulation, ScheduleAtPastClampsToNow) {
   Simulation sim;
   sim.schedule_in(10_ms, [] {});
   sim.run_all();
+  EXPECT_EQ(sim.late_events(), 0u);
   bool fired = false;
   sim.schedule_at(5_ms, [&] { fired = true; });  // in the past
+  EXPECT_EQ(sim.late_events(), 1u);  // the clamp is counted, not silent
   sim.run_all();
   EXPECT_TRUE(fired);
   EXPECT_EQ(sim.now(), 10_ms);
