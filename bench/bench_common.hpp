@@ -98,7 +98,10 @@ inline PolicyRunResult run_policy(const std::vector<testbed::DipSpec>& specs,
   result.dips = bed.metrics();
   result.mean_latency_ms = bed.overall_latency_ms();
   result.p99_latency_ms = bed.overall_p99_ms();
-  result.raw_latencies_ms = bed.clients().recorder().raw_latencies_ms();
+  const auto raw = bed.clients().recorder().raw_latencies_ms();
+  result.raw_latencies_ms.reserve(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    result.raw_latencies_ms.push_back(raw[i]);
   return result;
 }
 

@@ -16,6 +16,10 @@ Klm::Klm(net::Network& net, net::IpAddr addr, net::IpAddr vip,
     : net_(net), addr_(addr), vip_(vip), store_addr_(store_addr), cfg_(cfg),
       rng_(net.sim().rng().fork()),
       timer_(net.sim(), cfg.period, [this] { begin_rounds(); }),
+      deadlines_(
+          net.sim(), cfg.probe_timeout,
+          [this](std::uint64_t id) { return probe_pending(id); },
+          [this](std::uint64_t id) { resolve_timeout(id); }),
       dips_(std::move(dips)) {
   net_.attach(addr_, this);
 }
@@ -40,8 +44,8 @@ void Klm::remove_dip(net::IpAddr dip) {
 
   // Drop every in-flight round targeting the removed DIP. Its scheduled
   // send_probe callbacks look the round up by key and become no-ops; the
-  // probes already on the wire (or awaiting their timeout) are forgotten
-  // below, so neither a late reply nor a timeout can resurrect the round
+  // probes already on the wire (or awaiting their deadline) are forgotten
+  // below, so neither a late reply nor a deadline can resurrect the round
   // and flush a sample for a DIP nobody owns anymore.
   bool dropped_any = false;
   for (auto it = rounds_in_flight_.begin(); it != rounds_in_flight_.end();) {
@@ -56,7 +60,6 @@ void Klm::remove_dip(net::IpAddr dip) {
   if (!dropped_any) return;
   for (auto it = outstanding_.begin(); it != outstanding_.end();) {
     if (rounds_in_flight_.count(it->second.round_key) == 0) {
-      net_.sim().cancel(it->second.timeout_event);
       it = outstanding_.erase(it);
     } else {
       ++it;
@@ -133,13 +136,14 @@ void Klm::send_probe(std::uint64_t round_key, std::uint32_t seq) {
   msg.req_id = probe_id;
   msg.payload = http.serialize();
 
-  Outstanding out;
-  out.round_key = round_key;
-  out.sent_at = net_.sim().now();
-  out.timeout_event = net_.sim().schedule_in(
-      cfg_.probe_timeout, [this, probe_id] { resolve_timeout(probe_id); });
-  outstanding_[probe_id] = out;
+  outstanding_[probe_id] = Outstanding{round_key, net_.sim().now()};
+  deadlines_.push(probe_id);
   net_.send(round.dip, std::move(msg));
+}
+
+bool Klm::probe_pending(std::uint64_t probe_id) const {
+  util::MutexLock lk(mu_);
+  return outstanding_.count(probe_id) > 0;
 }
 
 void Klm::resolve_timeout(std::uint64_t probe_id) {
@@ -162,7 +166,6 @@ void Klm::on_message(const net::Message& msg) {
   if (it == outstanding_.end()) return;  // late reply after timeout
   const auto key = it->second.round_key;
   const auto sent_at = it->second.sent_at;
-  net_.sim().cancel(it->second.timeout_event);
   outstanding_.erase(it);
 
   const auto rit = rounds_in_flight_.find(key);

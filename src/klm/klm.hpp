@@ -20,6 +20,7 @@
 
 #include "net/fabric.hpp"
 #include "net/http.hpp"
+#include "sim/deadline_list.hpp"
 #include "sim/simulation.hpp"
 #include "store/latency_store.hpp"
 #include "util/stats.hpp"
@@ -63,10 +64,10 @@ class Klm : public net::Node {
   /// Start measuring `dip` from the next periodic round on.
   void add_dip(net::IpAddr dip) KLB_EXCLUDES(mu_);
   /// Stop measuring `dip` now: in-flight rounds targeting it are dropped
-  /// (their already-scheduled probe callbacks become no-ops, their pending
-  /// timeouts are cancelled), so a removed DIP can never write another
-  /// sample — stale timeout rounds for a DIP the controller no longer owns
-  /// would otherwise read as a failure of a pool member.
+  /// (their already-scheduled probe callbacks become no-ops, their probes'
+  /// deadlines find nothing to expire), so a removed DIP can never write
+  /// another sample — stale timeout rounds for a DIP the controller no
+  /// longer owns would otherwise read as a failure of a pool member.
   void remove_dip(net::IpAddr dip) KLB_EXCLUDES(mu_);
 
   // --- observability ---------------------------------------------------------
@@ -107,8 +108,10 @@ class Klm : public net::Node {
   void begin_rounds() KLB_EXCLUDES(mu_);
   void send_probe(std::uint64_t round_key, std::uint32_t seq)
       KLB_EXCLUDES(mu_);
-  /// A probe's timeout fired: count it against its round (scheduled by
-  /// send_probe; locks internally).
+  /// The probe still awaits its reply (locks internally).
+  bool probe_pending(std::uint64_t probe_id) const KLB_EXCLUDES(mu_);
+  /// A probe's deadline passed unanswered: count it against its round
+  /// (run by deadlines_; locks internally).
   void resolve_timeout(std::uint64_t probe_id) KLB_EXCLUDES(mu_);
   void finish_if_done(std::uint64_t round_key) KLB_REQUIRES(mu_);
   void flush_round(Round& round) KLB_REQUIRES(mu_);
@@ -121,17 +124,18 @@ class Klm : public net::Node {
   util::Rng rng_;
 
   sim::PeriodicTimer timer_;
+  /// Every probe's probe_timeout deadline, one armed timer for all.
+  sim::DeadlineList<std::uint64_t> deadlines_;
   /// Guards the measurement state below. Probe sends/flushes go out to the
-  /// fabric under it (klb.klm.rounds -> klb.net.nodes is the legal order).
+  /// fabric under it; the fabric takes no lock, so the rank is a leaf.
   mutable util::Mutex mu_{"klb.klm.rounds"};
   std::vector<net::IpAddr> dips_ KLB_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, Round> rounds_in_flight_
       KLB_GUARDED_BY(mu_);
-  // (round_key << 20 | seq) -> sent_at, timeout event
+  // (round_key << 20 | seq) -> round, sent_at
   struct Outstanding {
     std::uint64_t round_key;
     util::SimTime sent_at;
-    sim::EventId timeout_event = sim::kInvalidEvent;
   };
   std::unordered_map<std::uint64_t, Outstanding> outstanding_
       KLB_GUARDED_BY(mu_);

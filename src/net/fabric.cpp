@@ -4,6 +4,52 @@
 
 namespace klb::net {
 
+std::size_t AddressTable::slot_of(IpAddr addr) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(addr);
+  while (slots_[i].node != nullptr && slots_[i].addr != addr.value())
+    i = (i + 1) & mask;
+  return i;
+}
+
+void AddressTable::set(IpAddr addr, Node* node) {
+  std::size_t i = slot_of(addr);
+  if (node != nullptr) {
+    if (slots_[i].node == nullptr) {
+      if (2 * (used_ + 1) > slots_.size()) {
+        rehash(2 * slots_.size());
+        i = slot_of(addr);
+      }
+      ++used_;
+    }
+    slots_[i] = Slot{addr.value(), node};
+    return;
+  }
+  if (slots_[i].node == nullptr) return;  // not bound
+  --used_;
+  // Backward-shift delete: walk the rest of the run and move back every
+  // entry whose home does not lie strictly between the hole and itself.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots_[j].node != nullptr;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(IpAddr(slots_[j].addr));
+    if (((j - h) & mask) >= ((j - i) & mask)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = Slot{};
+}
+
+void AddressTable::rehash(std::size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{});
+  shift_ = 32;
+  for (std::size_t c = capacity; c > 1; c >>= 1) --shift_;
+  for (const Slot& s : old)
+    if (s.node != nullptr) slots_[slot_of(IpAddr(s.addr))] = s;
+}
+
 void Network::send(IpAddr to, const Message& msg) KLB_NONALLOCATING {
   if (const Tap* tap = tap_live_.load(std::memory_order_acquire)) {
     // Type-erased bench hook: what it does is the installer's business.
@@ -74,17 +120,11 @@ std::vector<Message> Network::take_burst_buffer(std::size_t n) {
   return burst;
 }
 
-Node* Network::resolve(IpAddr to, std::uint64_t count) {
-  // Resolve under the lock, deliver outside it: on_message may reenter the
-  // fabric (forwarding) or take component locks, and klb.net.nodes must
-  // stay a leaf-ish rank with no outgoing edges into them.
-  util::MutexLock lk(mu_);
-  const auto it = nodes_.find(to);
-  if (it == nodes_.end()) {
+Node* Network::resolve(IpAddr to, std::uint64_t count) KLB_NONBLOCKING {
+  Node* node = nodes_.find(to);
+  if (node == nullptr)
     dropped_unreachable_.fetch_add(count, std::memory_order_relaxed);
-    return nullptr;
-  }
-  return it->second;
+  return node;
 }
 
 void Network::deliver(IpAddr to, const Message& msg) {

@@ -24,6 +24,15 @@
 // Event loop: every hop is an event on the one Simulation the Network was
 // built with, which is also the one sim() hands attached components for
 // their own clocks and timers.
+//
+// Threading: the address table and the fabric RNG are sim-thread state,
+// like the event queue they feed, and take no lock. attach() runs from
+// component constructors and destructors on the sim thread; delivery runs
+// from the event loop. A send() from any other thread is legal only in
+// blackhole mode, which returns before the table, the RNG or the queue
+// (the MUX hot-path benches and the generation tests drive the packet
+// path from worker threads that way). Tap, blackhole flag and send
+// counters are atomics.
 #pragma once
 
 #include <atomic>
@@ -31,14 +40,12 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/address.hpp"
 #include "net/five_tuple.hpp"
 #include "sim/simulation.hpp"
 #include "util/effects.hpp"
-#include "util/sync.hpp"
 
 namespace klb::net {
 
@@ -73,6 +80,50 @@ class Node {
   }
 };
 
+/// The fabric's address -> Node table: open addressing with linear probing
+/// over a power-of-two array, at most half full, homed by a multiplicative
+/// (Fibonacci) hash of the address. A lookup is one probe run with no
+/// modulo; erase shifts the run's later entries back, so no tombstones.
+class AddressTable {
+ public:
+  AddressTable() { rehash(kMinCapacity); }
+
+  /// The node bound to `addr`, or nullptr.
+  Node* find(IpAddr addr) const KLB_NONBLOCKING {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(addr);; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.node == nullptr || s.addr == addr.value()) return s.node;
+    }
+  }
+
+  /// Bind `addr` to `node`, replacing any owner; nullptr unbinds.
+  void set(IpAddr addr, Node* node);
+
+  std::size_t size() const { return used_; }
+  std::size_t capacity() const { return slots_.size(); }
+  /// The slot `addr`'s probe run starts at, at the current capacity.
+  std::size_t home(IpAddr addr) const KLB_NONBLOCKING {
+    return static_cast<std::size_t>(
+        static_cast<std::uint32_t>(addr.value() * 0x9e3779b9u) >> shift_);
+  }
+
+ private:
+  static constexpr std::size_t kMinCapacity = 64;
+  struct Slot {
+    std::uint32_t addr = 0;
+    Node* node = nullptr;  // nullptr: empty
+  };
+
+  /// The slot holding `addr`, or the empty slot ending its probe run.
+  std::size_t slot_of(IpAddr addr) const;
+  void rehash(std::size_t capacity);
+
+  std::vector<Slot> slots_;
+  int shift_ = 32;
+  std::size_t used_ = 0;
+};
+
 struct FabricConfig {
   util::SimTime base_latency = util::SimTime::micros(150);  // one-way
   util::SimTime jitter_mean = util::SimTime::micros(30);
@@ -87,25 +138,17 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Bind `node` to `addr`. Re-binding replaces the previous owner (used
-  /// when a failed DIP is replaced). Unbind with nullptr.
-  void attach(IpAddr addr, Node* node) KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    if (node == nullptr) {
-      nodes_.erase(addr);
-    } else {
-      nodes_[addr] = node;
-    }
-  }
+  /// when a failed DIP is replaced). Unbind with nullptr. Sim thread only,
+  /// like delivery; a handler may rebind any address, its own included.
+  void attach(IpAddr addr, Node* node) { nodes_.set(addr, node); }
 
-  bool attached(IpAddr addr) const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return nodes_.count(addr) > 0;
-  }
+  bool attached(IpAddr addr) const { return nodes_.find(addr) != nullptr; }
 
   /// Blackhole mode (benches): drop every send() before it touches the
-  /// event queue or the fabric RNG — both are single-threaded — so the MUX
-  /// packet path can be driven from worker threads (bench/mux_hotpath.cpp).
-  /// Dropped messages are counted in messages_blackholed().
+  /// address table, the event queue or the fabric RNG — all sim-thread
+  /// state — so the MUX packet path can be driven from worker threads
+  /// (bench/mux_hotpath.cpp). Dropped messages are counted in
+  /// messages_blackholed().
   void set_blackhole(bool on) {
     blackhole_.store(on, std::memory_order_relaxed);
   }
@@ -117,11 +160,11 @@ class Network {
   /// blackhole mode drops the message — with the destination and the
   /// message. Benches use it to assert per-packet routing invariants
   /// (e.g. "every packet of a pinned flow reaches the same DIP") at
-  /// blackhole-mode rates. The tap runs on the sender's thread with no
-  /// fabric lock held; it must be thread-safe itself. Install nullptr to
-  /// remove. Not for concurrent install/uninstall while traffic is flowing
-  /// — set it up before the drive starts, like set_blackhole. The send
-  /// path sees it through a single atomic load.
+  /// blackhole-mode rates. The tap runs on the sender's thread; it must be
+  /// thread-safe itself. Install nullptr to remove. Not for concurrent
+  /// install/uninstall while traffic is flowing — set it up before the
+  /// drive starts, like set_blackhole. The send path sees it through a
+  /// single atomic load.
   using Tap = std::function<void(IpAddr, const Message&)>;
   void set_tap(Tap tap) {
     if (tap) {
@@ -166,8 +209,7 @@ class Network {
 
  private:
   /// One hop's latency: base + exponential jitter from the fabric RNG.
-  util::SimTime draw_delay() KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
+  util::SimTime draw_delay() {
     return cfg_.base_latency +
            util::SimTime::micros(static_cast<std::int64_t>(
                rng_.exponential(static_cast<double>(cfg_.jitter_mean.us()))));
@@ -194,7 +236,9 @@ class Network {
     }
   };
 
-  Node* resolve(IpAddr to, std::uint64_t count) KLB_EXCLUDES(mu_);
+  /// The node bound to `to`, or nullptr after counting `count` messages
+  /// unreachable. One table probe run; no lock.
+  Node* resolve(IpAddr to, std::uint64_t count) KLB_NONBLOCKING;
   /// The post-tap, post-blackhole tail of send(): owns the message and
   /// schedules its hop.
   void send_owned(IpAddr to, Message msg);
@@ -213,13 +257,11 @@ class Network {
 
   sim::Simulation& sim_;
   FabricConfig cfg_;
-  /// Guards the address table and the fabric RNG: attach/detach runs
-  /// from component ctors/dtors on the control plane while MUX worker
-  /// threads forward through send(). Send counters are relaxed atomics and
-  /// never take this lock.
-  mutable util::Mutex mu_{"klb.net.nodes"};
-  util::Rng rng_ KLB_GUARDED_BY(mu_);
-  std::unordered_map<IpAddr, Node*> nodes_ KLB_GUARDED_BY(mu_);
+  /// Sim-thread state (see the threading note at the top): no worker
+  /// thread reaches them, since blackhole mode returns first. Send
+  /// counters are relaxed atomics.
+  util::Rng rng_;
+  AddressTable nodes_;
   std::atomic<bool> blackhole_{false};
   std::atomic<std::uint64_t> blackholed_{0};
   std::unique_ptr<Tap> tap_storage_;  // installed before traffic

@@ -23,6 +23,12 @@
 // The 64-bit key leaves room for 2^24 pending events and 2^40 schedules
 // per queue; schedule() throws std::length_error past either.
 //
+// reserve() takes a sequence number without scheduling anything, and
+// schedule_reserved() later schedules one event with it. A deadline list
+// (sim/deadline_list.hpp) takes one per deadline when it is set and arms
+// its single event with the due deadline's ticket, so the deadline fires
+// in exactly the same-time order a per-deadline event would have had.
+//
 // Callbacks are any void() callable, moved (never copied) into the
 // record's inline storage; one larger than kInlineBytes is boxed on the
 // heap. The fabric's per-hop capture fits inline, so once the slab and the
@@ -30,7 +36,6 @@
 // and frees without touching the allocator.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -46,6 +51,8 @@ namespace klb::sim {
 
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
+/// A reserved place in the same-time order (a schedule sequence number).
+using Ticket = std::uint64_t;
 
 class EventQueue {
  public:
@@ -71,8 +78,23 @@ class EventQueue {
   /// Schedule `fn` at absolute time `at`. Returns a handle for cancel().
   template <class F>
   EventId schedule(util::SimTime at, F&& fn) {
-    using Fn = std::decay_t<F>;
+    return schedule_reserved(at, reserve(), std::forward<F>(fn));
+  }
+
+  /// Take the next place in the same-time order without scheduling
+  /// anything. Spend it once, on schedule_reserved(), or never.
+  Ticket reserve() {
     if (next_seq_ > kMaxSeq) throw std::length_error("EventQueue: sequence");
+    return next_seq_++;
+  }
+
+  /// Schedule `fn` at `at` in the place `ticket` took: among events at
+  /// `at` it runs as if it had been scheduled when reserve() returned the
+  /// ticket. The ticket must come from this queue's reserve() and be
+  /// spent at most once (its sequence number is the event's identity).
+  template <class F>
+  EventId schedule_reserved(util::SimTime at, Ticket ticket, F&& fn) {
+    using Fn = std::decay_t<F>;
     if (free_head_ == kNoSlot) grow();
     // Construct first, unlink second: a throwing callable leaves the slot
     // on the free list.
@@ -86,7 +108,7 @@ class EventQueue {
       r.call = &call_boxed<Fn>;
     }
     free_head_ = r.next_free;
-    const EventId key = (next_seq_++ << kSlotBits) | slot;
+    const EventId key = (ticket << kSlotBits) | slot;
     r.key = key;
     push_heap(Entry{at, key});
     ++live_;
@@ -187,12 +209,23 @@ class EventQueue {
     capacity_ += kChunk;
   }
 
+  /// (time, key) as one unsigned 128-bit number, so before() is a single
+  /// branch-free compare. Flipping the time's sign bit maps signed order
+  /// onto unsigned order.
+  static unsigned __int128 rank(const Entry& e) {
+    const auto t =
+        static_cast<std::uint64_t>(e.at.us()) ^ (std::uint64_t{1} << 63);
+    return (static_cast<unsigned __int128>(t) << 64) | e.key;
+  }
   static bool before(const Entry& a, const Entry& b) {
-    return a.at < b.at || (a.at == b.at && a.key < b.key);
+    return rank(a) < rank(b);
   }
   void push_heap(Entry e) {
-    std::size_t i = heap_.size();
     heap_.push_back(e);
+    sift_up(heap_.size() - 1, e);
+  }
+  /// Place `e` at hole `i` or above it, moving larger parents down.
+  void sift_up(std::size_t i, Entry e) {
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
       if (!before(e, heap_[parent])) break;
@@ -201,24 +234,33 @@ class EventQueue {
     }
     heap_[i] = e;
   }
+  /// Bottom-up pop: the hole at the root sinks to a leaf along the smaller
+  /// children (a branch-free min of four per level, no compare against the
+  /// moved element), then the old last entry, which belongs near the
+  /// bottom, sifts up from there. Keys are unique, so the pop order is the
+  /// (time, key) order whatever the heap's layout.
   void pop_heap() {
     const Entry last = heap_.back();
     heap_.pop_back();
     const std::size_t n = heap_.size();
     if (n == 0) return;
+    Entry* h = heap_.data();
     std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      const std::size_t end = std::min(first + 4, n);
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < end; ++c)
-        if (before(heap_[c], heap_[best])) best = c;
-      if (!before(heap_[best], last)) break;
-      heap_[i] = heap_[best];
+    for (std::size_t first = 1; first + 4 <= n; first = 4 * i + 1) {
+      const std::size_t a = first + before(h[first + 1], h[first]);
+      const std::size_t b = first + 2 + before(h[first + 3], h[first + 2]);
+      const std::size_t best = before(h[b], h[a]) ? b : a;
+      h[i] = h[best];
       i = best;
     }
-    heap_[i] = last;
+    if (const std::size_t first = 4 * i + 1; first < n) {
+      std::size_t best = first;  // a last parent with fewer than 4 leaves
+      for (std::size_t c = first + 1; c < n; ++c)
+        if (before(h[c], h[best])) best = c;
+      h[i] = h[best];
+      i = best;
+    }
+    sift_up(i, last);
   }
   void skip_dead() {
     while (!heap_.empty()) {

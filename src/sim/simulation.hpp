@@ -42,15 +42,19 @@ class Simulation {
   /// instead of silent.
   template <class F>
   EventId schedule_at(util::SimTime at, F&& fn) {
-    if (at < now_) {
-      ++late_events_;
-      util::log_debug("sim") << "late event clamped to now(): scheduled at "
-                             << at.us() << "us, now " << now_.us() << "us ("
-                             << (now_ - at).us() << "us late, " << late_events_
-                             << " total)";
-      at = now_;
-    }
-    return queue_.schedule(at, std::forward<F>(fn));
+    return queue_.schedule(clamp_late(at), std::forward<F>(fn));
+  }
+
+  /// Take a place in the same-time event order now, to schedule into
+  /// later with schedule_reserved() (see EventQueue::reserve).
+  Ticket reserve_order() { return queue_.reserve(); }
+
+  /// schedule_at() in the place `ticket` took: among events at `at`, `fn`
+  /// runs as if it had been scheduled when the ticket was taken.
+  template <class F>
+  EventId schedule_reserved(util::SimTime at, Ticket ticket, F&& fn) {
+    return queue_.schedule_reserved(clamp_late(at), ticket,
+                                    std::forward<F>(fn));
   }
 
   /// Number of schedule_at() calls whose target time was already in the
@@ -87,6 +91,16 @@ class Simulation {
   std::size_t pending_events() const { return queue_.size(); }
 
  private:
+  util::SimTime clamp_late(util::SimTime at) {
+    if (at >= now_) return at;
+    ++late_events_;
+    util::log_debug("sim") << "late event clamped to now(): scheduled at "
+                           << at.us() << "us, now " << now_.us() << "us ("
+                           << (now_ - at).us() << "us late, " << late_events_
+                           << " total)";
+    return now_;
+  }
+
   util::SimTime now_ = util::SimTime::zero();
   EventQueue queue_;
   util::Rng rng_;

@@ -11,7 +11,11 @@ ClientPool::ClientPool(net::Network& net, net::IpAddr first_client_ip,
                        net::IpAddr vip, TrafficPattern pattern,
                        ClientConfig cfg)
     : net_(net), first_ip_(first_client_ip), vip_(vip),
-      pattern_(std::move(pattern)), cfg_(cfg), rng_(net.sim().rng().fork()) {
+      pattern_(std::move(pattern)), cfg_(cfg), rng_(net.sim().rng().fork()),
+      deadlines_(
+          net.sim(), cfg_.request_timeout,
+          [this](const RequestKey& k) { return awaiting(k); },
+          [this](const RequestKey& k) { on_timeout(k); }) {
   for (int i = 0; i < cfg_.client_ips; ++i)
     net_.attach(first_ip_.next(static_cast<std::uint32_t>(i)), this);
 }
@@ -20,7 +24,11 @@ ClientPool::ClientPool(net::Network& net, net::IpAddr first_client_ip,
                        lb::DnsTrafficManager& dns, TrafficPattern pattern,
                        ClientConfig cfg)
     : net_(net), first_ip_(first_client_ip), dns_(&dns),
-      pattern_(std::move(pattern)), cfg_(cfg), rng_(net.sim().rng().fork()) {
+      pattern_(std::move(pattern)), cfg_(cfg), rng_(net.sim().rng().fork()),
+      deadlines_(
+          net.sim(), cfg_.request_timeout,
+          [this](const RequestKey& k) { return awaiting(k); },
+          [this](const RequestKey& k) { on_timeout(k); }) {
   for (int i = 0; i < cfg_.client_ips; ++i)
     net_.attach(first_ip_.next(static_cast<std::uint32_t>(i)), this);
 }
@@ -106,10 +114,7 @@ void ClientPool::send_request(Session& s) {
 
   s.sent_at = net_.sim().now();
   ++requests_sent_;
-
-  const auto conn_id = s.conn_id;
-  s.timeout_event = net_.sim().schedule_in(
-      cfg_.request_timeout, [this, conn_id] { on_timeout(conn_id); });
+  deadlines_.push(RequestKey{s.conn_id, msg.req_id});
 
   net_.send(s.target, std::move(msg));
 }
@@ -119,11 +124,6 @@ void ClientPool::on_message(const net::Message& msg) {
   const auto it = sessions_.find(msg.conn_id);
   if (it == sessions_.end()) return;  // late response after timeout
   Session& s = it->second;
-
-  if (s.timeout_event != sim::kInvalidEvent) {
-    net_.sim().cancel(s.timeout_event);
-    s.timeout_event = sim::kInvalidEvent;
-  }
 
   const auto latency = net_.sim().now() - s.sent_at;
   const auto head = net::read_response_head(msg.payload);
@@ -141,7 +141,7 @@ void ClientPool::on_message(const net::Message& msg) {
   }
 
   if (ok) {
-    recorder_.record_success(dip, latency.ms());
+    recorder_.record_success(dip, latency);
   } else {
     recorder_.record_error(dip);
   }
@@ -168,12 +168,14 @@ void ClientPool::finish_session(Session& s) {
   }
 }
 
-void ClientPool::on_timeout(std::uint64_t conn_id) {
-  const auto it = sessions_.find(conn_id);
-  if (it == sessions_.end()) return;
-  it->second.timeout_event = sim::kInvalidEvent;
+bool ClientPool::awaiting(const RequestKey& key) const {
+  const auto it = sessions_.find(key.conn_id);
+  return it != sessions_.end() && it->second.next_req_id - 1 == key.req_id;
+}
+
+void ClientPool::on_timeout(const RequestKey& key) {
   recorder_.record_timeout();
-  finish_session(it->second);
+  finish_session(sessions_.at(key.conn_id));
 }
 
 }  // namespace klb::workload

@@ -10,6 +10,10 @@
 // Targets: a VIP behind a Mux, or a DNS traffic manager (resolve-per-
 // session with per-client TTL caching), matching §6.5's two integration
 // modes.
+//
+// Timeouts: every request's deadline joins one sim::DeadlineList per pool
+// (request_timeout is fixed), so the event queue holds one client timer
+// however many requests are in flight, and a response cancels nothing.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +23,7 @@
 #include "lb/dns_lb.hpp"
 #include "net/fabric.hpp"
 #include "net/http.hpp"
+#include "sim/deadline_list.hpp"
 #include "workload/recorder.hpp"
 #include "workload/traffic.hpp"
 
@@ -77,14 +82,20 @@ class ClientPool : public net::Node {
     std::uint64_t requests_left = 0;
     std::uint64_t next_req_id = 1;
     util::SimTime sent_at = util::SimTime::zero();
-    sim::EventId timeout_event = sim::kInvalidEvent;
+  };
+  /// A sent request, as the deadline list knows it.
+  struct RequestKey {
+    std::uint64_t conn_id;
+    std::uint64_t req_id;
   };
 
   void schedule_next_arrival();
   void start_session();
   void send_request(Session& s);
   void finish_session(Session& s);
-  void on_timeout(std::uint64_t conn_id);
+  /// The session's request `key.req_id` is still unanswered.
+  bool awaiting(const RequestKey& key) const;
+  void on_timeout(const RequestKey& key);
   net::IpAddr pick_client_ip();
 
   net::Network& net_;
@@ -102,6 +113,7 @@ class ClientPool : public net::Node {
   std::uint16_t next_port_ = 10'000;
   int next_ip_offset_ = 0;
   std::uint64_t deferred_sessions_ = 0;
+  sim::DeadlineList<RequestKey> deadlines_;
 
   LatencyRecorder recorder_;
   std::uint64_t sessions_started_ = 0;

@@ -11,16 +11,35 @@
 
 #include "net/address.hpp"
 #include "util/stats.hpp"
+#include "util/time.hpp"
 
 namespace klb::workload {
 
+/// A recorder's raw latency log, read as milliseconds. Stored as whole
+/// virtual microseconds (4 bytes a request, not 8); operator[] returns
+/// exactly SimTime::ms() of the recorded latency.
+class LatencyLogView {
+ public:
+  explicit LatencyLogView(const std::vector<std::uint32_t>& us) : us_(us) {}
+  std::size_t size() const { return us_.size(); }
+  double operator[](std::size_t i) const {
+    return util::SimTime::micros(us_[i]).ms();
+  }
+
+ private:
+  const std::vector<std::uint32_t>& us_;
+};
+
 class LatencyRecorder {
  public:
-  void record_success(net::IpAddr dip, double latency_ms) {
+  /// `latency` is bounded by the client's request timeout, far below the
+  /// 2^32 us (~71 min) the log can hold.
+  void record_success(net::IpAddr dip, util::SimTime latency) {
+    const double latency_ms = latency.ms();
     overall_.add(latency_ms);
     histogram_.add(latency_ms / 1e3);  // histogram works in seconds
     per_dip_[dip].add(latency_ms);
-    latencies_.push_back(latency_ms);
+    latencies_us_.push_back(static_cast<std::uint32_t>(latency.us()));
   }
 
   void record_error(net::IpAddr dip) { ++errors_[dip]; }
@@ -45,7 +64,9 @@ class LatencyRecorder {
 
   /// Raw per-request latencies (ms) in completion order — used for the
   /// "cuts latency by X% for Y% of requests" CDF comparisons.
-  const std::vector<double>& raw_latencies_ms() const { return latencies_; }
+  LatencyLogView raw_latencies_ms() const {
+    return LatencyLogView(latencies_us_);
+  }
 
   void reset() {
     overall_.reset();
@@ -53,7 +74,7 @@ class LatencyRecorder {
     per_dip_.clear();
     errors_.clear();
     timeouts_ = 0;
-    latencies_.clear();
+    latencies_us_.clear();
   }
 
  private:
@@ -62,7 +83,7 @@ class LatencyRecorder {
   std::map<net::IpAddr, util::Welford> per_dip_;
   std::map<net::IpAddr, std::uint64_t> errors_;
   std::uint64_t timeouts_ = 0;
-  std::vector<double> latencies_;
+  std::vector<std::uint32_t> latencies_us_;
 };
 
 }  // namespace klb::workload

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -15,6 +17,7 @@
 #include "net/five_tuple.hpp"
 #include "net/http.hpp"
 #include "net/resp.hpp"
+#include "util/rng.hpp"
 
 namespace klb::net {
 namespace {
@@ -386,6 +389,135 @@ TEST(Fabric, ManyMessagesAllArrive) {
   sim.run_all();
   EXPECT_EQ(a.received.size(), 1000u);
   EXPECT_EQ(net.messages_sent(), 1000u);
+}
+
+/// Counts deliveries and runs `hook` on each.
+class Counter : public Node {
+ public:
+  void on_message(const Message& m) override {
+    ++count;
+    if (hook) hook(m);
+  }
+  std::uint64_t count = 0;
+  std::function<void(const Message&)> hook;
+};
+
+TEST(AddressTable, MatchesAMapOverCollidingRuns) {
+  // Every address of the universe homes to one of four adjacent slots
+  // that wrap around the end of the initial array, so probe runs are long,
+  // interleave and wrap; random binds, rebinds and unbinds (erase shifts
+  // entries back) must keep every lookup equal to std::map's.
+  AddressTable table;
+  const std::size_t cap = table.capacity();
+  const std::size_t homes[] = {cap - 2, cap - 1, 0, 1};
+  std::vector<IpAddr> universe;
+  for (const int subnet : {1, 2, 7, 200}) {
+    for (int host = 0; host < 256; ++host) {
+      const IpAddr a{10, static_cast<std::uint8_t>(subnet), 0,
+                     static_cast<std::uint8_t>(host)};
+      if (std::find(std::begin(homes), std::end(homes), table.home(a)) !=
+          std::end(homes))
+        universe.push_back(a);
+    }
+  }
+  ASSERT_GE(universe.size(), 40u);
+  universe.resize(40);
+
+  Counter nodes[3];
+  std::map<IpAddr, Node*> model;
+  util::Rng rng(11);
+  for (int op = 0; op < 20'000; ++op) {
+    const IpAddr a = universe[rng.uniform_int(universe.size())];
+    Node* n = rng.bernoulli(0.4) ? nullptr : &nodes[rng.uniform_int(3)];
+    table.set(a, n);
+    if (n != nullptr) {
+      model[a] = n;
+    } else {
+      model.erase(a);
+    }
+    ASSERT_EQ(table.size(), model.size());
+    for (const IpAddr b : universe) {
+      const auto it = model.find(b);
+      ASSERT_EQ(table.find(b), it == model.end() ? nullptr : it->second)
+          << "op " << op << " addr " << b.str();
+    }
+  }
+  EXPECT_LE(2 * table.size(), table.capacity());
+}
+
+TEST(Fabric, AttachMatchesAMapAcrossSubnets) {
+  // Random attach / rebind / unbind over four /24s, grown past several
+  // table doublings. Each round delivers one message to every address;
+  // the per-node delivery counts and messages_unreachable() must be what
+  // a std::map of the bindings predicts.
+  sim::Simulation sim(7);
+  Network net(sim);
+  Counter nodes[8];
+  std::vector<IpAddr> universe;
+  for (const int subnet : {1, 2, 7, 200}) {
+    for (int host = 0; host < 200; ++host)
+      universe.push_back(IpAddr{10, static_cast<std::uint8_t>(subnet), 3,
+                                static_cast<std::uint8_t>(host)});
+  }
+  std::map<IpAddr, Node*> model;
+  std::map<const Node*, std::uint64_t> expect;
+  std::uint64_t expect_unreachable = 0;
+  util::Rng rng(13);
+  for (int round = 0; round < 30; ++round) {
+    const double unbind = round < 10 ? 0.1 : 0.5;  // grow, then churn
+    for (int op = 0; op < 100; ++op) {
+      const IpAddr a = universe[rng.uniform_int(universe.size())];
+      Node* n = rng.bernoulli(unbind) ? nullptr : &nodes[rng.uniform_int(8)];
+      net.attach(a, n);
+      if (n != nullptr) {
+        model[a] = n;
+      } else {
+        model.erase(a);
+      }
+    }
+    for (const IpAddr a : universe) {
+      const auto it = model.find(a);
+      ASSERT_EQ(net.attached(a), it != model.end()) << a.str();
+      net.send(a, Message{});
+      if (it == model.end()) {
+        ++expect_unreachable;
+      } else {
+        ++expect[it->second];
+      }
+    }
+    sim.run_all();
+    ASSERT_EQ(net.messages_unreachable(), expect_unreachable)
+        << "round " << round;
+    for (const Counter& n : nodes) ASSERT_EQ(n.count, expect[&n]);
+  }
+}
+
+TEST(Fabric, HandlerMayRebindAddresses) {
+  // A handler rebinds its own address, unbinds another and binds enough
+  // new ones to grow the table, all while its message is being delivered.
+  sim::Simulation sim(9);
+  Network net(sim);
+  Counter a, b, c;
+  const IpAddr self{10, 0, 0, 1};
+  const IpAddr other{10, 0, 0, 2};
+  net.attach(self, &a);
+  net.attach(other, &c);
+  a.hook = [&](const Message&) {
+    net.attach(self, &b);
+    net.attach(other, nullptr);
+    for (std::uint32_t i = 0; i < 500; ++i)
+      net.attach(IpAddr{10, 5, 0, 0}.next(i), &c);
+  };
+  net.send(self, Message{});
+  sim.run_all();
+  net.send(self, Message{});
+  net.send(other, Message{});
+  net.send(IpAddr{10, 5, 0, 0}.next(499), Message{});
+  sim.run_all();
+  EXPECT_EQ(a.count, 1u);
+  EXPECT_EQ(b.count, 1u);
+  EXPECT_EQ(c.count, 1u);
+  EXPECT_EQ(net.messages_unreachable(), 1u);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// DES kernel tests: event ordering, cancellation, timers, determinism.
+// DES kernel tests: event ordering, cancellation, timers, determinism,
+// reserved tickets and deadline lists.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/deadline_list.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -321,6 +324,72 @@ TEST(EventQueue, CallbacksAreMovedAndDestroyedExactlyOnce) {
     EXPECT_EQ(token.use_count(), 2);  // the 4 us event is still pending
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, ReservedTicketKeepsItsPlaceAmongSameTimeEvents) {
+  EventQueue q;
+  std::vector<char> order;
+  const Ticket early = q.reserve();
+  q.schedule(SimTime::micros(5), [&] { order.push_back('a'); });
+  const Ticket late = q.reserve();
+  q.schedule(SimTime::micros(5), [&] { order.push_back('b'); });
+  // Scheduled last, but in the places the tickets took.
+  q.schedule_reserved(SimTime::micros(5), late, [&] { order.push_back('L'); });
+  q.schedule_reserved(SimTime::micros(5), early, [&] { order.push_back('E'); });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<char>{'E', 'a', 'L', 'b'}));
+}
+
+TEST(DeadlineList, ExpiresPendingEntriesWhereAPerRequestTimerWould) {
+  // Ten requests 10 us apart with a 100 us timeout; the odd ones are
+  // answered. One timer expires the even ones at exactly push + 100 us,
+  // between the same-time events scheduled before and after each push.
+  Simulation sim(1);
+  std::set<int> answered;
+  std::vector<std::string> log;
+  DeadlineList<int> deadlines(
+      sim, 100_us, [&](const int& k) { return answered.count(k) == 0; },
+      [&](const int& k) {
+        log.push_back("expire " + std::to_string(k) + " @" +
+                      std::to_string(sim.now().us()));
+      });
+  for (int k = 0; k < 10; ++k) {
+    sim.schedule_at(SimTime::micros(10 * k), [&, k] {
+      const auto tag = std::to_string(k);
+      sim.schedule_in(100_us, [&log, tag] { log.push_back("before " + tag); });
+      deadlines.push(k);
+      sim.schedule_in(100_us, [&log, tag] { log.push_back("after " + tag); });
+      if (k % 2 == 1)
+        sim.schedule_in(50_us, [&answered, k] { answered.insert(k); });
+    });
+  }
+  sim.run_all();
+  std::vector<std::string> want;
+  for (int k = 0; k < 10; ++k) {
+    want.push_back("before " + std::to_string(k));
+    if (k % 2 == 0)
+      want.push_back("expire " + std::to_string(k) + " @" +
+                     std::to_string(10 * k + 100));
+    want.push_back("after " + std::to_string(k));
+  }
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(deadlines.size(), 0u);
+}
+
+TEST(DeadlineList, DestructorCancelsTheTimer) {
+  Simulation sim(1);
+  int expired = 0;
+  {
+    DeadlineList<int> deadlines(
+        sim, 1_ms, [](const int&) { return true; },
+        [&](const int&) { ++expired; });
+    deadlines.push(1);
+    deadlines.push(2);
+    EXPECT_EQ(sim.pending_events(), 1u);  // one timer for both
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_all();
+  EXPECT_EQ(expired, 0);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // from the Server response header.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "lb/dns_lb.hpp"
 #include "server/dip_server.hpp"
 #include "workload/client.hpp"
@@ -51,9 +54,9 @@ TEST(LatencyRecorder, TracksPerDipAndOverall) {
   LatencyRecorder rec;
   const net::IpAddr a{10, 1, 0, 1};
   const net::IpAddr b{10, 1, 0, 2};
-  rec.record_success(a, 2.0);
-  rec.record_success(a, 4.0);
-  rec.record_success(b, 10.0);
+  rec.record_success(a, 2_ms);
+  rec.record_success(a, 4_ms);
+  rec.record_success(b, 10_ms);
   rec.record_error(b);
   rec.record_timeout();
 
@@ -149,6 +152,199 @@ TEST(ClientPool, TimeoutAbortsSession) {
   EXPECT_EQ(clients.recorder().overall().count(), 0u);
   // Aborted sessions send exactly one request (no retries after timeout).
   EXPECT_EQ(clients.requests_sent(), clients.recorder().timeouts());
+}
+
+/// Swallows every message, logging what arrived and when.
+class Sink : public net::Node {
+ public:
+  struct Seen {
+    net::MsgType type;
+    std::uint64_t conn_id;
+    util::SimTime at;
+  };
+  explicit Sink(sim::Simulation& sim) : sim_(sim) {}
+  void on_message(const net::Message& m) override {
+    seen.push_back(Seen{m.type, m.conn_id, sim_.now()});
+  }
+  std::vector<Seen> seen;
+
+ private:
+  sim::Simulation& sim_;
+};
+
+/// Answers every request with a 200 `hold` after it arrives.
+class DelayedResponder : public net::Node {
+ public:
+  DelayedResponder(net::Network& net, util::SimTime hold)
+      : net_(net), hold_(hold) {}
+  void on_message(const net::Message& m) override {
+    ++received;
+    if (m.type != net::MsgType::kHttpRequest) return;
+    net::Message r;
+    r.type = net::MsgType::kHttpResponse;
+    r.tuple = m.tuple;
+    r.conn_id = m.conn_id;
+    r.req_id = m.req_id;
+    net::write_response(r.payload, 200, "klb-dip/10.1.0.1", "ok");
+    if (hold_ == util::SimTime::zero()) {
+      net_.send(m.tuple.src_ip, std::move(r));
+      return;
+    }
+    net_.sim().schedule_in(hold_, [this, r = std::move(r)] {
+      net_.send(r.tuple.src_ip, r);
+    });
+  }
+  std::uint64_t received = 0;
+
+ private:
+  net::Network& net_;
+  util::SimTime hold_;
+};
+
+/// Every hop takes exactly `hop`: no jitter, so deadlines are exact.
+net::FabricConfig fixed_hop(util::SimTime hop) {
+  net::FabricConfig f;
+  f.base_latency = hop;
+  f.jitter_mean = util::SimTime::zero();
+  return f;
+}
+
+TEST(ClientPool, SilentDipTimesOutEachRequestAtItsDeadline) {
+  // One session at a time against a DIP that never answers: each request
+  // times out at exactly sent_at + request_timeout, which sends one FIN
+  // and starts the next deferred session at that same instant.
+  sim::Simulation sim(57);
+  const auto hop = 100_us;
+  net::Network net(sim, fixed_hop(hop));
+  const net::IpAddr vip{10, 1, 0, 1};
+  Sink sink(sim);
+  net.attach(vip, &sink);
+
+  ClientConfig cfg;
+  cfg.requests_per_session = 3.0;
+  cfg.request_timeout = 50_ms;
+  cfg.max_outstanding_sessions = 1;
+  ClientPool clients(net, net::IpAddr{10, 2, 0, 1}, vip,
+                     TrafficPattern(200.0), cfg);
+  clients.start();
+  sim.run_until(2_s);
+  clients.stop();
+
+  std::map<std::uint64_t, util::SimTime> request_at;
+  std::map<std::uint64_t, std::vector<util::SimTime>> fins;
+  for (const auto& s : sink.seen) {
+    if (s.type == net::MsgType::kHttpRequest) {
+      ASSERT_EQ(request_at.count(s.conn_id), 0u)
+          << "conn " << s.conn_id << " sent a second request";
+      request_at[s.conn_id] = s.at;
+    } else {
+      ASSERT_EQ(s.type, net::MsgType::kFin);
+      fins[s.conn_id].push_back(s.at);
+    }
+  }
+  ASSERT_GT(fins.size(), 30u);  // ~39 timeouts in 2 s
+  EXPECT_EQ(clients.recorder().timeouts(), fins.size());
+  EXPECT_EQ(clients.recorder().overall().count(), 0u);
+  for (const auto& [conn, at] : fins) {
+    ASSERT_EQ(at.size(), 1u) << "conn " << conn;
+    // Both hops take `hop`, so arrival times differ by the timeout.
+    EXPECT_EQ(at[0] - request_at.at(conn), cfg.request_timeout)
+        << "conn " << conn;
+    // The deferred session's first request left with the FIN.
+    ASSERT_EQ(request_at.count(conn + 1), 1u) << "conn " << conn;
+    EXPECT_EQ(request_at.at(conn + 1), at[0]) << "conn " << conn;
+  }
+}
+
+TEST(ClientPool, ResponseAtTheDeadlineIsATimeout) {
+  // The tie rule: a response that reaches the client 1 us before
+  // sent_at + request_timeout is a success; one that reaches it exactly
+  // at the deadline counts as a timeout.
+  const auto hop = 100_us;
+  const auto timeout = 20_ms;
+  for (const bool at_deadline : {false, true}) {
+    SCOPED_TRACE(at_deadline ? "at the deadline" : "1 us before");
+    sim::Simulation sim(58);
+    net::Network net(sim, fixed_hop(hop));
+    const net::IpAddr vip{10, 1, 0, 1};
+    const auto early = at_deadline ? 0_us : 1_us;
+    DelayedResponder dip(net, timeout - hop - hop - early);
+    net.attach(vip, &dip);
+
+    ClientConfig cfg;
+    cfg.requests_per_session = 1.0;
+    cfg.request_timeout = timeout;
+    ClientPool clients(net, net::IpAddr{10, 2, 0, 1}, vip,
+                       TrafficPattern(500.0), cfg);
+    clients.start();
+    sim.run_until(1_s);
+    clients.stop();
+    sim.run_for(1_s);
+
+    const auto& rec = clients.recorder();
+    ASSERT_GT(clients.requests_sent(), 400u);
+    if (at_deadline) {
+      EXPECT_EQ(rec.overall().count(), 0u);
+      EXPECT_EQ(rec.timeouts(), clients.requests_sent());
+    } else {
+      EXPECT_EQ(rec.timeouts(), 0u);
+      const auto raw = rec.raw_latencies_ms();
+      ASSERT_EQ(raw.size(), clients.requests_sent());
+      for (std::size_t i = 0; i < raw.size(); ++i)
+        ASSERT_EQ(raw[i], (timeout - 1_us).ms()) << "request " << i;
+    }
+  }
+}
+
+TEST(ClientPool, AnsweredRequestsLeaveOneClientTimer) {
+  // Every request is answered, with ~80 in flight at a time (40 ms round
+  // trips at 2000 rps). Besides the hops in flight, the queue holds only
+  // the arrival event and at most one deadline timer: no per-request
+  // timeout events.
+  sim::Simulation sim(59);
+  net::Network net(sim, fixed_hop(20_ms));
+  const net::IpAddr vip{10, 1, 0, 1};
+  DelayedResponder dip(net, util::SimTime::zero());
+  net.attach(vip, &dip);
+
+  ClientConfig cfg;
+  cfg.requests_per_session = 1.0;
+  ClientPool clients(net, net::IpAddr{10, 2, 0, 1}, vip,
+                     TrafficPattern(2000.0), cfg);
+  clients.start();
+  std::uint64_t max_hops = 0;
+  for (int i = 0; i < 2000; ++i) {
+    sim.run_for(3_ms);
+    const std::uint64_t delivered =
+        dip.received + clients.recorder().overall().count();
+    const std::uint64_t hops = net.messages_sent() - delivered;
+    max_hops = std::max(max_hops, hops);
+    ASSERT_LE(sim.pending_events(), hops + 2) << "at " << sim.now().str();
+  }
+  clients.stop();
+  EXPECT_GT(max_hops, 100u);  // the in-flight set is large
+  EXPECT_EQ(clients.recorder().timeouts(), 0u);
+}
+
+TEST(ClientPool, DestroyedPoolLeavesNoEventBehind) {
+  // A pool with requests in flight to an unattached VIP is destroyed
+  // while the Simulation runs on: none of its deadlines may fire into
+  // the freed pool (ASan reports it if one does).
+  sim::Simulation sim(60);
+  net::Network net(sim);
+  {
+    ClientConfig cfg;
+    cfg.requests_per_session = 1.0;
+    ClientPool clients(net, net::IpAddr{10, 2, 0, 1},
+                       net::IpAddr{10, 9, 9, 9}, TrafficPattern(1000.0), cfg);
+    clients.start();
+    sim.run_for(50_ms);
+    ASSERT_GT(clients.requests_sent(), 20u);
+  }
+  sim.run_for(1_ms);  // the last hops land (unreachable)
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_for(3_s);  // past every deadline the pool had set
+  EXPECT_EQ(net.messages_unreachable(), net.messages_sent());
 }
 
 TEST(ClientPool, ErrorResponsesRecorded) {
