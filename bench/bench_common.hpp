@@ -142,11 +142,29 @@ inline std::vector<TypeAgg> by_type(const PolicyRunResult& r) {
 /// The paper's "cuts latency by up to X% for Y% of requests": compare the
 /// two latency CDFs; X = max relative improvement across matching
 /// percentiles, Y = fraction of percentiles where KLB is at least 2% better.
+/// X alone can hide a loss (a best percentile says nothing of the mean), so
+/// the summary also carries KLB's signed change of the mean and the P99
+/// against the baseline: positive means KLB is slower.
 struct GainSummary {
   double max_gain = 0.0;       // at some percentile
   double request_share = 0.0;  // fraction of requests seeing >=2% gain
-  double mean_gain = 0.0;      // gain on the mean
+  double mean_delta = 0.0;     // (KLB mean - baseline mean) / baseline mean
+  double p99_delta = 0.0;      // (KLB P99 - baseline P99) / baseline P99
 };
+
+/// A signed relative change, e.g. "+81.1% (worse)" or "-12.0% (better)".
+inline std::string fmt_delta(double delta) {
+  return (delta > 0.0 ? "+" : "") + testbed::fmt_pct(delta) +
+         (delta > 0.0 ? " (worse)" : delta < 0.0 ? " (better)" : "");
+}
+
+/// KLB's signed mean and P99 changes against `baseline_name`, for printing
+/// next to a max gain.
+inline std::string fmt_deltas(const GainSummary& g,
+                              const std::string& baseline_name) {
+  return "KLB mean " + fmt_delta(g.mean_delta) + ", P99 " +
+         fmt_delta(g.p99_delta) + " vs " + baseline_name;
+}
 
 inline GainSummary compare_gains(const PolicyRunResult& baseline,
                                  const PolicyRunResult& klb) {
@@ -171,8 +189,11 @@ inline GainSummary compare_gains(const PolicyRunResult& baseline,
   }
   g.request_share = static_cast<double>(improved) / kSteps;
   if (baseline.mean_latency_ms > 0.0)
-    g.mean_gain = (baseline.mean_latency_ms - klb.mean_latency_ms) /
-                  baseline.mean_latency_ms;
+    g.mean_delta = (klb.mean_latency_ms - baseline.mean_latency_ms) /
+                   baseline.mean_latency_ms;
+  if (baseline.p99_latency_ms > 0.0)
+    g.p99_delta = (klb.p99_latency_ms - baseline.p99_latency_ms) /
+                  baseline.p99_latency_ms;
   return g;
 }
 

@@ -30,10 +30,12 @@ int main() {
   std::cout << "\nKLB vs RR: cuts latency by up to "
             << testbed::fmt_pct(vs_rr.max_gain) << " for "
             << testbed::fmt_pct(vs_rr.request_share)
-            << " of requests (paper: up to 45% for 79%)\n"
+            << " of requests (paper: up to 45% for 79%); "
+            << fmt_deltas(vs_rr, "RR") << "\n"
             << "KLB vs LC: cuts latency by up to "
             << testbed::fmt_pct(vs_lc.max_gain) << " for "
             << testbed::fmt_pct(vs_lc.request_share)
-            << " of requests (paper: up to 23% for 68%)\n";
+            << " of requests (paper: up to 23% for 68%); "
+            << fmt_deltas(vs_lc, "LC") << "\n";
   return 0;
 }

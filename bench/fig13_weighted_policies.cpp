@@ -45,8 +45,10 @@ int main() {
   const auto vs_wrr = compare_gains(runs[0], runs[2]);
   const auto vs_wlc = compare_gains(runs[1], runs[2]);
   std::cout << "\nKLB vs WRR: up to " << testbed::fmt_pct(vs_wrr.max_gain)
-            << " latency cut (paper: 42% on the overloaded DIPs)\n"
+            << " latency cut (paper: 42% on the overloaded DIPs); "
+            << fmt_deltas(vs_wrr, "WRR") << "\n"
             << "KLB vs WLC: up to " << testbed::fmt_pct(vs_wlc.max_gain)
-            << " latency cut (paper: 36.2%)\n";
+            << " latency cut (paper: 36.2%); " << fmt_deltas(vs_wlc, "WLC")
+            << "\n";
   return 0;
 }

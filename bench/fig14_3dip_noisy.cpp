@@ -44,8 +44,9 @@ int main() {
   const auto vs_rr = compare_gains(runs[0], runs[2]);
   const auto vs_lc = compare_gains(runs[1], runs[2]);
   std::cout << "\nKLB vs RR: up to " << testbed::fmt_pct(vs_rr.max_gain)
-            << " latency cut (paper: 37%)\nKLB vs LC: up to "
-            << testbed::fmt_pct(vs_lc.max_gain) << " (paper: 29%)\n"
+            << " latency cut (paper: 37%); " << fmt_deltas(vs_rr, "RR")
+            << "\nKLB vs LC: up to " << testbed::fmt_pct(vs_lc.max_gain)
+            << " (paper: 29%); " << fmt_deltas(vs_lc, "LC") << "\n"
             << "KLB weights: ";
   for (const auto& d : runs[2].dips) std::cout << testbed::fmt(d.weight, 3) << " ";
   std::cout << "\n";

@@ -1,48 +1,37 @@
-// Multi-threaded MUX hot-path bench (ISSUE 5 + ISSUE 6): drives the real
-// Mux::on_message packet path from 1/2/4 worker threads and reports
-// picks/sec, comparing the sharded FlowTable against the old monolithic
-// single-map design (1 shard — every packet behind one lock).
+// MUX hot-path bench: drives the real Mux packet path on one thread and
+// reports picks/sec.
 //
-// Workload: each thread owns a disjoint flow space; per round, each flow
-// opens (a lock-free maglev table route), sends `requests_per_flow - 1`
-// pinned requests (affinity hits), and FINs. Rounds >= 2 reconnect the same
-// tuples. The fabric runs in blackhole mode (the event queue is
-// single-threaded).
+// Workload: per round, each flow opens (a maglev table route), sends
+// `requests_per_flow - 1` pinned requests (affinity hits), and FINs.
+// Rounds >= 2 reconnect the same tuples. The fabric runs in blackhole mode,
+// so the number is the Mux alone.
 //
-// --churn (ISSUE 6) additionally measures pool-generation publication under
-// fire: a committer thread applies full PoolPrograms (rotated weights) and
-// enable/disable flips at a fixed cadence while the worker threads sustain
-// traffic. Each phase runs twice per thread count — once with the committer
-// idle (the "before the generation switch" stable baseline) and once with
-// it committing — and verifies, beyond the quiesced contract, that the
-// epoch floor caught up (no reader left pinned) and exactly the current
-// generation object is alive. In --short mode it gates programs/s >= 100 and
-// churn throughput >= 0.9x the stable baseline at 2+ threads — at worker
-// counts that leave the committer its own core (skipped entirely on
-// single-core machines). In churn mode these gates replace the stable
-// scaling gate, keeping the mode meaningful under TSan.
+// --batch sweeps burst sizes through Mux::handle_batch over the real
+// fabric (see run_batch_one); in --short mode it gates batch=32 >= 2x
+// batch=1.
+//
+// --churn measures pool-generation publication between bursts: the same
+// drive, once with no commits (the stable baseline) and once committing a
+// full PoolProgram (rotated weights, one backend parked at weight 0)
+// after every burst of flows. It verifies, beyond the quiesced contract,
+// that the current generation is whole and the only one alive, and that
+// the Mux's destruction takes it along.
 //
 // Every run ends with testbed::InvariantChecker::quiesced — request and
 // connection conservation, no pin or dangling entry left, zero no-backend
-// drops, every retired generation reclaimed; with concurrent shards, a lost
-// update shows up as a mismatch — and exits non-zero on violation. In
-// --short mode (the CI smoke) it additionally fails if multi-threaded
-// throughput on the sharded table regresses below 0.9x the single-threaded
-// baseline (skipped on single-core machines, where extra threads cannot
-// help; like bench_fleet_multivip, the headline scaling needs real cores).
+// drops, every superseded generation destroyed — and exits non-zero on
+// violation.
 //
 // --json PATH writes every measured number as BENCH-style JSON (see
 // bench_common.hpp) for the CI perf trajectory.
 //
-// Usage: bench_mux_hotpath [--short] [--churn] [--json PATH]
-//                          [flows_per_thread] [requests_per_flow]
-#include <atomic>
+// Usage: bench_mux_hotpath [--short] [--batch] [--churn] [--json PATH]
+//                          [flows] [requests_per_flow]
 #include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -64,22 +53,22 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kDips = 64;
 const klb::net::IpAddr kVip{10, 0, 0, 1};
 
-klb::net::FiveTuple flow_tuple(unsigned thread, std::uint64_t flow) {
+klb::net::FiveTuple flow_tuple(std::uint64_t flow) {
   klb::net::FiveTuple t;
   t.src_ip = klb::net::IpAddr(
-      static_cast<std::uint32_t>(0x0a020000 + (thread << 12) + flow / 50'000));
+      static_cast<std::uint32_t>(0x0a020000 + flow / 50'000));
   t.dst_ip = kVip;
   t.src_port = static_cast<std::uint16_t>(10'000 + flow % 50'000);
   t.dst_port = 80;
   return t;
 }
 
-/// One round of worker `w`'s flows: each opens, sends its requests, FINs.
-void drive_round(klb::lb::Mux& mux, unsigned w, std::uint64_t flows,
+/// Flows [first, last): each opens, sends its requests, FINs.
+void drive_flows(klb::lb::Mux& mux, std::uint64_t first, std::uint64_t last,
                  std::uint64_t requests_per_flow) {
   klb::net::Message msg;
-  for (std::uint64_t f = 0; f < flows; ++f) {
-    msg.tuple = flow_tuple(w, f);
+  for (std::uint64_t f = first; f < last; ++f) {
+    msg.tuple = flow_tuple(f);
     msg.type = klb::net::MsgType::kHttpRequest;
     for (std::uint64_t q = 0; q < requests_per_flow; ++q) mux.on_message(msg);
     msg.type = klb::net::MsgType::kFin;
@@ -87,19 +76,17 @@ void drive_round(klb::lb::Mux& mux, unsigned w, std::uint64_t flows,
   }
 }
 
-/// Handled requests (picks) per second over all threads; the run's
-/// invariants land in `check`.
-double run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
-               std::uint64_t requests_per_flow, std::uint64_t rounds,
-               klb::testbed::InvariantChecker& check) {
+/// Handled requests (picks) per second; the run's invariants land in
+/// `check`.
+double run_one(std::uint64_t flows, std::uint64_t requests_per_flow,
+               std::uint64_t rounds, klb::testbed::InvariantChecker& check) {
   klb::sim::Simulation sim(7);
   klb::net::Network net(sim);
-  net.set_blackhole(true);  // workers must not touch the event queue
+  net.set_blackhole(true);
   klb::lb::FlowTableConfig flow_cfg;
-  flow_cfg.shard_count = shards;
   // The drive's concurrent-flow peak is known up front; the hint
-  // pre-reserves the shard maps so no timed round pays for a rehash.
-  flow_cfg.expected_flows = static_cast<std::size_t>(threads) * flows;
+  // pre-reserves the shards so no timed round pays for a growth.
+  flow_cfg.expected_flows = static_cast<std::size_t>(flows);
   klb::lb::Mux mux(net, kVip, klb::lb::make_policy("maglev"),
                    /*attach_to_vip=*/true, flow_cfg);
   klb::lb::PoolProgram pool(1);
@@ -108,30 +95,15 @@ double run_one(std::size_t shards, unsigned threads, std::uint64_t flows,
              klb::util::kWeightScale / kDips);
   mux.apply_program(pool);
 
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) {
-    workers.emplace_back([&, w] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (std::uint64_t r = 0; r < rounds; ++r)
-        drive_round(mux, w, flows, requests_per_flow);
-    });
-  }
   const auto t0 = Clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
+  for (std::uint64_t r = 0; r < rounds; ++r)
+    drive_flows(mux, 0, flows, requests_per_flow);
   const auto dt = std::chrono::duration<double>(Clock::now() - t0).count();
 
   mux.poll();
-  const auto expect_requests =
-      static_cast<std::uint64_t>(threads) * flows * requests_per_flow * rounds;
-  // Counter conservation: with concurrent shards, any lost update or
-  // leaked pin breaks one of these exactly.
-  check.label = std::to_string(threads) + "T shards=" + std::to_string(shards);
-  check.quiesced(mux, expect_requests,
-                 static_cast<std::uint64_t>(threads) * flows * rounds);
+  const auto expect_requests = flows * requests_per_flow * rounds;
+  check.label = "scalar drive";
+  check.quiesced(mux, expect_requests, flows * rounds);
   return dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
 }
 
@@ -143,7 +115,7 @@ double best_of(int reps, Run run) {
   return best;
 }
 
-// --- batch phase (ISSUE 9): handle_batch amortization ------------------------
+// --- batch phase: handle_batch amortization ---------------------------------
 
 /// Terminates bench flows like a DIP would: counts deliveries.
 struct SinkNode final : klb::net::Node {
@@ -158,26 +130,24 @@ struct SinkNode final : klb::net::Node {
 // messages — through the REAL fabric (no blackhole): every forward is a
 // latency draw plus an event on the queue, delivered to a per-DIP sink.
 // That is the full per-packet path a Testbed run pays, and it is exactly
-// what the batch path amortizes: one epoch pin and one flow-shard lock
-// per run on the MUX side, then one fabric event per destination group
-// instead of one per packet (send_burst). One round interleaves every
-// flow's requests round-robin — a burst spans many flows and shards —
-// then closes every flow with a FIN sweep; the event queue is drained
-// inside the timed region (delivery cost is part of the path). batch == 1
-// is the scalar baseline through the same entry point. Single-threaded by
-// construction (the event queue is), which also makes the 2x gate
-// meaningful on any host, CI's single-core runners included.
+// what the batch path amortizes: one generation read per burst on the MUX
+// side, then one fabric event per destination group instead of one per
+// packet (send_burst). One round interleaves every flow's requests
+// round-robin — a burst spans many flows and shards — then closes every
+// flow with a FIN sweep; the event queue is drained inside the timed
+// region (delivery cost is part of the path). batch == 1 is the scalar
+// baseline through the same entry point.
 double run_batch_one(std::size_t batch, std::uint64_t flows,
                      std::uint64_t requests_per_flow, std::uint64_t rounds,
                      klb::testbed::InvariantChecker& check) {
-  // 16 DIPs (not the sweep's 64): a rack-scale pool where a 32-packet
-  // burst lands ~2 packets per destination, so send_burst has runs to
-  // coalesce — with 64 DIPs nearly every packet in a burst is a distinct
-  // destination and the fabric-side amortization can't show.
+  // 16 DIPs (not the scalar drive's 64): a rack-scale pool where a
+  // 32-packet burst lands ~2 packets per destination, so send_burst has
+  // runs to coalesce — with 64 DIPs nearly every packet in a burst is a
+  // distinct destination and the fabric-side amortization can't show.
   constexpr std::size_t kBatchDips = 16;
   klb::sim::Simulation sim(7);
   klb::net::Network net(sim);
-  klb::lb::FlowTableConfig flow_cfg{};  // production sharded default
+  klb::lb::FlowTableConfig flow_cfg{};  // production default
   flow_cfg.expected_flows = static_cast<std::size_t>(flows);
   klb::lb::Mux mux(net, kVip, klb::lb::make_policy("maglev"),
                    /*attach_to_vip=*/true, flow_cfg);
@@ -199,13 +169,13 @@ double run_batch_one(std::size_t batch, std::uint64_t flows,
     for (std::uint64_t f = 0; f < flows; ++f) {
       klb::net::Message m;
       m.type = klb::net::MsgType::kHttpRequest;
-      m.tuple = flow_tuple(0, f);
+      m.tuple = flow_tuple(f);
       stream.push_back(m);
     }
   for (std::uint64_t f = 0; f < flows; ++f) {
     klb::net::Message m;
     m.type = klb::net::MsgType::kFin;
-    m.tuple = flow_tuple(0, f);
+    m.tuple = flow_tuple(f);
     stream.push_back(m);
   }
   std::vector<const klb::net::Message*> ptrs;
@@ -238,38 +208,36 @@ double run_batch_one(std::size_t batch, std::uint64_t flows,
   return dt > 0 ? static_cast<double>(expect_requests) / dt : 0.0;
 }
 
-// --- churn phase (ISSUE 6): commits racing the packet path -------------------
+// --- churn phase: commits between bursts --------------------------------------
 
 struct ChurnResult {
-  double rate = 0.0;              // picks/sec across all worker threads
+  double rate = 0.0;              // picks/sec
   double programs_per_sec = 0.0;  // committed PoolPrograms/sec (0 if idle)
   std::uint64_t generations_published = 0;
   std::uint64_t generations_retired = 0;
 };
 
-// Drives `threads` workers over their flow spaces for ~duration_sec wall
-// seconds. With `commit`, a committer thread concurrently applies a full
-// PoolProgram (same 64 members, rotated weights, one backend parked at
-// weight 0 — which one moves every 4th commit) every ~1ms. Every commit
-// publishes a fresh immutable PoolGeneration and retires the old one
-// through the epoch domain. Membership is stable, so counter conservation
-// stays exact even though the generation under the packet path changes
-// hundreds of times per second.
-ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
+// Drives bursts of `kChurnBurst` flows for ~duration_sec wall seconds.
+// With `commit`, a full PoolProgram (same 64 members, rotated weights, one
+// backend parked at weight 0 — which one moves every 4th commit) commits
+// after every burst. Every commit publishes a fresh immutable
+// PoolGeneration and destroys the old one. Membership is stable, so
+// counter conservation stays exact across every commit.
+ChurnResult run_churn_phase(std::uint64_t flows,
                             std::uint64_t requests_per_flow,
                             double duration_sec, bool commit,
                             klb::testbed::InvariantChecker& check) {
+  constexpr std::uint64_t kChurnBurst = 64;
   klb::sim::Simulation sim(7);
   klb::net::Network net(sim);
   net.set_blackhole(true);
   const auto live0 = klb::lb::PoolGeneration::live_count();
 
   ChurnResult res;
-  check.label = (commit ? "churn " : "stable ") + std::to_string(threads) + "T";
+  check.label = commit ? "churn" : "stable";
   {
     // A smaller maglev table than the production default keeps each
-    // commit's rebuild cheap enough to sustain hundreds of programs/sec
-    // even under TSan; pick cost is table-size independent.
+    // commit's rebuild cheap; pick cost is table-size independent.
     klb::lb::Mux mux(net, kVip, std::make_unique<klb::lb::MaglevPolicy>(4099),
                      /*attach_to_vip=*/true, klb::lb::FlowTableConfig{});
     // `parked` is programmed at weight 0 (kDips = none parked).
@@ -285,55 +253,29 @@ ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
     };
     mux.apply_program(make_program(0, kDips));
 
-    std::atomic<bool> go{false};
-    std::atomic<bool> stop{false};
-    std::vector<std::uint64_t> rounds(threads, 0);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) {
-      workers.emplace_back([&, w] {
-        while (!go.load(std::memory_order_acquire)) {
-        }
-        do {
-          drive_round(mux, w, flows, requests_per_flow);
-          ++rounds[w];
-        } while (!stop.load(std::memory_order_acquire));
-      });
-    }
-
     std::uint64_t commits = 1;  // the initial program above
-    std::thread committer;
-    if (commit) {
-      committer = std::thread([&] {
-        while (!go.load(std::memory_order_acquire)) {
-        }
-        std::size_t parked = kDips;  // kDips = none parked
-        while (!stop.load(std::memory_order_acquire)) {
-          mux.apply_program(make_program(commits, parked));
-          ++commits;
-          // At most one backend parked at a time; membership is stable, so
-          // the shared per-backend counters keep conservation exact.
-          if (commits % 4 == 0) parked = (commits / 4) % kDips;
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      });
-    }
-
+    std::size_t parked = kDips;
+    std::uint64_t rounds = 0;
     const auto t0 = Clock::now();
-    go.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(std::chrono::duration<double>(duration_sec));
-    stop.store(true, std::memory_order_release);
-    for (auto& w : workers) w.join();
-    if (committer.joinable()) committer.join();
-    const auto dt = std::chrono::duration<double>(Clock::now() - t0).count();
+    double dt = 0.0;
+    do {
+      ++rounds;
+      for (std::uint64_t f = 0; f < flows; f += kChurnBurst) {
+        drive_flows(mux, f, std::min(flows, f + kChurnBurst),
+                    requests_per_flow);
+        if (!commit) continue;
+        mux.apply_program(make_program(commits, parked));
+        ++commits;
+        // At most one backend parked at a time; membership is stable, so
+        // the shared per-backend counters keep conservation exact.
+        if (commits % 4 == 0) parked = (commits / 4) % kDips;
+      }
+      dt = std::chrono::duration<double>(Clock::now() - t0).count();
+    } while (dt < duration_sec);
 
-    // No reader is pinned anymore: one poll must drain the retired list.
     mux.poll();
-
-    std::uint64_t total_rounds = 0;
-    for (const auto r : rounds) total_rounds += r;
-    const std::uint64_t sent = total_rounds * flows * requests_per_flow;
-    const std::uint64_t opened = total_rounds * flows;
+    const std::uint64_t sent = rounds * flows * requests_per_flow;
+    const std::uint64_t opened = rounds * flows;
     res.rate = dt > 0 ? static_cast<double>(sent) / dt : 0.0;
     res.programs_per_sec =
         commit && dt > 0 ? static_cast<double>(commits) / dt : 0.0;
@@ -342,9 +284,7 @@ ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
     res.generations_retired = c.generations_retired;
 
     check.quiesced(mux, sent, opened);
-    check.expect(mux.oldest_live_epoch() == mux.current_epoch(),
-                 "no reader pinned below the current epoch");
-    check.expect(mux.debug_check_generation(),
+    check.expect(mux.generation().self_check(),
                  "current generation self-check");
     check.expect(klb::lb::PoolGeneration::live_count() == live0 + 1,
                  "exactly the current generation object alive (" +
@@ -352,8 +292,7 @@ ChurnResult run_churn_phase(unsigned threads, std::uint64_t flows,
                                     live0) +
                      ")");
   }
-  // Mux destroyed: its last generation must go too — a use-after-retire
-  // bug would show up here as a leaked (or double-freed) snapshot.
+  // Mux destroyed: its last generation must go too.
   check.expect(klb::lb::PoolGeneration::live_count() == live0,
                "all generations destroyed with the Mux");
   return res;
@@ -385,8 +324,8 @@ int main(int argc, char** argv) {
       positional.push_back(std::stoull(a));
     } else {
       std::cerr << "unknown argument '" << a << "'\nusage: bench_mux_hotpath"
-                << " [--short] [--churn] [--batch] [--json PATH]"
-                << " [flows_per_thread] [requests_per_flow]\n";
+                << " [--short] [--batch] [--churn] [--json PATH]"
+                << " [flows] [requests_per_flow]\n";
       return 2;
     }
   }
@@ -396,68 +335,29 @@ int main(int argc, char** argv) {
   const std::uint64_t rounds = 3;
   const int reps = short_mode ? 3 : 2;
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const klb::lb::FlowTableConfig sharded{};  // production default
-  std::vector<unsigned> thread_counts{1, 2, 4};
-  if (short_mode) {
-    thread_counts = {1};
-    if (hw >= 2) thread_counts.push_back(std::min(4u, hw));
-  }
-
-  klb::testbed::banner("MUX hot path: sharded flow table vs single map (" +
-                       std::to_string(kDips) + " DIPs, maglev, " +
-                       std::to_string(requests_per_flow) + " req/flow)");
-  std::cout << "hardware threads: " << hw << ", flow-table shards: "
-            << klb::lb::FlowTable(sharded).shard_count() << "\n\n";
+  klb::testbed::banner("MUX hot path (" + std::to_string(kDips) +
+                       " DIPs, maglev, " + std::to_string(requests_per_flow) +
+                       " req/flow, " + std::to_string(flows) + " flows)");
 
   auto json = klb::bench::Json::object();
   json.set("bench", "mux_hotpath")
       .set("mode", short_mode ? "short" : "full")
-      .set("hardware_threads", hw)
       .set("dips", kDips)
-      .set("flows_per_thread", flows)
+      .set("flows", flows)
       .set("requests_per_flow", requests_per_flow);
-  auto json_stable = klb::bench::Json::array();
 
-  klb::testbed::Table table({"threads", "single-map picks/s", "sharded picks/s",
-                             "sharded/single", "scaling vs 1T"});
   klb::testbed::InvariantChecker check;
-  double sharded_1t = 0.0, sharded_multi = 0.0;
-  for (const auto t : thread_counts) {
-    const auto base = best_of(reps, [&] {
-      return run_one(1, t, flows, requests_per_flow, rounds, check);
-    });
-    const auto shard = best_of(reps, [&] {
-      return run_one(sharded.shard_count, t, flows, requests_per_flow, rounds,
-                     check);
-    });
-    if (t == 1) sharded_1t = shard;
-    if (t > 1) sharded_multi = std::max(sharded_multi, shard);
-    table.row({std::to_string(t),
-               klb::testbed::fmt(base / 1e6, 2) + "M",
-               klb::testbed::fmt(shard / 1e6, 2) + "M",
-               klb::testbed::fmt(shard / std::max(1.0, base), 2) +
-                   "x",
-               klb::testbed::fmt(shard / std::max(1.0, sharded_1t), 2) +
-                   "x"});
-    json_stable.push(klb::bench::Json::object()
-                         .set("threads", t)
-                         .set("single_map_picks_per_sec", base)
-                         .set("sharded_picks_per_sec", shard));
-  }
-  table.print();
-  std::cout << "\nAffinity hits and maglev table routes never take the pick "
-               "lock; only shard locks serialize.\n";
-  json.set("stable", std::move(json_stable));
+  const auto scalar = best_of(
+      reps, [&] { return run_one(flows, requests_per_flow, rounds, check); });
+  std::cout << "picks/s: " << klb::testbed::fmt(scalar / 1e6, 2) << "M\n";
+  json.set("picks_per_sec", scalar);
 
-  // --- batch phase (ISSUE 9): burst size sweep through handle_batch -------
+  // --- batch phase: burst size sweep through handle_batch -----------------
   bool batch_gate_fail = false;
   if (batch_mode) {
-    // Single-threaded end-to-end sweep through the real fabric (the event
-    // queue is single-threaded), so the ratio is the amortization of the
-    // per-packet fixed costs — epoch pin, generation load, shard locks,
-    // and one fabric event per destination run instead of one per
-    // packet — and the gate is meaningful on any host, 1-core CI included.
+    // End-to-end sweep through the real fabric, so the ratio is the
+    // amortization of the per-packet fixed costs — generation read and
+    // one fabric event per destination run instead of one per packet.
     const auto batch_flows = std::min<std::uint64_t>(flows, 8'192);
     const std::vector<std::size_t> batch_sizes{1, 8, 32, 64};
     std::cout << "\n";
@@ -492,8 +392,7 @@ int main(int argc, char** argv) {
       batch_gate_fail = true;
     }
     batch_table.print();
-    std::cout << "\nOne epoch pin, one generation load, one lock per "
-                 "flow-shard run, and one fabric event per destination "
+    std::cout << "\nOne generation read and one fabric event per destination "
                  "group per burst; batch=1 is the scalar path through the "
                  "same entry point.\n";
     if (short_mode && !batch_gate_fail) {
@@ -502,80 +401,39 @@ int main(int argc, char** argv) {
     json.set("batch", std::move(json_batch));
   }
 
-  // --- churn phase: generation publication racing the packet path ---------
-  bool churn_gate_fail = false;
-  int churn_gates_checked = 0;
+  // --- churn phase: generation publication between bursts -----------------
   if (churn_mode) {
     const double duration_sec = short_mode ? 1.0 : 2.5;
     const auto churn_flows = std::min<std::uint64_t>(flows, 2'000);
-    // The committer is a real thread: gates only fire at worker counts
-    // that leave it a core (t + 1 <= hw), so an oversubscribed runner
-    // measures timesharing, not a regression, and is exempt.
-    std::vector<unsigned> churn_counts{1, 2, 4};
-    if (short_mode) {
-      churn_counts = {1};
-      if (hw >= 2) churn_counts.push_back(2);
-    }
     std::cout << "\n";
     klb::testbed::banner(
-        "Pool churn: PoolPrograms committing while traffic flows (" +
-        std::to_string(churn_flows) + " flows/thread, ~" +
+        "Pool churn: a PoolProgram commits after every burst of 64 flows (" +
+        std::to_string(churn_flows) + " flows, ~" +
         klb::testbed::fmt(duration_sec, 1) + "s per phase)");
-    klb::testbed::Table churn_table({"threads", "stable picks/s",
-                                     "churn picks/s", "churn/stable",
-                                     "programs/s", "generations"});
-    auto json_churn = klb::bench::Json::array();
-    for (const auto t : churn_counts) {
-      const auto stable =
-          run_churn_phase(t, churn_flows, requests_per_flow, duration_sec,
-                          /*commit=*/false, check);
-      const auto churned =
-          run_churn_phase(t, churn_flows, requests_per_flow, duration_sec,
-                          /*commit=*/true, check);
-      const double ratio = churned.rate / std::max(1.0, stable.rate);
-      churn_table.row({std::to_string(t),
-                       klb::testbed::fmt(stable.rate / 1e6, 2) + "M",
-                       klb::testbed::fmt(churned.rate / 1e6, 2) + "M",
-                       klb::testbed::fmt(ratio, 2) + "x",
-                       klb::testbed::fmt(churned.programs_per_sec, 0),
-                       std::to_string(churned.generations_published)});
-      json_churn.push(
-          klb::bench::Json::object()
-              .set("threads", t)
-              .set("stable_picks_per_sec", stable.rate)
-              .set("churn_picks_per_sec", churned.rate)
-              .set("churn_over_stable", ratio)
-              .set("programs_per_sec", churned.programs_per_sec)
-              .set("generations_published", churned.generations_published)
-              .set("generations_retired", churned.generations_retired));
-      if (short_mode && hw >= 2 && t + 1 <= hw) {
-        ++churn_gates_checked;
-        if (churned.programs_per_sec < 100.0) {
-          std::cerr << "FAIL: committed only "
-                    << klb::testbed::fmt(churned.programs_per_sec, 0)
-                    << " programs/s under traffic (gate: >= 100/s)\n";
-          churn_gate_fail = true;
-        }
-        if (t >= 2 && ratio < 0.9) {
-          std::cerr << "FAIL: churn throughput at " << t << " threads ("
-                    << churned.rate / 1e6 << "M/s) regressed below 0.9x the "
-                    << "stable-pool baseline (" << stable.rate / 1e6
-                    << "M/s)\n";
-          churn_gate_fail = true;
-        }
-      }
-    }
+    const auto stable =
+        run_churn_phase(churn_flows, requests_per_flow, duration_sec,
+                        /*commit=*/false, check);
+    const auto churned =
+        run_churn_phase(churn_flows, requests_per_flow, duration_sec,
+                        /*commit=*/true, check);
+    const double ratio = churned.rate / std::max(1.0, stable.rate);
+    klb::testbed::Table churn_table({"stable picks/s", "churn picks/s",
+                                     "churn/stable", "programs/s",
+                                     "generations"});
+    churn_table.row({klb::testbed::fmt(stable.rate / 1e6, 2) + "M",
+                     klb::testbed::fmt(churned.rate / 1e6, 2) + "M",
+                     klb::testbed::fmt(ratio, 2) + "x",
+                     klb::testbed::fmt(churned.programs_per_sec, 0),
+                     std::to_string(churned.generations_published)});
     churn_table.print();
-    std::cout << "\nEvery commit publishes an immutable generation; workers "
-                 "pin it epoch-style and never block on the committer.\n";
-    if (churn_gates_checked > 0 && !churn_gate_fail) {
-      std::cout << "churn gates passed (>= 100 programs/s; churn >= 0.9x "
-                   "stable at 2+ threads with a spare core)\n";
-    } else if (short_mode && churn_gates_checked == 0) {
-      std::cout << "churn gates skipped (needs a spare core for the "
-                   "committer)\n";
-    }
-    json.set("churn", std::move(json_churn));
+    json.set("churn",
+             klb::bench::Json::object()
+                 .set("stable_picks_per_sec", stable.rate)
+                 .set("churn_picks_per_sec", churned.rate)
+                 .set("churn_over_stable", ratio)
+                 .set("programs_per_sec", churned.programs_per_sec)
+                 .set("generations_published", churned.generations_published)
+                 .set("generations_retired", churned.generations_retired));
   }
 
   if (!json_path.empty() &&
@@ -587,27 +445,5 @@ int main(int argc, char** argv) {
               << "FAIL: hot-path counter invariants violated\n";
     return 1;
   }
-  if (churn_gate_fail || batch_gate_fail) return 1;
-  if (churn_mode) {
-    // In churn mode the churn gates carry the regression question; the
-    // stable single-vs-multi gate is skipped so the mode stays meaningful
-    // under sanitizer instrumentation (where raw scaling is distorted but
-    // same-instrumentation churn/stable ratios are not).
-    return 0;
-  }
-  if (short_mode && hw >= 2 && sharded_multi > 0.0) {
-    if (sharded_multi < 0.9 * sharded_1t) {
-      std::cerr << "FAIL: multi-threaded sharded throughput ("
-                << sharded_multi / 1e6 << "M/s) regressed below 0.9x the "
-                << "single-threaded baseline (" << sharded_1t / 1e6
-                << "M/s)\n";
-      return 1;
-    }
-    std::cout << "short-mode scaling gate passed ("
-              << klb::testbed::fmt(sharded_multi / sharded_1t, 2)
-              << "x at " << thread_counts.back() << " threads)\n";
-  } else if (short_mode) {
-    std::cout << "short-mode scaling gate skipped (single-core machine)\n";
-  }
-  return 0;
+  return batch_gate_fail ? 1 : 0;
 }

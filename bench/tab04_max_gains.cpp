@@ -41,7 +41,8 @@ int main() {
   };
 
   testbed::Table table({"policy", "policy mean (ms)", "KLB mean (ms)",
-                        "max gain", "requests improved", "paper max gain"});
+                        "max gain", "requests improved", "paper max gain",
+                        "KLB mean change", "KLB P99 change"});
   for (const auto& row : rows) {
     std::cout << "running " << row.policy << (row.weighted ? " (weighted)" : "")
               << "..." << std::flush;
@@ -54,7 +55,8 @@ int main() {
                testbed::fmt(klb_run.mean_latency_ms),
                testbed::fmt_pct(g.max_gain),
                testbed::fmt_pct(g.request_share),
-               testbed::fmt_pct(row.paper_gain, 0)});
+               testbed::fmt_pct(row.paper_gain, 0), fmt_delta(g.mean_delta),
+               fmt_delta(g.p99_delta)});
   }
   table.print();
   return 0;

@@ -14,7 +14,7 @@ SolverPool::SolverPool(int threads) {
 
 SolverPool::~SolverPool() {
   {
-    util::MutexLock lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
   work_cv_.notify_all();
@@ -24,7 +24,7 @@ SolverPool::~SolverPool() {
 SolverPool::Ticket SolverPool::submit(Job job) {
   Ticket ticket;
   {
-    util::MutexLock lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     ticket = dequeued_ + queue_.size();
     queue_.push_back(std::move(job));
   }
@@ -38,14 +38,12 @@ bool SolverPool::finished(Ticket ticket) const {
 }
 
 void SolverPool::wait(Ticket ticket) {
-  util::MutexLock lock(mu_);
-  // Explicit loop rather than a predicate lambda: the analysis treats
-  // lambda bodies as separate functions, so guarded reads stay inline.
-  while (!finished(ticket)) done_cv_.wait(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&] { return finished(ticket); });
 }
 
 std::uint64_t SolverPool::jobs_run() const {
-  util::MutexLock lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return jobs_run_;
 }
 
@@ -54,8 +52,8 @@ void SolverPool::worker_loop() {
     Job job;
     Ticket ticket;
     {
-      util::MutexLock lock(mu_);
-      while (!stopping_ && queue_.empty()) work_cv_.wait(mu_);
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ with a drained queue
       job = std::move(queue_.front());
       queue_.pop_front();
@@ -64,7 +62,7 @@ void SolverPool::worker_loop() {
     }
     job();
     {
-      util::MutexLock lock(mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       running_.erase(std::find(running_.begin(), running_.end(), ticket));
       ++jobs_run_;
     }

@@ -14,14 +14,14 @@
 // draining the queue.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/sync.hpp"
 
 namespace klb::core {
 
@@ -40,33 +40,34 @@ class SolverPool {
 
   /// Enqueue a job. Jobs must not touch simulation state; they may only
   /// write to storage the submitter reads back after wait().
-  Ticket submit(Job job) KLB_EXCLUDES(mu_);
+  Ticket submit(Job job);
 
   /// Block until job `ticket` has finished executing (not merely been
   /// dequeued); later jobs may still be queued or running. What the job
   /// wrote is visible on return, and a finished ticket returns at once.
-  void wait(Ticket ticket) KLB_EXCLUDES(mu_);
+  void wait(Ticket ticket);
 
   std::size_t thread_count() const { return workers_.size(); }
 
   /// Jobs executed over the pool's lifetime (stats for benches).
-  std::uint64_t jobs_run() const KLB_EXCLUDES(mu_);
+  std::uint64_t jobs_run() const;
 
  private:
-  void worker_loop() KLB_EXCLUDES(mu_);
+  void worker_loop();
 
   /// Dequeued in ticket order, so a job is finished iff its ticket is
-  /// below dequeued_ and not among the running ones.
-  bool finished(Ticket ticket) const KLB_REQUIRES(mu_);
+  /// below dequeued_ and not among the running ones. Caller holds mu_.
+  bool finished(Ticket ticket) const;
 
-  mutable util::Mutex mu_{"klb.solver.queue"};
-  util::CondVar work_cv_;   // workers wait for jobs
-  util::CondVar done_cv_;   // wait() waits for jobs to finish
-  std::deque<Job> queue_ KLB_GUARDED_BY(mu_);
-  Ticket dequeued_ KLB_GUARDED_BY(mu_) = 0;  // tickets below were dequeued
-  std::vector<Ticket> running_ KLB_GUARDED_BY(mu_);  // dequeued, not finished
-  std::uint64_t jobs_run_ KLB_GUARDED_BY(mu_) = 0;
-  bool stopping_ KLB_GUARDED_BY(mu_) = false;
+  /// Guards everything below except workers_.
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;  // workers wait for jobs
+  std::condition_variable done_cv_;  // wait() waits for jobs to finish
+  std::deque<Job> queue_;
+  Ticket dequeued_ = 0;           // tickets below were dequeued
+  std::vector<Ticket> running_;   // dequeued, not finished
+  std::uint64_t jobs_run_ = 0;
+  bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
 

@@ -20,7 +20,7 @@ Klm::Klm(net::Network& net, net::IpAddr addr, net::IpAddr vip,
           net.sim(), cfg.probe_timeout,
           [this](std::uint64_t id) { return probe_pending(id); },
           [this](std::uint64_t id) { resolve_timeout(id); }),
-      dips_(std::move(dips)) {
+      probe_sends_(net.sim()), dips_(std::move(dips)) {
   net_.attach(addr_, this);
 }
 
@@ -33,13 +33,11 @@ void Klm::start() {
 void Klm::stop() { timer_.stop(); }
 
 void Klm::add_dip(net::IpAddr dip) {
-  util::MutexLock lk(mu_);
   if (std::find(dips_.begin(), dips_.end(), dip) == dips_.end())
     dips_.push_back(dip);
 }
 
 void Klm::remove_dip(net::IpAddr dip) {
-  util::MutexLock lk(mu_);
   dips_.erase(std::remove(dips_.begin(), dips_.end(), dip), dips_.end());
 
   // Drop every in-flight round targeting the removed DIP. Its scheduled
@@ -68,7 +66,6 @@ void Klm::remove_dip(net::IpAddr dip) {
 }
 
 void Klm::begin_rounds() {
-  util::MutexLock lk(mu_);
   for (const auto dip : dips_) {
     const std::uint64_t key = next_round_key_++;
     Round r;
@@ -82,7 +79,7 @@ void Klm::begin_rounds() {
         window_s / std::max(1, cfg_.probes_per_round);
     for (int i = 0; i < cfg_.probes_per_round; ++i) {
       const auto at = util::SimTime::seconds(gap_s * i);
-      net_.sim().schedule_in(at, [this, key, i] {
+      probe_sends_.schedule_in(at, [this, key, i] {
         send_probe(key, static_cast<std::uint32_t>(i));
       });
     }
@@ -90,7 +87,6 @@ void Klm::begin_rounds() {
 }
 
 void Klm::probe_once(net::IpAddr dip, int n) {
-  util::MutexLock lk(mu_);
   if (n <= 0) {
     // A want==0 round has no resolution event that could ever finish it:
     // admitting one would leak it in rounds_in_flight_ forever. Reject.
@@ -106,14 +102,13 @@ void Klm::probe_once(net::IpAddr dip, int n) {
   rounds_in_flight_[key] = r;
   for (int i = 0; i < n; ++i) {
     const auto at = util::SimTime::millis(5.0 * i);
-    net_.sim().schedule_in(at, [this, key, i] {
+    probe_sends_.schedule_in(at, [this, key, i] {
       send_probe(key, static_cast<std::uint32_t>(i));
     });
   }
 }
 
 void Klm::send_probe(std::uint64_t round_key, std::uint32_t seq) {
-  util::MutexLock lk(mu_);
   const auto rit = rounds_in_flight_.find(round_key);
   if (rit == rounds_in_flight_.end()) return;
   Round& round = rit->second;
@@ -142,12 +137,10 @@ void Klm::send_probe(std::uint64_t round_key, std::uint32_t seq) {
 }
 
 bool Klm::probe_pending(std::uint64_t probe_id) const {
-  util::MutexLock lk(mu_);
   return outstanding_.count(probe_id) > 0;
 }
 
 void Klm::resolve_timeout(std::uint64_t probe_id) {
-  util::MutexLock lk(mu_);
   const auto it = outstanding_.find(probe_id);
   if (it == outstanding_.end()) return;
   const auto key = it->second.round_key;
@@ -161,7 +154,6 @@ void Klm::resolve_timeout(std::uint64_t probe_id) {
 
 void Klm::on_message(const net::Message& msg) {
   if (msg.type != net::MsgType::kHttpResponse) return;
-  util::MutexLock lk(mu_);
   const auto it = outstanding_.find(msg.req_id);
   if (it == outstanding_.end()) return;  // late reply after timeout
   const auto key = it->second.round_key;
@@ -220,7 +212,7 @@ void Klm::flush_round(Round& round) {
 }
 
 PingProber::PingProber(net::Network& net, net::IpAddr addr)
-    : net_(net), addr_(addr) {
+    : net_(net), addr_(addr), events_(net.sim()) {
   net_.attach(addr_, this);
 }
 
@@ -228,7 +220,7 @@ PingProber::~PingProber() { net_.attach(addr_, nullptr); }
 
 void PingProber::ping(net::IpAddr dip, int n, util::SimTime gap) {
   for (int i = 0; i < n; ++i) {
-    net_.sim().schedule_in(gap * static_cast<double>(i), [this, dip] {
+    events_.schedule_in(gap * static_cast<double>(i), [this, dip] {
       const auto id = next_id_++;
       in_flight_[id] = net_.sim().now();
       net::Message msg;
@@ -238,7 +230,7 @@ void PingProber::ping(net::IpAddr dip, int n, util::SimTime gap) {
       msg.req_id = id;
       net_.send(dip, msg);
       // Pings that never return count as lost after 2 s.
-      net_.sim().schedule_in(util::SimTime::seconds(2), [this, id] {
+      events_.schedule_in(util::SimTime::seconds(2), [this, id] {
         if (in_flight_.erase(id) > 0) ++lost_;
       });
     });

@@ -24,7 +24,6 @@
 #include "sim/simulation.hpp"
 #include "store/latency_store.hpp"
 #include "util/stats.hpp"
-#include "util/sync.hpp"
 
 namespace klb::klm {
 
@@ -53,44 +52,29 @@ class Klm : public net::Node {
   /// like a regular round, with `probes` = n. n <= 0 is rejected loudly: a
   /// zero-probe round has no resolution event to ever finish it, so
   /// admitting one would leak it in the in-flight table forever.
-  void probe_once(net::IpAddr dip, int n) KLB_EXCLUDES(mu_);
+  void probe_once(net::IpAddr dip, int n);
 
   const KlmConfig& config() const { return cfg_; }
-  std::uint64_t rounds_completed() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return rounds_;
-  }
+  std::uint64_t rounds_completed() const { return rounds_; }
 
   /// Start measuring `dip` from the next periodic round on.
-  void add_dip(net::IpAddr dip) KLB_EXCLUDES(mu_);
+  void add_dip(net::IpAddr dip);
   /// Stop measuring `dip` now: in-flight rounds targeting it are dropped
   /// (their already-scheduled probe callbacks become no-ops, their probes'
   /// deadlines find nothing to expire), so a removed DIP can never write
   /// another sample — stale timeout rounds for a DIP the controller no
   /// longer owns would otherwise read as a failure of a pool member.
-  void remove_dip(net::IpAddr dip) KLB_EXCLUDES(mu_);
+  void remove_dip(net::IpAddr dip);
 
   // --- observability ---------------------------------------------------------
   /// Rounds currently awaiting probe resolutions.
-  std::size_t rounds_in_flight() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return rounds_in_flight_.size();
-  }
+  std::size_t rounds_in_flight() const { return rounds_in_flight_.size(); }
   /// Probe sends/timeouts still outstanding.
-  std::size_t probes_outstanding() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return outstanding_.size();
-  }
+  std::size_t probes_outstanding() const { return outstanding_.size(); }
   /// Rounds discarded by remove_dip before completion.
-  std::uint64_t rounds_dropped() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return rounds_dropped_;
-  }
+  std::uint64_t rounds_dropped() const { return rounds_dropped_; }
   /// probe_once calls rejected for a non-positive probe count.
-  std::uint64_t rejected_probe_requests() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return rejected_probes_;
-  }
+  std::uint64_t rejected_probe_requests() const { return rejected_probes_; }
 
   // --- net::Node -------------------------------------------------------------
   void on_message(const net::Message& msg) override;
@@ -105,16 +89,15 @@ class Klm : public net::Node {
     std::uint32_t want = 0;      // probes in the round
   };
 
-  void begin_rounds() KLB_EXCLUDES(mu_);
-  void send_probe(std::uint64_t round_key, std::uint32_t seq)
-      KLB_EXCLUDES(mu_);
-  /// The probe still awaits its reply (locks internally).
-  bool probe_pending(std::uint64_t probe_id) const KLB_EXCLUDES(mu_);
+  void begin_rounds();
+  void send_probe(std::uint64_t round_key, std::uint32_t seq);
+  /// The probe still awaits its reply.
+  bool probe_pending(std::uint64_t probe_id) const;
   /// A probe's deadline passed unanswered: count it against its round
-  /// (run by deadlines_; locks internally).
-  void resolve_timeout(std::uint64_t probe_id) KLB_EXCLUDES(mu_);
-  void finish_if_done(std::uint64_t round_key) KLB_REQUIRES(mu_);
-  void flush_round(Round& round) KLB_REQUIRES(mu_);
+  /// (run by deadlines_).
+  void resolve_timeout(std::uint64_t probe_id);
+  void finish_if_done(std::uint64_t round_key);
+  void flush_round(Round& round);
 
   net::Network& net_;
   net::IpAddr addr_;
@@ -126,23 +109,20 @@ class Klm : public net::Node {
   sim::PeriodicTimer timer_;
   /// Every probe's probe_timeout deadline, one armed timer for all.
   sim::DeadlineList<std::uint64_t> deadlines_;
-  /// Guards the measurement state below. Probe sends/flushes go out to the
-  /// fabric under it; the fabric takes no lock, so the rank is a leaf.
-  mutable util::Mutex mu_{"klb.klm.rounds"};
-  std::vector<net::IpAddr> dips_ KLB_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, Round> rounds_in_flight_
-      KLB_GUARDED_BY(mu_);
+  /// Paced probe sends, cancelled if the KLM goes away mid-round.
+  sim::EventScope probe_sends_;
+  std::vector<net::IpAddr> dips_;
+  std::unordered_map<std::uint64_t, Round> rounds_in_flight_;
   // (round_key << 20 | seq) -> round, sent_at
   struct Outstanding {
     std::uint64_t round_key;
     util::SimTime sent_at;
   };
-  std::unordered_map<std::uint64_t, Outstanding> outstanding_
-      KLB_GUARDED_BY(mu_);
-  std::uint64_t next_round_key_ KLB_GUARDED_BY(mu_) = 1;
-  std::uint64_t rounds_ KLB_GUARDED_BY(mu_) = 0;
-  std::uint64_t rounds_dropped_ KLB_GUARDED_BY(mu_) = 0;
-  std::uint64_t rejected_probes_ KLB_GUARDED_BY(mu_) = 0;
+  std::unordered_map<std::uint64_t, Outstanding> outstanding_;
+  std::uint64_t next_round_key_ = 1;
+  std::uint64_t rounds_ = 0;
+  std::uint64_t rounds_dropped_ = 0;
+  std::uint64_t rejected_probes_ = 0;
 };
 
 /// Ping (ICMP / TCP SYN-ACK style) prober: exists to reproduce Fig. 5's
@@ -166,6 +146,9 @@ class PingProber : public net::Node {
  private:
   net::Network& net_;
   net::IpAddr addr_;
+  /// Ping sends and their loss deadlines, cancelled if the prober goes
+  /// away first.
+  sim::EventScope events_;
   std::unordered_map<std::uint64_t, util::SimTime> in_flight_;
   std::uint64_t next_id_ = 1;
   util::Welford rtt_;

@@ -13,7 +13,7 @@ constexpr const char* kLog = "klb-consistency";
 
 std::uint64_t SlotPinCounts::total() const {
   std::uint64_t n = 0;
-  for (const auto& c : counts_) n += c.load(std::memory_order_relaxed);
+  for (const auto c : counts_) n += c;
   return n;
 }
 

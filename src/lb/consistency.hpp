@@ -20,12 +20,12 @@
 //     immutable ExceptionFilter for the generation being published. It
 //     remembers, per slot, the last *breaking* change (a non-empty owner
 //     replaced) and the owner that change displaced.
-//   * ExceptionFilter — the immutable product, carried by (and retired
+//   * ExceptionFilter — the immutable product, carried by (and destroyed
 //     with) its PoolGeneration. A compact slot bitmap ("changed within the
 //     last `history` publishes") plus a sparse slot -> previous-owner map.
-//     The packet path reads it lock-free through the generation pin.
-//   * SlotPinCounts — live pinned-exception-flow counts per slot (relaxed
-//     atomics, fixed size, allocated once). A slot with live pins stays on
+//     The packet path reads it through the current generation.
+//   * SlotPinCounts — live pinned-exception-flow counts per slot (fixed
+//     size, allocated once). A slot with live pins stays on
 //     the exception path even after its change ages out of the filter
 //     window, so a pinned flow is never prematurely routed by hash (the
 //     "no premature unpin" invariant; see ISSUE 8's churn tests).
@@ -51,7 +51,6 @@
 // policy.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -132,9 +131,9 @@ class ExceptionFilter {
 };
 
 /// Live exception-pin counts per table slot. Fixed size (allocated once
-/// in the Mux constructor), relaxed atomics: the packet path increments on
-/// pin, decrements on unpin (FIN / GC / backend removal), and reads one
-/// counter per packet — no lock, no allocation. Counts are exact because
+/// in the Mux constructor): the packet path increments on pin, decrements
+/// on unpin (FIN / GC / backend removal), and reads one counter per
+/// packet — no allocation. Counts are exact because
 /// in stateless mode *every* FlowTable insert and erase passes through
 /// them, regardless of which path created the pin.
 class SlotPinCounts {
@@ -146,33 +145,24 @@ class SlotPinCounts {
 
   std::size_t size() const KLB_NONBLOCKING { return counts_.size(); }
 
-  void inc(std::size_t slot) KLB_NONBLOCKING {
-    counts_[slot].fetch_add(1, std::memory_order_relaxed);
-  }
+  void inc(std::size_t slot) KLB_NONBLOCKING { ++counts_[slot]; }
   /// Floored at zero (mirrors the active-connection counters): a stray
-  /// decrement must not wrap a neighbouring slot's protection away. The
-  /// CAS loop is lock-free (retries only under concurrent traffic on the
-  /// same slot), so this stays inside the nonblocking contract.
+  /// decrement must not wrap a neighbouring slot's protection away.
   void dec(std::size_t slot) KLB_NONBLOCKING {
-    auto& c = counts_[slot];
-    auto cur = c.load(std::memory_order_relaxed);
-    while (cur > 0 &&
-           !c.compare_exchange_weak(cur, cur - 1, std::memory_order_relaxed)) {
-    }
+    if (counts_[slot] > 0) --counts_[slot];
   }
   std::uint32_t count(std::size_t slot) const KLB_NONBLOCKING {
-    return counts_[slot].load(std::memory_order_relaxed);
+    return counts_[slot];
   }
   /// Sum over all slots — O(slots), control/observability path only.
   std::uint64_t total() const;
 
  private:
-  std::vector<std::atomic<std::uint32_t>> counts_;
+  std::vector<std::uint32_t> counts_;
 };
 
-/// Control-plane diff engine: one per Mux, guarded by the Mux's control
-/// mutex (publications are already serialized there). Not thread-safe on
-/// its own.
+/// Control-plane diff engine: one per Mux, run at each of its
+/// publications.
 class GenerationDiff {
  public:
   explicit GenerationDiff(ConsistencyConfig cfg);

@@ -7,7 +7,7 @@ namespace klb::lb {
 
 EpochDomain::~EpochDomain() {
   // No reader may outlive the domain; drop whatever is still parked.
-  util::MutexLock lk(retired_mu_);
+  std::lock_guard<std::mutex> lk(retired_mu_);
   reclaimed_total_.fetch_add(retired_.size(), std::memory_order_relaxed);
   retired_.clear();
 }
@@ -21,11 +21,6 @@ thread_local int t_slot_hint = -1;
 }  // namespace
 
 EpochDomain::Guard EpochDomain::pin() KLB_NONALLOCATING {
-#if KLB_DEBUG_SYNC
-  KLB_EFFECTS_SUPPRESS_BEGIN
-  util::sync_debug::on_pin(debug_control_);
-  KLB_EFFECTS_SUPPRESS_END
-#endif
   int hint = t_slot_hint;
   if (hint < 0) {
     KLB_EFFECT_ESCAPE("epoch.pin_seed", {
@@ -63,15 +58,12 @@ EpochDomain::Guard EpochDomain::pin() KLB_NONALLOCATING {
 }
 
 void EpochDomain::retire(std::shared_ptr<const void> obj) {
-#if KLB_DEBUG_SYNC
-  debug_check_retire(obj.get());
-#endif
   // The bump *after* the caller's pointer swap is what makes the tag
   // meaningful: a reader pinned at >= tag observed the bump, therefore
   // the swap, therefore cannot hold `obj`.
   const auto tag = epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
   {
-    util::MutexLock lk(retired_mu_);
+    std::lock_guard<std::mutex> lk(retired_mu_);
     retired_.push_back(Retired{tag, std::move(obj)});
   }
   retired_total_.fetch_add(1, std::memory_order_relaxed);
@@ -94,7 +86,7 @@ std::size_t EpochDomain::reclaim() {
   // retired-list critical section.
   std::vector<std::shared_ptr<const void>> freed;
   {
-    util::MutexLock lk(retired_mu_);
+    std::lock_guard<std::mutex> lk(retired_mu_);
     auto keep = retired_.begin();
     for (auto it = retired_.begin(); it != retired_.end(); ++it) {
       if (it->tag <= floor) {
@@ -111,44 +103,8 @@ std::size_t EpochDomain::reclaim() {
 }
 
 std::size_t EpochDomain::pending_retired() const {
-  util::MutexLock lk(retired_mu_);
+  std::lock_guard<std::mutex> lk(retired_mu_);
   return retired_.size();
 }
-
-#if KLB_DEBUG_SYNC
-
-void EpochDomain::debug_register_control(const util::Mutex* control) {
-  // Called once from the owner's constructor, before any concurrency.
-  debug_control_ = control;
-}
-
-void EpochDomain::debug_track_published() {
-  std::lock_guard<std::mutex> lk(debug_mu_);
-  debug_track_published_ = true;
-}
-
-void EpochDomain::debug_mark_published(const void* obj) {
-  std::lock_guard<std::mutex> lk(debug_mu_);
-  debug_published_.insert(obj);
-}
-
-void EpochDomain::debug_check_retire(const void* obj) {
-  std::lock_guard<std::mutex> lk(debug_mu_);
-  if (debug_track_published_ && debug_published_.count(obj) == 0) {
-    util::sync_debug::die(
-        "epoch invariant violation",
-        "retiring an object that was never published to readers (the "
-        "unlink-before-retire contract was not followed)");
-  }
-  debug_published_.erase(obj);
-}
-
-#else
-
-void EpochDomain::debug_register_control(const util::Mutex*) {}
-void EpochDomain::debug_track_published() {}
-void EpochDomain::debug_mark_published(const void*) {}
-
-#endif  // KLB_DEBUG_SYNC
 
 }  // namespace klb::lb

@@ -1,14 +1,9 @@
-// Epoch-based reclamation for the MUX's pool-state generations (ROADMAP
-// item 1, the RCU-style publication scheme).
+// Epoch-based reclamation (EBR): a standalone primitive. No dataplane
+// code uses it — the Mux runs on one thread and destroys a superseded pool
+// generation at the swap. It stays only because the repository benchmark
+// times pin() for its lb.epoch_pin_ns layer metric.
 //
-// The problem: the packet path must load "the current pool configuration"
-// wait-free, while the control plane keeps publishing new configurations
-// at programming rate. A reader that loaded generation G must be able to
-// keep dereferencing it for the (short) duration of one packet, even if
-// the control plane published G+1 mid-packet — so G cannot be freed until
-// every such reader is provably gone.
-//
-// The scheme is classic epoch-based reclamation (EBR):
+// The scheme:
 //
 //   * A global epoch counter, bumped once per retire.
 //   * A fixed array of per-reader slots. A reader *pins* by claiming a
@@ -19,31 +14,20 @@
 //     a writer's bump is not visible to the reader's verify load, then
 //     the reader's slot store is visible to the writer's scan (they
 //     cannot both miss each other in the single total order).
-//   * A writer retires an object only *after* unlinking it (swapping the
-//     current-generation pointer), and tags it with the post-bump epoch.
-//     Any reader pinned at an epoch >= the tag pinned after the bump,
-//     hence after the unlink, hence can only see the new object; readers
-//     pinned below the tag are visible in the slot array and block
-//     reclamation.
+//   * A writer retires an object only *after* unlinking it, and tags it
+//     with the post-bump epoch. Any reader pinned at an epoch >= the tag
+//     pinned after the bump, hence after the unlink, hence can only see
+//     the new object; readers pinned below the tag are visible in the
+//     slot array and block reclamation.
 //   * reclaim() frees every retired object whose tag is <= the minimum
 //     epoch over the occupied slots (or the current epoch when no reader
 //     is pinned).
 //
-// Pin/unpin is one CAS + one load / one store — no locks, no allocation —
-// so the packet path can afford a pin per packet. Retire/reclaim take an
-// internal mutex; they run on the control plane only.
+// Pin/unpin is one CAS + one load / one store — no locks, no allocation.
+// Retire/reclaim take an internal mutex.
 //
 // The domain stores retired objects as shared_ptr<const void>, so it can
 // hold anything and "free" means dropping the last reference.
-// Debug invariants (KLB_DEBUG_SYNC, see util/sync.hpp): a domain may
-// register its owner's control-plane mutex — pin() then aborts if the
-// calling thread holds it (the pin would block the very reclamation that
-// control section can trigger). A domain may also opt into published-set
-// tracking — retire() then aborts on an object that was never announced
-// via debug_mark_published (retiring something readers could never have
-// been handed means the unlink-before-retire contract was broken). Guard
-// release asserts its slot is still claimed, catching double releases and
-// foreign slot stores.
 #pragma once
 
 #include <array>
@@ -51,10 +35,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <vector>
 
-#include "util/sync.hpp"
+#include "util/effects.hpp"
 
 namespace klb::lb {
 
@@ -83,28 +66,11 @@ class EpochDomain {
     Guard& operator=(const Guard&) = delete;
     ~Guard() { release(); }
 
-    /// The unpin: one seq_cst store. Nonblocking — this runs at the tail
-    /// of every packet/burst (the debug-validator hooks are compiled out
-    /// of effect-checked Release builds and statically exempted here).
+    /// The unpin: one seq_cst store.
     void release() KLB_NONBLOCKING {
       if (slot_ != nullptr) {
-#if KLB_DEBUG_SYNC
-        KLB_EFFECTS_SUPPRESS_BEGIN
-        if (slot_->load(std::memory_order_seq_cst) == 0) {
-          util::sync_debug::die(
-              "epoch invariant violation",
-              "releasing a pin whose slot is already free (double release, "
-              "or a foreign store onto this slot)");
-        }
-        KLB_EFFECTS_SUPPRESS_END
-#endif
         slot_->store(0, std::memory_order_seq_cst);
         slot_ = nullptr;
-#if KLB_DEBUG_SYNC
-        KLB_EFFECTS_SUPPRESS_BEGIN
-        util::sync_debug::on_unpin();
-        KLB_EFFECTS_SUPPRESS_END
-#endif
       }
     }
     bool active() const KLB_NONBLOCKING { return slot_ != nullptr; }
@@ -133,22 +99,11 @@ class EpochDomain {
   /// object unreachable to *new* readers first (swapped the published
   /// pointer); retire() tags it with a fresh epoch and reclaims whatever
   /// has become safe. Control-plane only.
-  void retire(std::shared_ptr<const void> obj) KLB_EXCLUDES(retired_mu_);
+  void retire(std::shared_ptr<const void> obj);
 
   /// Free every retired object no pinned reader can still hold. Returns
   /// the number reclaimed. Safe to call any time from the control plane.
-  std::size_t reclaim() KLB_EXCLUDES(retired_mu_);
-
-  /// Debug wiring (no-ops unless KLB_DEBUG_SYNC): tell the validator which
-  /// control-plane mutex guards this domain's publication. pin() then
-  /// aborts when called with that mutex held by the same thread.
-  void debug_register_control(const util::Mutex* control);
-  /// Opt this domain into published-set tracking: once enabled, retire()
-  /// aborts on an object never announced via debug_mark_published().
-  void debug_track_published();
-  /// Announce that `obj` has been published to readers (call at the
-  /// pointer-swap site, before the old generation is retired).
-  void debug_mark_published(const void* obj);
+  std::size_t reclaim();
 
   /// Current global epoch (starts at 1, bumped once per retire).
   std::uint64_t epoch() const {
@@ -166,7 +121,7 @@ class EpochDomain {
   }
   /// Objects retired but not yet reclaimed (a straggling reader, or no
   /// reclaim() call since the last retire burst).
-  std::size_t pending_retired() const KLB_EXCLUDES(retired_mu_);
+  std::size_t pending_retired() const;
 
  private:
   /// Own cache line per slot: two readers pinning concurrently must not
@@ -184,17 +139,8 @@ class EpochDomain {
   std::atomic<std::uint64_t> epoch_{1};
   std::atomic<std::uint64_t> retired_total_{0};
   std::atomic<std::uint64_t> reclaimed_total_{0};
-  mutable util::Mutex retired_mu_{"klb.epoch.retired"};
-  std::vector<Retired> retired_ KLB_GUARDED_BY(retired_mu_);
-
-#if KLB_DEBUG_SYNC
-  void debug_check_retire(const void* obj);
-  /// Raw std::mutex: validator-adjacent state must not instrument itself.
-  mutable std::mutex debug_mu_;
-  const util::Mutex* debug_control_ = nullptr;
-  bool debug_track_published_ = false;
-  std::set<const void*> debug_published_;
-#endif
+  mutable std::mutex retired_mu_;  // guards retired_
+  std::vector<Retired> retired_;
 };
 
 }  // namespace klb::lb

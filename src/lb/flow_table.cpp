@@ -30,40 +30,6 @@ std::uint64_t ports_of(const net::FiveTuple& t) KLB_NONBLOCKING {
          (std::uint64_t{static_cast<std::uint8_t>(t.proto)} << 8) | 1u;
 }
 
-/// Stable counting sort of batch indices by shard: afterwards idx[]
-/// enumerates [0, n) grouped by shard_of_req, burst order preserved
-/// within a shard. Counting sort beats a comparison sort on the
-/// per-packet path twice over — the shard index is computed exactly once
-/// per message (by the caller, into shard_of_req) and nothing allocates
-/// (std::stable_sort grabs a heap buffer even for a 32-element burst).
-/// `counts` must hold `shards` zeroed slots; it is clobbered.
-void group_by_shard(const std::uint32_t* shard_of_req, std::size_t n,
-                    std::size_t shards, std::uint32_t* counts,
-                    std::uint32_t* idx) KLB_NONBLOCKING {
-  for (std::size_t i = 0; i < n; ++i) ++counts[shard_of_req[i]];
-  std::uint32_t cursor = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const auto c = counts[s];
-    counts[s] = cursor;
-    cursor += c;
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    idx[counts[shard_of_req[i]]++] = static_cast<std::uint32_t>(i);
-}
-
-/// Grouping scratch for batches whose (n, shard_count) outgrows the stack
-/// buffer. Per thread, grown geometrically and reused: the old heap_buf
-/// fallback re-allocated on *every* oversized batch (any table with >64
-/// shards paid a malloc per burst — exactly the regression class this
-/// PR's effect contracts exist to name). Accessed only inside the
-/// "flow.scratch_grow" escape: the thread_local wrapper and the rare
-/// resize are invisible to the effect analysis.
-std::uint32_t* batch_scratch(std::size_t words) {
-  thread_local std::vector<std::uint32_t> scratch;
-  if (scratch.size() < words) scratch.resize(words);
-  return scratch.data();
-}
-
 }  // namespace
 
 FlowTable::FlowTable(FlowTableConfig cfg)
@@ -75,10 +41,7 @@ FlowTable::FlowTable(FlowTableConfig cfg)
     // fill to that scale then never grows (a 10M-flow growth stalls the
     // shard for the whole re-insertion — the "rehash storm").
     const auto per_shard = cfg.expected_flows / shards_.size() + 1;
-    for (auto& s : shards_) {
-      util::MutexLock lk(s.mu);
-      s.slots.resize(capacity_for(per_shard));
-    }
+    for (auto& s : shards_) s.slots.resize(capacity_for(per_shard));
   }
 }
 
@@ -92,8 +55,8 @@ net::FiveTuple FlowTable::tuple_of(const Slot& slot) KLB_NONBLOCKING {
   return t;
 }
 
-std::size_t FlowTable::find_locked(const Shard& s, std::uint64_t hash,
-                                   const net::FiveTuple& t) KLB_NONBLOCKING {
+std::size_t FlowTable::find_in(const Shard& s, std::uint64_t hash,
+                               const net::FiveTuple& t) KLB_NONBLOCKING {
   if (s.slots.empty()) return kNotFound;
   const std::uint64_t addrs = addrs_of(t);
   const std::uint64_t ports = ports_of(t);
@@ -105,10 +68,10 @@ std::size_t FlowTable::find_locked(const Shard& s, std::uint64_t hash,
   }
 }
 
-FlowHit FlowTable::lookup_locked(Shard& s, std::uint64_t hash,
-                                 const net::FiveTuple& t,
-                                 util::SimTime now) KLB_NONBLOCKING {
-  const auto i = find_locked(s, hash, t);
+FlowHit FlowTable::lookup_in(Shard& s, std::uint64_t hash,
+                             const net::FiveTuple& t,
+                             util::SimTime now) KLB_NONBLOCKING {
+  const auto i = find_in(s, hash, t);
   if (i == kNotFound) return FlowHit{};
   s.slots[i].last_seen = now;
   return FlowHit{FlowHit::Kind::kAffinity, s.slots[i].backend_id};
@@ -130,7 +93,7 @@ void FlowTable::erase_at(Shard& s, std::size_t i) KLB_NONBLOCKING {
   --s.size;
 }
 
-void FlowTable::resize_locked(Shard& s, std::size_t capacity) {
+void FlowTable::resize(Shard& s, std::size_t capacity) {
   std::vector<Slot> old(capacity);
   old.swap(s.slots);
   const std::size_t mask = capacity - 1;
@@ -142,17 +105,16 @@ void FlowTable::resize_locked(Shard& s, std::size_t capacity) {
   }
 }
 
-std::size_t FlowTable::empty_slot_locked(const Shard& s) {
+std::size_t FlowTable::empty_slot(const Shard& s) {
   std::size_t i = 0;
   while (s.slots[i].ports != 0) ++i;
   return i;
 }
 
 template <class Doomed, class Gone>
-std::size_t FlowTable::sweep_locked(Shard& s, std::size_t start,
-                                    std::size_t max_entries,
-                                    std::size_t& examined, Doomed&& doomed,
-                                    Gone&& gone) {
+std::size_t FlowTable::sweep(Shard& s, std::size_t start,
+                             std::size_t max_entries, std::size_t& examined,
+                             Doomed&& doomed, Gone&& gone) {
   const std::size_t cap = s.slots.size();
   if (cap == 0) return 0;
   std::size_t i = start & (cap - 1);
@@ -175,101 +137,29 @@ std::size_t FlowTable::sweep_locked(Shard& s, std::size_t start,
 }
 
 FlowHit FlowTable::lookup(const net::FiveTuple& t,
-                          util::SimTime now) KLB_NONALLOCATING {
+                          util::SimTime now) KLB_NONBLOCKING {
   const auto hash = net::hash_tuple(t);
-  auto& s = shards_[shard_index(hash)];
-  FlowHit hit;
-  KLB_EFFECT_ESCAPE("flow.shard_lock", {
-    util::MutexLock lk(s.mu);
-    hit = lookup_locked(s, hash, t, now);
-  });
-  return hit;
+  return lookup_in(shards_[shard_index(hash)], hash, t, now);
 }
 
 void FlowTable::lookup_batch(FlowLookup* reqs, std::size_t n,
-                             util::SimTime now) KLB_NONALLOCATING {
-  if (n == 0) return;
-  if (n == 1) {
-    auto& s = shards_[shard_index(reqs[0].hash)];
-    KLB_EFFECT_ESCAPE("flow.shard_lock", {
-      util::MutexLock lk(s.mu);
-      reqs[0].hit = lookup_locked(s, reqs[0].hash, *reqs[0].tuple, now);
-    });
-    return;
-  }
-  // Group by shard (stable, allocation-free — see group_by_shard), then
-  // take each shard lock once for its run.
-  constexpr std::size_t kStack = 64;
-  std::uint32_t stack_buf[3 * kStack];
-  std::uint32_t* buf = stack_buf;
-  const std::size_t width = std::max(n, shards_.size());
-  if (width > kStack)
-    KLB_EFFECT_ESCAPE("flow.scratch_grow", buf = batch_scratch(3 * width));
-  std::uint32_t* shard_of_req = buf;
-  std::uint32_t* idx = buf + width;
-  std::uint32_t* counts = buf + 2 * width;
-  std::fill(counts, counts + shards_.size(), 0u);
-  for (std::size_t i = 0; i < n; ++i)
-    shard_of_req[i] = static_cast<std::uint32_t>(shard_index(reqs[i].hash));
-  group_by_shard(shard_of_req, n, shards_.size(), counts, idx);
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t shard = shard_of_req[idx[i]];
-    auto& s = shards_[shard];
-    KLB_EFFECT_ESCAPE("flow.shard_lock", {
-      util::MutexLock lk(s.mu);
-      do {
-        FlowLookup& r = reqs[idx[i]];
-        r.hit = lookup_locked(s, r.hash, *r.tuple, now);
-        ++i;
-      } while (i < n && shard_of_req[idx[i]] == shard);
-    });
+                             util::SimTime now) KLB_NONBLOCKING {
+  for (std::size_t i = 0; i < n; ++i) {
+    FlowLookup& r = reqs[i];
+    r.hit = lookup_in(shards_[shard_index(r.hash)], r.hash, *r.tuple, now);
   }
 }
 
-void FlowTable::erase_batch(FlowErase* reqs, std::size_t n) KLB_NONALLOCATING {
-  if (n == 0) return;
-  if (n == 1) {
-    auto& s = shards_[shard_index(reqs[0].hash)];
-    KLB_EFFECT_ESCAPE("flow.shard_lock", {
-      util::MutexLock lk(s.mu);
-      erase_locked(s, reqs[0]);
-    });
-    return;
-  }
-  constexpr std::size_t kStack = 64;
-  std::uint32_t stack_buf[3 * kStack];
-  std::uint32_t* buf = stack_buf;
-  const std::size_t width = std::max(n, shards_.size());
-  if (width > kStack)
-    KLB_EFFECT_ESCAPE("flow.scratch_grow", buf = batch_scratch(3 * width));
-  std::uint32_t* shard_of_req = buf;
-  std::uint32_t* idx = buf + width;
-  std::uint32_t* counts = buf + 2 * width;
-  std::fill(counts, counts + shards_.size(), 0u);
+void FlowTable::erase_batch(FlowErase* reqs, std::size_t n) KLB_NONBLOCKING {
   for (std::size_t i = 0; i < n; ++i)
-    shard_of_req[i] = static_cast<std::uint32_t>(shard_index(reqs[i].hash));
-  group_by_shard(shard_of_req, n, shards_.size(), counts, idx);
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t shard = shard_of_req[idx[i]];
-    auto& s = shards_[shard];
-    KLB_EFFECT_ESCAPE("flow.shard_lock", {
-      util::MutexLock lk(s.mu);
-      do {
-        erase_locked(s, reqs[idx[i]]);
-        ++i;
-      } while (i < n && shard_of_req[idx[i]] == shard);
-    });
-  }
+    erase_in(shards_[shard_index(reqs[i].hash)], reqs[i]);
 }
 
 std::optional<std::uint64_t> FlowTable::try_find(
     const net::FiveTuple& t) const {
   const auto hash = net::hash_tuple(t);
   const auto& s = shards_[shard_index(hash)];
-  util::MutexLock lk(s.mu);
-  const auto i = find_locked(s, hash, t);
+  const auto i = find_in(s, hash, t);
   if (i == kNotFound) return std::nullopt;
   return s.slots[i].backend_id;
 }
@@ -279,11 +169,10 @@ std::pair<std::uint64_t, bool> FlowTable::try_insert(const net::FiveTuple& t,
                                                      std::uint64_t backend_id,
                                                      util::SimTime now) {
   auto& s = shards_[shard_index(hash)];
-  util::MutexLock lk(s.mu);
-  if (const auto i = find_locked(s, hash, t); i != kNotFound)
+  if (const auto i = find_in(s, hash, t); i != kNotFound)
     return {s.slots[i].backend_id, false};
   if ((s.size + 1) * 4 > s.slots.size() * 3)
-    resize_locked(s, capacity_for(s.size + 1));
+    resize(s, capacity_for(s.size + 1));
   const std::size_t mask = s.slots.size() - 1;
   std::size_t i = hash & mask;
   while (s.slots[i].ports != 0) i = (i + 1) & mask;
@@ -293,8 +182,8 @@ std::pair<std::uint64_t, bool> FlowTable::try_insert(const net::FiveTuple& t,
   return {backend_id, true};
 }
 
-void FlowTable::erase_locked(Shard& s, FlowErase& r) KLB_NONBLOCKING {
-  const auto i = find_locked(s, r.hash, *r.tuple);
+void FlowTable::erase_in(Shard& s, FlowErase& r) KLB_NONBLOCKING {
+  const auto i = find_in(s, r.hash, *r.tuple);
   if (i == kNotFound) {
     r.found = false;
     return;
@@ -306,15 +195,11 @@ void FlowTable::erase_locked(Shard& s, FlowErase& r) KLB_NONBLOCKING {
 }
 
 std::optional<std::uint64_t> FlowTable::erase(const net::FiveTuple& t)
-    KLB_NONALLOCATING {
+    KLB_NONBLOCKING {
   FlowErase r;
   r.tuple = &t;
   r.hash = net::hash_tuple(t);
-  auto& s = shards_[shard_index(r.hash)];
-  KLB_EFFECT_ESCAPE("flow.shard_lock", {
-    util::MutexLock lk(s.mu);
-    erase_locked(s, r);
-  });
+  erase_in(shards_[shard_index(r.hash)], r);
   if (!r.found) return std::nullopt;
   return r.id;
 }
@@ -323,23 +208,20 @@ std::size_t FlowTable::erase_backend(
     std::uint64_t backend_id,
     const std::function<void(const net::FiveTuple&)>& dropped) {
   std::size_t total = 0;
-  std::vector<net::FiveTuple> gone;  // reported after the shard lock drops
+  std::vector<net::FiveTuple> gone;  // reported after the shard's sweep
   for (auto& s : shards_) {
+    if (s.size == 0) continue;
     gone.clear();
-    {
-      util::MutexLock lk(s.mu);
-      if (s.size == 0) continue;
-      std::size_t examined = 0;
-      const auto before = s.size;
-      sweep_locked(
-          s, empty_slot_locked(s), s.size, examined,
-          [&](const Slot& f) { return f.backend_id == backend_id; },
-          [&](const Slot& f) {
-            if (dropped) gone.push_back(tuple_of(f));
-          });
-      s.erases += before - s.size;
-      total += before - s.size;
-    }
+    std::size_t examined = 0;
+    const auto before = s.size;
+    sweep(
+        s, empty_slot(s), s.size, examined,
+        [&](const Slot& f) { return f.backend_id == backend_id; },
+        [&](const Slot& f) {
+          if (dropped) gone.push_back(tuple_of(f));
+        });
+    s.erases += before - s.size;
+    total += before - s.size;
     if (dropped)
       for (const auto& t : gone) dropped(t);
   }
@@ -354,35 +236,30 @@ std::size_t FlowTable::gc_shard(
     std::size_t max_scan) {
   auto& s = shards_[k & shard_mask_];
   if (max_scan == kScanBudgeted) max_scan = gc_scan_budget_;
-  // (tuple, backend_id, dead) per reclaimed flow, gathered under the lock
-  // and reported after it drops — the callback may reenter the table or
-  // take caller-side locks without deadlocking against the packet path.
+  if (s.size == 0) return 0;
+  // (tuple, backend_id, dead) per reclaimed flow, gathered during the sweep
+  // and reported after it — the callback may reenter the table.
   std::vector<std::tuple<net::FiveTuple, std::uint64_t, bool>> gone;
-  {
-    util::MutexLock lk(s.mu);
-    if (s.size == 0) return 0;
-    bool dead = false;
-    const auto doomed = [&](const Slot& f) {
-      dead = !alive(f.backend_id);
-      return dead || (idle > util::SimTime::zero() && f.last_seen + idle < now);
-    };
-    const auto reap = [&](const Slot& f) {
-      gone.emplace_back(tuple_of(f), f.backend_id, dead);
-    };
-    std::size_t scanned = 0;
-    if (max_scan == kScanAll || max_scan >= s.size) {
-      // Unbounded: one lap over the whole shard from an empty slot.
-      sweep_locked(s, empty_slot_locked(s), s.size, scanned, doomed, reap);
-      s.gc_cursor = 0;
-    } else {
-      // Bounded: resume at the cursor, examine up to the budget, and park
-      // the cursor on the first slot not yet examined.
-      s.gc_cursor =
-          sweep_locked(s, s.gc_cursor, max_scan, scanned, doomed, reap);
-    }
-    s.gc_scanned += scanned;
-    s.gc_reclaimed += gone.size();
+  bool dead = false;
+  const auto doomed = [&](const Slot& f) {
+    dead = !alive(f.backend_id);
+    return dead || (idle > util::SimTime::zero() && f.last_seen + idle < now);
+  };
+  const auto reap = [&](const Slot& f) {
+    gone.emplace_back(tuple_of(f), f.backend_id, dead);
+  };
+  std::size_t scanned = 0;
+  if (max_scan == kScanAll || max_scan >= s.size) {
+    // Unbounded: one lap over the whole shard from an empty slot.
+    sweep(s, empty_slot(s), s.size, scanned, doomed, reap);
+    s.gc_cursor = 0;
+  } else {
+    // Bounded: resume at the cursor, examine up to the budget, and park
+    // the cursor on the first slot not yet examined.
+    s.gc_cursor = sweep(s, s.gc_cursor, max_scan, scanned, doomed, reap);
   }
+  s.gc_scanned += scanned;
+  s.gc_reclaimed += gone.size();
   if (reclaimed)
     for (const auto& [tuple, id, dead] : gone) reclaimed(tuple, id, dead);
   return gone.size();
@@ -401,29 +278,21 @@ std::size_t FlowTable::gc(
 
 std::size_t FlowTable::size() const {
   std::size_t n = 0;
-  for (const auto& s : shards_) {
-    util::MutexLock lk(s.mu);
-    n += s.size;
-  }
+  for (const auto& s : shards_) n += s.size;
   return n;
 }
 
 std::size_t FlowTable::shard_size(std::size_t k) const {
-  const auto& s = shards_[k & shard_mask_];
-  util::MutexLock lk(s.mu);
-  return s.size;
+  return shards_[k & shard_mask_].size;
 }
 
 std::size_t FlowTable::shard_capacity(std::size_t k) const {
-  const auto& s = shards_[k & shard_mask_];
-  util::MutexLock lk(s.mu);
-  return s.slots.size();
+  return shards_[k & shard_mask_].slots.size();
 }
 
 FlowTableMemory FlowTable::memory() const {
   FlowTableMemory out;
   for (const auto& s : shards_) {
-    util::MutexLock lk(s.mu);
     out.entries += s.size;
     out.slots += s.slots.size();
   }
@@ -436,7 +305,6 @@ void FlowTable::for_each(
     const std::function<void(const net::FiveTuple&, std::uint64_t,
                              util::SimTime)>& fn) const {
   for (const auto& s : shards_) {
-    util::MutexLock lk(s.mu);
     for (const Slot& slot : s.slots)
       if (slot.ports != 0) fn(tuple_of(slot), slot.backend_id, slot.last_seen);
   }
@@ -445,7 +313,6 @@ void FlowTable::for_each(
 FlowTableStats FlowTable::stats() const {
   FlowTableStats out;
   for (const auto& s : shards_) {
-    util::MutexLock lk(s.mu);
     out.entries += s.size;
     out.inserts += s.inserts;
     out.erases += s.erases;

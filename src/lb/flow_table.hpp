@@ -1,27 +1,20 @@
-// Sharded connection-affinity table for the MUX hot path.
+// Connection-affinity table for the MUX hot path.
 //
 // The per-packet MUX path is: tuple hash -> affinity lookup -> (on miss)
-// routing decision -> pin. A single monolithic table serializes every
-// packet of every core behind one structure; a FlowTable splits the flow
-// space into a power-of-two number of shards, chosen by the tuple hash,
-// each with its own mutex, slot array, and counters. Two cores only contend
-// when their packets hash to the same shard, so lookup/insert/FIN
-// throughput scales with cores — the per-core state-scaling problem the
-// stateful-vs-stateless LB literature (and XLB's in-kernel path) optimize.
+// routing decision -> pin. A FlowTable splits the flow space into a
+// power-of-two number of shards, chosen by the tuple hash, each with its
+// own slot array and counters. The shards partition the idle-flow GC (an
+// inline sweep covers one shard, within a scan budget) and bound a growth
+// stall to one shard's share of the flows.
 //
 // The table holds affinity and nothing else. A new connection on a
 // tuple-deterministic pool needs no per-flow memo: the Mux resolves it
-// from the pinned generation's maglev table, lock-free, so per-flow state
-// is exactly what connection consistency needs.
+// from the current generation's maglev table, so per-flow state is exactly
+// what connection consistency needs.
 //
-// Thread-safety: every public operation is safe to call concurrently.
-// GC sweeps are shard-local: gc_shard(k) holds only shard k's lock, so an
-// inline sweep from the packet path never stalls the other shards, and the
-// reclaim callback runs after the lock is released (callers may reenter
-// the table or take their own locks from it).
-//
-// Per-shard counters (inserts, erases, GC reclaims) are only aggregated on
-// read — the hot path never touches a shared counter cache line.
+// Single-threaded, like the simulation that drives it. Callbacks that may
+// reenter the table (erase_backend's `dropped`, gc_shard's `reclaimed`)
+// run after the sweep that collected their flows.
 //
 // Each shard is one open-addressing array: linear probing over a
 // power-of-two number of 32-byte slots, erase by backward shift (no
@@ -40,14 +33,13 @@
 #include <vector>
 
 #include "net/five_tuple.hpp"
-#include "util/sync.hpp"
+#include "util/effects.hpp"
 #include "util/time.hpp"
 
 namespace klb::lb {
 
 struct FlowTableConfig {
-  /// Rounded up to a power of two. One shard degenerates to the old
-  /// monolithic single-table layout (the bench baseline).
+  /// Rounded up to a power of two.
   std::size_t shard_count = 16;
   /// Expected concurrent flows across the whole table. Positive values
   /// pre-size each shard's slot array for its share, so filling to that
@@ -62,7 +54,7 @@ struct FlowTableConfig {
   std::size_t gc_scan_budget = 0;
 };
 
-/// Aggregated per-shard counters (one lock per shard held briefly on read).
+/// Per-shard counters, summed.
 struct FlowTableStats {
   std::size_t entries = 0;
   std::uint64_t inserts = 0;
@@ -85,7 +77,7 @@ struct FlowTableMemory {
   std::size_t approx_bytes = 0;
 };
 
-/// Result of an affinity lookup (one lock acquisition).
+/// Result of an affinity lookup.
 struct FlowHit {
   enum class Kind : std::uint8_t {
     kMiss,      // unknown tuple: route it as a new connection
@@ -128,23 +120,17 @@ class FlowTable {
   }
 
   /// Affinity lookup with last-seen touch.
-  /// Nonallocating: the one shard-lock acquisition is the documented
-  /// "flow.shard_lock" escape; everything under it is lock-free reads.
-  FlowHit lookup(const net::FiveTuple& t, util::SimTime now)
-      KLB_NONALLOCATING;
+  FlowHit lookup(const net::FiveTuple& t, util::SimTime now) KLB_NONBLOCKING;
 
-  /// Batched lookup(): partitions the requests by shard and takes each
-  /// shard lock once for its whole group. Element-wise identical to
-  /// calling lookup() per request. The grouping stage is lock-free and
-  /// allocation-free (per-thread scratch grows once per high-water mark —
-  /// "flow.scratch_grow"); each per-run lock is "flow.shard_lock".
+  /// lookup() per request, in order.
   void lookup_batch(FlowLookup* reqs, std::size_t n, util::SimTime now)
-      KLB_NONALLOCATING;
+      KLB_NONBLOCKING;
 
   /// Pin `t` (whose net::hash_tuple is `hash`) to `backend_id` unless it
-  /// is already pinned (a concurrent packet of the same tuple may have won
-  /// the race). Returns the owning backend id and whether this call
-  /// inserted it. Allocates only when the shard's slot array grows.
+  /// is already pinned (an earlier packet of the same tuple in the same
+  /// burst may have pinned it). Returns the owning backend id and whether
+  /// this call inserted it. Allocates only when the shard's slot array
+  /// grows.
   std::pair<std::uint64_t, bool> try_insert(const net::FiveTuple& t,
                                             std::uint64_t hash,
                                             std::uint64_t backend_id,
@@ -163,35 +149,27 @@ class FlowTable {
   std::optional<std::uint64_t> try_find(const net::FiveTuple& t) const;
 
   /// Unpin `t`, returning the backend it was pinned to.
-  /// Nonallocating in the lookup() split: the one shard-lock acquisition
-  /// is the "flow.shard_lock" escape.
-  std::optional<std::uint64_t> erase(const net::FiveTuple& t)
-      KLB_NONALLOCATING;
+  std::optional<std::uint64_t> erase(const net::FiveTuple& t) KLB_NONBLOCKING;
 
-  /// Batched erase(): partitions the requests by shard and takes each
-  /// shard lock once for its whole group. Element-wise identical to
-  /// calling erase() per request. Nonallocating in the same split as
-  /// lookup_batch(): nothing touches the heap; the shard locks are the
-  /// documented "flow.shard_lock" runs.
-  void erase_batch(FlowErase* reqs, std::size_t n) KLB_NONALLOCATING;
+  /// erase() per request, in order.
+  void erase_batch(FlowErase* reqs, std::size_t n) KLB_NONBLOCKING;
 
   /// Drop every flow pinned to `backend_id` (backend removal/failure).
   /// Returns the number of flows dropped. `dropped` runs per dropped flow
-  /// after the owning shard's lock is released (callers unpin slot
-  /// accounting from it).
+  /// after the owning shard's sweep (callers unpin slot accounting from
+  /// it).
   std::size_t erase_backend(std::uint64_t backend_id,
                             const std::function<void(const net::FiveTuple&)>&
                                 dropped = nullptr);
 
   /// Reclaim dead flows (backend fails `alive`) and — when `idle` is
   /// positive — flows idle since before `now - idle`, in shard `k` only.
-  /// `alive` runs under the shard lock and must not reenter the table;
+  /// `alive` runs during the sweep and must not reenter the table;
   /// `reclaimed(tuple, backend_id, dead)` runs per reclaimed flow *after*
-  /// the lock is released, so it may reenter the table or take caller
-  /// locks. `max_scan` bounds the entries examined (kScanAll = whole
-  /// shard; kScanBudgeted = the configured gc_scan_budget); a bounded
-  /// sweep resumes from the shard's slot cursor next call, wrapping the
-  /// whole shard over successive calls.
+  /// the sweep, so it may reenter the table. `max_scan` bounds the entries
+  /// examined (kScanAll = whole shard; kScanBudgeted = the configured
+  /// gc_scan_budget); a bounded sweep resumes from the shard's slot cursor
+  /// next call, wrapping the whole shard over successive calls.
   static constexpr std::size_t kScanAll = 0;
   static constexpr std::size_t kScanBudgeted =
       static_cast<std::size_t>(-1);
@@ -202,7 +180,7 @@ class FlowTable {
                            reclaimed = nullptr,
                        std::size_t max_scan = kScanAll);
 
-  /// Full sweep: gc_shard over every shard (still one shard lock at a time).
+  /// Full sweep: gc_shard over every shard.
   std::size_t gc(util::SimTime now, util::SimTime idle,
                  const std::function<bool(std::uint64_t)>& alive,
                  const std::function<void(const net::FiveTuple&, std::uint64_t,
@@ -216,9 +194,8 @@ class FlowTable {
   FlowTableMemory memory() const;
   std::size_t gc_scan_budget() const { return gc_scan_budget_; }
 
-  /// Visit every flow as (tuple, backend_id, last_seen). Holds each shard's
-  /// lock during its callbacks — test/diagnostic use; do not reenter the
-  /// table from `fn`.
+  /// Visit every flow as (tuple, backend_id, last_seen). Test/diagnostic
+  /// use; do not reenter the table from `fn`.
   void for_each(const std::function<void(const net::FiveTuple&, std::uint64_t,
                                          util::SimTime)>& fn) const;
 
@@ -236,21 +213,16 @@ class FlowTable {
   };
   static_assert(sizeof(Slot) == 32, "a flow slot is 32 bytes");
 
-  /// Own cache line per shard: the mutex and slots of one shard must not
-  /// false-share with its neighbours. All shard mutexes share one lock
-  /// rank ("klb.flow.shard"): the table never nests two shard locks, so
-  /// the debug validator treats any same-rank nesting as a bug.
-  struct alignas(64) Shard {
-    mutable util::Mutex mu{"klb.flow.shard"};
+  struct Shard {
     /// Empty, or a power-of-two number of slots at most 3/4 full.
-    std::vector<Slot> slots KLB_GUARDED_BY(mu);
-    std::size_t size KLB_GUARDED_BY(mu) = 0;
-    std::uint64_t inserts KLB_GUARDED_BY(mu) = 0;
-    std::uint64_t erases KLB_GUARDED_BY(mu) = 0;
-    std::uint64_t gc_reclaimed KLB_GUARDED_BY(mu) = 0;
-    std::uint64_t gc_scanned KLB_GUARDED_BY(mu) = 0;
+    std::vector<Slot> slots;
+    std::size_t size = 0;
+    std::uint64_t inserts = 0;
+    std::uint64_t erases = 0;
+    std::uint64_t gc_reclaimed = 0;
+    std::uint64_t gc_scanned = 0;
     /// Slot a budgeted GC sweep resumes from (wraps).
-    std::size_t gc_cursor KLB_GUARDED_BY(mu) = 0;
+    std::size_t gc_cursor = 0;
   };
 
   /// Shard choice uses the hash's top bits and the home slot its low bits,
@@ -263,37 +235,31 @@ class FlowTable {
 
   static net::FiveTuple tuple_of(const Slot& slot) KLB_NONBLOCKING;
 
-  /// Slot index of `t` in `s`, or kNotFound. Lock-free under the shard
-  /// lock: a linear probe from the home slot, no allocation.
-  static std::size_t find_locked(const Shard& s, std::uint64_t hash,
-                                 const net::FiveTuple& t)
-      KLB_NONBLOCKING KLB_REQUIRES(s.mu);
-  /// Find + in-place last-seen touch (nonblocking — the lock is the
-  /// caller's).
-  static FlowHit lookup_locked(Shard& s, std::uint64_t hash,
-                               const net::FiveTuple& t, util::SimTime now)
-      KLB_NONBLOCKING KLB_REQUIRES(s.mu);
+  /// Slot index of `t` in `s`, or kNotFound: a linear probe from the
+  /// home slot, no allocation.
+  static std::size_t find_in(const Shard& s, std::uint64_t hash,
+                             const net::FiveTuple& t) KLB_NONBLOCKING;
+  /// Find + in-place last-seen touch.
+  static FlowHit lookup_in(Shard& s, std::uint64_t hash,
+                           const net::FiveTuple& t,
+                           util::SimTime now) KLB_NONBLOCKING;
   /// Backward-shift erase of slot `i`: later entries of its probe run move
   /// up, so no tombstone is left behind. Frees nothing.
-  static void erase_at(Shard& s, std::size_t i)
-      KLB_NONBLOCKING KLB_REQUIRES(s.mu);
-  static void erase_locked(Shard& s, FlowErase& r)
-      KLB_NONBLOCKING KLB_REQUIRES(s.mu);
+  static void erase_at(Shard& s, std::size_t i) KLB_NONBLOCKING;
+  static void erase_in(Shard& s, FlowErase& r) KLB_NONBLOCKING;
   /// Re-insert every flow into `capacity` slots (a power of two).
-  static void resize_locked(Shard& s, std::size_t capacity)
-      KLB_REQUIRES(s.mu);
+  static void resize(Shard& s, std::size_t capacity);
   /// Walk slots from `start` for at most one lap and `max_entries`
   /// entries, erasing in place each flow `doomed(slot)` picks after
   /// handing it to `gone(slot)`. Returns the next slot to examine; adds
   /// the entries examined to `examined`.
   template <class Doomed, class Gone>
-  static std::size_t sweep_locked(Shard& s, std::size_t start,
-                                  std::size_t max_entries,
-                                  std::size_t& examined, Doomed&& doomed,
-                                  Gone&& gone) KLB_REQUIRES(s.mu);
+  static std::size_t sweep(Shard& s, std::size_t start,
+                           std::size_t max_entries, std::size_t& examined,
+                           Doomed&& doomed, Gone&& gone);
   /// A slot with no flow (one exists whenever the shard has slots): a full
   /// sweep that starts there never sees an entry shift across its start.
-  static std::size_t empty_slot_locked(const Shard& s) KLB_REQUIRES(s.mu);
+  static std::size_t empty_slot(const Shard& s);
 
   std::size_t shard_mask_ = 0;
   std::size_t gc_scan_budget_ = 0;

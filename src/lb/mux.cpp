@@ -15,8 +15,8 @@ constexpr const char* kLog = "klb-mux";
 /// the GC O(1)-ish per packet and shard-local.
 constexpr std::uint64_t kGcRequestInterval = 4096;
 /// Batched requests are staged through stack scratch of this many lanes:
-/// big enough to amortize the per-burst costs (epoch pin, shard locks),
-/// small enough to live comfortably on the stack.
+/// big enough to amortize the per-burst costs (generation read, grouped
+/// forwards), small enough to live comfortably on the stack.
 constexpr std::size_t kBatchChunk = 32;
 
 /// The owner `hash`'s slot displaced, when the filter remembers one and
@@ -94,9 +94,8 @@ Mux::Mux(net::Network& net, net::IpAddr vip, std::unique_ptr<Policy> policy,
       flows_(flow_cfg) {
   if (consistency_.stateless) {
     // Engage the hybrid dataplane now or never: the slot-pin counters are
-    // sized to the policy's table before any packet can arrive, so the
-    // packet path reads slot_pins_ without synchronization, and every pin
-    // ever inserted is slot-counted (exact counts even across later
+    // sized to the policy's table before any packet can arrive, so every
+    // pin ever inserted is slot-counted (exact counts even across later
     // policy swaps — a filterless generation pins everything, and those
     // pins still inc/dec their slots).
     const auto table = policy->maglev_table();
@@ -109,14 +108,9 @@ Mux::Mux(net::Network& net, net::IpAddr vip, std::unique_ptr<Policy> policy,
           << "' has no maglev table; running fully stateful";
     }
   }
-  // Debug wiring: pins must never be taken under THIS mux's control lock,
-  // and only pointers announced at the publication site may be retired.
-  epochs_.debug_register_control(&control_mutex_);
-  epochs_.debug_track_published();
   // Publish the initial empty-pool generation: the packet path may assume
   // current_ is never null.
-  util::MutexLock lk(control_mutex_);
-  publish_locked({}, /*program_version=*/0, std::move(policy));
+  publish({}, /*program_version=*/0, std::move(policy));
   if (attached_) net_.attach(vip_, this);
 }
 
@@ -137,87 +131,65 @@ void Mux::set_policy(std::unique_ptr<Policy> policy) {
 }
 
 void Mux::set_policy(const PolicyForPool& retable) {
-  util::MutexLock lk(control_mutex_);
-  auto draft = draft_locked();
-  auto policy = retable(draft);
-  publish_locked(std::move(draft), applied_version(), std::move(policy));
+  auto pool = draft();
+  auto policy = retable(pool);
+  publish(std::move(pool), applied_version(), std::move(policy));
 }
 
 std::shared_ptr<const MaglevTable> Mux::table_snapshot() const {
-  auto ref = read_gen();
-  return ref.gen->table_snapshot();
+  return read_gen().table_snapshot();
 }
 
 // --- generation publication ----------------------------------------------------
 
-void Mux::publish_locked(std::vector<GenBackend> backends,
-                         std::uint64_t program_version,
-                         std::unique_ptr<Policy> policy_override) {
-  const auto seq = gen_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::unique_ptr<Policy> policy;
-  if (policy_override) {
-    policy = std::move(policy_override);
-  } else {
-    // Clone under the pick mutex: concurrent picks mutate policy state
-    // (rotation counters, smoothing credits) and the clone must be a
-    // consistent snapshot of it.
-    util::MutexLock lk(pick_mutex_);
-    policy = current_owner_->policy().clone();
-  }
+void Mux::publish(std::vector<GenBackend> backends,
+                  std::uint64_t program_version,
+                  std::unique_ptr<Policy> policy_override) {
+  const auto seq = ++gen_seq_;
+  // The clone carries the policy's pick state (rotation counters,
+  // smoothing credits) into the new generation.
+  auto policy = policy_override ? std::move(policy_override)
+                                : current_->policy().clone();
   policy->invalidate();
-  auto gen = std::make_shared<PoolGeneration>(seq, program_version,
+  auto gen = std::make_unique<PoolGeneration>(seq, program_version,
                                               std::move(backends),
                                               std::move(policy));
 
   // Hybrid dataplane: diff the generation's table against the last one
-  // diffed and attach the exception filter — still before publication, so
-  // the packet path sees generation + filter as one atomic unit. A policy
-  // without a table (or with incomparable geometry, which the diff
-  // refuses) publishes without a filter: every flow pins, exactly the
-  // classic dataplane.
+  // diffed and attach the exception filter before publication, so the
+  // packet path sees generation + filter as one unit. A policy without a
+  // table (or with incomparable geometry, which the diff refuses)
+  // publishes without a filter: every flow pins, exactly the classic
+  // dataplane.
   if (diff_ && gen->maglev_table() != nullptr)
     gen->set_exception_filter(diff_->on_publish(gen->table_snapshot(), seq));
 
-  epochs_.debug_mark_published(gen.get());
-  current_.store(gen.get(), std::memory_order_release);
-  auto old = std::move(current_owner_);
-  current_owner_ = std::move(gen);
-  generations_published_.fetch_add(1, std::memory_order_relaxed);
-  // Retire only after the swap: the epoch tag then proves any reader
-  // pinned at or above it can only be holding the new generation.
-  if (old) epochs_.retire(std::shared_ptr<const void>(std::move(old)));
+  if (current_) ++generations_retired_;  // the swap destroys it
+  current_ = std::move(gen);
+  ++generations_published_;
 }
 
-std::unique_ptr<Policy> Mux::policy_for_locked(
-    const std::vector<GenBackend>& pool, const PolicyForPool& retable) const {
+std::unique_ptr<Policy> Mux::policy_for(const std::vector<GenBackend>& pool,
+                                        const PolicyForPool& retable) const {
   if (retable) return retable(pool);
-  if (const auto* table = current_owner_->maglev_table())
+  if (const auto* table = current_->maglev_table())
     return std::make_unique<MaglevPolicy>(
         build_table(pool, table->table_size()));
   return nullptr;
 }
 
-void Mux::poll() {
-  if (drain_poll_pending_.load(std::memory_order_acquire)) {
-    util::MutexLock lk(control_mutex_);
-    sweep_drains_locked();
-  }
-  epochs_.reclaim();
-}
+void Mux::poll() { sweep_drains(); }
 
 void Mux::note_drain_empty() KLB_NONBLOCKING {
-  drain_poll_pending_.store(true, std::memory_order_release);
-  // Opportunistic sweep: never block the packet path on the control
-  // mutex. Uncontended (the single-threaded simulator always is) this
-  // completes the drain inline, preserving the pre-generation timing; a
-  // busy control plane picks the flag up in its own mutation or poll().
-  util::MutexLock lk(control_mutex_, util::kTryToLock);
-  if (lk) KLB_EFFECT_ESCAPE("mux.drain_sweep", sweep_drains_locked());
+  drain_poll_pending_ = true;
+  // Complete the drain inline: the sweep is control-plane code (it builds
+  // and publishes a generation), hence the escape.
+  KLB_EFFECT_ESCAPE("mux.drain_sweep", sweep_drains());
 }
 
 bool Mux::drain_ripe(const GenBackend& b) const {
   if (!b.draining) return false;
-  if (b.counters->active.load(std::memory_order_relaxed) != 0) return false;
+  if (b.counters->active != 0) return false;
   // Hybrid dataplane: the drainer's stateless flows hold no pin, so an
   // empty active count does not prove it idle — their traffic is the only
   // evidence they exist. The drain completes once the drainer has been
@@ -228,40 +200,35 @@ bool Mux::drain_ripe(const GenBackend& b) const {
   // packet if the filter still remembers the drain, and break otherwise —
   // the documented stateless trade (lb/consistency.hpp).
   if (!slot_pins_) return true;
-  const auto last =
-      std::max(b.drain_since_us,
-               b.counters->last_forward_us.load(std::memory_order_relaxed));
+  const auto last = std::max(b.drain_since_us, b.counters->last_forward_us);
   return net_.sim().now().us() - last >= consistency_.drain_grace_us;
 }
 
-void Mux::sweep_drains_locked() {
-  if (!drain_poll_pending_.exchange(false, std::memory_order_acq_rel)) return;
-  auto draft = draft_locked();
+void Mux::sweep_drains() {
+  if (!drain_poll_pending_) return;
+  drain_poll_pending_ = false;
+  auto pool = draft();
   std::vector<std::uint64_t> done;
   bool grace_pending = false;
-  for (auto it = draft.begin(); it != draft.end();) {
+  for (auto it = pool.begin(); it != pool.end();) {
     if (drain_ripe(*it)) {
       util::log_info(kLog) << "backend " << it->addr.str()
                            << " drained; completing removal";
       done.push_back(it->id);
-      it = draft.erase(it);
+      it = pool.erase(it);
     } else {
-      if (it->draining &&
-          it->counters->active.load(std::memory_order_relaxed) == 0)
-        grace_pending = true;
+      if (it->draining && it->counters->active == 0) grace_pending = true;
       ++it;
     }
   }
-  if (grace_pending) {
-    // An idle drainer inside its grace window: re-arm so the next poll()
-    // re-checks — the FIN that emptied it will not fire again.
-    drain_poll_pending_.store(true, std::memory_order_release);
-  }
+  // An idle drainer inside its grace window: re-arm so the next poll()
+  // re-checks — the FIN that emptied it will not fire again.
+  if (grace_pending) drain_poll_pending_ = true;
   if (done.empty()) return;
-  drains_completed_.fetch_add(done.size(), std::memory_order_relaxed);
-  publish_locked(std::move(draft), applied_version());
-  // The drain completed with zero pinned flows; this only mops up affinity
-  // entries a straggling reader may have re-pinned mid-completion.
+  drains_completed_ += done.size();
+  publish(std::move(pool), applied_version());
+  // The drain completed with zero pinned flows; like every removal, drop
+  // whatever entry is left for the removed backend.
   for (const auto id : done) drop_affinity_for(id, /*count_as_reset=*/false);
 }
 
@@ -269,17 +236,16 @@ void Mux::sweep_drains_locked() {
 
 void Mux::apply_program(const PoolProgram& program,
                         const PolicyForPool& retable) {
-  util::MutexLock lk(control_mutex_);
   if (program.version <= applied_version()) {
-    superseded_programs_.fetch_add(1, std::memory_order_relaxed);
+    ++superseded_programs_;
     util::log_warn(kLog) << "discarding stale pool program v"
                          << program.version << " (pool already at v"
                          << applied_version() << ")";
     return;
   }
-  applied_version_.store(program.version, std::memory_order_relaxed);
+  applied_version_ = program.version;
 
-  auto draft = draft_locked();
+  auto pool = draft();
 
   // Reconciliation is keyed by DIP address — the one name the emitter and
   // the dataplane agree on; stable ids stay dataplane-internal.
@@ -287,7 +253,7 @@ void Mux::apply_program(const PoolProgram& program,
   for (const auto& e : program.entries) desired[e.dip.value()] = &e;
 
   std::vector<std::uint64_t> to_remove;  // stable ids, graceful removal
-  for (auto& b : draft) {
+  for (auto& b : pool) {
     const auto it = desired.find(b.addr.value());
     // Absent from the desired pool: removed — unless the program is
     // weights-only (it does not own membership) or the backend is already
@@ -333,7 +299,7 @@ void Mux::apply_program(const PoolProgram& program,
         // pool, not a deliberate resurrection. Admitting it would steer
         // the dead DIP's hash share into a black hole until the next
         // post-failure commit.
-        stale_failed_admissions_.fetch_add(1, std::memory_order_relaxed);
+        ++stale_failed_admissions_;
         util::log_warn(kLog)
             << "program v" << program.version << " re-lists failed backend "
             << e.dip.str() << " (condemned at v" << tomb->second
@@ -348,7 +314,7 @@ void Mux::apply_program(const PoolProgram& program,
     b.server = e.server;
     b.weight_units = e.weight_units < 0 ? 0 : e.weight_units;
     b.counters = std::make_shared<BackendCounters>();
-    draft.push_back(std::move(b));
+    pool.push_back(std::move(b));
   }
 
   // (removed id, counted-as-dropped) — affinity drops run after the new
@@ -356,9 +322,9 @@ void Mux::apply_program(const PoolProgram& program,
   // backend before its entries disappear.
   std::vector<std::uint64_t> dropped_ids;
   for (const auto id : to_remove) {
-    for (auto it = draft.begin(); it != draft.end(); ++it) {
+    for (auto it = pool.begin(); it != pool.end(); ++it) {
       if (it->id != id) continue;
-      draft.erase(it);
+      pool.erase(it);
       dropped_ids.push_back(id);
       break;
     }
@@ -366,49 +332,43 @@ void Mux::apply_program(const PoolProgram& program,
 
   // A drain with no pinned flows completes in the same transaction —
   // unless the hybrid dataplane's grace is still running (see drain_ripe).
-  for (auto it = draft.begin(); it != draft.end();) {
+  for (auto it = pool.begin(); it != pool.end();) {
     if (drain_ripe(*it)) {
-      drains_completed_.fetch_add(1, std::memory_order_relaxed);
+      ++drains_completed_;
       dropped_ids.push_back(it->id);
-      it = draft.erase(it);
+      it = pool.erase(it);
     } else {
-      if (it->draining &&
-          it->counters->active.load(std::memory_order_relaxed) == 0)
-        drain_poll_pending_.store(true, std::memory_order_release);
+      if (it->draining && it->counters->active == 0)
+        drain_poll_pending_ = true;
       ++it;
     }
   }
 
   // Weights apply literally — the transaction declares the whole pool, so
   // there is nothing to rescale.
-  auto policy = policy_for_locked(draft, retable);
-  publish_locked(std::move(draft), program.version, std::move(policy));
+  auto policy = policy_for(pool, retable);
+  publish(std::move(pool), program.version, std::move(policy));
   for (const auto id : dropped_ids) drop_affinity_for(id, false);
 }
 
-std::size_t Mux::backend_count() const {
-  auto ref = read_gen();
-  return ref.gen->size();
-}
+std::size_t Mux::backend_count() const { return read_gen().size(); }
 
 std::vector<net::IpAddr> Mux::backend_addrs() const {
-  auto ref = read_gen();
+  const auto& gen = read_gen();
   std::vector<net::IpAddr> out;
-  out.reserve(ref.gen->size());
-  for (const auto& b : ref.gen->backends())
+  out.reserve(gen.size());
+  for (const auto& b : gen.backends())
     if (!b.draining) out.push_back(b.addr);
   return out;
 }
 
 std::vector<GenBackend> Mux::backends() const {
-  auto ref = read_gen();
-  return ref.gen->backends();
+  return read_gen().backends();
 }
 
 std::size_t Mux::draining_count() const {
-  auto ref = read_gen();
   std::size_t n = 0;
-  for (const auto& b : ref.gen->backends())
+  for (const auto& b : read_gen().backends())
     if (b.draining) ++n;
   return n;
 }
@@ -418,24 +378,21 @@ std::size_t Mux::draining_count() const {
 bool Mux::fail_backend(net::IpAddr addr,
                        std::optional<std::uint64_t> condemned_until_version,
                        const PolicyForPool& retable) {
-  util::MutexLock lk(control_mutex_);
   // Tombstone the address against every transaction issued up to the
   // failure observation: one of them may still be riding the programming
   // delay, and committing it must not resurrect the corpse.
   failed_tombstones_[addr.value()] = condemned_until_version
                                          ? *condemned_until_version
                                          : issued_versions();
-  const auto i = current_owner_->index_of_addr(addr.value());
+  const auto i = current_->index_of_addr(addr.value());
   if (!i) return false;
-  auto draft = draft_locked();
-  const auto id = draft[*i].id;
+  auto pool = draft();
+  const auto id = pool[*i].id;
   util::log_warn(kLog) << "backend " << addr.str() << " failed; resetting "
-                       << draft[*i].counters->active.load(
-                              std::memory_order_relaxed)
-                       << " pinned flows";
-  draft.erase(draft.begin() + static_cast<std::ptrdiff_t>(*i));
-  auto policy = policy_for_locked(draft, retable);
-  publish_locked(std::move(draft), applied_version(), std::move(policy));
+                       << pool[*i].counters->active << " pinned flows";
+  pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(*i));
+  auto policy = policy_for(pool, retable);
+  publish(std::move(pool), applied_version(), std::move(policy));
   drop_affinity_for(id, /*count_as_reset=*/true);
   return true;
 }
@@ -449,115 +406,100 @@ void Mux::drop_affinity_for(std::uint64_t id, bool count_as_reset) {
                         });
   if (n == 0) return;
   if (count_as_reset) {
-    flows_reset_.fetch_add(n, std::memory_order_relaxed);
+    flows_reset_ += n;
   } else {
     // Graceful-path abrupt drop (transactional kRemoved or omission): not
     // a failure reset, not a drained-to-zero — without its own counter
     // these flows vanish from every metric.
-    flows_dropped_.fetch_add(n, std::memory_order_relaxed);
+    flows_dropped_ += n;
   }
 }
 
 // --- bounds-checked accessors --------------------------------------------------
 
 net::IpAddr Mux::backend_addr(std::size_t i) const {
-  auto ref = read_gen();
-  if (i >= ref.gen->size()) {
+  const auto& gen = read_gen();
+  if (i >= gen.size()) {
     util::log_warn(kLog) << "backend_addr(" << i << ") out of range ("
-                         << ref.gen->size() << " backends)";
+                         << gen.size() << " backends)";
     return net::IpAddr{};
   }
-  return ref.gen->backends()[i].addr;
+  return gen.backends()[i].addr;
 }
 
 std::vector<std::int64_t> Mux::weight_units() const {
-  auto ref = read_gen();
-  std::vector<std::int64_t> out(ref.gen->size());
-  for (std::size_t i = 0; i < ref.gen->size(); ++i)
-    out[i] = ref.gen->backends()[i].weight_units;
+  const auto& gen = read_gen();
+  std::vector<std::int64_t> out(gen.size());
+  for (std::size_t i = 0; i < gen.size(); ++i)
+    out[i] = gen.backends()[i].weight_units;
   return out;
 }
 
 DataplaneCounters Mux::counters() const {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
   DataplaneCounters c;
-  c.total_forwarded = total_forwarded_.load(kRelaxed);
-  c.no_backend_drops = no_backend_drops_.load(kRelaxed);
-  c.drains_completed = drains_completed_.load(kRelaxed);
-  c.flows_reset_by_failure = flows_reset_.load(kRelaxed);
-  c.flows_gced_idle = flows_gced_.load(kRelaxed);
-  c.flows_dropped_by_removal = flows_dropped_.load(kRelaxed);
-  c.superseded_programs = superseded_programs_.load(kRelaxed);
-  c.stale_failed_admissions = stale_failed_admissions_.load(kRelaxed);
-  c.stateless_picks = stateless_picks_.load(kRelaxed);
-  c.exception_pins = exception_pins_.load(kRelaxed);
-  c.affinity_breaks_avoided = affinity_breaks_avoided_.load(kRelaxed);
-  c.affinity_breaks = affinity_breaks_.load(kRelaxed);
-  c.generations_published = generations_published_.load(kRelaxed);
-  c.generations_retired = epochs_.reclaimed_total();
+  c.total_forwarded = total_forwarded_;
+  c.no_backend_drops = no_backend_drops_;
+  c.drains_completed = drains_completed_;
+  c.flows_reset_by_failure = flows_reset_;
+  c.flows_gced_idle = flows_gced_;
+  c.flows_dropped_by_removal = flows_dropped_;
+  c.superseded_programs = superseded_programs_;
+  c.stale_failed_admissions = stale_failed_admissions_;
+  c.stateless_picks = stateless_picks_;
+  c.exception_pins = exception_pins_;
+  c.affinity_breaks_avoided = affinity_breaks_avoided_;
+  c.affinity_breaks = affinity_breaks_;
+  c.generations_published = generations_published_;
+  c.generations_retired = generations_retired_;
   return c;
 }
 
 std::size_t Mux::exception_slots() const {
-  auto ref = read_gen();
-  const auto* f = ref.gen->exception_filter();
+  const auto* f = read_gen().exception_filter();
   return f ? f->exception_slots() : 0;
 }
 
 std::size_t Mux::dangling_affinity_count() const {
-  auto ref = read_gen();
-  const auto* gen = ref.gen;
+  const auto& gen = read_gen();
   std::size_t n = 0;
   flows_.for_each([&](const net::FiveTuple&, std::uint64_t id, util::SimTime) {
-    if (!gen->index_of(id)) ++n;
+    if (!gen.index_of(id)) ++n;
   });
   return n;
-}
-
-bool Mux::debug_check_generation() const {
-  auto ref = read_gen();
-  return ref.gen != nullptr && ref.gen->self_check();
 }
 
 // --- affinity GC ---------------------------------------------------------------
 
 std::size_t Mux::gc_shard(std::size_t k, std::size_t max_scan) {
   const auto now = net_.sim().now();
-  const auto idle = util::SimTime::micros(
-      affinity_idle_us_.load(std::memory_order_relaxed));
+  const auto idle = util::SimTime::micros(affinity_idle_us_);
   bool drain_emptied = false;
   std::size_t reclaimed = 0;
   {
-    auto ref = read_gen();
-    const auto* gen = ref.gen;
+    const auto& gen = read_gen();
     reclaimed = flows_.gc_shard(
         k, now, idle,
-        [gen](std::uint64_t id) { return gen->index_of(id).has_value(); },
-        // Runs after the shard lock drops (FlowTable contract), so taking
-        // the pick mutex inside release_connection cannot deadlock against
-        // a concurrent pick -> pin.
-        [this, gen](const net::FiveTuple& t, std::uint64_t id, bool dead) {
-          flows_gced_.fetch_add(1, std::memory_order_relaxed);
+        [&gen](std::uint64_t id) { return gen.index_of(id).has_value(); },
+        [this, &gen](const net::FiveTuple& t, std::uint64_t id, bool dead) {
+          ++flows_gced_;
           if (slot_pins_)
             slot_pins_->dec(static_cast<std::size_t>(net::hash_tuple(t) %
                                                      slot_pins_->size()));
           if (dead) return;  // a live backend loses a flow that never FIN'd
-          if (const auto idx = gen->index_of(id))
-            release_connection(*gen, *idx);
+          if (const auto idx = gen.index_of(id)) release_connection(gen, *idx);
         },
         max_scan);
     // The GC may have reclaimed a drainer's last flow (FIN-less clients
     // are exactly what would otherwise wedge a graceful scale-in forever).
-    for (const auto& b : gen->backends()) {
-      if (b.draining &&
-          b.counters->active.load(std::memory_order_relaxed) == 0) {
+    for (const auto& b : gen.backends()) {
+      if (b.draining && b.counters->active == 0) {
         drain_emptied = true;
         break;
       }
     }
   }
-  // Flag outside the pin: completing the drain publishes + retires, and
-  // our own pinned slot must not defer the reclamation it triggers.
+  // Outside the generation reference: completing the drain publishes,
+  // which destroys the generation read above.
   if (drain_emptied) note_drain_empty();
   return reclaimed;
 }
@@ -570,19 +512,16 @@ std::size_t Mux::gc_affinity() {
 }
 
 void Mux::maybe_gc(std::uint64_t batch) {
-  if (affinity_idle_us_.load(std::memory_order_relaxed) <= 0) return;
+  if (affinity_idle_us_ <= 0) return;
   // One shard per trigger: the whole table is covered once per
   // kGcRequestInterval forwarded requests, but no single packet (or batch)
   // ever pays for more than one shard's sweep.
   const auto interval =
       std::max<std::uint64_t>(1, kGcRequestInterval / flows_.shard_count());
-  if (requests_since_gc_.fetch_add(batch, std::memory_order_relaxed) + batch <
-      interval)
-    return;
-  requests_since_gc_.store(0, std::memory_order_relaxed);
-  gc_shard(gc_cursor_.fetch_add(1, std::memory_order_relaxed) %
-               flows_.shard_count(),
-           FlowTable::kScanBudgeted);
+  requests_since_gc_ += batch;
+  if (requests_since_gc_ < interval) return;
+  requests_since_gc_ = 0;
+  gc_shard(gc_cursor_++ % flows_.shard_count(), FlowTable::kScanBudgeted);
 }
 
 // --- packet path ---------------------------------------------------------------
@@ -590,8 +529,8 @@ void Mux::maybe_gc(std::uint64_t batch) {
 void Mux::handle_batch(const net::Message* const* msgs, std::size_t n)
     KLB_NONALLOCATING {
   // Contiguous runs of one type, chunked to the stack scratch size: request
-  // runs are staged, FIN runs unpin in a batch (one shard lock per run, one
-  // epoch pin, grouped forwards), anything else is ignored.
+  // runs are staged, FIN runs unpin in a batch (grouped forwards), anything
+  // else is ignored.
   std::size_t i = 0;
   while (i < n) {
     const auto type = msgs[i]->type;
@@ -613,13 +552,12 @@ void Mux::forward_run(const PoolGeneration& gen, std::size_t i,
                       const net::Message* const* msgs, std::size_t k)
     KLB_NONALLOCATING {
   const auto& b = gen.backends()[i];
-  b.counters->forwarded.fetch_add(k, std::memory_order_relaxed);
+  b.counters->forwarded += k;
   // Quiescence evidence for stateless drains (drain_ripe): only drainers
   // pay the stamp, so the steady-state hot path is untouched.
   if (slot_pins_ && b.draining)
-    b.counters->last_forward_us.store(net_.sim().now().us(),
-                                      std::memory_order_relaxed);
-  total_forwarded_.fetch_add(k, std::memory_order_relaxed);
+    b.counters->last_forward_us = net_.sim().now().us();
+  total_forwarded_ += k;
   net_.send_burst(b.addr, msgs, k);  // original tuples preserved (encap)
 }
 
@@ -630,13 +568,13 @@ std::optional<std::size_t> Mux::resolve_stateless(const PoolGeneration& gen,
   const auto idx = gen.table_route(hash);
   if (!idx) return std::nullopt;
   const auto& b = gen.backends()[*idx];
-  stateless_picks_.fetch_add(1, std::memory_order_relaxed);
+  ++stateless_picks_;
   if (msg.req_id <= 1) {
     // Opener: the connection exists even though no pin ever will — the
     // cumulative count keeps stateless and stateful accounting
     // comparable. `active` deliberately stays untouched: it counts pins,
     // which is what drains wait on.
-    b.counters->connections.fetch_add(1, std::memory_order_relaxed);
+    ++b.counters->connections;
   }
   return idx;
 }
@@ -644,31 +582,26 @@ std::optional<std::size_t> Mux::resolve_stateless(const PoolGeneration& gen,
 void Mux::handle_request_chunk(const net::Message* const* msgs,
                                std::size_t n) KLB_NONALLOCATING {
   // Amortized idle-flow GC: at most one budgeted shard sweep per
-  // gc-interval of forwarded requests, never per packet.
+  // gc-interval of forwarded requests, never per packet. It runs before
+  // read_gen, since a sweep may complete a drain and publish.
   KLB_EFFECT_ESCAPE("mux.maybe_gc", maybe_gc(n));
   const auto now = net_.sim().now();
-  // Pin the current generation once for the whole chunk: every index below
-  // names a position in THIS snapshot, immune to concurrent publications.
-  // A pick computed here may race a commit and land on a just-reweighted
-  // backend — bounded by one burst, the same window a real dataplane's
-  // config swap has.
-  auto ref = read_gen();
-  const PoolGeneration& gen = *ref.gen;
+  // One generation for the whole chunk: every index below names a
+  // position in it.
+  const PoolGeneration& gen = read_gen();
   if (n > 1 && gen.maglev_table() == nullptr) {
-    // Policies without a table pick under the pick mutex, and most of them
-    // (rr/wrr/lc/random family) mutate pick state per packet: process the
-    // burst per packet under the shared pin so the pick sequence is exactly
-    // the scalar path's.
-    for (std::size_t i = 0; i < n; ++i)
-      process_chunk_pinned(gen, now, msgs + i, 1);
+    // Most policies without a table (rr/wrr/lc/random family) mutate pick
+    // state per packet: process the burst per packet so the pick sequence
+    // is exactly the scalar path's.
+    for (std::size_t i = 0; i < n; ++i) process_chunk(gen, now, msgs + i, 1);
     return;
   }
-  process_chunk_pinned(gen, now, msgs, n);
+  process_chunk(gen, now, msgs, n);
 }
 
-void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
-                               const net::Message* const* msgs,
-                               std::size_t n) KLB_NONALLOCATING {
+void Mux::process_chunk(const PoolGeneration& gen, util::SimTime now,
+                        const net::Message* const* msgs,
+                        std::size_t n) KLB_NONALLOCATING {
   // Per-packet scratch. Deliberately no default member initializers: only
   // the first n lanes are touched, so the batch-of-1 (scalar) case pays
   // for one lane, not kBatchChunk.
@@ -686,23 +619,23 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
   };
   enum : std::uint8_t {
     kForwardOnly,  // dip resolved, no pin wanted (stateless/affinity hit)
-    kNeedLookup,   // awaiting the grouped affinity lookup
+    kNeedLookup,   // awaiting the affinity lookup
     kNeedPick,     // stage-D policy pick required (no table)
     kNeedPin,      // dip + id resolved, try_insert pending
-    kPinned,       // insert done (possibly losing to a concurrent winner)
+    kPinned,       // insert done (possibly finding an earlier lane's pin)
     kDropped,      // no usable backend: client times out
   };
   Lane lanes[kBatchChunk];
   FlowLookup lookups[kBatchChunk];
   std::uint32_t lookup_lane[kBatchChunk];
 
-  // --- stage A: hash + stateless fast-path classification (lock-free) ------
-  // One hash, one bitmap bit, one relaxed counter read, one table read per
-  // packet: no lock, no allocation, no FlowTable traffic. A slot is
+  // --- stage A: hash + stateless fast-path classification -----------------
+  // One hash, one bitmap bit, one counter read, one table read per packet:
+  // no allocation, no FlowTable traffic. A slot is
   // exceptional when its pick changed recently (the filter) or while
   // pinned flows live on it (the live counter — pins may outlive the
   // filter window, and a pinned flow must never be rerouted by hash).
-  // A filter only ever rides a generation with a table (publish_locked).
+  // A filter only ever rides a generation with a table (publish).
   const MaglevTable* table = gen.maglev_table();
   const ExceptionFilter* filter = gen.exception_filter();
   std::size_t need_lookup = 0;
@@ -740,10 +673,10 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
     ++need_lookup;
   }
 
-  // --- stage B: grouped affinity lookup (one lock per touched shard) -------
+  // --- stage B: affinity lookups --------------------------------------------
   flows_.lookup_batch(lookups, need_lookup, now);
 
-  // --- stage C: per-packet resolution, lock-free ---------------------------
+  // --- stage C: per-packet resolution ---------------------------------------
   bool any_pick = false;
   for (std::size_t j = 0; j < need_lookup; ++j) {
     Lane& ln = lanes[lookup_lane[j]];
@@ -799,16 +732,15 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
     }
     if (ln.dip == kNoBackend && table != nullptr) {
       // A new (or re-homed) connection on a table-bearing generation: the
-      // pick is a pure function of the hash and this pinned, frozen table,
-      // so it resolves here — no pick mutex, no virtual call.
+      // pick is a pure function of the hash and this frozen table, so it
+      // resolves here — no virtual call.
       if (const auto idx = gen.table_route(ln.hash)) {
         ln.dip = *idx;
         ln.backend_id = gen.backends()[ln.dip].id;
       } else {
-        no_backend_drops_.fetch_add(1, std::memory_order_relaxed);
+        ++no_backend_drops_;
         // No pin will land (nor did an opener's): the break counts now.
-        if (ln.rehomed)
-          affinity_breaks_.fetch_add(1, std::memory_order_relaxed);
+        if (ln.rehomed) ++affinity_breaks_;
         ln.st = kDropped;  // connection refused; client times out
         continue;
       }
@@ -821,39 +753,34 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
     }
   }
 
-  // --- stage D: policy pick under pick_mutex_ ------------------------------
+  // --- stage D: policy pick ------------------------------------------------
   // The carved-out slow lane of the request path, reached only by
   // policies without a maglev table (rr/lc/random/p2/hash families), whose
-  // chunks are single packets (handle_request_chunk): the pick mutex is a
-  // blocking lock, the pick itself is a virtual call (policies may rebuild
-  // caches), and the LC-family pin inserts a map node. All of it is the
-  // documented "mux.pick" escape.
+  // chunks are single packets (handle_request_chunk): the pick is a
+  // virtual call (policies may rebuild caches), and the LC-family pin may
+  // grow the flow table. All of it is the documented "mux.pick" escape.
   if (any_pick) {
     KLB_EFFECT_ESCAPE("mux.pick", {
-      util::MutexLock lk(pick_mutex_);
       for (std::size_t i = 0; i < n; ++i) {
         Lane& ln = lanes[i];
         if (ln.st != kNeedPick) continue;
         const net::Message& m = *msgs[i];
         ln.dip = gen.policy().pick(m.tuple, gen.views(), rng_);
         if (ln.dip == kNoBackend) {
-          no_backend_drops_.fetch_add(1, std::memory_order_relaxed);
+          ++no_backend_drops_;
           ln.st = kDropped;  // connection refused; client times out
           continue;
         }
         ln.backend_id = gen.backends()[ln.dip].id;
         if (gen.policy_uses_conns()) {
-          // LC-family: pin and account *inside* the pick critical section
-          // (pick mutex -> shard mutex is the legal order), so the next
-          // pick already sees this connection — releasing first would let
-          // concurrent opens herd onto the same least-loaded backend.
+          // LC-family: pin and account right after the pick, so the next
+          // pick already sees this connection.
           std::tie(ln.owner, ln.fresh) =
               flows_.try_insert(m.tuple, ln.hash, ln.backend_id, now);
           if (ln.fresh) {
             auto& c = *gen.backends()[ln.dip].counters;
-            c.connections.fetch_add(1, std::memory_order_relaxed);
-            gen.views()[ln.dip].active_conns =
-                c.active.fetch_add(1, std::memory_order_relaxed) + 1;
+            ++c.connections;
+            gen.views()[ln.dip].active_conns = ++c.active;
           }
           ln.st = kPinned;
         } else {
@@ -863,13 +790,12 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
     });
   }
 
-  // --- stage E: pins outside the pick mutex + shared pin accounting --------
+  // --- stage E: pins + pin accounting --------------------------------------
   for (std::size_t i = 0; i < n; ++i) {
     Lane& ln = lanes[i];
     if (ln.st == kNeedPin) {
-      // A slot write under the shard lock, keyed by the stage-A hash: the
-      // documented "flow.pin_insert" hole is that lock plus the table's
-      // amortized growth.
+      // A slot write keyed by the stage-A hash: the documented
+      // "flow.pin_insert" hole is the table's amortized growth.
       KLB_EFFECT_ESCAPE("flow.pin_insert", {
         std::tie(ln.owner, ln.fresh) =
             flows_.try_insert(msgs[i]->tuple, ln.hash, ln.backend_id, now);
@@ -879,13 +805,12 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
         // An adopted flow's connection was already counted at its
         // stateless open; only the pin (active) is new.
         if (ln.adopted) {
-          affinity_breaks_avoided_.fetch_add(1, std::memory_order_relaxed);
+          ++affinity_breaks_avoided_;
         } else {
-          c.connections.fetch_add(1, std::memory_order_relaxed);
+          ++c.connections;
         }
-        if (ln.rehomed)
-          affinity_breaks_.fetch_add(1, std::memory_order_relaxed);
-        c.active.fetch_add(1, std::memory_order_relaxed);
+        if (ln.rehomed) ++affinity_breaks_;
+        ++c.active;
       }
       ln.st = kPinned;
     }
@@ -895,11 +820,11 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
       // exception path for as long as it lives — regardless of which
       // branch created it.
       slot_pins_->inc(ln.slot);
-      exception_pins_.fetch_add(1, std::memory_order_relaxed);
+      ++exception_pins_;
     }
     if (!ln.fresh) {
-      // A concurrent packet of the same tuple pinned it first; honour the
-      // winner (single-threaded scalar drive never takes this branch).
+      // An earlier lane of this burst pinned the same tuple first; honour
+      // its pin, as the scalar path would have seen it as a hit.
       if (const auto idx = gen.index_of(ln.owner)) ln.dip = *idx;
     }
   }
@@ -926,19 +851,11 @@ void Mux::process_chunk_pinned(const PoolGeneration& gen, util::SimTime now,
 }
 
 void Mux::release_connection(const PoolGeneration& gen, std::size_t i)
-    KLB_NONALLOCATING {
+    KLB_NONBLOCKING {
   auto& active = gen.backends()[i].counters->active;
-  auto cur = active.load(std::memory_order_relaxed);
-  while (cur > 0 && !active.compare_exchange_weak(cur, cur - 1,
-                                                  std::memory_order_relaxed)) {
-  }
-  // Only the LC family reads active_conns from the views; for everyone
-  // else skipping the patch keeps FINs off the pick mutex entirely.
-  if (!gen.policy_uses_conns()) return;
-  KLB_EFFECT_ESCAPE("mux.release_pick_refresh", {
-    util::MutexLock lk(pick_mutex_);
-    gen.views()[i].active_conns = active.load(std::memory_order_relaxed);
-  });
+  if (active > 0) --active;
+  // Only the LC family reads active_conns from the views.
+  if (gen.policy_uses_conns()) gen.views()[i].active_conns = active;
 }
 
 void Mux::handle_fin_chunk(const net::Message* const* msgs, std::size_t n)
@@ -952,8 +869,7 @@ void Mux::handle_fin_chunk(const net::Message* const* msgs, std::size_t n)
 
   std::size_t drains_emptied = 0;
   {
-    auto ref = read_gen();
-    const PoolGeneration& gen = *ref.gen;
+    const PoolGeneration& gen = read_gen();
     // Each FIN goes where its flow's data went, so the server closes out
     // too; forwards are grouped per destination like stage F's.
     std::uint32_t order[kBatchChunk];
@@ -970,9 +886,7 @@ void Mux::handle_fin_chunk(const net::Message* const* msgs, std::size_t n)
         if (!idx) continue;  // backend removed while the flow was live
         release_connection(gen, *idx);
         const auto& b = gen.backends()[*idx];
-        if (b.draining &&
-            b.counters->active.load(std::memory_order_relaxed) == 0)
-          ++drains_emptied;
+        if (b.draining && b.counters->active == 0) ++drains_emptied;
       } else if (slot_pins_) {
         // No pin: in hybrid mode the normal close of a stateless flow, whose
         // data went to the displaced previous owner while it is still here
@@ -998,9 +912,8 @@ void Mux::handle_fin_chunk(const net::Message* const* msgs, std::size_t n)
       net_.send_burst(gen.backends()[d].addr, out, k);
     }
   }
-  // Flag after unpinning (see gc_shard): the completion this triggers
-  // retires a generation, and our own slot must not block its reclaim.
-  // Each emptied drain completes once.
+  // Outside the generation reference (see gc_shard): the completion this
+  // triggers publishes. Each emptied drain completes once.
   for (std::size_t k = 0; k < drains_emptied; ++k) note_drain_empty();
 }
 

@@ -65,7 +65,6 @@ std::vector<net::IpAddr> MuxPool::backend_addrs() const {
 }
 
 void MuxPool::apply_program(const PoolProgram& program) {
-  util::MutexLock lk(mu_);
   // One version check for the whole pool: either every member commits this
   // transaction or none does, so the members cannot diverge.
   if (program.version <= applied_version_) {
@@ -103,7 +102,6 @@ void MuxPool::poll() {
 }
 
 bool MuxPool::fail_backend(net::IpAddr dip) {
-  util::MutexLock lk(mu_);
   // Tombstone against the POOL's version sequence (members never issue
   // their own): every member refuses the same set of pre-failure
   // transactions, so they cannot diverge on whether the corpse is served.
@@ -131,7 +129,6 @@ bool MuxPool::fail_backend(net::IpAddr dip) {
 DataplaneCounters MuxPool::counters() const {
   DataplaneCounters c;
   for (const auto& m : muxes_) c += m->counters();
-  util::MutexLock lk(mu_);
   c.superseded_programs = superseded_programs_;
   return c;
 }
@@ -165,7 +162,7 @@ std::uint64_t MuxPool::new_connections_to(net::IpAddr dip) const {
   for (const auto& m : muxes_)
     for (const auto& b : m->backends())  // one snapshot per member
       if (b.addr == dip)
-        n += b.counters->connections.load(std::memory_order_relaxed);
+        n += b.counters->connections;
   return n;
 }
 

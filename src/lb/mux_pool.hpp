@@ -36,7 +36,6 @@
 #include "lb/mux.hpp"
 #include "lb/pool_program.hpp"
 #include "net/fabric.hpp"
-#include "util/sync.hpp"
 
 namespace klb::lb {
 
@@ -67,7 +66,7 @@ class MuxPool : public net::Node, public PoolProgrammer {
   /// The maglev snapshot mux `k` currently serves. Pointer-equal across
   /// all members after every commit — the single-shared-build invariant.
   /// By value: the snapshot is read out of the member's current pool
-  /// generation, which a concurrent commit may retire at any moment.
+  /// generation, which the next commit destroys.
   std::shared_ptr<const MaglevTable> table_snapshot(std::size_t k) const;
 
   // --- PoolProgrammer --------------------------------------------------------
@@ -76,31 +75,25 @@ class MuxPool : public net::Node, public PoolProgrammer {
   std::size_t backend_count() const override;
   std::vector<net::IpAddr> backend_addrs() const override;
   void apply_program(const PoolProgram& program) override;
-  /// Deferred maintenance fan-out (drain completion, generation reclaim).
+  /// Deferred maintenance fan-out (grace-deferred drain completion).
   void poll() override;
 
-  std::uint64_t applied_version() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return applied_version_;
-  }
+  std::uint64_t applied_version() const { return applied_version_; }
   /// Shared maglev builds (one per committed version, not per mux).
-  std::uint64_t shared_builds() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return shared_builds_;
-  }
+  std::uint64_t shared_builds() const { return shared_builds_; }
 
   /// Abrupt backend death observed by the dataplane (host failure): drops
-  /// `dip` from every member (each finds it by address under its own
-  /// control lock), counting pinned flows as reset — the counterpart of a
+  /// `dip` from every member (each finds it by address), counting pinned
+  /// flows as reset — the counterpart of a
   /// graceful kDraining program. Returns true if any member still served
   /// the DIP.
-  bool fail_backend(net::IpAddr dip) KLB_EXCLUDES(mu_);
+  bool fail_backend(net::IpAddr dip);
 
   // --- dataplane counters ----------------------------------------------------
   /// The members' counters summed field-wise, except superseded_programs:
   /// the pool runs the one version check, so that is the pool's own count
   /// (members are never offered a stale program).
-  DataplaneCounters counters() const KLB_EXCLUDES(mu_);
+  DataplaneCounters counters() const;
   // benchmark/ is the only caller of these three; read counters() instead.
   std::uint64_t no_backend_drops() const { return counters().no_backend_drops; }
   std::uint64_t drains_completed() const { return counters().drains_completed; }
@@ -132,9 +125,7 @@ class MuxPool : public net::Node, public PoolProgrammer {
  private:
   /// The members' shared-table hook for one commit or failure: the first
   /// call builds the table into `table` from that member's final pool,
-  /// every call returns a policy serving it. Runs under each member's
-  /// control lock while the caller holds mu_ (klb.muxpool.control ->
-  /// klb.mux.control is the legal order, never the reverse).
+  /// every call returns a policy serving it.
   Mux::PolicyForPool retable_into(
       std::shared_ptr<const MaglevTable>& table) const;
 
@@ -142,13 +133,9 @@ class MuxPool : public net::Node, public PoolProgrammer {
   net::IpAddr vip_;
   std::size_t min_table_size_;
   std::vector<std::unique_ptr<Mux>> muxes_;
-  /// Serializes pool-wide commits/failures against each other and guards
-  /// the version bookkeeping below.
-  mutable util::Mutex mu_{"klb.muxpool.control",
-                          util::LockFlags::kControlPlane};
-  std::uint64_t applied_version_ KLB_GUARDED_BY(mu_) = 0;
-  std::uint64_t superseded_programs_ KLB_GUARDED_BY(mu_) = 0;
-  std::uint64_t shared_builds_ KLB_GUARDED_BY(mu_) = 0;
+  std::uint64_t applied_version_ = 0;
+  std::uint64_t superseded_programs_ = 0;
+  std::uint64_t shared_builds_ = 0;
 };
 
 }  // namespace klb::lb

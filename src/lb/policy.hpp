@@ -71,10 +71,10 @@ class Policy {
   virtual std::unique_ptr<Policy> clone() const = 0;
   /// The maglev table snapshot backing this policy's deterministic picks,
   /// or null when it has none. Non-null means the Mux resolves every new
-  /// connection from the table itself (ids are DIP address values),
-  /// lock-free, and never calls pick(); it also enables the stateless fast
-  /// path (lb/consistency.hpp). The snapshot is immutable (build_table in
-  /// lb/maglev.hpp makes it), so the packet path reads it without a lock.
+  /// connection from the table itself (ids are DIP address values) and
+  /// never calls pick(); it also enables the stateless fast path
+  /// (lb/consistency.hpp). The snapshot is immutable (build_table in
+  /// lb/maglev.hpp makes it).
   virtual std::shared_ptr<const MaglevTable> maglev_table() const {
     return nullptr;
   }

@@ -4,10 +4,8 @@
 // membership, addresses, stable ids, weights, drain flags, and the policy
 // instance that serves picks for this configuration. The Mux builds one
 // per control-plane mutation (pool program, failure, drain completion,
-// policy swap), publishes it through a single atomic
-// pointer, and retires the previous one into an EpochDomain — the packet
-// path loads the current generation wait-free and never observes a
-// half-applied configuration.
+// policy swap) and swaps it in whole, destroying the previous one — the
+// packet path never observes a half-applied configuration.
 //
 // Two members are deliberately *not* frozen:
 //
@@ -17,16 +15,15 @@
 //     lose or reset in-flight accounting (a FIN may decrement through a
 //     newer generation than the request that incremented).
 //   * views() is the policy-facing scratch vector. Its active_conns
-//     fields are patched in place under the Mux's pick mutex for the
-//     LC-family policies, exactly as the pre-generation code patched its
-//     views cache; everything else in it is fixed at construction.
+//     fields are patched in place for the LC-family policies, exactly as
+//     the pre-generation code patched its views cache; everything else in
+//     it is fixed at construction.
 //
 // The structural fields checksum at construction; self_check() recomputes
-// and compares, so a concurrent reader can assert it never saw a torn or
-// partially initialized generation (the concurrency tests do).
+// and compares, so a test can assert a generation was never corrupted
+// after publication (the generation tests do after every publication).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -45,17 +42,17 @@ class DipServer;
 namespace klb::lb {
 
 /// Packet-path counters for one backend, shared across generations by
-/// stable id. Relaxed atomics: aggregated on the control path.
+/// stable id and aggregated on the control path.
 struct BackendCounters {
-  std::atomic<std::uint64_t> active{0};
-  std::atomic<std::uint64_t> connections{0};  // cumulative new connections
-  std::atomic<std::uint64_t> forwarded{0};    // cumulative forwarded requests
+  std::uint64_t active = 0;
+  std::uint64_t connections = 0;  // cumulative new connections
+  std::uint64_t forwarded = 0;    // cumulative forwarded requests
   /// Sim time of the last request forwarded while draining (hybrid mode
   /// only; 0 otherwise). Stateless flows hold no pin, so traffic is the
   /// only evidence a drainer still serves them: drain auto-completion
   /// waits until the drainer has been *idle* for the grace window, and
   /// every forwarded packet re-arms it (Mux::drain_ripe).
-  std::atomic<std::int64_t> last_forward_us{0};
+  std::int64_t last_forward_us = 0;
 };
 
 /// One backend as a generation carries it. Plain values — copying a
@@ -76,10 +73,7 @@ struct GenBackend {
 
   BackendView view() const KLB_NONBLOCKING {
     return BackendView{addr, weight_units, /*enabled=*/!draining,
-                       counters ? counters->active.load(
-                                      std::memory_order_relaxed)
-                                : 0,
-                       server};
+                       counters ? counters->active : 0, server};
   }
 };
 
@@ -153,19 +147,16 @@ class PoolGeneration {
     policy_uses_conns_ = policy_->uses_connection_counts();
     table_ = policy_->maglev_table();  // null without a maglev table
     checksum_ = compute_checksum();
-    live_count_ref().fetch_add(1, std::memory_order_relaxed);
+    ++live_count_ref();
   }
 
-  ~PoolGeneration() {
-    live_count_ref().fetch_sub(1, std::memory_order_relaxed);
-  }
+  ~PoolGeneration() { --live_count_ref(); }
 
   PoolGeneration(const PoolGeneration&) = delete;
   PoolGeneration& operator=(const PoolGeneration&) = delete;
 
-  // Read accessors consulted by the packet path under a generation pin:
-  // all nonblocking (frozen fields, read-only flat-index probes, no
-  // allocation).
+  // Read accessors consulted by the packet path: all nonblocking (frozen
+  // fields, read-only flat-index probes, no allocation).
   std::uint64_t program_version() const KLB_NONBLOCKING {
     return program_version_;
   }
@@ -188,7 +179,7 @@ class PoolGeneration {
   }
 
   /// The maglev table this generation's policy serves, or nullptr. An
-  /// immutable snapshot; the packet path reads it lock-free under its pin.
+  /// immutable snapshot.
   const MaglevTable* maglev_table() const KLB_NONBLOCKING {
     return table_.get();
   }
@@ -202,8 +193,8 @@ class PoolGeneration {
   /// index the maglev table routes `hash` to, when that backend may take
   /// new connections (not draining, positive weight). nullopt
   /// without a table, for an empty slot, or for an owner this generation
-  /// does not carry or has parked. Lock-free: one table read, one frozen
-  /// index probe.
+  /// does not carry or has parked. One table read, one frozen index
+  /// probe.
   std::optional<std::size_t> table_route(std::uint64_t hash) const
       KLB_NONBLOCKING {
     if (table_ == nullptr) return std::nullopt;
@@ -217,9 +208,9 @@ class PoolGeneration {
   }
 
   /// The generation's exception filter (lb/consistency.hpp), or nullptr
-  /// when the stateless fast path is off/disengaged. Set by the Mux on
-  /// the control thread before the generation is published (never after),
-  /// and reclaimed with the generation.
+  /// when the stateless fast path is off/disengaged. Set by the Mux
+  /// before the generation is published (never after), and destroyed with
+  /// the generation.
   const ExceptionFilter* exception_filter() const KLB_NONBLOCKING {
     return filter_.get();
   }
@@ -228,11 +219,10 @@ class PoolGeneration {
   }
 
   /// Policy-facing views, index-aligned with backends(). active_conns is
-  /// patched in place — only under the owning Mux's pick mutex.
+  /// patched in place by the owning Mux.
   std::vector<BackendView>& views() const KLB_NONBLOCKING { return views_; }
 
-  /// The generation-owned policy. Stateful: every call must hold the
-  /// owning Mux's pick mutex.
+  /// The generation-owned policy. Stateful: only the owning Mux picks.
   Policy& policy() const KLB_NONBLOCKING { return *policy_; }
 
   // Policy traits cached at construction: no virtual dispatch per packet.
@@ -241,21 +231,18 @@ class PoolGeneration {
   }
 
   /// Recompute the structural checksum and compare with the one stamped
-  /// at construction — false means a torn/corrupt generation (never
-  /// expected; asserted by the concurrency tests).
+  /// at construction — false means a corrupt generation (never expected;
+  /// asserted by the generation tests).
   bool self_check() const { return compute_checksum() == checksum_; }
 
-  /// Generations currently alive process-wide (published + retired but
-  /// not yet reclaimed + drafts under construction). The churn bench
-  /// asserts this returns to one-per-mux after quiescing — the
-  /// no-use-after-retire / no-leak invariant.
-  static std::uint64_t live_count() {
-    return live_count_ref().load(std::memory_order_relaxed);
-  }
+  /// Generations currently alive process-wide (published + drafts under
+  /// construction). The generation tests assert this is one per live Mux
+  /// after every publication — the no-leak invariant.
+  static std::uint64_t live_count() { return live_count_ref(); }
 
  private:
-  static std::atomic<std::uint64_t>& live_count_ref() {
-    static std::atomic<std::uint64_t> count{0};
+  static std::uint64_t& live_count_ref() {
+    static std::uint64_t count = 0;
     return count;
   }
 
@@ -286,7 +273,7 @@ class PoolGeneration {
   BackendIndex index_by_addr_;
   std::shared_ptr<const MaglevTable> table_;
   std::shared_ptr<const ExceptionFilter> filter_;
-  mutable std::vector<BackendView> views_;  // active_conns patched under pick mutex
+  mutable std::vector<BackendView> views_;  // active_conns patched by the Mux
   std::unique_ptr<Policy> policy_;
   bool policy_uses_conns_ = false;
   std::uint64_t checksum_ = 0;

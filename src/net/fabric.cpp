@@ -51,12 +51,12 @@ void AddressTable::rehash(std::size_t capacity) {
 }
 
 void Network::send(IpAddr to, const Message& msg) KLB_NONALLOCATING {
-  if (const Tap* tap = tap_live_.load(std::memory_order_acquire)) {
+  if (const Tap* tap = tap_.get()) {
     // Type-erased bench hook: what it does is the installer's business.
     KLB_EFFECT_ESCAPE("fabric.tap", (*tap)(to, msg));
   }
-  if (blackhole_.load(std::memory_order_relaxed)) {
-    blackholed_.fetch_add(1, std::memory_order_relaxed);
+  if (blackhole_) {
+    ++blackholed_;
     return;
   }
   // Copy + schedule: the delivery slow lane.
@@ -64,11 +64,11 @@ void Network::send(IpAddr to, const Message& msg) KLB_NONALLOCATING {
 }
 
 void Network::send(IpAddr to, Message&& msg) {
-  if (const Tap* tap = tap_live_.load(std::memory_order_acquire)) {
+  if (const Tap* tap = tap_.get()) {
     (*tap)(to, msg);
   }
-  if (blackhole_.load(std::memory_order_relaxed)) {
-    blackholed_.fetch_add(1, std::memory_order_relaxed);
+  if (blackhole_) {
+    ++blackholed_;
     return;
   }
   send_owned(to, std::move(msg));
@@ -79,7 +79,7 @@ void Network::send_owned(IpAddr to, Message msg) {
                 "a scalar hop must schedule without a heap box");
   static_assert(sim::EventQueue::fits_inline<BurstHop>,
                 "a burst hop must schedule without a heap box");
-  sent_.fetch_add(1, std::memory_order_relaxed);
+  ++sent_;
   sim_.schedule_in(draw_delay(), Hop{this, to, std::move(msg)});
 }
 
@@ -90,13 +90,13 @@ void Network::send_burst(IpAddr to, const Message* const* msgs,
     send(to, *msgs[0]);
     return;
   }
-  if (const Tap* tap = tap_live_.load(std::memory_order_acquire)) {
+  if (const Tap* tap = tap_.get()) {
     KLB_EFFECT_ESCAPE("fabric.tap", {
       for (std::size_t i = 0; i < n; ++i) (*tap)(to, *msgs[i]);
     });
   }
-  if (blackhole_.load(std::memory_order_relaxed)) {
-    blackholed_.fetch_add(n, std::memory_order_relaxed);
+  if (blackhole_) {
+    blackholed_ += n;
     return;
   }
   KLB_EFFECT_ESCAPE("fabric.enqueue", enqueue_burst(to, msgs, n));
@@ -104,7 +104,7 @@ void Network::send_burst(IpAddr to, const Message* const* msgs,
 
 void Network::enqueue_burst(IpAddr to, const Message* const* msgs,
                             std::size_t n) {
-  sent_.fetch_add(n, std::memory_order_relaxed);
+  sent_ += n;
   std::vector<Message> burst = take_burst_buffer(n);
   for (std::size_t i = 0; i < n; ++i) burst[i] = *msgs[i];
   sim_.schedule_in(draw_delay(), BurstHop{this, to, std::move(burst)});
@@ -123,7 +123,7 @@ std::vector<Message> Network::take_burst_buffer(std::size_t n) {
 Node* Network::resolve(IpAddr to, std::uint64_t count) KLB_NONBLOCKING {
   Node* node = nodes_.find(to);
   if (node == nullptr)
-    dropped_unreachable_.fetch_add(count, std::memory_order_relaxed);
+    dropped_unreachable_ += count;
   return node;
 }
 

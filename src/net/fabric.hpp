@@ -25,17 +25,12 @@
 // built with, which is also the one sim() hands attached components for
 // their own clocks and timers.
 //
-// Threading: the address table and the fabric RNG are sim-thread state,
-// like the event queue they feed, and take no lock. attach() runs from
-// component constructors and destructors on the sim thread; delivery runs
-// from the event loop. A send() from any other thread is legal only in
-// blackhole mode, which returns before the table, the RNG or the queue
-// (the MUX hot-path benches and the generation tests drive the packet
-// path from worker threads that way). Tap, blackhole flag and send
-// counters are atomics.
+// Threading: the whole fabric is sim-thread state, like the event queue it
+// feeds, and takes no lock. attach() runs from component constructors and
+// destructors on the sim thread; send() and delivery run from the event
+// loop or from a driver on that same thread.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -144,36 +139,22 @@ class Network {
 
   bool attached(IpAddr addr) const { return nodes_.find(addr) != nullptr; }
 
-  /// Blackhole mode (benches): drop every send() before it touches the
-  /// address table, the event queue or the fabric RNG — all sim-thread
-  /// state — so the MUX packet path can be driven from worker threads
-  /// (bench/mux_hotpath.cpp). Dropped messages are counted in
-  /// messages_blackholed().
-  void set_blackhole(bool on) {
-    blackhole_.store(on, std::memory_order_relaxed);
-  }
-  std::uint64_t messages_blackholed() const {
-    return blackholed_.load(std::memory_order_relaxed);
-  }
+  /// Blackhole mode (benches and tests): drop every send() before it
+  /// touches the address table, the event queue or the fabric RNG, so the
+  /// MUX packet path can be driven without any receiver. Dropped messages
+  /// are counted in messages_blackholed().
+  void set_blackhole(bool on) { blackhole_ = on; }
+  std::uint64_t messages_blackholed() const { return blackholed_; }
 
   /// Observation tap: runs at every send()/send_burst() entry — before
   /// blackhole mode drops the message — with the destination and the
   /// message. Benches use it to assert per-packet routing invariants
   /// (e.g. "every packet of a pinned flow reaches the same DIP") at
-  /// blackhole-mode rates. The tap runs on the sender's thread; it must be
-  /// thread-safe itself. Install nullptr to remove. Not for concurrent
-  /// install/uninstall while traffic is flowing — set it up before the
-  /// drive starts, like set_blackhole. The send path sees it through a
-  /// single atomic load.
+  /// blackhole-mode rates. Install nullptr to remove. The send path tests
+  /// one pointer for it.
   using Tap = std::function<void(IpAddr, const Message&)>;
   void set_tap(Tap tap) {
-    if (tap) {
-      tap_storage_ = std::make_unique<Tap>(std::move(tap));
-      tap_live_.store(tap_storage_.get(), std::memory_order_release);
-    } else {
-      tap_live_.store(nullptr, std::memory_order_release);
-      tap_storage_.reset();
-    }
+    tap_ = tap ? std::make_unique<Tap>(std::move(tap)) : nullptr;
   }
 
   /// Deliver `msg` to the node bound to `to` after the fabric latency.
@@ -183,7 +164,7 @@ class Network {
   /// for the event queue — taps and blackhole mode never pay for a copy
   /// (send() is the packet path's per-forward cost in the benches).
   /// Nonallocating up to the staging split: classification (tap presence,
-  /// blackhole) is lock-free; the type-erased tap runs in the
+  /// blackhole) is two tests; the type-erased tap runs in the
   /// "fabric.tap" escape and the copying enqueue tail in "fabric.enqueue".
   /// Blackhole-mode benches — the packet-path rate measurements — never
   /// enter either.
@@ -200,12 +181,8 @@ class Network {
   /// The Simulation every attached component schedules on.
   sim::Simulation& sim() { return sim_; }
 
-  std::uint64_t messages_sent() const {
-    return sent_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t messages_unreachable() const {
-    return dropped_unreachable_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t messages_sent() const { return sent_; }
+  std::uint64_t messages_unreachable() const { return dropped_unreachable_; }
 
  private:
   /// One hop's latency: base + exponential jitter from the fabric RNG.
@@ -237,7 +214,7 @@ class Network {
   };
 
   /// The node bound to `to`, or nullptr after counting `count` messages
-  /// unreachable. One table probe run; no lock.
+  /// unreachable. One table probe run.
   Node* resolve(IpAddr to, std::uint64_t count) KLB_NONBLOCKING;
   /// The post-tap, post-blackhole tail of send(): owns the message and
   /// schedules its hop.
@@ -257,17 +234,13 @@ class Network {
 
   sim::Simulation& sim_;
   FabricConfig cfg_;
-  /// Sim-thread state (see the threading note at the top): no worker
-  /// thread reaches them, since blackhole mode returns first. Send
-  /// counters are relaxed atomics.
   util::Rng rng_;
   AddressTable nodes_;
-  std::atomic<bool> blackhole_{false};
-  std::atomic<std::uint64_t> blackholed_{0};
-  std::unique_ptr<Tap> tap_storage_;  // installed before traffic
-  std::atomic<const Tap*> tap_live_{nullptr};
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> dropped_unreachable_{0};
+  bool blackhole_ = false;
+  std::uint64_t blackholed_ = 0;
+  std::unique_ptr<Tap> tap_;
+  std::uint64_t sent_ = 0;
+  std::uint64_t dropped_unreachable_ = 0;
   std::vector<std::vector<Message>> spare_bursts_;
 };
 

@@ -8,7 +8,9 @@
 // thing that matters).
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <utility>
 
 #include "sim/event_queue.hpp"
@@ -151,6 +153,36 @@ class PeriodicTimer {
   std::function<void()> fn_;
   EventId pending_ = kInvalidEvent;
   bool running_ = false;
+};
+
+/// One-shot events scheduled for an owner whose callbacks capture it. The
+/// scope keeps the id of every event that has not fired yet and cancels
+/// them all when it is destroyed, so the owner may go away while they are
+/// pending. schedule_in() schedules exactly as Simulation::schedule_in().
+class EventScope {
+ public:
+  explicit EventScope(Simulation& sim) : sim_(sim) {}
+  ~EventScope() {
+    for (const auto& entry : pending_) sim_.cancel(entry.second);
+  }
+  EventScope(const EventScope&) = delete;
+  EventScope& operator=(const EventScope&) = delete;
+
+  template <class F>
+  void schedule_in(util::SimTime delay, F&& fn) {
+    const std::uint64_t token = next_token_++;
+    const EventId id = sim_.schedule_in(
+        delay, [this, token, fn = std::forward<F>(fn)]() mutable {
+          pending_.erase(token);
+          fn();
+        });
+    pending_.emplace(token, id);
+  }
+
+ private:
+  Simulation& sim_;
+  std::uint64_t next_token_ = 0;
+  std::unordered_map<std::uint64_t, EventId> pending_;
 };
 
 }  // namespace klb::sim

@@ -43,7 +43,6 @@ KvEngine::Entry* KvEngine::live(const std::string& key) {
 }
 
 net::RespValue KvEngine::execute(const std::vector<std::string>& cmd) {
-  util::MutexLock lk(mu_);
   if (cmd.empty()) return RespValue::error("ERR empty command");
   const std::string op = upper(cmd[0]);
 

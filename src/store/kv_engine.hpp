@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "net/resp.hpp"
-#include "util/sync.hpp"
 #include "util/time.hpp"
 
 namespace klb::store {
@@ -29,15 +28,11 @@ class KvEngine {
   /// Commands: PING, ECHO, SET (with optional EX seconds), GET, DEL, EXISTS,
   /// EXPIRE, TTL, LPUSH, RPUSH, LPOP, LRANGE, LLEN, LTRIM, KEYS, FLUSHALL,
   /// DBSIZE. Unknown commands return a RESP error, matching Redis.
-  /// Thread-safe: the whole command executes under one engine lock
-  /// (matching Redis's single command-processing thread).
-  net::RespValue execute(const std::vector<std::string>& cmd)
-      KLB_EXCLUDES(mu_);
+  /// Runs on the sim thread, one command at a time (matching Redis's
+  /// single command-processing thread).
+  net::RespValue execute(const std::vector<std::string>& cmd);
 
-  std::size_t key_count() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return data_.size();
-  }
+  std::size_t key_count() const { return data_.size(); }
 
  private:
   struct Entry {
@@ -48,36 +43,23 @@ class KvEngine {
   };
 
   // Returns nullptr for missing or expired keys (expired keys are reaped).
-  Entry* live(const std::string& key) KLB_REQUIRES(mu_);
+  Entry* live(const std::string& key);
 
-  net::RespValue cmd_set(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_get(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_del(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_exists(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_expire(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_ttl(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_push(const std::vector<std::string>& cmd, bool left)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_lpop(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_lrange(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_llen(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_ltrim(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
-  net::RespValue cmd_keys(const std::vector<std::string>& cmd)
-      KLB_REQUIRES(mu_);
+  net::RespValue cmd_set(const std::vector<std::string>& cmd);
+  net::RespValue cmd_get(const std::vector<std::string>& cmd);
+  net::RespValue cmd_del(const std::vector<std::string>& cmd);
+  net::RespValue cmd_exists(const std::vector<std::string>& cmd);
+  net::RespValue cmd_expire(const std::vector<std::string>& cmd);
+  net::RespValue cmd_ttl(const std::vector<std::string>& cmd);
+  net::RespValue cmd_push(const std::vector<std::string>& cmd, bool left);
+  net::RespValue cmd_lpop(const std::vector<std::string>& cmd);
+  net::RespValue cmd_lrange(const std::vector<std::string>& cmd);
+  net::RespValue cmd_llen(const std::vector<std::string>& cmd);
+  net::RespValue cmd_ltrim(const std::vector<std::string>& cmd);
+  net::RespValue cmd_keys(const std::vector<std::string>& cmd);
 
   Clock clock_;
-  mutable util::Mutex mu_{"klb.store.kv"};
-  std::unordered_map<std::string, Entry> data_ KLB_GUARDED_BY(mu_);
+  std::unordered_map<std::string, Entry> data_;
 };
 
 }  // namespace klb::store

@@ -43,8 +43,8 @@ void InvariantChecker::quiesced(const std::vector<const lb::Mux*>& members,
   for (const auto* m : members) {
     c += m->counters();
     for (const auto& b : m->backends()) {  // one generation's membership
-      conns += b.counters->connections.load(std::memory_order_relaxed);
-      active += b.counters->active.load(std::memory_order_relaxed);
+      conns += b.counters->connections;
+      active += b.counters->active;
     }
     entries += m->affinity_size();
     pins += m->live_exception_pins();

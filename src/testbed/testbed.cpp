@@ -34,10 +34,6 @@ Testbed::Testbed(std::vector<DipSpec> specs, TestbedConfig cfg)
   net_ = std::make_unique<net::Network>(*sim_, cfg_.fabric);
   vip_ = kVip;
 
-  // Construction is single-threaded, but make_dip and the pool bookkeeping
-  // require the control lock, so hold it for the wiring below.
-  util::MutexLock lk(mu_);
-
   // DIPs.
   std::vector<net::IpAddr> dip_addrs;
   for (const auto& spec : specs_) {
@@ -80,7 +76,7 @@ Testbed::Testbed(std::vector<DipSpec> specs, TestbedConfig cfg)
   klm_->start();
 
   // Clients at load_fraction of healthy capacity.
-  offered_rps_ = cfg_.load_fraction * healthy_capacity_rps_locked();
+  offered_rps_ = cfg_.load_fraction * healthy_capacity_rps();
   workload::ClientConfig ccfg;
   ccfg.requests_per_session = cfg_.requests_per_session;
   if (cfg_.closed_loop_factor > 0.0) {
@@ -129,7 +125,6 @@ bool Testbed::run_until_ready(util::SimTime limit) {
 }
 
 void Testbed::reset_stats() {
-  util::MutexLock lk(mu_);
   for (auto& d : dips_) d->reset_stats();
   clients_->recorder().reset();
 }
@@ -145,14 +140,12 @@ std::unique_ptr<server::DipServer> Testbed::make_dip(const DipSpec& spec) {
 }
 
 std::optional<std::size_t> Testbed::index_of(net::IpAddr addr) const {
-  util::MutexLock lk(mu_);
   for (std::size_t i = 0; i < dips_.size(); ++i)
     if (dips_[i]->address() == addr) return i;
   return std::nullopt;
 }
 
 std::size_t Testbed::scale_out(DipSpec spec) {
-  util::MutexLock lk(mu_);
   auto dip = make_dip(spec);
   const auto addr = dip->address();
   specs_.push_back(spec);
@@ -183,7 +176,6 @@ std::size_t Testbed::scale_out(DipSpec spec) {
 }
 
 bool Testbed::scale_in(std::size_t i) {
-  util::MutexLock lk(mu_);
   if (i >= dips_.size()) {
     util::log_warn("klb-testbed") << "scale_in(" << i << ") out of range ("
                                   << dips_.size() << " live DIPs)";
@@ -214,7 +206,6 @@ bool Testbed::scale_in(std::size_t i) {
 }
 
 bool Testbed::fail_dip(std::size_t i) {
-  util::MutexLock lk(mu_);
   if (i >= dips_.size()) {
     util::log_warn("klb-testbed") << "fail_dip(" << i << ") out of range ("
                                   << dips_.size() << " live DIPs)";
@@ -267,12 +258,11 @@ void Testbed::program_live_pool(std::optional<net::IpAddr> draining_leaver) {
 
 void Testbed::refresh_offered_load() {
   if (!cfg_.rescale_load_on_churn) return;
-  offered_rps_ = cfg_.load_fraction * healthy_capacity_rps_locked();
+  offered_rps_ = cfg_.load_fraction * healthy_capacity_rps();
   clients_->set_pattern(workload::TrafficPattern(offered_rps_));
 }
 
 void Testbed::set_static_weights(const std::vector<double>& weights) {
-  util::MutexLock lk(mu_);
   // A wrong-sized vector must stay loud: a whole-pool transaction built
   // from it would silently decommission the unlisted DIPs.
   if (weights.size() != dips_.size()) {
@@ -286,7 +276,6 @@ void Testbed::set_static_weights(const std::vector<double>& weights) {
 }
 
 std::vector<DipMetrics> Testbed::metrics() const {
-  util::MutexLock lk(mu_);
   std::vector<DipMetrics> out;
   const auto& per_dip = clients_->recorder().per_dip();
   // Join the dataplane's weights by DIP address: after any membership
@@ -330,7 +319,7 @@ double Testbed::overall_p99_ms() const {
   return clients_->recorder().percentile_ms(0.99);
 }
 
-double Testbed::healthy_capacity_rps_locked() const {
+double Testbed::healthy_capacity_rps() const {
   double total = 0.0;
   for (const auto& spec : specs_) {
     const double per_core_rps =

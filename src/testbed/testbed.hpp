@@ -30,7 +30,6 @@
 #include "server/dip_server.hpp"
 #include "sim/simulation.hpp"
 #include "store/kv_server.hpp"
-#include "util/sync.hpp"
 #include "workload/client.hpp"
 
 namespace klb::testbed {
@@ -109,19 +108,13 @@ class Testbed {
   /// Clear the measurement windows (after warmup / before a window): DIP
   /// CPU windows and client recorders. Dataplane counters are cumulative
   /// and untouched — take a dataplane_counters() snapshot here instead.
-  void reset_stats() KLB_EXCLUDES(mu_);
+  void reset_stats();
 
   // --- topology access --------------------------------------------------------
   sim::Simulation& sim() { return *sim_; }
   net::Network& network() { return *net_; }
-  std::size_t dip_count() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return dips_.size();
-  }
-  server::DipServer& dip(std::size_t i) KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return *dips_[i];
-  }
+  std::size_t dip_count() const { return dips_.size(); }
+  server::DipServer& dip(std::size_t i) { return *dips_[i]; }
   /// The single Mux, or the pool's first member (mux_count > 1) — all
   /// members serve identical programs, so member 0 answers pool-shape
   /// questions (weights, membership).
@@ -156,8 +149,7 @@ class Testbed {
   /// Program static weights (units of weight 1.0 per DIP, normalized
   /// internally) through the LB controller — the "operator sets weights by
   /// core count" baselines.
-  void set_static_weights(const std::vector<double>& weights)
-      KLB_EXCLUDES(mu_);
+  void set_static_weights(const std::vector<double>& weights);
 
   // --- live pool churn --------------------------------------------------------
   // The paper's headline scenarios (Fig. 15 failures, Fig. 16 capacity
@@ -172,7 +164,7 @@ class Testbed {
   /// enters the NeedL0 -> Exploring -> Ready lifecycle and is folded into
   /// the ILP once its curve fits; without, it joins at a fair share of the
   /// current weights. Returns the new DIP's live index.
-  std::size_t scale_out(DipSpec spec) KLB_EXCLUDES(mu_);
+  std::size_t scale_out(DipSpec spec);
 
   /// Graceful scale-in of live DIP `i`: the dataplane parks it (kDraining),
   /// keeps serving its pinned flows, and completes the removal when the
@@ -180,7 +172,7 @@ class Testbed {
   /// Testbed is destroyed so in-flight work finishes; KLM and the latency
   /// store forget the DIP immediately. Returns false for an out-of-range
   /// index.
-  bool scale_in(std::size_t i) KLB_EXCLUDES(mu_);
+  bool scale_in(std::size_t i);
 
   /// Abrupt failure of live DIP `i` (host death): the server stops
   /// answering, the dataplane drops it now (its pinned flows are counted
@@ -189,21 +181,17 @@ class Testbed {
   /// The failure itself rescales nothing: the survivors' new weights come
   /// from the controller's rerun, or (without one) from a program
   /// restating the live pool. Returns false for an out-of-range index.
-  bool fail_dip(std::size_t i) KLB_EXCLUDES(mu_);
+  bool fail_dip(std::size_t i);
 
   /// Live index of the DIP serving `addr`, if it is in the live pool.
-  std::optional<std::size_t> index_of(net::IpAddr addr) const
-      KLB_EXCLUDES(mu_);
+  std::optional<std::size_t> index_of(net::IpAddr addr) const;
 
   /// Servers removed from the live pool but kept constructed (drainers
   /// serving pinned flows out; failed hosts that no longer answer).
-  std::size_t retired_count() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return retired_dips_.size();
-  }
+  std::size_t retired_count() const { return retired_dips_.size(); }
 
   // --- metrics ---------------------------------------------------------------
-  std::vector<DipMetrics> metrics() const KLB_EXCLUDES(mu_);
+  std::vector<DipMetrics> metrics() const;
   /// The dataplane's cumulative counters: the single Mux's, or the
   /// MuxPool's sum over its members (see lb::DataplaneCounters).
   lb::DataplaneCounters dataplane_counters() const;
@@ -212,34 +200,24 @@ class Testbed {
   double overall_p99_ms() const;
   /// Healthy-pool capacity in requests/sec (speed-weighted, ignoring
   /// current antagonists).
-  double healthy_capacity_rps() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return healthy_capacity_rps_locked();
-  }
-  double offered_rps() const KLB_EXCLUDES(mu_) {
-    util::MutexLock lk(mu_);
-    return offered_rps_;
-  }
+  double healthy_capacity_rps() const;
+  double offered_rps() const { return offered_rps_; }
 
  private:
   /// Build one DipServer from a spec on the next fresh address.
-  std::unique_ptr<server::DipServer> make_dip(const DipSpec& spec)
-      KLB_REQUIRES(mu_);
-  double healthy_capacity_rps_locked() const KLB_REQUIRES(mu_);
+  std::unique_ptr<server::DipServer> make_dip(const DipSpec& spec);
   /// The live pool at its desired weights, each entry carrying its DIP's
   /// server (P2 reads it): the bootstrap and every no-controller program.
-  lb::PoolProgram live_pool_program(std::uint64_t version) const
-      KLB_REQUIRES(mu_);
+  lb::PoolProgram live_pool_program(std::uint64_t version) const;
   /// No-controller reprogramming: restate the (already mutated) live pool
   /// at its desired weights in one transaction, with `draining_leaver`
   /// appended as a kDraining rider. Emitted from the testbed's own desired
   /// view, never read back from the dataplane — a back-to-back churn op
   /// must not restate the pre-commit state of a program still riding the
   /// programming delay (that would, e.g., resurrect a drainer as Active).
-  void program_live_pool(std::optional<net::IpAddr> draining_leaver)
-      KLB_REQUIRES(mu_);
+  void program_live_pool(std::optional<net::IpAddr> draining_leaver);
   /// Re-derive offered load from the live spec list (rescale_load_on_churn).
-  void refresh_offered_load() KLB_REQUIRES(mu_);
+  void refresh_offered_load();
   const lb::Mux& mux0() const { return pool_ ? pool_->mux(0) : *mux_; }
 
   TestbedConfig cfg_;
@@ -249,23 +227,17 @@ class Testbed {
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<net::Network> net_;
   net::IpAddr vip_;
-  /// Serializes churn ops (scale_out/scale_in/fail_dip) and metric reads
-  /// against each other, and guards the live-pool bookkeeping below.
-  /// Component locks (klm, store, mux/pool control, log) nest underneath.
-  mutable util::Mutex mu_{"klb.testbed.control",
-                          util::LockFlags::kControlPlane};
-  std::vector<DipSpec> specs_ KLB_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<server::DipServer>> dips_ KLB_GUARDED_BY(mu_);
+  std::vector<DipSpec> specs_;
+  std::vector<std::unique_ptr<server::DipServer>> dips_;
   /// Scaled-in or failed servers, parked until destruction: a drainer must
   /// keep serving its pinned flows, and a failed host must stay bound (and
   /// silent) rather than free its address for reuse.
-  std::vector<std::unique_ptr<server::DipServer>> retired_dips_
-      KLB_GUARDED_BY(mu_);
-  std::uint32_t next_dip_offset_ KLB_GUARDED_BY(mu_) = 0;  // never reused
+  std::vector<std::unique_ptr<server::DipServer>> retired_dips_;
+  std::uint32_t next_dip_offset_ = 0;  // never reused
   /// Desired weights for the live pool (index-aligned with dips_), used by
   /// the no-controller programming path; with KnapsackLB on, the
   /// controller owns the weights and this is only bookkeeping.
-  std::vector<double> desired_weights_ KLB_GUARDED_BY(mu_);
+  std::vector<double> desired_weights_;
   std::unique_ptr<lb::Mux> mux_;        // mux_count == 1
   std::unique_ptr<lb::MuxPool> pool_;   // mux_count > 1
   std::unique_ptr<lb::LbController> lb_ctrl_;
@@ -283,7 +255,7 @@ class Testbed {
   /// Declared last: destroyed first, so no tick fires into torn-down
   /// components.
   std::unique_ptr<sim::PeriodicTimer> dataplane_poll_;
-  double offered_rps_ KLB_GUARDED_BY(mu_) = 0.0;
+  double offered_rps_ = 0.0;
 };
 
 /// The paper's Table 3 pool: 16x DS1v2 + 8x DS2v2 + 4x DS3v2 + 2x F8sv2.

@@ -1,24 +1,22 @@
 // Hot-path effect contracts: the compile-time counterpart of the paper's
 // "the packet path is the scalability budget" argument.
 //
-// PR 7 made the *locking* model checked code (util/sync.hpp); this header
-// does the same for *effects*. A function annotated KLB_NONBLOCKING must
-// never block (no mutex acquire, no syscall that sleeps) and, by
-// implication, never allocate; KLB_NONALLOCATING is the weaker contract —
-// taking a carved-out slow-lane lock is legal, touching the heap is not.
-// Both map onto Clang 20's function-effects attributes
-// ([[clang::nonblocking]] / [[clang::nonallocating]], verified by
-// -Wfunction-effects; see clang.llvm.org/docs/FunctionEffectAnalysis.html)
-// and expand to nothing on GCC and older clang — zero cost, zero
-// divergence, exactly like the TSA macros.
+// A function annotated KLB_NONBLOCKING must never block (no mutex
+// acquire, no syscall that sleeps) and, by implication, never allocate;
+// KLB_NONALLOCATING is the weaker contract — touching the heap is not
+// legal, but a call the analysis cannot see through may be. Both map onto
+// Clang 20's function-effects attributes ([[clang::nonblocking]] /
+// [[clang::nonallocating]], verified by -Wfunction-effects; see
+// clang.llvm.org/docs/FunctionEffectAnalysis.html) and expand to nothing
+// on GCC and older clang — zero cost, zero divergence.
 //
 // Enforcement is two-pronged:
 //
 //   1. Compile time: clang >= 20 builds run -Wfunction-effects (CI adds
 //      -Werror), so a stray std::vector temporary, shared_ptr copy, or
-//      blocking MutexLock inside an annotated lane fails the build. The
+//      blocking lock inside an annotated lane fails the build. The
 //      negative-compilation suite (tests/negative_compile/effect_*.cpp)
-//      pins the analysis the same way the TSA cases pin -Wthread-safety.
+//      pins the analysis.
 //
 //   2. Run time: a RealtimeSanitizer CI job (-fsanitize=realtime) drives
 //      bench_mux_hotpath, flow_table_test, batch_equivalence_test and
@@ -32,7 +30,7 @@
 // suppresses the static diagnostic, suspends RTSan for the enclosed
 // statements, and (in debug builds) records `site` in a process-wide
 // registry. Every site must be listed in kDocumentedEscapeSites below and
-// justified in README "Hot-path effect contracts"; sync_debug_test asserts
+// justified in README "Hot-path effect contracts"; zero_alloc_test asserts
 // the registry never sees an undocumented site, so an escape cannot be
 // added quietly.
 #pragma once
@@ -41,9 +39,7 @@
 
 // --- Clang 20 function-effects attribute macros -------------------------------
 // The attributes are part of the function *type* and are spelled after the
-// parameter list (like noexcept): `void f() KLB_NONBLOCKING;`. When a
-// declaration also carries TSA attributes, put the effect macro first:
-// `bool try_lock() KLB_NONBLOCKING KLB_TRY_ACQUIRE(true);`.
+// parameter list (like noexcept): `void f() KLB_NONBLOCKING;`.
 #if defined(__clang__) && __clang_major__ >= 20
 #define KLB_HAS_FUNCTION_EFFECTS 1
 #define KLB_NONBLOCKING [[clang::nonblocking]]
@@ -72,7 +68,7 @@
 #endif
 
 // The escape registry runs in debug builds only: Release hot paths must
-// not pay for bookkeeping, and the registry's consumer (sync_debug_test's
+// not pay for bookkeeping, and the registry's consumer (zero_alloc_test's
 // documented-escapes assertion) runs in the Debug CI lanes.
 #ifndef KLB_EFFECTS_REGISTRY
 #ifdef NDEBUG
@@ -86,47 +82,35 @@ namespace klb::util::effects {
 
 /// Every sanctioned KLB_EFFECT_ESCAPE site, by name. Adding an escape means
 /// adding it here AND to the README's justification table; the debug-build
-/// registry + sync_debug_test reject any site not on this list. Keep the
+/// registry + zero_alloc_test reject any site not on this list. Keep the
 /// names stable — they are the audit trail for "where may the packet path
 /// still block or allocate, and why".
 inline constexpr const char* kDocumentedEscapeSites[] = {
-    // util/sync.hpp — pthread trylock/unlock never sleep, but the analysis
-    // cannot see through the libc call; nonblocking by construction.
-    "util.Mutex.try_lock",
-    "util.Mutex.unlock",
     // lb/epoch.cpp — first pin on a thread seeds its slot hint from the
     // thread id (TLS + pthread_self); later pins are pure CAS.
     "epoch.pin_seed",
     // lb/epoch.cpp — all 64 slots busy: yield and rescan. Only reachable
     // with >64 concurrently pinned threads.
     "epoch.pin_stall",
-    // lb/flow_table.cpp — the carved-out slow lane: one shard lock per
-    // contiguous run of a grouped batch.
-    "flow.shard_lock",
-    // lb/flow_table.cpp — per-thread grouping scratch grows once per
-    // high-water mark (first oversized batch on a thread), then is reused.
-    "flow.scratch_grow",
-    // lb/mux.cpp — pinning a new flow writes a FlowTable slot under the
-    // shard lock; it allocates only when the shard's slot array grows
-    // (amortized doubling), never per connection.
+    // lb/mux.cpp — pinning a new flow writes a FlowTable slot; it
+    // allocates only when the shard's slot array grows (amortized
+    // doubling), never per connection.
     "flow.pin_insert",
-    // lb/mux.cpp — stage D: the pick_mutex_ acquire plus the policy pick
-    // under it (policies may rebuild caches). Reached only by policies
-    // without a maglev table, one packet at a time.
+    // lb/mux.cpp — stage D: the policy pick (a virtual call; policies may
+    // rebuild caches). Reached only by policies without a maglev table,
+    // one packet at a time.
     "mux.pick",
-    // lb/mux.cpp — LC-family view refresh on FIN takes pick_mutex_.
-    "mux.release_pick_refresh",
-    // lb/mux.cpp — opportunistic drain sweep: control_mutex_ try-lock
-    // succeeded, the sweep itself is control-plane code.
+    // lb/mux.cpp — inline drain completion: the sweep is control-plane
+    // code that builds and publishes a generation.
     "mux.drain_sweep",
     // lb/mux.cpp — budgeted GC sweep hoisted off the per-packet path; runs
-    // at most once per gc-interval and takes shard locks.
+    // at most once per gc-interval and collects its reclaims in a vector.
     "mux.maybe_gc",
     // lb/policy.cpp — usable-index cache rebuild after invalidate(); a
     // steady-state pick takes the cached branch.
     "policy.usable_rebuild",
     // net/fabric.cpp — the observation tap is a type-erased std::function
-    // installed by benches; the default (none) is a single atomic load.
+    // installed by benches; the default (none) is one pointer test.
     "fabric.tap",
     // net/fabric.cpp — post-staging enqueue tail: copies the message into
     // an inline event callback, or the burst into a recycled buffer, and

@@ -2,8 +2,7 @@
 
 #include <atomic>
 #include <iostream>
-
-#include "util/sync.hpp"
+#include <mutex>
 
 namespace klb::util {
 
@@ -14,12 +13,10 @@ std::atomic<LogLevel>& threshold_storage() {
   return level;
 }
 
-/// Serializes sink writes: worker threads warn concurrently with the sim
-/// thread, and interleaved half-lines are worse than no log at all. Leaf
-/// rank — log sites run under control/pick/round locks all over the tree,
-/// so nothing may be acquired under it.
-Mutex& sink_mutex() {
-  static Mutex mu{"klb.log.sink"};
+/// Serializes sink writes: solver workers may warn concurrently with the
+/// sim thread, and interleaved half-lines are worse than no log at all.
+std::mutex& sink_mutex() {
+  static std::mutex mu;
   return mu;
 }
 
@@ -36,7 +33,7 @@ void set_log_threshold(LogLevel level) {
 namespace detail {
 
 void write_log_line(const std::string& line) {
-  MutexLock lk(sink_mutex());
+  std::lock_guard<std::mutex> lk(sink_mutex());
   std::clog << line;
 }
 

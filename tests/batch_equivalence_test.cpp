@@ -100,9 +100,9 @@ struct Snapshot {
   static Snapshot of(const Mux& m) {
     Snapshot s;
     for (const auto& b : m.backends()) {
-      s.forwarded.push_back(b.counters->forwarded.load());
-      s.connections.push_back(b.counters->connections.load());
-      s.active.push_back(b.counters->active.load());
+      s.forwarded.push_back(b.counters->forwarded);
+      s.connections.push_back(b.counters->connections);
+      s.active.push_back(b.counters->active);
     }
     s.affinity = m.affinity_size();
     s.counters = m.counters();

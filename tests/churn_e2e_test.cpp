@@ -88,7 +88,7 @@ TEST(ChurnE2E, ScaleOutDrainAndFailUnderLiveTraffic) {
   std::uint64_t dead_active = 0;
   for (std::size_t k = 0; k < pool->mux_count(); ++k)
     for (const auto& b : pool->mux(k).backends())
-      if (b.addr == dead_addr) dead_active += b.counters->active.load();
+      if (b.addr == dead_addr) dead_active += b.counters->active;
   const auto affinity_before = pool->affinity_size();
   const auto resets_before_fail =
       bed.dataplane_counters().flows_reset_by_failure;

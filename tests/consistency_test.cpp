@@ -70,7 +70,7 @@ std::size_t owner_of_only_flow(const Mux& mux) {
   std::size_t owner = kNoBackend;
   const auto pool = mux.backends();
   for (std::size_t i = 0; i < pool.size(); ++i)
-    if (pool[i].counters->connections.load() > 0) owner = i;
+    if (pool[i].counters->connections > 0) owner = i;
   return owner;
 }
 
@@ -208,9 +208,9 @@ TEST(StatelessFastPath, UnchangedSlotFlowNeverPinsAcrossPublishes) {
   EXPECT_EQ(mux.counters().stateless_picks, 1u);
   const auto owner = owner_of_only_flow(mux);
   ASSERT_NE(owner, kNoBackend);
-  EXPECT_EQ(counters_of(mux, owner)->connections.load(), 1u);
+  EXPECT_EQ(counters_of(mux, owner)->connections, 1u);
   // Stateless flows hold no pin: `active` counts pins, which drains wait on.
-  EXPECT_EQ(counters_of(mux, owner)->active.load(), 0u);
+  EXPECT_EQ(counters_of(mux, owner)->active, 0u);
 
   // Identical re-publishes move no slots: every later packet keeps routing
   // by hash to the same backend, with the flow table untouched.
@@ -219,9 +219,9 @@ TEST(StatelessFastPath, UnchangedSlotFlowNeverPinsAcrossPublishes) {
     EXPECT_EQ(mux.exception_slots(), 0u);
     mux.on_message(request(7, 4242, /*req_id=*/g));
     EXPECT_EQ(mux.affinity_size(), 0u);
-    EXPECT_EQ(counters_of(mux, owner)->forwarded.load(), g);
+    EXPECT_EQ(counters_of(mux, owner)->forwarded, g);
     // The opener is counted once.
-    EXPECT_EQ(counters_of(mux, owner)->connections.load(), 1u);
+    EXPECT_EQ(counters_of(mux, owner)->connections, 1u);
   }
   EXPECT_EQ(mux.counters().stateless_picks, 6u);
   EXPECT_EQ(mux.counters().exception_pins, 0u);
@@ -277,10 +277,10 @@ TEST(StatelessFastPath, MidFlowAdoptionPinsToThePreviousOwner) {
   EXPECT_EQ(mux.affinity_size(), 1u);
   EXPECT_EQ(mux.counters().exception_pins, 1u);
   EXPECT_EQ(mux.live_exception_pins(), 1u);
-  EXPECT_EQ(counters_of(mux, owner)->forwarded.load(), 2u);
-  EXPECT_EQ(counters_of(mux, owner)->active.load(), 1u);
+  EXPECT_EQ(counters_of(mux, owner)->forwarded, 2u);
+  EXPECT_EQ(counters_of(mux, owner)->active, 1u);
   // Adoption is not a new connection: the opener already counted it.
-  EXPECT_EQ(counters_of(mux, owner)->connections.load(), 1u);
+  EXPECT_EQ(counters_of(mux, owner)->connections, 1u);
 
   // The pinned drainer cannot auto-complete while the flow lives.
   mux.poll();
@@ -297,13 +297,13 @@ TEST(StatelessFastPath, MidFlowAdoptionPinsToThePreviousOwner) {
   EXPECT_EQ(mux.counters().stateless_picks, picks_before);
   EXPECT_EQ(mux.affinity_size(), 1u);
   EXPECT_EQ(mux.live_exception_pins(), 1u);
-  EXPECT_EQ(counters_of(mux, owner)->forwarded.load(), 3u);
+  EXPECT_EQ(counters_of(mux, owner)->forwarded, 3u);
 
   // FIN unpins cleanly: slot counts drain back to zero, nothing dangles.
   mux.on_message(fin(1, 5555));
   EXPECT_EQ(mux.affinity_size(), 0u);
   EXPECT_EQ(mux.live_exception_pins(), 0u);
-  EXPECT_EQ(counters_of(mux, owner)->active.load(), 0u);
+  EXPECT_EQ(counters_of(mux, owner)->active, 0u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }
 
@@ -335,7 +335,7 @@ TEST(StatelessFastPath, DrainWaitsOutTheAdoptionGrace) {
     }
     mux.apply_program(drain);
   }
-  ASSERT_EQ(counters_of(mux, owner)->active.load(), 0u);
+  ASSERT_EQ(counters_of(mux, owner)->active, 0u);
   // Inside the grace window: the drain holds, however often it is polled.
   mux.poll();
   EXPECT_EQ(mux.draining_count(), 1u);
@@ -344,7 +344,7 @@ TEST(StatelessFastPath, DrainWaitsOutTheAdoptionGrace) {
   // The window is exactly what the flow needs to adopt a pin mid-flow.
   mux.on_message(request(2, 6000, /*req_id=*/2));
   EXPECT_EQ(mux.counters().affinity_breaks_avoided, 1u);
-  EXPECT_EQ(counters_of(mux, owner)->active.load(), 1u);
+  EXPECT_EQ(counters_of(mux, owner)->active, 1u);
 
   // Once the pin drops AND the grace has elapsed, the drain completes.
   mux.on_message(fin(2, 6000));

@@ -1,15 +1,13 @@
 // Sharded flow table: shard distribution uniformity, pin/erase semantics,
-// GC under concurrent insert, and the Mux-level invariants on top of it —
+// GC interleaved with inserts, and the Mux-level invariants on top of it —
 // cross-shard drain completion, the flows_dropped_by_removal accounting,
 // and reconnecting tuples landing on the current generation's table pick
 // (no routing decision outlives the pool it was made for).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -227,47 +225,39 @@ TEST(FlowTable, BudgetedGcSweepsIncrementally) {
             kFlows);
 }
 
-TEST(FlowTable, GcUnderConcurrentInsert) {
-  FlowTable table(FlowTableConfig{16});
-  constexpr std::uint64_t kPerThread = 20'000;
-  constexpr std::uint64_t kThreads = 4;
-  std::atomic<std::uint64_t> reclaimed{0};
-  std::atomic<bool> stop{false};
-
-  // GC continuously while writers insert: odd backend ids are "dead" and
-  // reclaimable the moment they land.
-  std::thread gc_thread([&] {
-    while (!stop.load()) {
-      reclaimed.fetch_add(table.gc(
-          0_s, util::SimTime::zero(),
-          [](std::uint64_t id) { return id % 2 == 0; }));
-    }
-  });
-  std::vector<std::thread> writers;
-  for (std::uint64_t w = 0; w < kThreads; ++w) {
-    writers.emplace_back([&, w] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        const auto n = w * kPerThread + i;
-        table.try_insert(flow_tuple(n), n % 4, 0_s);
-      }
-    });
+// GC interleaved with inserts: odd backend ids are "dead" and reclaimable
+// the moment they land. Budgeted one-shard sweeps run between insert
+// bursts, cycling the shards like the Mux's inline GC, so entries are
+// reclaimed while others keep landing in the same shards.
+TEST(FlowTable, GcInterleavedWithInserts) {
+  FlowTable table(FlowTableConfig{16, 0, 64});
+  constexpr std::uint64_t kFlows = 80'000;
+  constexpr std::uint64_t kBurst = 500;
+  const auto alive = [](std::uint64_t id) { return id % 2 == 0; };
+  std::uint64_t reclaimed = 0;
+  std::size_t cursor = 0;
+  for (std::uint64_t n = 0; n < kFlows; ++n) {
+    table.try_insert(flow_tuple(n), n % 4, 0_s);
+    if (n % kBurst == kBurst - 1)
+      reclaimed += table.gc_shard(cursor++, 0_s, util::SimTime::zero(),
+                                  alive, nullptr, FlowTable::kScanBudgeted);
   }
-  for (auto& t : writers) t.join();
-  stop.store(true);
-  gc_thread.join();
-  reclaimed.fetch_add(table.gc(
-      0_s, util::SimTime::zero(),
-      [](std::uint64_t id) { return id % 2 == 0; }));
+  reclaimed += table.gc(0_s, util::SimTime::zero(), alive);
 
   // Exactly the even-id flows survive, and the shard-local books balance:
   // every insert is either still present or was reclaimed.
   const auto st = table.stats();
-  EXPECT_EQ(st.inserts, kThreads * kPerThread);
+  EXPECT_EQ(st.inserts, kFlows);
   EXPECT_EQ(st.entries, st.inserts - st.gc_reclaimed - st.erases);
-  EXPECT_EQ(st.entries + reclaimed.load(), st.inserts);
+  EXPECT_EQ(st.entries + reclaimed, st.inserts);
+  EXPECT_EQ(st.entries, kFlows / 2);
   table.for_each([](const net::FiveTuple&, std::uint64_t id, util::SimTime) {
     EXPECT_EQ(id % 2, 0u);
   });
+  // Every surviving flow is still found where its hash puts it.
+  for (std::uint64_t n = 0; n < kFlows; n += 2)
+    EXPECT_EQ(table.try_find(flow_tuple(n)),
+              std::optional<std::uint64_t>(n % 4));
 }
 
 // --- the open-addressing shards against a reference map ---------------------
@@ -652,8 +642,8 @@ TEST(MuxFlowTable, RemovalDropsAreCounted) {
   mux.apply_program(v1);
   for (std::uint16_t p = 0; p < 100; ++p) mux.on_message(f.request(p));
   const auto pool = mux.backends();
-  const auto pinned_a = pool[0].counters->active.load();
-  const auto pinned_b = pool[1].counters->active.load();
+  const auto pinned_a = pool[0].counters->active;
+  const auto pinned_b = pool[1].counters->active;
   ASSERT_GT(pinned_a, 0u);
   ASSERT_GT(pinned_b, 0u);
 

@@ -1,19 +1,18 @@
-// Pool-generation publication tests (ISSUE 6, ROADMAP item 1): the
-// EpochDomain reclamation primitive in isolation, the Mux's generation
-// lifecycle counters through control-plane mutations, and the concurrency
-// contracts the RCU-style scheme must keep under a racing packet path —
-// park/reweight programs from one thread while another drives picks (no
-// torn generation ever observable), MuxPool::fail_backend condemnation
-// under a concurrent reader (conservation + stale re-admission refusal),
-// and fresh connections resolved lock-free from the pinned generation's
-// table while reweighting and parking programs commit.
+// Pool-generation publication tests: the EpochDomain reclamation
+// primitive in isolation, the Mux's generation lifecycle counters through
+// control-plane mutations, and the single-owner swap's contract checked
+// after every publication while bursts of traffic run between programs,
+// failures, drains and idle GC — park/reweight/drain programs and GC-driven
+// drain completion (every generation whole, the superseded one gone),
+// MuxPool::fail_backend condemnation (conservation + stale re-admission
+// refusal), and fresh connections resolved from the current generation's
+// table between reweighting and parking commits.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "lb/epoch.hpp"
@@ -178,7 +177,7 @@ TEST(GenerationTest, IndexesResolveEveryBackendAndMissEverythingElse) {
   EXPECT_FALSE(empty.index_of_addr(0).has_value());
 }
 
-TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
+TEST(GenerationTest, EveryControlMutationPublishesAndDestroysItsPredecessor) {
   const auto live0 = PoolGeneration::live_count();
   {
     sim::Simulation sim(5);
@@ -208,150 +207,233 @@ TEST(GenerationTest, EveryControlMutationPublishesAndPollReclaims) {
     bump([&] { EXPECT_TRUE(mux.fail_backend(dip_addr(4))); });
     bump([&] { mux.set_policy(make_policy("maglev")); });
 
-    // Quiesced: one poll reclaims everything but the current generation.
-    mux.poll();
+    // Only the current generation lives.
     testbed::InvariantChecker check;
     check.quiesced(mux, 0, 0);
     EXPECT_TRUE(check.ok()) << check.report();
-    EXPECT_EQ(mux.oldest_live_epoch(), mux.current_epoch());
-    EXPECT_TRUE(mux.debug_check_generation());
+    EXPECT_TRUE(mux.generation().self_check());
     EXPECT_EQ(PoolGeneration::live_count(), live0 + 1);
   }
   // The Mux's destructor must take its last generation with it.
   EXPECT_EQ(PoolGeneration::live_count(), live0);
 }
 
-// One thread drives picks while another parks backends at weight 0 and
-// shuffles weights; a third keeps pinning the current generation and
-// verifying its structural checksum. Any torn publication (a reader
-// observing a half-built generation, or dereferencing a reclaimed one)
-// fails the checksum or trips the conservation counters. Runs on a single
-// core too — preemption still interleaves the threads.
-TEST(GenerationTest, ConcurrentParkingNeverTearsAGeneration) {
-  constexpr std::size_t kDips = 8;
-  constexpr std::uint64_t kFlows = 200;
-  constexpr std::uint64_t kReqPerFlow = 3;
 
+/// Opens, mid-flow requests and FINs for `count` fresh clients starting at
+/// `first`, as one burst: each flow sends an opener, `mid` more requests
+/// and a FIN.
+struct Burst {
+  std::vector<net::Message> msgs;
+  std::vector<const net::Message*> ptrs;
+
+  Burst(std::uint32_t first, std::uint32_t count, std::uint32_t mid,
+        std::uint16_t port, bool fin_too = true) {
+    for (std::uint32_t q = 0; q <= mid; ++q)
+      for (std::uint32_t c = first; c < first + count; ++c)
+        msgs.push_back(request(c, port));
+    if (fin_too)
+      for (std::uint32_t c = first; c < first + count; ++c)
+        msgs.push_back(fin(c, port));
+    for (const auto& m : msgs) ptrs.push_back(&m);
+  }
+  void into(Mux& mux) const { mux.handle_batch(ptrs.data(), ptrs.size()); }
+  void into(MuxPool& pool) const { pool.on_batch(ptrs.data(), ptrs.size()); }
+};
+
+/// What every publication must leave behind: the current generation is
+/// whole (its structural checksum holds), its table routes only to its
+/// own members that take new connections, and exactly `live_muxes`
+/// generations exist beyond `live0` — the superseded one is gone.
+void expect_whole(const Mux& mux, std::uint64_t live0,
+                  std::uint64_t live_muxes, const std::string& where) {
+  const auto& gen = mux.generation();
+  EXPECT_TRUE(gen.self_check()) << where;
+  if (const auto* table = gen.maglev_table()) {
+    for (std::size_t s = 0; s < table->table_size(); ++s) {
+      const auto owner = table->slot_owner(s);
+      if (owner == MaglevTable::kNoId) continue;
+      const auto idx = gen.index_of_addr(static_cast<std::uint32_t>(owner));
+      ASSERT_TRUE(idx.has_value())
+          << where << ": slot " << s << " routes to a non-member";
+      const auto& b = gen.backends()[*idx];
+      ASSERT_TRUE(!b.draining && b.weight_units > 0)
+          << where << ": slot " << s << " routes to " << b.addr.str()
+          << ", which takes no new connections";
+    }
+  }
+  EXPECT_EQ(PoolGeneration::live_count(), live0 + live_muxes) << where;
+  EXPECT_EQ(mux.pending_retired_generations(), 0u) << where;
+}
+
+void expect_whole(const MuxPool& pool, std::uint64_t live0,
+                  std::uint64_t live_muxes, const std::string& where) {
+  for (std::size_t k = 0; k < pool.mux_count(); ++k)
+    expect_whole(pool.mux(k), live0, live_muxes,
+                 where + ", member " + std::to_string(k));
+}
+
+// Programs park backends at weight 0, shuffle weights, drain backends and
+// re-admit them, while bursts of flows run between them. A drainer's last
+// flow goes either by idle GC (flows that never FIN) or by a FIN in the
+// middle of a burst; both complete the drain from inside the packet path.
+// Every publication, wherever it comes from, must leave a whole
+// generation and destroy its predecessor.
+TEST(GenerationTest, ProgramsDrainsAndIdleGcBetweenBurstsKeepGenerationsWhole) {
+  constexpr std::size_t kDips = 8;
+  const auto live0 = PoolGeneration::live_count();
   sim::Simulation sim(5);
   net::Network net(sim);
   net.set_blackhole(true);
-  // Small maglev table: control mutations stay cheap, so the committer
-  // actually races the packet path instead of lagging it.
   Mux mux(net, {10, 0, 0, 1}, std::make_unique<MaglevPolicy>(251));
-  mux.apply_program(equal_program(mux.issue_version(), kDips));
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> torn{false};
-  std::atomic<std::uint64_t> sent{0};
-  std::atomic<std::uint64_t> opened{0};
-
-  std::thread traffic([&] {
-    std::uint64_t round = 0;
-    do {
-      for (std::uint64_t f = 0; f < kFlows; ++f) {
-        mux.on_message(request(f, 2000));
-        for (std::uint64_t q = 1; q < kReqPerFlow; ++q)
-          mux.on_message(request(f, 2000));
-        mux.on_message(fin(f, 2000));
-      }
-      sent.fetch_add(kFlows * kReqPerFlow, std::memory_order_relaxed);
-      opened.fetch_add(kFlows, std::memory_order_relaxed);
-      ++round;
-    } while (!stop.load(std::memory_order_acquire) || round < 2);
-  });
-
-  std::thread checker([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      if (!mux.debug_check_generation())
-        torn.store(true, std::memory_order_relaxed);
-    }
-  });
-
-  // Control plane: park one backend at a time at weight 0 (never more than
-  // one, so picks always succeed), shuffle weights while it is parked, and
-  // restore it.
-  std::vector<std::int64_t> units(kDips, util::kWeightScale / kDips);
-  auto program = [&](std::optional<std::size_t> parked) {
-    PoolProgram p(mux.issue_version());
-    for (std::size_t d = 0; d < kDips; ++d)
-      p.add(dip_addr(d), parked == d ? 0 : units[d]);
-    mux.apply_program(p);
+  mux.set_affinity_idle_timeout(util::SimTime::seconds(1));
+  auto published = mux.counters().generations_published;
+  auto check = [&](const std::string& where) {
+    const auto now = mux.counters().generations_published;
+    if (now != published) expect_whole(mux, live0, 1, where);
+    published = now;
   };
-  for (int k = 0; k < 400; ++k) {
+
+  std::vector<std::int64_t> units(kDips, util::kWeightScale / kDips);
+  auto program = [&](std::optional<std::size_t> parked,
+                     std::optional<std::size_t> draining) {
+    PoolProgram p(mux.issue_version());
+    for (std::size_t d = 0; d < kDips; ++d) {
+      if (draining == d) {
+        p.add(dip_addr(d), 0, BackendState::kDraining);
+      } else {
+        p.add(dip_addr(d), parked == d ? 0 : units[d]);
+      }
+    }
+    mux.apply_program(p);
+    check("program");
+  };
+
+  // Connections a completed drain took with it: a removed backend's
+  // counters leave the pool, so conservation counts only the survivors'.
+  std::uint64_t sent = 0, opened = 0, drained_conns = 0;
+  std::uint32_t client = 0;
+  for (int k = 0; k < 120; ++k) {
     const auto i = static_cast<std::size_t>(k) % kDips;
-    program(i);
+    program(i, std::nullopt);
+    Burst(client, 12, 2, 5000).into(mux);
+    client += 12, sent += 36, opened += 12;
+    check("burst after parking");
     if (k % 5 == 0) {
       for (std::size_t d = 0; d < kDips; ++d)
         units[d] = 64 + static_cast<std::int64_t>((d + k) % 7) * 8;
-      program(i);
+      program(i, std::nullopt);
     }
-    program(std::nullopt);
+    if (k % 10 == 3) {
+      // Flows that never FIN, then a drain of their backends' neighbour:
+      // the drainer keeps its pinned flows until idle GC reclaims them.
+      Burst(client, 16, 1, 6000, /*fin_too=*/false).into(mux);
+      client += 16, sent += 32, opened += 16;
+      check("unfinished burst");
+      // Parked from the drain on, so its connection count is final (the
+      // drain may complete inside the program, if no flow is pinned).
+      for (const auto& b : mux.backends())
+        if (b.addr == dip_addr((i + 1) % kDips))
+          drained_conns += b.counters->connections;
+      program(std::nullopt, (i + 1) % kDips);
+      sim.run_for(util::SimTime::seconds(2));  // every open flow goes idle
+      // Enough traffic to trigger the amortized inline GC on every shard.
+      for (int b = 0; b < 24; ++b) {
+        Burst(client, 16, 15, 7000).into(mux);
+        client += 16, sent += 256, opened += 16;
+        check("burst with inline GC");
+      }
+      mux.gc_affinity();
+      check("explicit GC");
+      EXPECT_EQ(mux.draining_count(), 0u) << "the idle drain completed";
+    }
+    if (k % 10 == 7) {
+      // Open flows, drain a backend that holds some of them, then FIN them
+      // all in one burst: the FIN that empties the drainer completes the
+      // drain from inside the packet path, mid-burst.
+      const auto j = (i + 2) % kDips;
+      Burst(client, 32, 0, 8000, /*fin_too=*/false).into(mux);
+      sent += 32, opened += 32;
+      check("burst before the FIN drain");
+      for (const auto& b : mux.backends())
+        if (b.addr == dip_addr(j)) drained_conns += b.counters->connections;
+      program(std::nullopt, j);
+      std::vector<net::Message> fins;
+      for (std::uint32_t c = client; c < client + 32; ++c)
+        fins.push_back(fin(c, 8000));
+      std::vector<const net::Message*> ptrs;
+      for (const auto& m : fins) ptrs.push_back(&m);
+      mux.handle_batch(ptrs.data(), ptrs.size());
+      client += 32;
+      check("FIN burst");
+      EXPECT_EQ(mux.draining_count(), 0u) << "the FIN drain completed";
+    }
+    program(std::nullopt, std::nullopt);
+    mux.poll();
+    check("poll");
   }
-  stop.store(true, std::memory_order_release);
-  traffic.join();
-  checker.join();
-  mux.poll();
 
-  EXPECT_FALSE(torn.load()) << "a reader observed a torn generation";
-  testbed::InvariantChecker check;
-  check.quiesced(mux, sent.load(), opened.load());
-  EXPECT_TRUE(check.ok()) << check.report();
-  EXPECT_EQ(mux.oldest_live_epoch(), mux.current_epoch());
+  testbed::InvariantChecker inv;
+  inv.quiesced(mux, sent, opened - drained_conns);
+  EXPECT_TRUE(inv.ok()) << inv.report();
+  EXPECT_GT(mux.counters().flows_gced_idle, 0u);
+  EXPECT_GT(mux.counters().drains_completed, 0u);
 }
 
-// MuxPool::fail_backend while a reader thread sprays the VIP: the
-// condemnation (tombstone at the pool's issued-version watermark) commits
-// on every member under traffic, conservation holds through the removal,
-// and a stale pre-failure program cannot re-admit the corpse.
-TEST(GenerationTest, PoolFailBackendUnderConcurrentReader) {
+// MuxPool::fail_backend between bursts: the condemnation (tombstone at the
+// pool's issued-version watermark) commits on every member, conservation
+// holds through the removal, and a stale pre-failure program cannot
+// re-admit the corpse. Every member's generation stays whole at each
+// step, and the members keep serving one shared table.
+TEST(GenerationTest, PoolFailBackendBetweenBursts) {
   constexpr std::size_t kDips = 8;
+  const auto live0 = PoolGeneration::live_count();
   sim::Simulation sim(5);
   net::Network net(sim);
   net.set_blackhole(true);
   MuxPool pool(net, {10, 0, 0, 1}, 2, 251);
-  {
-    PoolProgram p = equal_program(pool.issue_version(), kDips);
-    pool.apply_program(p);
-  }
+  pool.apply_program(equal_program(pool.issue_version(), kDips));
+  expect_whole(pool, live0, 2, "bootstrap");
   ASSERT_EQ(pool.backend_count(), kDips);
 
   // Issued before the failure is observed: entries in a transaction at
   // this version predate the failure and must be refused later.
   const auto stale_version = pool.issue_version();
 
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> sent{0};
-  std::thread reader([&] {
-    std::uint64_t round = 0;
-    do {
-      for (std::uint32_t f = 0; f < 300; ++f) {
-        pool.on_message(request(f, 3000));
-        pool.on_message(fin(f, 3000));
-      }
-      sent.fetch_add(300, std::memory_order_relaxed);
-      ++round;
-    } while (!stop.load(std::memory_order_acquire) || round < 2);
-  });
+  std::uint64_t sent = 0;
+  auto spray = [&](std::uint16_t port) {
+    // 300 flows; each sends one request and FINs.
+    Burst(0, 300, 0, port).into(pool);
+    sent += 300;
+  };
+  spray(3000);
+  // A flow left open across the failure: its pin on the victim (if it
+  // landed there) is reset; elsewhere its FIN releases it later.
+  Burst(400, 64, 0, 3001, /*fin_too=*/false).into(pool);
+  sent += 64;
 
   const auto victim = dip_addr(3);
   EXPECT_TRUE(pool.fail_backend(victim));
+  expect_whole(pool, live0, 2, "after fail_backend");
   EXPECT_EQ(pool.backend_count(), kDips - 1);
+  spray(3002);
 
   // The stale program lists the corpse at full weight: version-admissible
   // pool-wide (newer than the last commit) but condemned per member.
-  PoolProgram stale = equal_program(stale_version, kDips);
-  pool.apply_program(stale);
+  pool.apply_program(equal_program(stale_version, kDips));
+  expect_whole(pool, live0, 2, "after the stale program");
   EXPECT_EQ(pool.backend_count(), kDips - 1);
   EXPECT_GE(pool.counters().stale_failed_admissions, 1u);
+  spray(3003);
 
-  stop.store(true, std::memory_order_release);
-  reader.join();
+  std::vector<net::Message> fins;
+  for (std::uint32_t c = 400; c < 464; ++c) fins.push_back(fin(c, 3001));
+  for (const auto& m : fins) pool.on_message(m);
   pool.poll();
 
   // Every request either forwarded or (never, here) counted as dropped —
   // nothing vanishes across the failure commit.
   const auto c = pool.counters();
-  EXPECT_EQ(c.total_forwarded + c.no_backend_drops, sent.load());
+  EXPECT_EQ(c.total_forwarded + c.no_backend_drops, sent);
   EXPECT_EQ(c.no_backend_drops, 0u);
   EXPECT_EQ(pool.affinity_size(), 0u);
   EXPECT_EQ(pool.pending_retired_generations(), 0u);
@@ -361,32 +443,34 @@ TEST(GenerationTest, PoolFailBackendUnderConcurrentReader) {
 
   // A genuinely new program may resurrect the address (deliberate
   // re-admission clears the tombstone).
-  PoolProgram fresh = equal_program(pool.issue_version(), kDips);
-  pool.apply_program(fresh);
+  pool.apply_program(equal_program(pool.issue_version(), kDips));
+  expect_whole(pool, live0, 2, "after re-admission");
   EXPECT_EQ(pool.backend_count(), kDips);
 }
 
-// Fresh connections race reweighting commits on the lock-free table route:
-// worker threads open distinct, never-seen flows in bursts (each flow one
-// opener, one mid-flow request, one FIN) on a maglev Mux and on a MuxPool
-// while a committer publishes reweighting programs to both; every other
-// commit parks one DIP at weight 0 and the next restores it. Every opener
-// resolves from whichever generation its burst pinned, so every one must be
-// routed, counted once, and released by its FIN — no refused connection,
-// no leaked pin, no lost counter update. On the pool this needs each
-// member's membership and shared table to land in one publication: a
-// generation pairing the parked membership with the previous table would
-// refuse the openers whose slot still names the parked DIP.
-TEST(GenerationTest, FreshFlowsRaceReweightingCommits) {
-  constexpr std::uint32_t kThreads = 3, kBursts = 200, kBurst = 8;
+// Fresh connections between reweighting commits on the table route: bursts
+// of distinct, never-seen flows (each one opener, one mid-flow request,
+// one FIN) go to a maglev Mux and to a MuxPool while reweighting programs
+// commit to both between them; every other commit parks one DIP at weight
+// 0 and the next restores it. Every opener resolves from the generation
+// current at its burst, so every one must be routed, counted once, and
+// released by its FIN — no refused connection, no leaked pin. On the pool
+// this needs each member's membership and shared table to land in one
+// publication: a generation pairing the parked membership with the
+// previous table would refuse the openers whose slot still names the
+// parked DIP.
+TEST(GenerationTest, FreshFlowsBetweenReweightingCommits) {
+  constexpr std::uint32_t kBursts = 600, kBurst = 8;
+  const auto live0 = PoolGeneration::live_count();
   sim::Simulation sim(5);
   net::Network net(sim);
   net.set_blackhole(true);
   Mux mux(net, {10, 0, 0, 1}, std::make_unique<MaglevPolicy>(251));
   MuxPool pool(net, {10, 0, 0, 2}, 2, 251);
-  // The committer snapshots both dataplanes' counters after every commit,
-  // while the workers bump them: cumulative counters never run backwards,
-  // and every commit publishes.
+  // Three muxes live: the bare one and the pool's two members.
+  constexpr std::uint64_t kLiveMuxes = 3;
+  // Counters snapshotted after every commit: cumulative counters never
+  // run backwards, and every commit publishes.
   DataplaneCounters mux_seen, pool_seen;
   auto snapshot_advanced = [](const DataplaneCounters& now,
                               DataplaneCounters& seen) {
@@ -411,41 +495,25 @@ TEST(GenerationTest, FreshFlowsRaceReweightingCommits) {
     }
     snapshot_advanced(mux.counters(), mux_seen);
     snapshot_advanced(pool.counters(), pool_seen);
+    expect_whole(mux, live0, kLiveMuxes,
+                 "mux, commit " + std::to_string(commits));
+    expect_whole(pool, live0, kLiveMuxes,
+                 "pool, commit " + std::to_string(commits));
   };
 
-  std::atomic<bool> go{false};
-  std::atomic<std::uint32_t> running{kThreads};
-  std::vector<std::thread> workers;
-  for (std::uint32_t w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&, w] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      std::vector<net::Message> msgs(3 * kBurst);
-      std::vector<const net::Message*> ptrs;
-      for (const auto& m : msgs) ptrs.push_back(&m);
-      for (std::uint32_t b = 0; b < kBursts; ++b) {
-        for (std::uint32_t k = 0; k < kBurst; ++k) {
-          const auto client = (w * kBursts + b) * kBurst + k;
-          msgs[k] = msgs[kBurst + k] = request(client, 4000);
-          msgs[2 * kBurst + k] = fin(client, 4000);
-        }
-        mux.handle_batch(ptrs.data(), ptrs.size());
-        pool.on_batch(ptrs.data(), ptrs.size());
-      }
-      running.fetch_sub(1, std::memory_order_release);
-    });
+  for (std::uint32_t b = 0; b < kBursts; ++b) {
+    // The first commit lands before any traffic; later ones every few
+    // bursts, so bursts see both fresh and aged generations.
+    if (b % 3 == 0) commit();
+    const Burst burst(b * kBurst, kBurst, 1, 4000);
+    burst.into(mux);
+    burst.into(pool);
   }
-  // The first commit lands before any traffic, the rest race it.
-  do {
-    commit();
-    go.store(true, std::memory_order_release);
-    std::this_thread::yield();
-  } while (running.load(std::memory_order_acquire) > 0);
-  for (auto& t : workers) t.join();
   mux.poll();
   pool.poll();
 
   // Conservation per dataplane: the bare Mux, and the pool's members summed.
-  const std::uint64_t opens = std::uint64_t{kThreads} * kBursts * kBurst;
+  const std::uint64_t opens = std::uint64_t{kBursts} * kBurst;
   testbed::InvariantChecker check;
   check.quiesced(mux, 2 * opens, opens);
   check.quiesced(pool, 2 * opens, opens);

@@ -200,7 +200,7 @@ TEST(Integration, ConservationOfRequests) {
   // Server-side: MUX forwarded everything the clients sent (plus nothing).
   std::uint64_t forwarded = 0;
   for (const auto& b : bed.mux().backends())
-    forwarded += b.counters->forwarded.load();
+    forwarded += b.counters->forwarded;
   EXPECT_EQ(forwarded, bed.clients().requests_sent());
 }
 

@@ -1,5 +1,6 @@
 // KLM tests: periodic probing writes samples to the store over RESP, error
-// and timeout accounting, failure visibility, ping prober behaviour.
+// and timeout accounting, failure visibility, ping prober behaviour, and
+// destruction with callbacks still scheduled.
 #include <gtest/gtest.h>
 
 #include "klm/klm.hpp"
@@ -202,6 +203,38 @@ TEST(Klm, AddRemoveDip) {
   f.sim.run_until(1500_ms);
   EXPECT_TRUE(f.lat_store.recent(f.vip, dip1.address(), 10).empty());
   EXPECT_FALSE(f.lat_store.recent(f.vip, dip2.address(), 10).empty());
+}
+
+// A KLM destroyed mid-round must take its paced probe sends with it: the
+// round's send_probe callbacks capture the KLM and are scheduled up to the
+// spread window ahead. Without the cancel, running on calls into freed
+// memory (ASan: stack-use-after-scope) and leaves the events queued.
+TEST(Klm, DestroyedMidRoundLeavesNoEventBehind) {
+  Fixture f;
+  const auto before = f.sim.pending_events();
+  {
+    Klm klm(f.net, net::IpAddr{10, 3, 0, 1}, f.vip,
+            {net::IpAddr{10, 1, 0, 9}},  // unattached: every probe times out
+            f.store_addr);
+    klm.start();
+    f.sim.run_for(10_ms);
+    EXPECT_GT(f.sim.pending_events(), before);
+  }
+  EXPECT_EQ(f.sim.pending_events(), before);
+  f.sim.run_for(3_s);
+}
+
+TEST(PingProber, DestroyedMidRunLeavesNoEventBehind) {
+  Fixture f;
+  const auto before = f.sim.pending_events();
+  {
+    PingProber prober(f.net, net::IpAddr{10, 3, 0, 3});
+    prober.ping(net::IpAddr{10, 9, 9, 9}, 5);  // nobody home: 2 s loss timers
+    f.sim.run_for(25_ms);
+    EXPECT_GT(f.sim.pending_events(), before);
+  }
+  EXPECT_EQ(f.sim.pending_events(), before);
+  f.sim.run_for(3_s);
 }
 
 TEST(PingProber, MeasuresKernelRtt) {

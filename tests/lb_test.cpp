@@ -242,7 +242,7 @@ TEST(Mux, FinReleasesAffinityAndCount) {
   f.net.send(f.vip, f.request(1000, 1, 1));
   f.sim.run_all();
   const std::size_t target = f.dip1.messages.empty() ? 1 : 0;
-  EXPECT_EQ(mux.backends()[target].counters->active.load(), 1u);
+  EXPECT_EQ(mux.backends()[target].counters->active, 1u);
 
   net::Message fin;
   fin.type = net::MsgType::kFin;
@@ -250,7 +250,7 @@ TEST(Mux, FinReleasesAffinityAndCount) {
   fin.conn_id = 1;
   f.net.send(f.vip, fin);
   f.sim.run_all();
-  EXPECT_EQ(mux.backends()[target].counters->active.load(), 0u);
+  EXPECT_EQ(mux.backends()[target].counters->active, 0u);
   // The FIN is forwarded to the DIP.
   EXPECT_EQ(f.dip1.messages.size() + f.dip2.messages.size(), 2u);
 }
@@ -443,7 +443,7 @@ TEST(Mux, DrainingBackendCompletesOnLastFin) {
   for (std::uint16_t p = 0; p < 8; ++p)
     f.net.send(f.vip, f.request(static_cast<std::uint16_t>(1000 + p), p, 1));
   f.sim.run_all();
-  const auto pinned_on_a = mux.backends()[0].counters->active.load();
+  const auto pinned_on_a = mux.backends()[0].counters->active;
   ASSERT_GT(pinned_on_a, 0u);
 
   PoolProgram v2(2);
@@ -458,7 +458,7 @@ TEST(Mux, DrainingBackendCompletesOnLastFin) {
     f.net.send(f.vip, f.request(static_cast<std::uint16_t>(3000 + p),
                                 static_cast<std::uint64_t>(100 + p), 1));
   f.sim.run_all();
-  EXPECT_EQ(mux.backends()[0].counters->active.load(), pinned_on_a);
+  EXPECT_EQ(mux.backends()[0].counters->active, pinned_on_a);
 
   // FIN the pinned flows: the drain completes without a single reset.
   for (std::uint16_t p = 0; p < 8; ++p) {
@@ -558,7 +558,7 @@ TEST(Mux, TransactionalSameSizeSwapResetsWrrState) {
   fresh.apply_program(w1);
 
   const auto conns = [](const Mux& m, std::size_t i) {
-    return m.backends()[i].counters->connections.load();
+    return m.backends()[i].counters->connections;
   };
   const auto base_a = conns(seasoned, 0);  // pre-swap history
   const auto base_c = conns(seasoned, 1);

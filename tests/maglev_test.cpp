@@ -400,7 +400,7 @@ TEST(MuxChurn, EveryPublicationServesTheBuildOverItsPool) {
   f.sim.run_all();
   const auto pool = mux.backends();
   std::size_t owner = 0;
-  while (pool[owner].counters->active.load() == 0) ++owner;
+  while (pool[owner].counters->active == 0) ++owner;
   PoolProgram drain(mux.issue_version());
   for (const auto& b : pool)
     drain.add(b.addr, b.weight_units,
@@ -447,7 +447,7 @@ TEST(MuxChurn, RemovedBackendDropsItsAffinityOnly) {
     f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
   ASSERT_EQ(mux.affinity_size(), 200u);
-  const auto conns_kept = counters_of(mux, 1)->active.load();
+  const auto conns_kept = counters_of(mux, 1)->active;
   ASSERT_GT(conns_kept, 0u);
 
   PoolProgram removal(mux.issue_version());
@@ -457,7 +457,7 @@ TEST(MuxChurn, RemovedBackendDropsItsAffinityOnly) {
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
   EXPECT_EQ(mux.affinity_size(), conns_kept);
   // The survivor, at its new index.
-  EXPECT_EQ(counters_of(mux, 0)->active.load(), conns_kept);
+  EXPECT_EQ(counters_of(mux, 0)->active, conns_kept);
 }
 
 TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
@@ -468,7 +468,7 @@ TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
   for (std::uint32_t c = 0; c < 100; ++c)
     f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
-  const auto on_failed = counters_of(mux, 0)->active.load();
+  const auto on_failed = counters_of(mux, 0)->active;
   ASSERT_GT(on_failed, 0u);
 
   ASSERT_TRUE(mux.fail_backend(f.a));
@@ -479,7 +479,7 @@ TEST(MuxChurn, FailedBackendFlowsRetryOnSurvivors) {
   for (std::uint32_t c = 0; c < 100; ++c)
     f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
-  EXPECT_EQ(counters_of(mux, 0)->active.load(), 100u);
+  EXPECT_EQ(counters_of(mux, 0)->active, 100u);
   EXPECT_EQ(mux.dangling_affinity_count(), 0u);
 }
 
@@ -491,7 +491,7 @@ TEST(MuxChurn, AffinityGcReclaimsIdleFlows) {
 
   for (std::uint32_t c = 0; c < 5; ++c) f.net.send(f.vip, f.request(c, 443));
   f.sim.run_all();
-  ASSERT_EQ(counters_of(mux, 0)->active.load(), 5u);
+  ASSERT_EQ(counters_of(mux, 0)->active, 5u);
 
   f.sim.run_for(6_s);
   f.net.send(f.vip, f.request(0, 443));  // flow 0 stays active
@@ -500,13 +500,13 @@ TEST(MuxChurn, AffinityGcReclaimsIdleFlows) {
 
   EXPECT_EQ(mux.gc_affinity(), 4u);
   EXPECT_EQ(mux.affinity_size(), 1u);
-  EXPECT_EQ(counters_of(mux, 0)->active.load(), 1u);
+  EXPECT_EQ(counters_of(mux, 0)->active, 1u);
   EXPECT_EQ(mux.counters().flows_gced_idle, 4u);
 
   // A FIN for a reclaimed flow is a no-op, not an underflow.
   f.net.send(f.vip, f.fin(1, 443));
   f.sim.run_all();
-  EXPECT_EQ(counters_of(mux, 0)->active.load(), 1u);
+  EXPECT_EQ(counters_of(mux, 0)->active, 1u);
 }
 
 TEST(MuxChurn, WeightsSteerAfterChurnWithMaglev) {
@@ -522,8 +522,8 @@ TEST(MuxChurn, WeightsSteerAfterChurnWithMaglev) {
     f.net.send(f.vip, f.request(c, 8080));
   f.sim.run_all();
   const auto pool = mux.backends();
-  const auto on_a = static_cast<double>(pool[0].counters->connections.load());
-  const auto on_b = static_cast<double>(pool[1].counters->connections.load());
+  const auto on_a = static_cast<double>(pool[0].counters->connections);
+  const auto on_b = static_cast<double>(pool[1].counters->connections);
   EXPECT_NEAR(on_a / (on_a + on_b), 0.625, 0.03);
 }
 

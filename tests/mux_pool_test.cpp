@@ -244,7 +244,7 @@ TEST(MuxPool, PicksConsistentAcrossMembers) {
   std::uint64_t reconnections = 0;
   for (std::size_t k = 0; k < pool.mux_count(); ++k)
     for (const auto& b : pool.mux(k).backends())
-      reconnections += b.counters->connections.load();
+      reconnections += b.counters->connections;
   EXPECT_EQ(reconnections, 4000u);  // 2000 first + 2000 replayed
   // Every replayed flow reached the DIP of its first landing: per-DIP new
   // connection counts doubled exactly.
@@ -310,7 +310,7 @@ TEST(MuxPool, DrainCompletesWithoutDroppingPinnedFlows) {
     std::uint64_t n = 0;
     for (std::size_t k = 0; k < pool.mux_count(); ++k)
       for (const auto& b : pool.mux(k).backends())
-        if (b.addr == dips[1]) n += b.counters->active.load();
+        if (b.addr == dips[1]) n += b.counters->active;
     return n;
   }();
   ASSERT_GT(active_on_failed, 0u);

@@ -1,18 +1,17 @@
-// MUST FAIL under clang >= 20 -Wfunction-effects -Werror: a *blocking*
-// MutexLock construction inside a KLB_NONBLOCKING function. The blocking
-// constructor calls Mutex::lock(), which is deliberately unannotated (it
-// is the one blocking primitive), so the analysis must reject the call
-// chain. The try-lock construction path (MutexLock(mu, kTryToLock)) is
-// the sanctioned alternative — see effect_escape_ok.cpp.
-#include "util/sync.hpp"
+// MUST FAIL under clang >= 20 -Wfunction-effects -Werror: a blocking
+// std::mutex acquire inside a KLB_NONBLOCKING function. lock() may sleep,
+// so the analysis must reject the call; the packet path takes no lock.
+#include <mutex>
+
+#include "util/effects.hpp"
 
 namespace {
 
-klb::util::Mutex g_mu{"klb.neg.effect_block"};
-int g_value KLB_GUARDED_BY(g_mu) = 0;
+std::mutex g_mu;
+int g_value = 0;
 
-int read_blocking() KLB_NONBLOCKING KLB_EXCLUDES(g_mu) {
-  klb::util::MutexLock lk(g_mu);  // blocking acquire: must be diagnosed
+int read_blocking() KLB_NONBLOCKING {
+  std::lock_guard<std::mutex> lk(g_mu);  // blocking acquire: must be diagnosed
   return g_value;
 }
 

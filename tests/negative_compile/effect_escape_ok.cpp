@@ -1,29 +1,30 @@
-// MUST COMPILE under clang >= 20 -Wfunction-effects -Wthread-safety
-// -Werror: the sanctioned slow-lane pattern — a KLB_NONBLOCKING function
-// that tries the lock (never blocks) and crosses into effectful code only
-// through KLB_EFFECT_ESCAPE. This is note_drain_empty()'s shape, and it
-// guards the harness against a world where the escape hatch itself trips
-// the analysis (which would force every annotation to be torn out).
+// MUST COMPILE under clang >= 20 -Wfunction-effects -Werror: the
+// sanctioned slow-lane pattern — a KLB_NONBLOCKING function that crosses
+// into blocking, allocating code only through KLB_EFFECT_ESCAPE. This is
+// note_drain_empty()'s shape, and it guards the harness against a world
+// where the escape hatch itself trips the analysis (which would force
+// every annotation to be torn out).
+#include <mutex>
+
 #include "util/effects.hpp"
-#include "util/sync.hpp"
 
 namespace {
 
-klb::util::Mutex g_mu{"klb.ok.effect_escape"};
-int g_swept KLB_GUARDED_BY(g_mu) = 0;
+std::mutex g_mu;
+int g_swept = 0;
 
-void sweep_locked() KLB_REQUIRES(g_mu) {
+void sweep() {
+  std::lock_guard<std::mutex> lk(g_mu);
   g_swept += *new int(1);  // allocates: legal only inside the escape
 }
 
-void opportunistic_sweep() KLB_NONBLOCKING KLB_EXCLUDES(g_mu) {
-  klb::util::MutexLock lk(g_mu, klb::util::kTryToLock);
-  if (lk) KLB_EFFECT_ESCAPE("mux.drain_sweep", sweep_locked());
+void sweep_now() KLB_NONBLOCKING {
+  KLB_EFFECT_ESCAPE("mux.drain_sweep", sweep());
 }
 
 }  // namespace
 
 int main() {
-  opportunistic_sweep();
+  sweep_now();
   return 0;
 }

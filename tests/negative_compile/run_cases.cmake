@@ -1,19 +1,16 @@
-# Negative-compilation harness for the thread-safety and function-effect
-# annotations, run as a ctest case on clang builds (see the top-level
-# CMakeLists.txt):
+# Negative-compilation harness for the function-effect annotations, run
+# as a ctest case on clang builds (see the top-level CMakeLists.txt):
 #
 #   cmake -DCOMPILER=<clang++> -DINCLUDE_DIR=<repo>/src \
 #         -DCASES_DIR=<this dir> [-DEFFECTS=ON] -P run_cases.cmake
 #
-# Every *.cpp here is compiled syntax-only with the matching analysis
-# under -Werror: cases named effect_*.cpp get -Wfunction-effects (and are
-# skipped entirely unless EFFECTS is ON — the attributes need clang >= 20;
-# below that the macros no-op and the "must fail" cases would compile);
-# everything else gets -Wthread-safety. Cases named *_ok.cpp must compile
-# (guarding the harness against a world where everything fails); all
-# others must be REJECTED, and specifically with a diagnostic from their
-# own analysis — a case dying of a plain syntax error, or of the *other*
-# analysis, would silently stop exercising the one it was written for.
+# Every effect_*.cpp here is compiled syntax-only with -Wfunction-effects
+# under -Werror, and skipped entirely unless EFFECTS is ON (the attributes
+# need clang >= 20; below that the macros no-op and the "must fail" cases
+# would compile). Cases named *_ok.cpp must compile (guarding the harness
+# against a world where everything fails); all others must be REJECTED,
+# and specifically with a function-effects diagnostic — a case dying of a
+# plain syntax error would silently stop exercising the analysis.
 if(NOT COMPILER OR NOT INCLUDE_DIR OR NOT CASES_DIR)
   message(FATAL_ERROR
           "run_cases.cmake requires -DCOMPILER, -DINCLUDE_DIR, -DCASES_DIR")
@@ -26,16 +23,12 @@ endif()
 
 foreach(case ${cases})
   get_filename_component(name ${case} NAME_WE)
-  set(analysis -Wthread-safety)
-  set(expect "thread-safety")
-  if(name MATCHES "^effect_")
-    if(NOT EFFECTS)
-      message(STATUS "${name}: skipped (compiler lacks function effects)")
-      continue()
-    endif()
-    set(analysis -Wthread-safety -Wfunction-effects)
-    set(expect "function-effects")
+  if(NOT EFFECTS)
+    message(STATUS "${name}: skipped (compiler lacks function effects)")
+    continue()
   endif()
+  set(analysis -Wfunction-effects)
+  set(expect "function-effects")
   execute_process(
     COMMAND ${COMPILER} -std=c++17 -fsyntax-only ${analysis} -Werror
             -I${INCLUDE_DIR} ${case}

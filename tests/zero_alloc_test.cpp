@@ -14,6 +14,9 @@
 //
 // The same counter checks the client's side of a response: reading a DIP
 // response's status and Server header allocates nothing.
+//
+// The binary also holds the effect-escape registry's whitelist tests
+// (util/effects.hpp), which run after the hop has executed its escapes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,11 +26,15 @@
 #include <new>
 #include <vector>
 
+#include "lb/epoch.hpp"
+#include "lb/mux.hpp"
 #include "lb/mux_pool.hpp"
+#include "lb/policy.hpp"
 #include "lb/pool_program.hpp"
 #include "net/fabric.hpp"
 #include "net/http.hpp"
 #include "sim/simulation.hpp"
+#include "util/effects.hpp"
 #include "util/rng.hpp"
 #include "util/weight.hpp"
 
@@ -226,6 +233,59 @@ TEST(ZeroAlloc, ReadingADipResponseHeadAllocatesNothing) {
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(ok, kReads / 2);
   EXPECT_EQ(attributed, kReads);
+}
+
+// --- the documented-escapes registry -----------------------------------------
+// Every KLB_EFFECT_ESCAPE site that executes in a debug build must be on
+// the kDocumentedEscapeSites whitelist: an escape added without a
+// whitelist entry (and the README justification that goes with it) fails
+// here the first time it runs. The tests above drive the MuxPool hop over
+// the real fabric, so by now the registry holds every escape of that path.
+
+TEST(EffectEscapeRegistryTest, ExecutedSitesAreAllDocumented) {
+  if (!util::effects::registry_enabled()) {
+    GTEST_SKIP() << "NDEBUG build: escape registry compiled out";
+  }
+  // Drive two more known escapes: a pin records "epoch.pin_seed" on this
+  // thread's first pin, and a policy without a table picks through
+  // "mux.pick".
+  lb::EpochDomain domain;
+  { auto g = domain.pin(); }
+  sim::Simulation sim(3);
+  net::Network net(sim);
+  net.set_blackhole(true);
+  lb::Mux mux(net, kVip, lb::make_policy("rr"));
+  lb::PoolProgram p(mux.issue_version());
+  p.add(kSinkBase, util::kWeightScale);
+  mux.apply_program(p);
+  net::Message m;
+  m.tuple = flow_tuple(1);
+  mux.on_message(m);
+
+  const char* sites[util::effects::kDocumentedEscapeCount + 8];
+  const std::size_t total = util::effects::escape_sites(
+      sites, util::effects::kDocumentedEscapeCount + 8);
+  ASSERT_GE(total, 2u);
+  ASSERT_LE(total, util::effects::kDocumentedEscapeCount)
+      << "more distinct escape sites executed than are documented";
+  for (std::size_t i = 0; i < total; ++i) {
+    EXPECT_TRUE(util::effects::site_documented(sites[i]))
+        << "undocumented KLB_EFFECT_ESCAPE site executed: " << sites[i]
+        << " (add it to kDocumentedEscapeSites + README or remove the "
+           "escape)";
+  }
+}
+
+TEST(EffectEscapeRegistryTest, WhitelistMatchesByContentNotPointer) {
+  // site_documented is the whitelist predicate itself: it must admit
+  // every documented name (even a TU-distinct copy of the literal) and
+  // reject everything else, independent of build flavour.
+  const char copy[] = "mux.pick";
+  EXPECT_TRUE(util::effects::site_documented(copy));
+  EXPECT_TRUE(util::effects::site_documented("flow.pin_insert"));
+  EXPECT_TRUE(util::effects::site_documented("fabric.enqueue"));
+  EXPECT_FALSE(util::effects::site_documented("klb.test.not_a_site"));
+  EXPECT_FALSE(util::effects::site_documented("mux.pick "));
 }
 
 }  // namespace
