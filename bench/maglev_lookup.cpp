@@ -1,13 +1,18 @@
 // Dataplane pick-path scaling: weighted Maglev vs the 5-tuple modulo hash.
 //
-// Two properties let the maglev policy carry 10k-DIP pools:
+// Three properties let the maglev policy carry 10k-DIP pools:
 //   1. pick cost: one hash + one array read of the built table
 //      (MaglevTable::lookup, the Mux's per-pick cost), O(1) in the DIP
 //      count — as cheap as HashTuple's pick from its cached usable list,
 //      while honouring the programmed weights;
 //   2. churn disruption: removing one DIP remaps a few percent of flows,
 //      where `hash % n` remaps essentially all of them (every pinned flow
-//      turns into a cross-DIP move once its affinity entry ages out).
+//      turns into a cross-DIP move once its affinity entry ages out);
+//   3. build cost: each commit rebuilds the table (build_table, the one
+//      build behind every published generation), so the control loop's
+//      freshness pays it per dirty VIP. The bench prints the median and
+//      quartiles of kBuilds timed builds per pool size, enough samples to
+//      resolve a change of a few percent.
 //
 // Usage: bench_maglev_lookup [picks_per_size]   (default 2'000'000)
 #include <algorithm>
@@ -18,6 +23,7 @@
 #include <vector>
 
 #include "lb/maglev.hpp"
+#include "lb/pool_generation.hpp"
 #include "lb/policy.hpp"
 #include "net/five_tuple.hpp"
 #include "testbed/report.hpp"
@@ -68,6 +74,38 @@ klb::lb::MaglevTable build(const std::vector<BackendView>& views,
   klb::lb::MaglevTable table(min_table_size);
   table.build(entries);
   return table;
+}
+
+/// Timed build_table calls per pool size.
+constexpr int kBuilds = 60;
+
+/// Milliseconds of each of kBuilds build_table calls over `views` (after
+/// one untimed warm-up build), sorted.
+std::vector<double> build_times_ms(const std::vector<BackendView>& views,
+                                   std::size_t min_table_size) {
+  std::vector<klb::lb::GenBackend> pool(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    pool[i].addr = views[i].addr;
+    pool[i].weight_units = views[i].weight_units;
+  }
+  volatile std::size_t sink = klb::lb::build_table(pool, min_table_size)
+                                  ->table_size();
+  std::vector<double> ms;
+  for (int i = 0; i < kBuilds; ++i) {
+    const auto t0 = Clock::now();
+    const auto table = klb::lb::build_table(pool, min_table_size);
+    ms.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+    sink = sink + table->lookup(static_cast<std::uint64_t>(i));
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms;
+}
+
+/// The q-quantile of sorted `v` (nearest rank).
+double quantile(const std::vector<double>& v, double q) {
+  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
+                                    0.5)];
 }
 
 /// Fraction of flows (not routed to `removed`) that `after` routes to a
@@ -148,5 +186,21 @@ int main(int argc, char** argv) {
   std::cout << "\nmaglev pick cost is flat in the DIP count (consistent-hash "
                "table lookup);\nhash remap ~100% on any membership change vs "
                "maglev's few percent.\n";
+
+  klb::testbed::banner("maglev table build (build_table, " +
+                       std::to_string(kBuilds) + " builds per size)");
+  klb::testbed::Table builds({"DIPs", "slots", "p25 ms", "median ms",
+                              "p75 ms"});
+  for (const std::size_t dips : {30u, 100u, 1'000u, 10'000u}) {
+    const auto views = make_views(dips, rng);
+    const auto size = std::max<std::size_t>(65'537, dips * 13);
+    const auto ms = build_times_ms(views, size);
+    builds.row({std::to_string(dips),
+                std::to_string(klb::lb::MaglevTable(size).table_size()),
+                klb::testbed::fmt(quantile(ms, 0.25), 3),
+                klb::testbed::fmt(quantile(ms, 0.5), 3),
+                klb::testbed::fmt(quantile(ms, 0.75), 3)});
+  }
+  builds.print();
   return 0;
 }

@@ -9,6 +9,15 @@
 // the programmed `weight_units` by largest remainder, so the table honours
 // KnapsackLB's ILP weights exactly (to one slot).
 //
+// A build is a round-robin fill: each backend in turn claims the next free
+// slot of its permutation walk until it holds its share. Occupancy only
+// grows during a build, so a backend's next claim is always the first
+// still-free slot of its walk after its previous claim. The fill uses that
+// run-ahead invariant to collect a few free slots of a walk at once, in a
+// branch-free scan, and at each claim skips those another backend took
+// meanwhile; the table is exactly the one-probe-at-a-time walk's
+// (tests/maglev_test.cpp compares them slot for slot).
+//
 // Packet-path cost is one hash + one array read — O(1) in the DIP count —
 // which is what lets the dataplane scale to 10k-DIP pools (bench/
 // maglev_lookup.cpp measures it against the O(n) usable-scan policies).
@@ -45,9 +54,15 @@ class MaglevTable {
   /// a larger minimum for 10k-DIP pools if finer weight resolution matters.
   static constexpr std::size_t kDefaultMinSize = 65'537;
 
-  /// The table allocates the first prime >= min_table_size slots (the
-  /// permutation walk needs the size coprime with every skip).
+  /// An empty table of the first prime >= min_table_size slots (the
+  /// permutation walk needs the size coprime with every skip). Throws
+  /// std::length_error for a min_table_size above 2^31.
   explicit MaglevTable(std::size_t min_table_size = kDefaultMinSize);
+
+  /// A table of the same geometry built over `entries`. It skips the empty
+  /// pre-fill, since build() writes every slot.
+  MaglevTable(std::size_t min_table_size,
+              const std::vector<MaglevEntry>& entries);
 
   /// Rebuild the table. Disruption is minimal only if callers keep each
   /// id's relative order stable across builds (the Mux registration order
@@ -57,12 +72,12 @@ class MaglevTable {
   /// Entry index owning `hash`'s slot, or kEmptySlot for an empty table.
   /// One array read — the packet path's per-pick cost; nonblocking.
   std::uint32_t lookup(std::uint64_t hash) const KLB_NONBLOCKING {
-    return slots_[hash % slots_.size()];
+    return slots_[hash % size_];
   }
 
   /// As lookup(), but resolves to the entry's stable id (kNoId if empty).
   std::uint64_t lookup_id(std::uint64_t hash) const KLB_NONBLOCKING {
-    return slot_owner(hash % slots_.size());
+    return slot_owner(hash % size_);
   }
 
   /// Stable id owning `slot` (< table_size()), or kNoId if it is empty —
@@ -72,15 +87,16 @@ class MaglevTable {
     return e == kEmptySlot ? kNoId : ids_[e];
   }
 
-  std::size_t table_size() const { return slots_.size(); }
+  std::size_t table_size() const { return size_; }
   std::size_t entry_count() const { return ids_.size(); }
 
   /// Slots owned per entry index (weight-proportionality checks).
   std::vector<std::size_t> slot_counts() const;
 
  private:
-  std::vector<std::uint32_t> slots_;  // entry index or kEmptySlot
-  std::vector<std::uint64_t> ids_;    // stable id per entry index
+  std::size_t size_;                        // prime slot count
+  std::unique_ptr<std::uint32_t[]> slots_;  // entry index or kEmptySlot
+  std::vector<std::uint64_t> ids_;          // stable id per entry index
 };
 
 /// The one table build of the dataplane: an immutable weighted table over

@@ -10,6 +10,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "lb/lb_controller.hpp"
 #include "lb/maglev.hpp"
@@ -72,6 +73,8 @@ std::vector<BackendView> views_of(const std::vector<GenBackend>& pool) {
 TEST(MaglevTable, SizeRoundsUpToPrime) {
   EXPECT_EQ(MaglevTable(100).table_size(), 101u);
   EXPECT_EQ(MaglevTable(65'537).table_size(), 65'537u);
+  // The fill keeps slot positions in 32 bits.
+  EXPECT_THROW(MaglevTable((std::size_t{1} << 31) + 1), std::length_error);
 }
 
 TEST(MaglevTable, SlotCountsProportionalToWeights) {
@@ -284,6 +287,86 @@ TEST(MaglevTable, ReusedTableMatchesAFreshBuild) {
     EXPECT_EQ(owners(reused),
               std::vector<std::uint64_t>(m, MaglevTable::kNoId))
         << "m " << m;
+  }
+}
+
+// Shapes the random sweep above misses: many entries, more entries than
+// slots (so some targets are 0), one entry holding ~99% of the weight (its
+// walk runs long through a nearly full table), equal weights, a single
+// entry, tables smaller than a refill's probe group, and a table twice the
+// default size. Both ways to build a table must match the reference.
+TEST(MaglevTable, RunAheadFillMatchesTheReferenceOnEdgeShapes) {
+  util::Rng rng(20'263);
+  const auto random_entries = [&rng](std::size_t n, std::int64_t max_units) {
+    std::vector<MaglevEntry> out(n);
+    for (auto& e : out) {
+      e.id = rng.next() >> 1;
+      e.weight_units = rng.uniform_int(1, max_units);
+    }
+    return out;
+  };
+  auto heavy = random_entries(30, 50);
+  heavy[7].weight_units = 150'000;
+
+  struct Shape {
+    std::size_t m;
+    std::vector<MaglevEntry> entries;
+    const char* what;
+  };
+  const std::vector<Shape> shapes{
+      {4'099, random_entries(1'000, 500), "1000 entries"},
+      {65'537, random_entries(1'000, 500), "1000 entries"},
+      {251, random_entries(300, 500), "more entries than slots"},
+      {65'537, heavy, "one entry at ~99% of the weight"},
+      {4'099, heavy, "one entry at ~99% of the weight"},
+      {65'537, equal_entries(100), "equal weights"},
+      {251, equal_entries(30), "equal weights"},
+      {65'537, equal_entries(1), "a single entry"},
+      {3, equal_entries(1), "a single entry"},
+      {3, random_entries(2, 10), "fewer slots than a probe group"},
+      {3, random_entries(5, 10), "fewer slots than a probe group"},
+      {7, random_entries(3, 10), "fewer slots than a probe group"},
+      {7, random_entries(20, 10), "fewer slots than a probe group"},
+      {131'071, random_entries(100, 500), "twice the default size"},
+  };
+  for (const auto& shape : shapes) {
+    const auto reference = reference_owners(shape.entries, shape.m);
+    MaglevTable built(shape.m);
+    ASSERT_EQ(built.table_size(), shape.m);
+    built.build(shape.entries);
+    EXPECT_EQ(owners(built), reference) << shape.what << ", m " << shape.m;
+    const MaglevTable constructed(shape.m, shape.entries);
+    EXPECT_EQ(owners(constructed), reference)
+        << shape.what << ", m " << shape.m;
+  }
+
+  // The shapes exercise what they are named for.
+  MaglevTable crowded(251);
+  crowded.build(shapes[2].entries);
+  const auto crowded_counts = crowded.slot_counts();
+  EXPECT_GT(std::count(crowded_counts.begin(), crowded_counts.end(), 0u), 0);
+  MaglevTable skewed(65'537);
+  skewed.build(heavy);
+  EXPECT_GT(static_cast<double>(skewed.slot_counts()[7]),
+            0.99 * static_cast<double>(skewed.table_size()));
+}
+
+// build_table allocates its table without emptying it first, so a pool
+// with no weight (every backend draining, or every weight 0) must still
+// yield an all-empty table, even where the allocation reuses a full one.
+TEST(MaglevTable, BuildTableOverAPoolWithNoWeightIsEmpty) {
+  auto draining = make_pool({5000, 3000, 2000});
+  for (auto& b : draining) b.draining = true;
+  auto zero = make_pool({0, 0, 0});
+  for (const auto* pool : {&draining, &zero}) {
+    build_table(make_pool({5000, 3000, 2000}), 997).reset();
+    const auto table = build_table(*pool, 997);
+    EXPECT_EQ(owners(*table),
+              std::vector<std::uint64_t>(table->table_size(),
+                                         MaglevTable::kNoId));
+    util::Rng rng(1);
+    MaglevPolicy policy(table);
+    EXPECT_EQ(policy.pick(flow(1, 80), views_of(*pool), rng), kNoBackend);
   }
 }
 
