@@ -11,7 +11,7 @@
 //     64-DIP maglev pool, stateless OFF vs ON, and compare the flow
 //     table's approximate bytes (FlowTable::memory(), an
 //     instrumentation-independent estimate, so the OFF/ON ratio holds
-//     under TSan/ASan too) and bytes/flow.
+//     under ASan too) and bytes/flow.
 //   * Drive graceful-drain churn under live traffic in both modes and
 //     count broken affinities two ways: a fabric tap asserts per-packet
 //     that no flow's packets ever land on two different DIPs, and the
@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
 
   // --- gates (always checked; hard-fail the run) ----------------------------
   // Same-instrumentation ratio: approx_bytes is computed from sizeofs, not
-  // RSS, so the OFF/ON comparison is identical under TSan.
+  // RSS, so the OFF/ON comparison is identical under a sanitizer.
   if (ratio < 5.0) {
     std::cerr << "FAIL: stateless memory ratio " << klb::testbed::fmt(ratio, 2)
               << "x below the 5x gate\n";

@@ -77,8 +77,8 @@ bool Controller::all_ready() const {
   return any;
 }
 
-void Controller::tick(bool allow_ilp) {
-  if (tick_prepare() && allow_ilp) apply_ilp(solve_ilp());
+void Controller::tick() {
+  if (tick_prepare()) apply_ilp(solve_ilp());
 }
 
 bool Controller::tick_prepare() {

@@ -80,14 +80,12 @@ class Controller {
   /// an external coordinator (MultiVipCoordinator) that drives rounds.
   void start_managed();
 
-  /// Run one controller round immediately (benches and the multi-VIP
-  /// coordinator drive rounds manually). With allow_ilp = false the
-  /// steady-state ILP is deferred (stays dirty) — the §5 cross-VIP
-  /// prioritization: only the VIPs granted a solver slot recompute now.
-  void tick(bool allow_ilp = true);
+  /// Run one controller round: the round timer's callback. A coordinator
+  /// drives the phases below instead, granting the ILP per VIP.
+  void tick();
 
   /// Result of the pure ILP compute, handed between solve_ilp() and
-  /// apply_ilp() so the solve can run on a SolverPool worker.
+  /// apply_ilp() so a caller can time the two phases apart.
   struct IlpSolveOutcome {
     bool attempted = false;          // false: no ready curves this round
     std::vector<std::size_t> index;  // DIP index per solved curve
@@ -97,21 +95,16 @@ class Controller {
   /// Phase 1 of a round (cheap, sim thread): consume samples, advance DIP
   /// lifecycles, schedule measurements or classify dynamics. Returns true
   /// when the VIP wants a steady-state ILP solve (steady state + dirty).
-  /// tick(true) is equivalent to
-  /// `if (tick_prepare()) apply_ilp(solve_ilp());`.
+  /// tick() is `if (tick_prepare()) apply_ilp(solve_ilp());`.
   bool tick_prepare();
 
-  /// Phase 2, solve (expensive, thread-safe): run the Fig. 7 ILP over the
-  /// current ready curves. Pure compute — mutates nothing and reads only
-  /// this controller, so a SolverPool worker may run it while other VIPs
-  /// solve or apply concurrently, as long as nothing mutates this
-  /// controller until apply_ilp().
+  /// Phase 2, solve (expensive): run the Fig. 7 ILP over the current
+  /// ready curves. Pure compute — mutates nothing, so a traced driver can
+  /// time it apart from the apply.
   IlpSolveOutcome solve_ilp() const;
 
-  /// Phase 2, apply (serial, sim thread): program the solved weights,
-  /// update counters, clear the dirty flag. The coordinator applies each
-  /// VIP as soon as its own solve is done, in VIP order, which makes a
-  /// pooled run's commits and weights bit-identical to a serial one.
+  /// Phase 2, apply: program the solved weights, update counters, clear
+  /// the dirty flag.
   void apply_ilp(const IlpSolveOutcome& outcome);
 
   /// A curve changed and the steady-state ILP has not rerun yet.

@@ -26,7 +26,7 @@ class LbController : public PoolProgrammer {
  public:
   LbController(sim::Simulation& sim, PoolProgrammer& dataplane,
                util::SimTime programming_delay = util::SimTime::millis(200))
-      : sim_(sim), dataplane_(dataplane), delay_(programming_delay) {}
+      : dataplane_(dataplane), delay_(programming_delay), in_flight_(sim) {}
 
   std::size_t backend_count() const override {
     return dataplane_.backend_count();
@@ -37,7 +37,7 @@ class LbController : public PoolProgrammer {
   }
 
   void apply_program(const PoolProgram& program) override {
-    sim_.schedule_in(delay_, [this, program] {
+    in_flight_.schedule_in(delay_, [this, program] {
       dataplane_.apply_program(program);
     });
   }
@@ -56,9 +56,11 @@ class LbController : public PoolProgrammer {
   PoolProgrammer& dataplane() { return dataplane_; }
 
  private:
-  sim::Simulation& sim_;
   PoolProgrammer& dataplane_;
   util::SimTime delay_;
+  /// Programs still inside their delay, dropped if the controller goes
+  /// away first.
+  sim::EventScope in_flight_;
 };
 
 }  // namespace klb::lb

@@ -4,12 +4,10 @@
 // fixture does the same for the *coordinator*: V VIPs x D DIPs, every DIP
 // Ready with an injected synthetic curve, weights programmed into a sink.
 // That isolates exactly the work the controller VM does per round —
-// sample scan + ILP solves — so the fleet benches measure solver-pool
-// scaling and the coordinator tests check grant policy without simulating
-// traffic.
+// sample scan + ILP solves — so the coordinator and churn tests check
+// grant policy and weights without simulating traffic.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -61,15 +59,12 @@ class SinkDataplane : public lb::PoolProgrammer {
     last_units_.clear();
     for (const auto& b : backends_) last_units_.push_back(b.weight_units);
     ++programs_;
-    live_at_ = std::chrono::steady_clock::now();
   }
 
   const std::vector<std::int64_t>& last_units() const { return last_units_; }
   std::uint64_t programs() const { return programs_; }
   std::uint64_t applied_version() const { return applied_version_; }
   std::uint64_t superseded_programs() const { return superseded_; }
-  /// Wall time the last committed program went live (freshness benches).
-  std::chrono::steady_clock::time_point live_at() const { return live_at_; }
 
  private:
   struct Backend {
@@ -82,16 +77,15 @@ class SinkDataplane : public lb::PoolProgrammer {
   std::uint64_t applied_version_ = 0;
   std::uint64_t programs_ = 0;
   std::uint64_t superseded_ = 0;
-  std::chrono::steady_clock::time_point live_at_;
 };
 
 class SyntheticFleet {
  public:
   /// Build `vips` VIPs of `dips` DIPs each. Curve shapes (wmax, l0) are
   /// drawn from Rng(seed), so two fleets with equal (vips, dips, seed)
-  /// hold identical curves regardless of `cfg` — the parallel-vs-serial
-  /// determinism test relies on this. Curve refresh is disabled: the
-  /// fixture has no KLM feeding samples, so a refresh could never finish.
+  /// hold identical curves regardless of `cfg`. Curve refresh is
+  /// disabled: the fixture has no KLM feeding samples, so a refresh could
+  /// never finish.
   SyntheticFleet(std::size_t vips, std::size_t dips, core::MultiVipConfig cfg,
                  std::uint64_t seed = 1)
       : round_interval_(cfg.round_interval),

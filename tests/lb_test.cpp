@@ -677,6 +677,27 @@ TEST(LbController, LaterTransactionWins) {
   EXPECT_EQ(mux.applied_version(), second.version);
 }
 
+// A program still inside its delay captures the controller. Destroying
+// the controller first must drop the program: without the cancel, the
+// event later commits through freed memory (ASan: stack-use-after-scope).
+TEST(LbController, DestroyedMidFlightLeavesNoEventBehind) {
+  MuxFixture f;
+  Mux mux(f.net, f.vip, make_policy("wrr"));
+  const net::IpAddr a{10, 1, 0, 1}, b{10, 1, 0, 2};
+  program_equal(mux, {a, b});
+  const auto before = f.sim.pending_events();
+  {
+    LbController ctrl(f.sim, mux, 200_ms);
+    PoolProgram p(ctrl.issue_version());
+    p.add(a, 7000).add(b, 3000);
+    ctrl.apply_program(p);
+    EXPECT_EQ(f.sim.pending_events(), before + 1);
+  }
+  EXPECT_EQ(f.sim.pending_events(), before);
+  f.sim.run_all();
+  EXPECT_EQ(mux.weight_units()[0], util::kWeightScale / 2);  // never landed
+}
+
 TEST(DnsTrafficManager, ResolvesByWeight) {
   sim::Simulation sim(21);
   std::vector<net::IpAddr> dips{net::IpAddr{10, 1, 0, 1},

@@ -613,9 +613,7 @@ TEST(MuxChurn, WeightsSteerAfterChurnWithMaglev) {
 // --- churn under the multi-VIP controller ------------------------------------
 
 TEST(FleetChurn, ScaleOutScaleInAndFailureKeepWeightsSound) {
-  core::MultiVipConfig cfg;
-  cfg.solver_threads = 1;
-  testbed::SyntheticFleet fleet(2, 4, cfg, /*seed=*/7);
+  testbed::SyntheticFleet fleet(2, 4, core::MultiVipConfig{}, /*seed=*/7);
 
   fleet.tick_round();  // initial ILP over the injected curves
   auto& sink = fleet.lb(0);
