@@ -17,7 +17,6 @@
 
 #include "testbed/report.hpp"
 #include "testbed/testbed.hpp"
-#include "util/effects.hpp"
 
 namespace klb::bench {
 
@@ -398,11 +397,9 @@ inline Json build_stamp() {
 #else
   build.set("assertions", true);
 #endif
-  build.set("function_effects", KLB_HAS_FUNCTION_EFFECTS != 0);
   bool sanitized = false;
 #if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(realtime_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
   sanitized = true;
 #endif
 #elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)

@@ -20,7 +20,7 @@ void DrainEstimator::run(net::IpAddr dip, std::size_t dip_index, double l0_ms,
   last_seen_sample_ = sim_.now();
 
   set_target_weight(cfg_.high_weight);
-  sim_.schedule_in(cfg_.poll_interval, [this] { poll_loading(); });
+  polls_.schedule_in(cfg_.poll_interval, [this] { poll_loading(); });
 }
 
 void DrainEstimator::set_target_weight(double w) {
@@ -59,7 +59,7 @@ void DrainEstimator::poll_loading() {
       // Elevated: cut the weight to 0 and time the recovery.
       t1_ = sim_.now();
       set_target_weight(0.0);
-      sim_.schedule_in(cfg_.poll_interval, [this] { poll_draining(); });
+      polls_.schedule_in(cfg_.poll_interval, [this] { poll_draining(); });
       return;
     }
   }
@@ -69,7 +69,7 @@ void DrainEstimator::poll_loading() {
     finish(std::nullopt);
     return;
   }
-  sim_.schedule_in(cfg_.poll_interval, [this] { poll_loading(); });
+  polls_.schedule_in(cfg_.poll_interval, [this] { poll_loading(); });
 }
 
 void DrainEstimator::poll_draining() {
@@ -87,7 +87,7 @@ void DrainEstimator::poll_draining() {
     finish(std::nullopt);
     return;
   }
-  sim_.schedule_in(cfg_.poll_interval, [this] { poll_draining(); });
+  polls_.schedule_in(cfg_.poll_interval, [this] { poll_draining(); });
 }
 
 void DrainEstimator::finish(std::optional<util::SimTime> result) {

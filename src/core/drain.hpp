@@ -43,7 +43,7 @@ class DrainEstimator {
   DrainEstimator(sim::Simulation& sim, net::IpAddr vip,
                  store::LatencyStore& store, lb::PoolProgrammer& lb,
                  DrainEstimatorConfig cfg = {})
-      : sim_(sim), vip_(vip), store_(store), lb_(lb), cfg_(cfg) {}
+      : sim_(sim), vip_(vip), store_(store), lb_(lb), cfg_(cfg), polls_(sim) {}
 
   /// Measure the drain time of `dip` (programs are keyed by its address;
   /// `dip_index` is kept for call-site compatibility but unused). `l0_ms`
@@ -75,6 +75,8 @@ class DrainEstimator {
   util::SimTime phase_started_ = util::SimTime::zero();
   util::SimTime t1_ = util::SimTime::zero();
   util::SimTime last_seen_sample_ = util::SimTime::zero();
+  // Last member: destroying the estimator mid-run cancels its next poll.
+  sim::EventScope polls_;
 };
 
 }  // namespace klb::core

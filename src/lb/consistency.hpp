@@ -56,8 +56,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/effects.hpp"
-
 namespace klb::lb {
 
 class MaglevTable;
@@ -96,21 +94,21 @@ class ExceptionFilter {
         bits_((table_size + 63) / 64, 0) {}
 
   /// True when `slot`'s owner changed within the filter window. Packet
-  /// path: one bitmap word read, nonblocking.
-  bool is_exception(std::size_t slot) const KLB_NONBLOCKING {
+  /// path: one bitmap word read.
+  bool is_exception(std::size_t slot) const {
     return (bits_[slot >> 6] >> (slot & 63)) & 1u;
   }
   /// The owner displaced by `slot`'s most recent in-window change —
   /// where this slot's pre-change stateless flows actually live. kNoOwner
   /// when the slot is not flagged (or the change emptied from nothing).
   /// A read-only find on the frozen map: no allocation, no lock.
-  std::uint32_t prev_owner(std::size_t slot) const KLB_NONBLOCKING {
+  std::uint32_t prev_owner(std::size_t slot) const {
     const auto it = prev_.find(static_cast<std::uint32_t>(slot));
     return it == prev_.end() ? kNoOwner : it->second;
   }
 
-  std::uint64_t seq() const KLB_NONBLOCKING { return seq_; }
-  std::size_t table_size() const KLB_NONBLOCKING { return table_size_; }
+  std::uint64_t seq() const { return seq_; }
+  std::size_t table_size() const { return table_size_; }
   /// Flagged slots (observability; the testbed reports it).
   std::size_t exception_slots() const { return exception_count_; }
 
@@ -143,17 +141,15 @@ class SlotPinCounts {
   SlotPinCounts(const SlotPinCounts&) = delete;
   SlotPinCounts& operator=(const SlotPinCounts&) = delete;
 
-  std::size_t size() const KLB_NONBLOCKING { return counts_.size(); }
+  std::size_t size() const { return counts_.size(); }
 
-  void inc(std::size_t slot) KLB_NONBLOCKING { ++counts_[slot]; }
+  void inc(std::size_t slot) { ++counts_[slot]; }
   /// Floored at zero (mirrors the active-connection counters): a stray
   /// decrement must not wrap a neighbouring slot's protection away.
-  void dec(std::size_t slot) KLB_NONBLOCKING {
+  void dec(std::size_t slot) {
     if (counts_[slot] > 0) --counts_[slot];
   }
-  std::uint32_t count(std::size_t slot) const KLB_NONBLOCKING {
-    return counts_[slot];
-  }
+  std::uint32_t count(std::size_t slot) const { return counts_[slot]; }
   /// Sum over all slots — O(slots), control/observability path only.
   std::uint64_t total() const;
 

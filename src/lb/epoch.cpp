@@ -20,14 +20,12 @@ namespace {
 thread_local int t_slot_hint = -1;
 }  // namespace
 
-EpochDomain::Guard EpochDomain::pin() KLB_NONALLOCATING {
+EpochDomain::Guard EpochDomain::pin() {
   int hint = t_slot_hint;
   if (hint < 0) {
-    KLB_EFFECT_ESCAPE("epoch.pin_seed", {
-      hint = static_cast<int>(
-          std::hash<std::thread::id>{}(std::this_thread::get_id()) % kSlots);
-      t_slot_hint = hint;
-    });
+    hint = static_cast<int>(
+        std::hash<std::thread::id>{}(std::this_thread::get_id()) % kSlots);
+    t_slot_hint = hint;
   }
   const auto start = static_cast<std::size_t>(hint);
   std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
@@ -52,7 +50,7 @@ EpochDomain::Guard EpochDomain::pin() KLB_NONALLOCATING {
     }
     // Every slot busy: more simultaneous pins than kSlots. Back off and
     // retry — never fall back to a lock on the reader side.
-    KLB_EFFECT_ESCAPE("epoch.pin_stall", std::this_thread::yield());
+    std::this_thread::yield();
     e = epoch_.load(std::memory_order_seq_cst);
   }
 }

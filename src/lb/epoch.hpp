@@ -37,8 +37,6 @@
 #include <mutex>
 #include <vector>
 
-#include "util/effects.hpp"
-
 namespace klb::lb {
 
 class EpochDomain {
@@ -67,13 +65,13 @@ class EpochDomain {
     ~Guard() { release(); }
 
     /// The unpin: one seq_cst store.
-    void release() KLB_NONBLOCKING {
+    void release() {
       if (slot_ != nullptr) {
         slot_->store(0, std::memory_order_seq_cst);
         slot_ = nullptr;
       }
     }
-    bool active() const KLB_NONBLOCKING { return slot_ != nullptr; }
+    bool active() const { return slot_ != nullptr; }
 
    private:
     friend class EpochDomain;
@@ -90,10 +88,10 @@ class EpochDomain {
   /// Claim a reader slot at the current epoch (wait-free in the common
   /// case; spins only if all kSlots are simultaneously pinned). The
   /// caller must pin *before* loading the protected pointer.
-  /// Nonallocating, not nonblocking: the first pin on a thread seeds its
-  /// slot hint ("epoch.pin_seed" escape) and an oversubscribed domain
-  /// yields between rescans ("epoch.pin_stall" escape).
-  Guard pin() KLB_NONALLOCATING;
+  /// Allocates nothing. The first pin on a thread reads the thread id to
+  /// seed its slot hint, and a pin that finds every slot busy yields
+  /// before it rescans.
+  Guard pin();
 
   /// Hand an unlinked object to the domain. The caller must have made the
   /// object unreachable to *new* readers first (swapped the published

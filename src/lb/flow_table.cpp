@@ -22,10 +22,10 @@ std::size_t capacity_for(std::size_t n) {
 }
 
 /// The tuple packed as a slot's two key words.
-std::uint64_t addrs_of(const net::FiveTuple& t) KLB_NONBLOCKING {
+std::uint64_t addrs_of(const net::FiveTuple& t) {
   return (std::uint64_t{t.src_ip.value()} << 32) | t.dst_ip.value();
 }
-std::uint64_t ports_of(const net::FiveTuple& t) KLB_NONBLOCKING {
+std::uint64_t ports_of(const net::FiveTuple& t) {
   return (std::uint64_t{t.src_port} << 32) | (std::uint64_t{t.dst_port} << 16) |
          (std::uint64_t{static_cast<std::uint8_t>(t.proto)} << 8) | 1u;
 }
@@ -45,7 +45,7 @@ FlowTable::FlowTable(FlowTableConfig cfg)
   }
 }
 
-net::FiveTuple FlowTable::tuple_of(const Slot& slot) KLB_NONBLOCKING {
+net::FiveTuple FlowTable::tuple_of(const Slot& slot) {
   net::FiveTuple t;
   t.src_ip = net::IpAddr(static_cast<std::uint32_t>(slot.addrs >> 32));
   t.dst_ip = net::IpAddr(static_cast<std::uint32_t>(slot.addrs));
@@ -56,7 +56,7 @@ net::FiveTuple FlowTable::tuple_of(const Slot& slot) KLB_NONBLOCKING {
 }
 
 std::size_t FlowTable::find_in(const Shard& s, std::uint64_t hash,
-                               const net::FiveTuple& t) KLB_NONBLOCKING {
+                               const net::FiveTuple& t) {
   if (s.slots.empty()) return kNotFound;
   const std::uint64_t addrs = addrs_of(t);
   const std::uint64_t ports = ports_of(t);
@@ -69,15 +69,14 @@ std::size_t FlowTable::find_in(const Shard& s, std::uint64_t hash,
 }
 
 FlowHit FlowTable::lookup_in(Shard& s, std::uint64_t hash,
-                             const net::FiveTuple& t,
-                             util::SimTime now) KLB_NONBLOCKING {
+                             const net::FiveTuple& t, util::SimTime now) {
   const auto i = find_in(s, hash, t);
   if (i == kNotFound) return FlowHit{};
   s.slots[i].last_seen = now;
   return FlowHit{FlowHit::Kind::kAffinity, s.slots[i].backend_id};
 }
 
-void FlowTable::erase_at(Shard& s, std::size_t i) KLB_NONBLOCKING {
+void FlowTable::erase_at(Shard& s, std::size_t i) {
   const std::size_t mask = s.slots.size() - 1;
   for (std::size_t j = (i + 1) & mask; s.slots[j].ports != 0;
        j = (j + 1) & mask) {
@@ -136,21 +135,20 @@ std::size_t FlowTable::sweep(Shard& s, std::size_t start,
   return i;
 }
 
-FlowHit FlowTable::lookup(const net::FiveTuple& t,
-                          util::SimTime now) KLB_NONBLOCKING {
+FlowHit FlowTable::lookup(const net::FiveTuple& t, util::SimTime now) {
   const auto hash = net::hash_tuple(t);
   return lookup_in(shards_[shard_index(hash)], hash, t, now);
 }
 
 void FlowTable::lookup_batch(FlowLookup* reqs, std::size_t n,
-                             util::SimTime now) KLB_NONBLOCKING {
+                             util::SimTime now) {
   for (std::size_t i = 0; i < n; ++i) {
     FlowLookup& r = reqs[i];
     r.hit = lookup_in(shards_[shard_index(r.hash)], r.hash, *r.tuple, now);
   }
 }
 
-void FlowTable::erase_batch(FlowErase* reqs, std::size_t n) KLB_NONBLOCKING {
+void FlowTable::erase_batch(FlowErase* reqs, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
     erase_in(shards_[shard_index(reqs[i].hash)], reqs[i]);
 }
@@ -182,7 +180,7 @@ std::pair<std::uint64_t, bool> FlowTable::try_insert(const net::FiveTuple& t,
   return {backend_id, true};
 }
 
-void FlowTable::erase_in(Shard& s, FlowErase& r) KLB_NONBLOCKING {
+void FlowTable::erase_in(Shard& s, FlowErase& r) {
   const auto i = find_in(s, r.hash, *r.tuple);
   if (i == kNotFound) {
     r.found = false;
@@ -194,8 +192,7 @@ void FlowTable::erase_in(Shard& s, FlowErase& r) KLB_NONBLOCKING {
   ++s.erases;
 }
 
-std::optional<std::uint64_t> FlowTable::erase(const net::FiveTuple& t)
-    KLB_NONBLOCKING {
+std::optional<std::uint64_t> FlowTable::erase(const net::FiveTuple& t) {
   FlowErase r;
   r.tuple = &t;
   r.hash = net::hash_tuple(t);

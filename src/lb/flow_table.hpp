@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "net/five_tuple.hpp"
-#include "util/effects.hpp"
 #include "util/time.hpp"
 
 namespace klb::lb {
@@ -114,17 +113,16 @@ class FlowTable {
   FlowTable(const FlowTable&) = delete;
   FlowTable& operator=(const FlowTable&) = delete;
 
-  std::size_t shard_count() const KLB_NONBLOCKING { return shards_.size(); }
-  std::size_t shard_of(const net::FiveTuple& t) const KLB_NONBLOCKING {
+  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t shard_of(const net::FiveTuple& t) const {
     return shard_index(net::hash_tuple(t));
   }
 
   /// Affinity lookup with last-seen touch.
-  FlowHit lookup(const net::FiveTuple& t, util::SimTime now) KLB_NONBLOCKING;
+  FlowHit lookup(const net::FiveTuple& t, util::SimTime now);
 
   /// lookup() per request, in order.
-  void lookup_batch(FlowLookup* reqs, std::size_t n, util::SimTime now)
-      KLB_NONBLOCKING;
+  void lookup_batch(FlowLookup* reqs, std::size_t n, util::SimTime now);
 
   /// Pin `t` (whose net::hash_tuple is `hash`) to `backend_id` unless it
   /// is already pinned (an earlier packet of the same tuple in the same
@@ -149,10 +147,10 @@ class FlowTable {
   std::optional<std::uint64_t> try_find(const net::FiveTuple& t) const;
 
   /// Unpin `t`, returning the backend it was pinned to.
-  std::optional<std::uint64_t> erase(const net::FiveTuple& t) KLB_NONBLOCKING;
+  std::optional<std::uint64_t> erase(const net::FiveTuple& t);
 
   /// erase() per request, in order.
-  void erase_batch(FlowErase* reqs, std::size_t n) KLB_NONBLOCKING;
+  void erase_batch(FlowErase* reqs, std::size_t n);
 
   /// Drop every flow pinned to `backend_id` (backend removal/failure).
   /// Returns the number of flows dropped. `dropped` runs per dropped flow
@@ -227,26 +225,25 @@ class FlowTable {
 
   /// Shard choice uses the hash's top bits and the home slot its low bits,
   /// so the two stay decorrelated.
-  std::size_t shard_index(std::uint64_t h) const KLB_NONBLOCKING {
+  std::size_t shard_index(std::uint64_t h) const {
     return static_cast<std::size_t>(h >> 48) & shard_mask_;
   }
 
   static constexpr std::size_t kNotFound = ~std::size_t{0};
 
-  static net::FiveTuple tuple_of(const Slot& slot) KLB_NONBLOCKING;
+  static net::FiveTuple tuple_of(const Slot& slot);
 
   /// Slot index of `t` in `s`, or kNotFound: a linear probe from the
   /// home slot, no allocation.
   static std::size_t find_in(const Shard& s, std::uint64_t hash,
-                             const net::FiveTuple& t) KLB_NONBLOCKING;
+                             const net::FiveTuple& t);
   /// Find + in-place last-seen touch.
   static FlowHit lookup_in(Shard& s, std::uint64_t hash,
-                           const net::FiveTuple& t,
-                           util::SimTime now) KLB_NONBLOCKING;
+                           const net::FiveTuple& t, util::SimTime now);
   /// Backward-shift erase of slot `i`: later entries of its probe run move
   /// up, so no tombstone is left behind. Frees nothing.
-  static void erase_at(Shard& s, std::size_t i) KLB_NONBLOCKING;
-  static void erase_in(Shard& s, FlowErase& r) KLB_NONBLOCKING;
+  static void erase_at(Shard& s, std::size_t i);
+  static void erase_in(Shard& s, FlowErase& r);
   /// Re-insert every flow into `capacity` slots (a power of two).
   static void resize(Shard& s, std::size_t capacity);
   /// Walk slots from `start` for at most one lap and `max_entries`

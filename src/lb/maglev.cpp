@@ -231,7 +231,7 @@ std::shared_ptr<const MaglevTable> build_table(
 
 std::size_t MaglevPolicy::pick(const net::FiveTuple& tuple,
                                const std::vector<BackendView>& backends,
-                               util::Rng&) KLB_NONALLOCATING {
+                               util::Rng&) {
   if (!table_) return kNoBackend;
   const auto id = table_->lookup_id(net::hash_tuple(tuple));
   if (id == MaglevTable::kNoId) return kNoBackend;

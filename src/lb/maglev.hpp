@@ -70,19 +70,19 @@ class MaglevTable {
   void build(const std::vector<MaglevEntry>& entries);
 
   /// Entry index owning `hash`'s slot, or kEmptySlot for an empty table.
-  /// One array read — the packet path's per-pick cost; nonblocking.
-  std::uint32_t lookup(std::uint64_t hash) const KLB_NONBLOCKING {
+  /// One array read — the packet path's per-pick cost.
+  std::uint32_t lookup(std::uint64_t hash) const {
     return slots_[hash % size_];
   }
 
   /// As lookup(), but resolves to the entry's stable id (kNoId if empty).
-  std::uint64_t lookup_id(std::uint64_t hash) const KLB_NONBLOCKING {
+  std::uint64_t lookup_id(std::uint64_t hash) const {
     return slot_owner(hash % size_);
   }
 
   /// Stable id owning `slot` (< table_size()), or kNoId if it is empty —
   /// what GenerationDiff (lb/consistency.hpp) compares across publishes.
-  std::uint64_t slot_owner(std::size_t slot) const KLB_NONBLOCKING {
+  std::uint64_t slot_owner(std::size_t slot) const {
     const auto e = slots_[slot];
     return e == kEmptySlot ? kNoId : ids_[e];
   }
@@ -145,7 +145,7 @@ class MaglevPolicy : public Policy {
   /// route is O(1); this serves direct callers). Allocation-free.
   std::size_t pick(const net::FiveTuple& tuple,
                    const std::vector<BackendView>& backends,
-                   util::Rng& rng) KLB_NONALLOCATING override;
+                   util::Rng& rng) override;
 
  private:
   std::shared_ptr<const MaglevTable> table_;

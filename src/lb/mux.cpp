@@ -25,7 +25,7 @@ constexpr std::size_t kBatchChunk = 32;
 /// `filter` rides `gen`, so gen has a table of the filter's size.
 std::uint32_t displaced_owner(const PoolGeneration& gen,
                               const ExceptionFilter& filter,
-                              std::uint64_t hash) KLB_NONBLOCKING {
+                              std::uint64_t hash) {
   const auto prev = filter.prev_owner(
       static_cast<std::size_t>(hash % filter.table_size()));
   if (prev == ExceptionFilter::kNoOwner) return prev;
@@ -38,7 +38,7 @@ std::uint32_t displaced_owner(const PoolGeneration& gen,
 /// Stable insertion sort of the `n` lanes in `order` by `dest[lane]`: for
 /// n <= kBatchChunk it beats std::stable_sort, which heap-allocates.
 void sort_by_destination(std::uint32_t* order, std::size_t n,
-                         const std::uint32_t* dest) KLB_NONBLOCKING {
+                         const std::uint32_t* dest) {
   for (std::size_t s = 1; s < n; ++s) {
     const std::uint32_t v = order[s];
     std::size_t j = s;
@@ -180,11 +180,11 @@ std::unique_ptr<Policy> Mux::policy_for(const std::vector<GenBackend>& pool,
 
 void Mux::poll() { sweep_drains(); }
 
-void Mux::note_drain_empty() KLB_NONBLOCKING {
+void Mux::note_drain_empty() {
   drain_poll_pending_ = true;
-  // Complete the drain inline: the sweep is control-plane code (it builds
-  // and publishes a generation), hence the escape.
-  KLB_EFFECT_ESCAPE("mux.drain_sweep", sweep_drains());
+  // Complete the drain inline. The sweep is control-plane code: it builds
+  // and publishes a generation, so it allocates.
+  sweep_drains();
 }
 
 bool Mux::drain_ripe(const GenBackend& b) const {
@@ -526,8 +526,7 @@ void Mux::maybe_gc(std::uint64_t batch) {
 
 // --- packet path ---------------------------------------------------------------
 
-void Mux::handle_batch(const net::Message* const* msgs, std::size_t n)
-    KLB_NONALLOCATING {
+void Mux::handle_batch(const net::Message* const* msgs, std::size_t n) {
   // Contiguous runs of one type, chunked to the stack scratch size: request
   // runs are staged, FIN runs unpin in a batch (grouped forwards), anything
   // else is ignored.
@@ -549,8 +548,7 @@ void Mux::handle_batch(const net::Message* const* msgs, std::size_t n)
 }
 
 void Mux::forward_run(const PoolGeneration& gen, std::size_t i,
-                      const net::Message* const* msgs, std::size_t k)
-    KLB_NONALLOCATING {
+                      const net::Message* const* msgs, std::size_t k) {
   const auto& b = gen.backends()[i];
   b.counters->forwarded += k;
   // Quiescence evidence for stateless drains (drain_ripe): only drainers
@@ -563,8 +561,7 @@ void Mux::forward_run(const PoolGeneration& gen, std::size_t i,
 
 std::optional<std::size_t> Mux::resolve_stateless(const PoolGeneration& gen,
                                                   std::uint64_t hash,
-                                                  const net::Message& msg)
-    KLB_NONBLOCKING {
+                                                  const net::Message& msg) {
   const auto idx = gen.table_route(hash);
   if (!idx) return std::nullopt;
   const auto& b = gen.backends()[*idx];
@@ -579,12 +576,11 @@ std::optional<std::size_t> Mux::resolve_stateless(const PoolGeneration& gen,
   return idx;
 }
 
-void Mux::handle_request_chunk(const net::Message* const* msgs,
-                               std::size_t n) KLB_NONALLOCATING {
+void Mux::handle_request_chunk(const net::Message* const* msgs, std::size_t n) {
   // Amortized idle-flow GC: at most one budgeted shard sweep per
   // gc-interval of forwarded requests, never per packet. It runs before
   // read_gen, since a sweep may complete a drain and publish.
-  KLB_EFFECT_ESCAPE("mux.maybe_gc", maybe_gc(n));
+  maybe_gc(n);
   const auto now = net_.sim().now();
   // One generation for the whole chunk: every index below names a
   // position in it.
@@ -600,8 +596,7 @@ void Mux::handle_request_chunk(const net::Message* const* msgs,
 }
 
 void Mux::process_chunk(const PoolGeneration& gen, util::SimTime now,
-                        const net::Message* const* msgs,
-                        std::size_t n) KLB_NONALLOCATING {
+                        const net::Message* const* msgs, std::size_t n) {
   // Per-packet scratch. Deliberately no default member initializers: only
   // the first n lanes are touched, so the batch-of-1 (scalar) case pays
   // for one lane, not kBatchChunk.
@@ -754,52 +749,48 @@ void Mux::process_chunk(const PoolGeneration& gen, util::SimTime now,
   }
 
   // --- stage D: policy pick ------------------------------------------------
-  // The carved-out slow lane of the request path, reached only by
-  // policies without a maglev table (rr/lc/random/p2/hash families), whose
-  // chunks are single packets (handle_request_chunk): the pick is a
-  // virtual call (policies may rebuild caches), and the LC-family pin may
-  // grow the flow table. All of it is the documented "mux.pick" escape.
+  // Reached only by policies without a maglev table (rr/lc/random/p2/hash
+  // families), whose chunks are single packets (handle_request_chunk). The
+  // pick is a virtual call; a policy can allocate only on the first pick
+  // after invalidate(), when it rebuilds its usable-index cache. The
+  // LC-family pin allocates only when it grows the flow table.
   if (any_pick) {
-    KLB_EFFECT_ESCAPE("mux.pick", {
-      for (std::size_t i = 0; i < n; ++i) {
-        Lane& ln = lanes[i];
-        if (ln.st != kNeedPick) continue;
-        const net::Message& m = *msgs[i];
-        ln.dip = gen.policy().pick(m.tuple, gen.views(), rng_);
-        if (ln.dip == kNoBackend) {
-          ++no_backend_drops_;
-          ln.st = kDropped;  // connection refused; client times out
-          continue;
-        }
-        ln.backend_id = gen.backends()[ln.dip].id;
-        if (gen.policy_uses_conns()) {
-          // LC-family: pin and account right after the pick, so the next
-          // pick already sees this connection.
-          std::tie(ln.owner, ln.fresh) =
-              flows_.try_insert(m.tuple, ln.hash, ln.backend_id, now);
-          if (ln.fresh) {
-            auto& c = *gen.backends()[ln.dip].counters;
-            ++c.connections;
-            gen.views()[ln.dip].active_conns = ++c.active;
-          }
-          ln.st = kPinned;
-        } else {
-          ln.st = kNeedPin;
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+      Lane& ln = lanes[i];
+      if (ln.st != kNeedPick) continue;
+      const net::Message& m = *msgs[i];
+      ln.dip = gen.policy().pick(m.tuple, gen.views(), rng_);
+      if (ln.dip == kNoBackend) {
+        ++no_backend_drops_;
+        ln.st = kDropped;  // connection refused; client times out
+        continue;
       }
-    });
+      ln.backend_id = gen.backends()[ln.dip].id;
+      if (gen.policy_uses_conns()) {
+        // LC-family: pin and account right after the pick, so the next
+        // pick already sees this connection.
+        std::tie(ln.owner, ln.fresh) =
+            flows_.try_insert(m.tuple, ln.hash, ln.backend_id, now);
+        if (ln.fresh) {
+          auto& c = *gen.backends()[ln.dip].counters;
+          ++c.connections;
+          gen.views()[ln.dip].active_conns = ++c.active;
+        }
+        ln.st = kPinned;
+      } else {
+        ln.st = kNeedPin;
+      }
+    }
   }
 
   // --- stage E: pins + pin accounting --------------------------------------
   for (std::size_t i = 0; i < n; ++i) {
     Lane& ln = lanes[i];
     if (ln.st == kNeedPin) {
-      // A slot write keyed by the stage-A hash: the documented
-      // "flow.pin_insert" hole is the table's amortized growth.
-      KLB_EFFECT_ESCAPE("flow.pin_insert", {
-        std::tie(ln.owner, ln.fresh) =
-            flows_.try_insert(msgs[i]->tuple, ln.hash, ln.backend_id, now);
-      });
+      // A slot write keyed by the stage-A hash. It allocates only when
+      // the table grows past its capacity (amortized doubling).
+      std::tie(ln.owner, ln.fresh) =
+          flows_.try_insert(msgs[i]->tuple, ln.hash, ln.backend_id, now);
       if (ln.fresh) {
         auto& c = *gen.backends()[ln.dip].counters;
         // An adopted flow's connection was already counted at its
@@ -850,16 +841,14 @@ void Mux::process_chunk(const PoolGeneration& gen, util::SimTime now,
   }
 }
 
-void Mux::release_connection(const PoolGeneration& gen, std::size_t i)
-    KLB_NONBLOCKING {
+void Mux::release_connection(const PoolGeneration& gen, std::size_t i) {
   auto& active = gen.backends()[i].counters->active;
   if (active > 0) --active;
   // Only the LC family reads active_conns from the views.
   if (gen.policy_uses_conns()) gen.views()[i].active_conns = active;
 }
 
-void Mux::handle_fin_chunk(const net::Message* const* msgs, std::size_t n)
-    KLB_NONALLOCATING {
+void Mux::handle_fin_chunk(const net::Message* const* msgs, std::size_t n) {
   FlowErase reqs[kBatchChunk];
   for (std::size_t i = 0; i < n; ++i) {
     reqs[i].tuple = &msgs[i]->tuple;

@@ -317,8 +317,7 @@ class Mux : public net::Node, public PoolProgrammer {
   /// packet so their pick sequence matches the scalar path exactly. Mixed
   /// types allowed: contiguous request runs are batched, FIN runs are
   /// batched separately.
-  void handle_batch(const net::Message* const* msgs, std::size_t n)
-      KLB_NONALLOCATING;
+  void handle_batch(const net::Message* const* msgs, std::size_t n);
 
  private:
   /// The current generation, for one packet burst or one read. The
@@ -327,40 +326,34 @@ class Mux : public net::Node, public PoolProgrammer {
   /// read_gen, and gc_shard and handle_fin_chunk call note_drain_empty
   /// (which may publish) only after they drop theirs. Keep that rule: a
   /// publication destroys the generation it replaces.
-  const PoolGeneration& read_gen() const KLB_NONBLOCKING { return *current_; }
+  const PoolGeneration& read_gen() const { return *current_; }
 
   /// One staged pass over up to kBatchChunk requests against the current
-  /// generation. Nonallocating: the slow lanes it may cross are the
-  /// documented escapes — "mux.maybe_gc" (amortized sweep), "mux.pick"
-  /// (stage D, policies without a table only), "flow.pin_insert" (stage E)
-  /// and the fabric sites below.
-  void handle_request_chunk(const net::Message* const* msgs, std::size_t n)
-      KLB_NONALLOCATING;
+  /// generation. A steady-state chunk allocates nothing. The steps that
+  /// may allocate: the amortized GC sweep (maybe_gc), a policy's
+  /// usable-index rebuild on the first pick after invalidate(), flow-table
+  /// growth on a pin, and the fabric enqueue (Network::send).
+  void handle_request_chunk(const net::Message* const* msgs, std::size_t n);
   /// The staged body, running against `gen`.
   void process_chunk(const PoolGeneration& gen, util::SimTime now,
-                     const net::Message* const* msgs, std::size_t n)
-      KLB_NONALLOCATING;
+                     const net::Message* const* msgs, std::size_t n);
   /// Batched FIN run: one erase_batch over the flow shards, forwards
   /// grouped per destination. A scalar FIN is the run of 1.
-  void handle_fin_chunk(const net::Message* const* msgs, std::size_t n)
-      KLB_NONALLOCATING;
+  void handle_fin_chunk(const net::Message* const* msgs, std::size_t n);
   /// Forward `k` messages to backend `i`: per-run counter updates, one
   /// fabric burst. The scalar forward is the k=1 case.
   void forward_run(const PoolGeneration& gen, std::size_t i,
-                   const net::Message* const* msgs, std::size_t k)
-      KLB_NONALLOCATING;
+                   const net::Message* const* msgs, std::size_t k);
   /// Stateless resolution: gen.table_route(hash), or nullopt when the
   /// table/pool had no usable answer (the caller falls back to the
   /// stateful path). On success the stateless counters are bumped (openers
   /// count their connection); the caller forwards.
   std::optional<std::size_t> resolve_stateless(const PoolGeneration& gen,
                                                std::uint64_t hash,
-                                               const net::Message& msg)
-      KLB_NONBLOCKING;
+                                               const net::Message& msg);
   /// Decrement backend `i`'s active count (never below zero) and, for
   /// connection-count policies, refresh its view.
-  void release_connection(const PoolGeneration& gen, std::size_t i)
-      KLB_NONBLOCKING;
+  void release_connection(const PoolGeneration& gen, std::size_t i);
 
   /// Build and publish the next generation from `backends`, cloning the
   /// current policy unless `policy_override` supplies one (a clone of a
@@ -383,9 +376,9 @@ class Mux : public net::Node, public PoolProgrammer {
   /// that window to adopt exception pins or FIN before the backend goes.
   bool drain_ripe(const GenBackend& b) const;
   /// Flag "some drainer may have emptied" from the packet path and sweep
-  /// it now, inside the "mux.drain_sweep" escape. Call only with no
-  /// generation reference live.
-  void note_drain_empty() KLB_NONBLOCKING;
+  /// it now. The sweep publishes a generation, so it allocates. Call only
+  /// with no generation reference live.
+  void note_drain_empty();
   /// Remove every empty drainer in one publication. No-op when the
   /// pending flag is clear.
   void sweep_drains();

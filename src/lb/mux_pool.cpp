@@ -13,7 +13,7 @@ constexpr const char* kLog = "klb-muxpool";
 /// choice (both start from hash_tuple).
 constexpr std::uint64_t kEcmpSalt = 0xecb99a18d7f4a7c1ull;
 
-std::uint64_t mix64(std::uint64_t x) KLB_NONBLOCKING {
+std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
   x ^= x >> 27;
@@ -41,8 +41,7 @@ MuxPool::MuxPool(net::Network& net, net::IpAddr vip, std::size_t mux_count,
 
 MuxPool::~MuxPool() { net_.attach(vip_, nullptr); }
 
-std::size_t MuxPool::shard_of(const net::FiveTuple& tuple) const
-    KLB_NONBLOCKING {
+std::size_t MuxPool::shard_of(const net::FiveTuple& tuple) const {
   return static_cast<std::size_t>(mix64(net::hash_tuple(tuple) ^ kEcmpSalt) %
                                   muxes_.size());
 }
@@ -172,8 +171,7 @@ void MuxPool::on_message(const net::Message& msg) {
   muxes_[shard_of(msg.tuple)]->on_message(msg);
 }
 
-void MuxPool::on_batch(const net::Message* const* msgs,
-                       std::size_t n) KLB_NONALLOCATING {
+void MuxPool::on_batch(const net::Message* const* msgs, std::size_t n) {
   // Partition by ECMP shard on the stack, kStack messages at a time: one
   // handle_batch per member present, in member order, each sub-burst in
   // the burst's relative order. A pass per member present collects that

@@ -61,7 +61,7 @@ class MuxPool : public net::Node, public PoolProgrammer {
   const Mux& mux(std::size_t k) const { return *muxes_[k]; }
 
   /// Shard index a tuple ECMP-hashes to (exposed for tests).
-  std::size_t shard_of(const net::FiveTuple& tuple) const KLB_NONBLOCKING;
+  std::size_t shard_of(const net::FiveTuple& tuple) const;
 
   /// The maglev snapshot mux `k` currently serves. Pointer-equal across
   /// all members after every commit — the single-shared-build invariant.
@@ -119,8 +119,7 @@ class MuxPool : public net::Node, public PoolProgrammer {
   /// each member its sub-burst through Mux::handle_batch, preserving the
   /// burst's relative order within a shard. Stack scratch only: a burst
   /// over 64 packets is dispatched 64 at a time.
-  void on_batch(const net::Message* const* msgs, std::size_t n)
-      KLB_NONALLOCATING override;
+  void on_batch(const net::Message* const* msgs, std::size_t n) override;
 
  private:
   /// The members' shared-table hook for one commit or failure: the first

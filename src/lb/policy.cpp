@@ -72,18 +72,21 @@ std::size_t LeastConnection::pick(const net::FiveTuple&,
                                   util::Rng& rng) {
   const auto& idx = usable(backends, /*need_weight=*/false);
   if (idx.empty()) return kNoBackend;
+  // Count the ties, draw one, walk to it: no scratch list to allocate.
   std::uint64_t best_conns = std::numeric_limits<std::uint64_t>::max();
-  ties_.clear();
+  std::uint64_t ties = 0;
   for (const auto i : idx) {
     if (backends[i].active_conns < best_conns) {
       best_conns = backends[i].active_conns;
-      ties_.clear();
-      ties_.push_back(i);
+      ties = 1;
     } else if (backends[i].active_conns == best_conns) {
-      ties_.push_back(i);
+      ++ties;
     }
   }
-  return ties_[rng.uniform_int(static_cast<std::uint64_t>(ties_.size()))];
+  auto k = rng.uniform_int(ties);
+  for (const auto i : idx)
+    if (backends[i].active_conns == best_conns && k-- == 0) return i;
+  return kNoBackend;  // unreachable: k < ties
 }
 
 std::size_t WeightedLeastConnection::pick(
@@ -91,22 +94,30 @@ std::size_t WeightedLeastConnection::pick(
     util::Rng& rng) {
   const auto& idx = usable(backends, /*need_weight=*/true);
   if (idx.empty()) return kNoBackend;
+  // +1 so empty backends still differentiate by weight.
+  auto score = [&](std::size_t i) {
+    return (static_cast<double>(backends[i].active_conns) + 1.0) /
+           static_cast<double>(backends[i].weight_units);
+  };
+  // The ties are the last new best (at `first`) and every later backend
+  // within tolerance of it. Count them, draw one, walk to it.
   double best_score = std::numeric_limits<double>::infinity();
-  ties_.clear();
-  for (const auto i : idx) {
-    // +1 so empty backends still differentiate by weight.
-    const double score =
-        (static_cast<double>(backends[i].active_conns) + 1.0) /
-        static_cast<double>(backends[i].weight_units);
-    if (score < best_score - 1e-12) {
-      best_score = score;
-      ties_.clear();
-      ties_.push_back(i);
-    } else if (score <= best_score + 1e-12) {
-      ties_.push_back(i);
+  std::size_t first = 0;
+  std::uint64_t ties = 0;
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    const double s = score(idx[k]);
+    if (s < best_score - 1e-12) {
+      best_score = s;
+      first = k;
+      ties = 1;
+    } else if (s <= best_score + 1e-12) {
+      ++ties;
     }
   }
-  return ties_[rng.uniform_int(static_cast<std::uint64_t>(ties_.size()))];
+  auto r = rng.uniform_int(ties);
+  for (std::size_t k = first; k < idx.size(); ++k)
+    if (score(idx[k]) <= best_score + 1e-12 && r-- == 0) return idx[k];
+  return kNoBackend;  // unreachable: r < ties
 }
 
 std::size_t RandomPolicy::pick(const net::FiveTuple&,
@@ -150,14 +161,12 @@ std::size_t PowerOfTwoCpu::pick(const net::FiveTuple&,
 
 std::size_t HashTuple::pick(const net::FiveTuple& tuple,
                             const std::vector<BackendView>& backends,
-                            util::Rng&) KLB_NONALLOCATING {
-  // usable() is allocation-free once cached, but only its rebuild branch
-  // can prove that — escape the call, keep the pick itself verified.
-  const std::vector<std::size_t>* idx = nullptr;
-  KLB_EFFECT_ESCAPE("policy.usable_rebuild",
-                    idx = &usable(backends, /*need_weight=*/false));
-  if (idx->empty()) return kNoBackend;
-  return (*idx)[net::hash_tuple(tuple) % idx->size()];
+                            util::Rng&) {
+  // usable() can allocate only when it rebuilds its cache after
+  // invalidate(); a steady-state pick reads the cached list.
+  const auto& idx = usable(backends, /*need_weight=*/false);
+  if (idx.empty()) return kNoBackend;
+  return idx[net::hash_tuple(tuple) % idx.size()];
 }
 
 std::unique_ptr<Policy> make_policy(const std::string& name) {

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "net/five_tuple.hpp"
-#include "util/effects.hpp"
 #include "util/rng.hpp"
 
 namespace klb::server {
@@ -153,9 +152,6 @@ class LeastConnection : public Policy {
   }
   std::size_t pick(const net::FiveTuple&, const std::vector<BackendView>&,
                    util::Rng&) override;
-
- private:
-  std::vector<std::size_t> ties_;  // scratch, reused across picks
 };
 
 /// Weighted least connection (HAProxy semantics): fewest conns/weight.
@@ -168,9 +164,6 @@ class WeightedLeastConnection : public Policy {
   }
   std::size_t pick(const net::FiveTuple&, const std::vector<BackendView>&,
                    util::Rng&) override;
-
- private:
-  std::vector<std::size_t> ties_;  // scratch, reused across picks
 };
 
 /// Uniform random over enabled backends.
@@ -223,11 +216,11 @@ class HashTuple : public Policy {
     return std::make_unique<HashTuple>(*this);
   }
   /// Tuple-deterministic and, steady-state, allocation-free: hash + one
-  /// indexed read of the cached usable list. The post-invalidate() cache
-  /// rebuild is the "policy.usable_rebuild" escape.
+  /// indexed read of the cached usable list. The first pick after
+  /// invalidate() rebuilds that list in place; it allocates only when the
+  /// pool outgrew the list's capacity.
   std::size_t pick(const net::FiveTuple& tuple,
-                   const std::vector<BackendView>&, util::Rng&)
-      KLB_NONALLOCATING override;
+                   const std::vector<BackendView>&, util::Rng&) override;
 };
 
 }  // namespace klb::lb

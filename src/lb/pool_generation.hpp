@@ -71,7 +71,7 @@ struct GenBackend {
   std::int64_t drain_since_us = 0;
   std::shared_ptr<BackendCounters> counters;
 
-  BackendView view() const KLB_NONBLOCKING {
+  BackendView view() const {
     return BackendView{addr, weight_units, /*enabled=*/!draining,
                        counters ? counters->active : 0, server};
   }
@@ -99,7 +99,7 @@ class BackendIndex {
     e.idx = static_cast<std::uint32_t>(idx);
   }
 
-  std::optional<std::size_t> find(std::uint64_t key) const KLB_NONBLOCKING {
+  std::optional<std::size_t> find(std::uint64_t key) const {
     const Entry& e = entries_[slot_of(key)];
     if (e.idx == kEmpty) return std::nullopt;
     return e.idx;
@@ -113,7 +113,7 @@ class BackendIndex {
   };
 
   /// The entry holding `key`, or the empty entry where it would go.
-  std::size_t slot_of(std::uint64_t key) const KLB_NONBLOCKING {
+  std::size_t slot_of(std::uint64_t key) const {
     const std::size_t mask = entries_.size() - 1;
     std::size_t i =
         static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
@@ -155,34 +155,26 @@ class PoolGeneration {
   PoolGeneration(const PoolGeneration&) = delete;
   PoolGeneration& operator=(const PoolGeneration&) = delete;
 
-  // Read accessors consulted by the packet path: all nonblocking (frozen
-  // fields, read-only flat-index probes, no allocation).
-  std::uint64_t program_version() const KLB_NONBLOCKING {
-    return program_version_;
-  }
+  // Read accessors consulted by the packet path: frozen fields and
+  // read-only flat-index probes, no allocation.
+  std::uint64_t program_version() const { return program_version_; }
 
-  const std::vector<GenBackend>& backends() const KLB_NONBLOCKING {
-    return backends_;
-  }
-  std::size_t size() const KLB_NONBLOCKING { return backends_.size(); }
+  const std::vector<GenBackend>& backends() const { return backends_; }
+  std::size_t size() const { return backends_.size(); }
 
-  std::optional<std::size_t> index_of(std::uint64_t id) const
-      KLB_NONBLOCKING {
+  std::optional<std::size_t> index_of(std::uint64_t id) const {
     return index_by_id_.find(id);
   }
 
   /// Index by DIP address value — the identity maglev tables resolve to
   /// (stable ids stay dataplane-internal; the table is shared pool-wide).
-  std::optional<std::size_t> index_of_addr(std::uint32_t addr) const
-      KLB_NONBLOCKING {
+  std::optional<std::size_t> index_of_addr(std::uint32_t addr) const {
     return index_by_addr_.find(addr);
   }
 
   /// The maglev table this generation's policy serves, or nullptr. An
   /// immutable snapshot.
-  const MaglevTable* maglev_table() const KLB_NONBLOCKING {
-    return table_.get();
-  }
+  const MaglevTable* maglev_table() const { return table_.get(); }
   /// The same table as a shared snapshot (control path: the exception
   /// diff keeps it, a MuxPool compares it across members).
   const std::shared_ptr<const MaglevTable>& table_snapshot() const {
@@ -195,8 +187,7 @@ class PoolGeneration {
   /// without a table, for an empty slot, or for an owner this generation
   /// does not carry or has parked. One table read, one frozen index
   /// probe.
-  std::optional<std::size_t> table_route(std::uint64_t hash) const
-      KLB_NONBLOCKING {
+  std::optional<std::size_t> table_route(std::uint64_t hash) const {
     if (table_ == nullptr) return std::nullopt;
     const auto id = table_->lookup_id(hash);
     if (id == MaglevTable::kNoId) return std::nullopt;
@@ -211,24 +202,20 @@ class PoolGeneration {
   /// when the stateless fast path is off/disengaged. Set by the Mux
   /// before the generation is published (never after), and destroyed with
   /// the generation.
-  const ExceptionFilter* exception_filter() const KLB_NONBLOCKING {
-    return filter_.get();
-  }
+  const ExceptionFilter* exception_filter() const { return filter_.get(); }
   void set_exception_filter(std::shared_ptr<const ExceptionFilter> f) {
     filter_ = std::move(f);
   }
 
   /// Policy-facing views, index-aligned with backends(). active_conns is
   /// patched in place by the owning Mux.
-  std::vector<BackendView>& views() const KLB_NONBLOCKING { return views_; }
+  std::vector<BackendView>& views() const { return views_; }
 
   /// The generation-owned policy. Stateful: only the owning Mux picks.
-  Policy& policy() const KLB_NONBLOCKING { return *policy_; }
+  Policy& policy() const { return *policy_; }
 
   // Policy traits cached at construction: no virtual dispatch per packet.
-  bool policy_uses_conns() const KLB_NONBLOCKING {
-    return policy_uses_conns_;
-  }
+  bool policy_uses_conns() const { return policy_uses_conns_; }
 
   /// Recompute the structural checksum and compare with the one stamped
   /// at construction — false means a corrupt generation (never expected;

@@ -1,5 +1,6 @@
 #include "net/fabric.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace klb::net {
@@ -50,17 +51,17 @@ void AddressTable::rehash(std::size_t capacity) {
     if (s.node != nullptr) slots_[slot_of(IpAddr(s.addr))] = s;
 }
 
-void Network::send(IpAddr to, const Message& msg) KLB_NONALLOCATING {
+void Network::send(IpAddr to, const Message& msg) {
   if (const Tap* tap = tap_.get()) {
     // Type-erased bench hook: what it does is the installer's business.
-    KLB_EFFECT_ESCAPE("fabric.tap", (*tap)(to, msg));
+    (*tap)(to, msg);
   }
   if (blackhole_) {
     ++blackholed_;
     return;
   }
   // Copy + schedule: the delivery slow lane.
-  KLB_EFFECT_ESCAPE("fabric.enqueue", send_owned(to, Message(msg)));
+  send_owned(to, Message(msg));
 }
 
 void Network::send(IpAddr to, Message&& msg) {
@@ -84,22 +85,20 @@ void Network::send_owned(IpAddr to, Message msg) {
 }
 
 void Network::send_burst(IpAddr to, const Message* const* msgs,
-                         std::size_t n) KLB_NONALLOCATING {
+                         std::size_t n) {
   if (n == 0) return;
   if (n == 1) {
     send(to, *msgs[0]);
     return;
   }
   if (const Tap* tap = tap_.get()) {
-    KLB_EFFECT_ESCAPE("fabric.tap", {
-      for (std::size_t i = 0; i < n; ++i) (*tap)(to, *msgs[i]);
-    });
+    for (std::size_t i = 0; i < n; ++i) (*tap)(to, *msgs[i]);
   }
   if (blackhole_) {
     blackholed_ += n;
     return;
   }
-  KLB_EFFECT_ESCAPE("fabric.enqueue", enqueue_burst(to, msgs, n));
+  enqueue_burst(to, msgs, n);
 }
 
 void Network::enqueue_burst(IpAddr to, const Message* const* msgs,
@@ -115,12 +114,14 @@ std::vector<Message> Network::take_burst_buffer(std::size_t n) {
   if (!spare_bursts_.empty()) {
     burst = std::move(spare_bursts_.back());
     spare_bursts_.pop_back();
+  } else {
+    burst.reserve(std::max(n, kBurstReserve));
   }
   burst.resize(n);
   return burst;
 }
 
-Node* Network::resolve(IpAddr to, std::uint64_t count) KLB_NONBLOCKING {
+Node* Network::resolve(IpAddr to, std::uint64_t count) {
   Node* node = nodes_.find(to);
   if (node == nullptr)
     dropped_unreachable_ += count;

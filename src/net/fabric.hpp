@@ -40,7 +40,6 @@
 #include "net/address.hpp"
 #include "net/five_tuple.hpp"
 #include "sim/simulation.hpp"
-#include "util/effects.hpp"
 
 namespace klb::net {
 
@@ -84,7 +83,7 @@ class AddressTable {
   AddressTable() { rehash(kMinCapacity); }
 
   /// The node bound to `addr`, or nullptr.
-  Node* find(IpAddr addr) const KLB_NONBLOCKING {
+  Node* find(IpAddr addr) const {
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = home(addr);; i = (i + 1) & mask) {
       const Slot& s = slots_[i];
@@ -98,7 +97,7 @@ class AddressTable {
   std::size_t size() const { return used_; }
   std::size_t capacity() const { return slots_.size(); }
   /// The slot `addr`'s probe run starts at, at the current capacity.
-  std::size_t home(IpAddr addr) const KLB_NONBLOCKING {
+  std::size_t home(IpAddr addr) const {
     return static_cast<std::size_t>(
         static_cast<std::uint32_t>(addr.value() * 0x9e3779b9u) >> shift_);
   }
@@ -163,20 +162,21 @@ class Network {
   /// const-ref overload copies only once the message is actually headed
   /// for the event queue — taps and blackhole mode never pay for a copy
   /// (send() is the packet path's per-forward cost in the benches).
-  /// Nonallocating up to the staging split: classification (tap presence,
-  /// blackhole) is two tests; the type-erased tap runs in the
-  /// "fabric.tap" escape and the copying enqueue tail in "fabric.enqueue".
-  /// Blackhole-mode benches — the packet-path rate measurements — never
-  /// enter either.
-  void send(IpAddr to, const Message& msg) KLB_NONALLOCATING;
+  /// Classification (tap presence, blackhole) is two tests and allocates
+  /// nothing. An installed tap is a std::function and may allocate per
+  /// call. The enqueue copies the message into an inline event callback;
+  /// it allocates only for a payload past the string's small buffer or at
+  /// a new high-water mark of the event slab or heap. Blackhole-mode
+  /// benches (the packet-path rate measurements) never enqueue.
+  void send(IpAddr to, const Message& msg);
   void send(IpAddr to, Message&& msg);
 
   /// Deliver `n` messages to `to` as one fabric hop: one latency draw, one
   /// event, one on_batch() at the destination. The messages are copied out
-  /// of the pointed-to storage before this returns. Same effect split as
-  /// send(): staging is nonallocating, tap and enqueue are the escapes.
-  void send_burst(IpAddr to, const Message* const* msgs, std::size_t n)
-      KLB_NONALLOCATING;
+  /// of the pointed-to storage before this returns. Allocates as send()
+  /// does; the burst buffer comes from the spare list and is new only at
+  /// a new high-water mark of that list.
+  void send_burst(IpAddr to, const Message* const* msgs, std::size_t n);
 
   /// The Simulation every attached component schedules on.
   sim::Simulation& sim() { return sim_; }
@@ -215,19 +215,22 @@ class Network {
 
   /// The node bound to `to`, or nullptr after counting `count` messages
   /// unreachable. One table probe run.
-  Node* resolve(IpAddr to, std::uint64_t count) KLB_NONBLOCKING;
+  Node* resolve(IpAddr to, std::uint64_t count);
   /// The post-tap, post-blackhole tail of send(): owns the message and
   /// schedules its hop.
   void send_owned(IpAddr to, Message msg);
   /// The post-tap, post-blackhole tail of send_burst(): copies the burst
-  /// into a recycled buffer and schedules its hop. Callers enter through
-  /// the "fabric.enqueue" escape.
+  /// into a recycled buffer and schedules its hop.
   void enqueue_burst(IpAddr to, const Message* const* msgs, std::size_t n);
   void deliver(IpAddr to, const Message& msg);
   void deliver_burst(IpAddr to, const std::vector<Message>& msgs);
   /// A spare buffer holding `n` messages: the old elements are assigned
-  /// over, so their payload strings keep their capacity.
+  /// over, so their payload strings keep their capacity. A new buffer
+  /// reserves kBurstReserve messages, so reusing one for a burst of up to
+  /// that many never reallocates, whichever spare comes back.
   std::vector<Message> take_burst_buffer(std::size_t n);
+  /// A Mux forwards at most one 32-packet chunk per burst.
+  static constexpr std::size_t kBurstReserve = 32;
   void recycle(std::vector<Message>&& burst) {
     spare_bursts_.push_back(std::move(burst));
   }

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "net/address.hpp"
-#include "util/effects.hpp"
 
 namespace klb::net {
 
@@ -36,8 +35,8 @@ struct FiveTuple {
 
 /// 64-bit mix of the 5-tuple. Stable across platforms (pure arithmetic);
 /// statistically uniform so an `hash % n` DIP pick emulates ECMP spreading.
-/// Per-packet stage-A work: nonblocking by contract.
-inline std::uint64_t hash_tuple(const FiveTuple& t) KLB_NONBLOCKING {
+/// Per-packet stage-A work: no allocation.
+inline std::uint64_t hash_tuple(const FiveTuple& t) {
   auto mix = [](std::uint64_t x) {
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdull;

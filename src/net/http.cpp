@@ -205,8 +205,7 @@ std::optional<HttpResponse> HttpResponse::parse(std::string_view wire) {
   return resp;
 }
 
-std::optional<ResponseHead> read_response_head(std::string_view wire)
-    KLB_NONALLOCATING {
+std::optional<ResponseHead> read_response_head(std::string_view wire) {
   const auto line = read_status_line(wire);
   if (!line) return std::nullopt;
   ResponseHead head;

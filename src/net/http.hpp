@@ -21,7 +21,6 @@
 #include <string_view>
 
 #include "net/address.hpp"
-#include "util/effects.hpp"
 
 namespace klb::net {
 
@@ -64,8 +63,7 @@ struct ResponseHead {
 
 /// Reads `wire`'s status and Server header without copying or allocating.
 /// Returns nullopt exactly when HttpResponse::parse(wire) would.
-std::optional<ResponseHead> read_response_head(std::string_view wire)
-    KLB_NONALLOCATING;
+std::optional<ResponseHead> read_response_head(std::string_view wire);
 
 /// Appends what HttpRequest{"GET", target, {{"Host", host.str()}}}
 /// .serialize() gives: the request line, Host, then Content-Length: 0.

@@ -13,8 +13,9 @@ std::atomic<LogLevel>& threshold_storage() {
   return level;
 }
 
-/// Serializes sink writes: solver workers may warn concurrently with the
-/// sim thread, and interleaved half-lines are worse than no log at all.
+/// Serializes sink writes: a program embedding the library may log from
+/// threads of its own, and interleaved half-lines are worse than no log at
+/// all.
 std::mutex& sink_mutex() {
   static std::mutex mu;
   return mu;

@@ -2,11 +2,11 @@
 // tests can raise the threshold to keep output clean, examples can lower it
 // to narrate what the controller is doing.
 //
-// Thread-safety: the threshold is an atomic (benches flip it around
-// multi-threaded phases while workers hit warn paths), and sink writes are
-// serialized so concurrent lines never tear. A LogLine samples the
-// threshold once at construction and buffers locally; only the final
-// one-call flush takes the sink lock.
+// Thread-safety: the project itself starts no thread, but a program
+// embedding the library may log from threads of its own. So the threshold
+// is an atomic, and sink writes are serialized so concurrent lines never
+// tear. A LogLine samples the threshold once at construction and buffers
+// locally; only the final one-call flush takes the sink lock.
 #pragma once
 
 #include <sstream>

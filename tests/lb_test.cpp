@@ -642,6 +642,29 @@ TEST(DrainEstimator, RestoredEqualSplitSumsToScale) {
   for (const auto u : lb.last_units) EXPECT_NEAR(u, util::kWeightScale / 3, 1);
 }
 
+// A poll still pending captures the estimator. Destroying the estimator
+// mid-run must cancel it: without the cancel, the poll later fires on
+// freed memory (ASan: stack-use-after-scope).
+TEST(DrainEstimator, DestroyedMidFlightLeavesNoEventBehind) {
+  sim::Simulation sim(32);
+  auto engine = std::make_shared<store::KvEngine>([&sim] { return sim.now(); });
+  store::LatencyStore store(engine);
+  RecordingDataplane lb({net::IpAddr{10, 1, 0, 1}, net::IpAddr{10, 1, 0, 2}});
+  const auto before = sim.pending_events();
+  bool done_called = false;
+  {
+    core::DrainEstimator est(sim, net::IpAddr{10, 0, 0, 1}, store, lb);
+    est.run(net::IpAddr{10, 1, 0, 1}, 0, 1.0,
+            [&](std::optional<util::SimTime>) { done_called = true; });
+    sim.run_until(1500_ms);  // the first loading poll fired, the next waits
+    EXPECT_TRUE(est.running());
+    EXPECT_EQ(sim.pending_events(), before + 1);
+  }
+  EXPECT_EQ(sim.pending_events(), before);
+  sim.run_all();
+  EXPECT_FALSE(done_called);
+}
+
 TEST(LbController, TransactionCommitsAfterDelay) {
   MuxFixture f;
   Mux mux(f.net, f.vip, make_policy("wrr"));

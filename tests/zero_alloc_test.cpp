@@ -1,22 +1,42 @@
-// Zero-allocation contract of the packet hop: after warm-up, a burst step —
-// the fabric delivering everything due, then MuxPool::on_batch routing the
-// next burst and scheduling its hops — makes no heap allocation at all.
+// Zero-allocation contract of the packet path: after warm-up, a
+// steady-state step of every packet lane makes no heap allocation at all.
+// This binary is the project's one hot-path checker.
 //
 // The binary replaces the global allocation functions with counting ones
-// and drives a 3-member MuxPool over the real fabric to 30 sink nodes with
-// 32-packet bursts of short payload-free flows: 16 opens, then 16 FINs of
-// flows opened 8k flows earlier. Reweighting commits run between bursts
-// and are excluded from the count (a commit builds a generation and a
-// maglev table by design); the steps after them are not. The flow tables
-// are sized for twice the open flows up front: the one allocation a table
-// may still make is its amortized growth, which a shard whose share of the
-// open flows drifts past 3/4 load would otherwise hit at random times.
+// and runs one case per lane:
 //
-// The same counter checks the client's side of a response: reading a DIP
-// response's status and Server header allocates nothing.
+//   pool_stateful   a 3-member maglev MuxPool over the real fabric to 30
+//                   sink nodes, fed 32-packet bursts through on_batch: 16
+//                   opens, then 16 FINs of flows opened 8k flows earlier.
+//                   A step is the fabric delivering everything due, then
+//                   the pool routing the next burst and scheduling its
+//                   hops.
+//   pool_stateless  the same burst with ConsistencyConfig{stateless =
+//                   true}: unchanged slots route by hash alone, and slots
+//                   a commit moved pin exception flows.
+//   mux_<policy>    one Mux fed the same packets one at a time through the
+//                   scalar on_message entry, for rr, lc, wlc, wrr, hash
+//                   and maglev. The policies without a table pick per
+//                   packet (a virtual call); the first pick after each
+//                   commit rebuilds the policy's usable-index cache in
+//                   place.
+//   response_head   the client reading a DIP response's status and Server
+//                   header.
 //
-// The binary also holds the effect-escape registry's whitelist tests
-// (util/effects.hpp), which run after the hop has executed its escapes.
+// Reweighting commits run every 256 steps and are not counted; the steps
+// after them are. The count excludes by design:
+//   - commits, failures and drain completions: each builds and publishes
+//     a generation (and a maglev table);
+//   - idle-GC sweeps: they collect their reclaims in a vector (the lanes
+//     leave the idle timeout off);
+//   - flow-table growth past its pre-sized capacity: the tables are sized
+//     for twice the open flows up front, so no shard whose share drifts
+//     past 3/4 load grows at a random time;
+//   - an installed fabric tap: it is a std::function and may allocate per
+//     call (the lanes install none).
+//
+// What this cannot catch: a violation on a path no lane drives, and a
+// syscall that allocates nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,9 +44,9 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
-#include "lb/epoch.hpp"
 #include "lb/mux.hpp"
 #include "lb/mux_pool.hpp"
 #include "lb/policy.hpp"
@@ -34,7 +54,6 @@
 #include "net/fabric.hpp"
 #include "net/http.hpp"
 #include "sim/simulation.hpp"
-#include "util/effects.hpp"
 #include "util/rng.hpp"
 #include "util/weight.hpp"
 
@@ -85,9 +104,13 @@ constexpr std::size_t kSinks = 30;
 constexpr std::size_t kBurst = 32;
 constexpr std::size_t kHalf = kBurst / 2;
 constexpr std::uint64_t kOpenFlows = 8'192;
+constexpr std::uint64_t kWarmUp = 2'048;
+constexpr std::uint64_t kMeasured = 2'048;
+constexpr std::uint64_t kCommitEvery = 256;
 constexpr SimTime kBurstGap = SimTime::micros(16);
 const net::IpAddr kVip{10, 0, 0, 1};
 const net::IpAddr kSinkBase{10, 1, 0, 1};
+const lb::FlowTableConfig kFlowCfg{16, 2 * kOpenFlows, 0};
 
 class Sink final : public net::Node {
  public:
@@ -109,32 +132,53 @@ net::FiveTuple flow_tuple(std::uint64_t flow) {
   return t;
 }
 
-class BurstDrive {
+/// One lane under the counter. step(b) is steady-state step b and is
+/// counted; uncounted(b) runs just before it and is not. check() runs
+/// after the measured window and asserts the lane really did its work.
+class Lane {
  public:
-  BurstDrive()
-      : net_(sim_),
-        pool_(net_, kVip, 3, lb::MaglevTable::kDefaultMinSize,
-              lb::FlowTableConfig{16, 2 * kOpenFlows, 0}),
-        rng_(7) {
+  virtual ~Lane() = default;
+  virtual void uncounted(std::uint64_t) {}
+  virtual void step(std::uint64_t b) = 0;
+  /// Called between warm-up and the measured window.
+  virtual void begin_window() {}
+  virtual void check() = 0;
+};
+
+/// A dataplane lane: a MuxPool fed bursts through on_batch, or a lone Mux
+/// fed the same packets one at a time through on_message.
+class PacketLane final : public Lane {
+ public:
+  /// `policy` empty: a 3-member MuxPool; otherwise a Mux running it.
+  PacketLane(const std::string& policy, bool stateless)
+      : stateless_(stateless), net_(sim_), rng_(7) {
     for (std::size_t i = 0; i < kSinks; ++i) {
       sinks_.push_back(std::make_unique<Sink>());
       net_.attach(kSinkBase.next(static_cast<std::uint32_t>(i)),
                   sinks_.back().get());
     }
+    lb::ConsistencyConfig consistency;
+    consistency.stateless = stateless;
+    if (policy.empty()) {
+      pool_ = std::make_unique<lb::MuxPool>(net_, kVip, 3,
+                                            lb::MaglevTable::kDefaultMinSize,
+                                            kFlowCfg, consistency);
+    } else {
+      mux_ = std::make_unique<lb::Mux>(net_, kVip, lb::make_policy(policy),
+                                       true, kFlowCfg, consistency);
+    }
     commit();
     // Open the first kOpenFlows flows: the table starts at steady size.
     for (std::uint64_t f = 0; f < kOpenFlows; f += kBurst) {
-      net::Message opens[kBurst];
       for (std::size_t s = 0; s < kBurst; ++s)
-        opens[s].tuple = flow_tuple(f + s);
-      const net::Message* ptrs[kBurst];
-      for (std::size_t s = 0; s < kBurst; ++s) ptrs[s] = &opens[s];
-      step(ptrs);
+        burst_[s].tuple = flow_tuple(f + s);
+      route();
     }
   }
 
-  /// Burst `b`: opens flows kOpenFlows + 16b.., closes flows 16b...
-  void fill(std::uint64_t b) {
+  void uncounted(std::uint64_t b) override {
+    if (b % kCommitEvery == 0) commit();
+    // Burst b: opens flows kOpenFlows + 16b.., closes flows 16b...
     for (std::size_t s = 0; s < kHalf; ++s) {
       burst_[s].type = net::MsgType::kHttpRequest;
       burst_[s].tuple = flow_tuple(kOpenFlows + kHalf * b + s);
@@ -143,150 +187,137 @@ class BurstDrive {
     }
   }
 
-  /// One burst step: returns the allocations it made.
-  std::uint64_t step_burst() {
-    const net::Message* ptrs[kBurst];
-    for (std::size_t s = 0; s < kBurst; ++s) ptrs[s] = &burst_[s];
-    const auto before = g_allocations.load(std::memory_order_relaxed);
-    step(ptrs);
-    return g_allocations.load(std::memory_order_relaxed) - before;
+  void step(std::uint64_t) override { route(); }
+
+  void begin_window() override { window_start_ = counters(); }
+
+  void check() override {
+    // The drive really routed: every packet offered reached a sink.
+    sim_.run_until(due_ + SimTime::millis(10));
+    std::uint64_t delivered = 0;
+    for (const auto& s : sinks_) delivered += s->received;
+    EXPECT_EQ(delivered, offered_);
+    const auto window = counters() - window_start_;
+    EXPECT_EQ(window.no_backend_drops, 0u);
+    EXPECT_EQ(window.total_forwarded, kMeasured * kHalf);  // the opens
+    if (stateless_) {
+      // The hybrid lane ran both arms across the commits.
+      EXPECT_TRUE(pool_->stateless_engaged());
+      EXPECT_GT(window.stateless_picks, 0u);
+      EXPECT_GT(window.exception_pins, 0u);
+    }
+  }
+
+ private:
+  lb::PoolProgrammer& programmer() {
+    return pool_ ? static_cast<lb::PoolProgrammer&>(*pool_) : *mux_;
+  }
+  lb::DataplaneCounters counters() const {
+    return pool_ ? pool_->counters() : mux_->counters();
   }
 
   void commit() {
     std::vector<double> w(kSinks);
     for (auto& x : w) x = rng_.uniform(0.5, 1.5);
     const auto units = util::normalize_to_units(w);
-    lb::PoolProgram p(pool_.issue_version());
+    lb::PoolProgram p(programmer().issue_version());
     for (std::size_t i = 0; i < kSinks; ++i)
       p.add(kSinkBase.next(static_cast<std::uint32_t>(i)), units[i]);
-    pool_.apply_program(p);
+    programmer().apply_program(p);
   }
 
-  /// Let the fabric deliver everything in flight.
-  void drain() { sim_.run_until(due_ + SimTime::millis(10)); }
-
-  std::uint64_t delivered() const {
-    std::uint64_t n = 0;
-    for (const auto& s : sinks_) n += s->received;
-    return n;
-  }
-  std::uint64_t offered() const { return offered_; }
-  lb::MuxPool& pool() { return pool_; }
-
- private:
-  void step(const net::Message* const* ptrs) {
+  /// Deliver everything due, then route burst_: as one on_batch into the
+  /// pool, or packet by packet into the Mux.
+  void route() {
     due_ += kBurstGap;
     offered_ += kBurst;
     sim_.run_until(due_);
-    pool_.on_batch(ptrs, kBurst);
+    if (pool_) {
+      const net::Message* ptrs[kBurst];
+      for (std::size_t s = 0; s < kBurst; ++s) ptrs[s] = &burst_[s];
+      pool_->on_batch(ptrs, kBurst);
+    } else {
+      for (const auto& m : burst_) mux_->on_message(m);
+    }
   }
 
+  const bool stateless_;
   sim::Simulation sim_{11};
   net::Network net_;
   std::vector<std::unique_ptr<Sink>> sinks_;
-  lb::MuxPool pool_;
+  std::unique_ptr<lb::MuxPool> pool_;
+  std::unique_ptr<lb::Mux> mux_;
   util::Rng rng_;
   net::Message burst_[kBurst];
   SimTime due_ = SimTime::zero();
   std::uint64_t offered_ = 0;
+  lb::DataplaneCounters window_start_;
 };
 
-TEST(ZeroAlloc, BurstStepAllocatesNothingAfterWarmUp) {
-  BurstDrive drive;
-  constexpr std::uint64_t kWarmUp = 2'048;
-  constexpr std::uint64_t kMeasured = 2'048;
-  constexpr std::uint64_t kCommitEvery = 256;
-  for (std::uint64_t b = 0; b < kWarmUp; ++b) {
-    drive.fill(b);
-    drive.step_burst();
+/// The client's side of a response: each step reads one response's
+/// status and Server header in place, alternating 200 and 503.
+class ResponseHeadLane final : public Lane {
+ public:
+  ResponseHeadLane() {
+    net::write_response(ok_wire_, 200, "klb-dip/10.1.0.7", "result");
+    net::write_response(overloaded_wire_, 503, "klb-dip/10.1.0.7",
+                        "overloaded");
   }
+  void begin_window() override { ok_ = attributed_ = 0; }
+  void step(std::uint64_t b) override {
+    const auto head =
+        net::read_response_head(b % 2 == 0 ? ok_wire_ : overloaded_wire_);
+    ok_ += head && head->ok() ? 1 : 0;
+    attributed_ += head && head->server == "klb-dip/10.1.0.7" ? 1 : 0;
+  }
+  void check() override {
+    EXPECT_EQ(ok_, kMeasured / 2);
+    EXPECT_EQ(attributed_, kMeasured);
+  }
+
+ private:
+  std::string ok_wire_, overloaded_wire_;
+  std::uint64_t ok_ = 0, attributed_ = 0;
+};
+
+std::unique_ptr<Lane> make_lane(const std::string& name) {
+  if (name == "pool_stateful") return std::make_unique<PacketLane>("", false);
+  if (name == "pool_stateless") return std::make_unique<PacketLane>("", true);
+  if (name == "response_head") return std::make_unique<ResponseHeadLane>();
+  return std::make_unique<PacketLane>(name.substr(4), false);  // "mux_"
+}
+
+class ZeroAlloc : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ZeroAlloc, SteadyStateStepAllocatesNothingAfterWarmUp) {
+  const auto lane = make_lane(GetParam());
+  for (std::uint64_t b = 0; b < kWarmUp; ++b) {
+    lane->uncounted(b);
+    lane->step(b);
+  }
+  lane->begin_window();
   std::uint64_t allocating_steps = 0, allocations = 0;
   for (std::uint64_t b = kWarmUp; b < kWarmUp + kMeasured; ++b) {
-    if (b % kCommitEvery == 0) drive.commit();  // not counted
-    drive.fill(b);
-    const auto n = drive.step_burst();
+    lane->uncounted(b);
+    const auto before = g_allocations.load(std::memory_order_relaxed);
+    lane->step(b);
+    const auto n = g_allocations.load(std::memory_order_relaxed) - before;
     allocations += n;
     allocating_steps += n > 0 ? 1 : 0;
   }
   EXPECT_EQ(allocations, 0u) << allocating_steps << " of " << kMeasured
-                             << " burst steps allocated";
-  // The drive really routed: every packet offered reached a sink.
-  drive.drain();
-  EXPECT_EQ(drive.delivered(), drive.offered());
-  EXPECT_EQ(drive.pool().counters().no_backend_drops, 0u);
+                             << " steps allocated";
+  lane->check();
 }
 
-TEST(ZeroAlloc, ReadingADipResponseHeadAllocatesNothing) {
-  // The client reads every response's status and Server header in place.
-  std::string ok_wire, overloaded_wire;  // built before the count starts
-  net::write_response(ok_wire, 200, "klb-dip/10.1.0.7", "result");
-  net::write_response(overloaded_wire, 503, "klb-dip/10.1.0.7", "overloaded");
-  constexpr int kReads = 1'000;
-  int ok = 0, attributed = 0;
-  const auto before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < kReads; ++i) {
-    const auto head =
-        net::read_response_head(i % 2 == 0 ? ok_wire : overloaded_wire);
-    ok += head && head->ok() ? 1 : 0;
-    attributed += head && head->server == "klb-dip/10.1.0.7" ? 1 : 0;
-  }
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
-  EXPECT_EQ(ok, kReads / 2);
-  EXPECT_EQ(attributed, kReads);
-}
-
-// --- the documented-escapes registry -----------------------------------------
-// Every KLB_EFFECT_ESCAPE site that executes in a debug build must be on
-// the kDocumentedEscapeSites whitelist: an escape added without a
-// whitelist entry (and the README justification that goes with it) fails
-// here the first time it runs. The tests above drive the MuxPool hop over
-// the real fabric, so by now the registry holds every escape of that path.
-
-TEST(EffectEscapeRegistryTest, ExecutedSitesAreAllDocumented) {
-  if (!util::effects::registry_enabled()) {
-    GTEST_SKIP() << "NDEBUG build: escape registry compiled out";
-  }
-  // Drive two more known escapes: a pin records "epoch.pin_seed" on this
-  // thread's first pin, and a policy without a table picks through
-  // "mux.pick".
-  lb::EpochDomain domain;
-  { auto g = domain.pin(); }
-  sim::Simulation sim(3);
-  net::Network net(sim);
-  net.set_blackhole(true);
-  lb::Mux mux(net, kVip, lb::make_policy("rr"));
-  lb::PoolProgram p(mux.issue_version());
-  p.add(kSinkBase, util::kWeightScale);
-  mux.apply_program(p);
-  net::Message m;
-  m.tuple = flow_tuple(1);
-  mux.on_message(m);
-
-  const char* sites[util::effects::kDocumentedEscapeCount + 8];
-  const std::size_t total = util::effects::escape_sites(
-      sites, util::effects::kDocumentedEscapeCount + 8);
-  ASSERT_GE(total, 2u);
-  ASSERT_LE(total, util::effects::kDocumentedEscapeCount)
-      << "more distinct escape sites executed than are documented";
-  for (std::size_t i = 0; i < total; ++i) {
-    EXPECT_TRUE(util::effects::site_documented(sites[i]))
-        << "undocumented KLB_EFFECT_ESCAPE site executed: " << sites[i]
-        << " (add it to kDocumentedEscapeSites + README or remove the "
-           "escape)";
-  }
-}
-
-TEST(EffectEscapeRegistryTest, WhitelistMatchesByContentNotPointer) {
-  // site_documented is the whitelist predicate itself: it must admit
-  // every documented name (even a TU-distinct copy of the literal) and
-  // reject everything else, independent of build flavour.
-  const char copy[] = "mux.pick";
-  EXPECT_TRUE(util::effects::site_documented(copy));
-  EXPECT_TRUE(util::effects::site_documented("flow.pin_insert"));
-  EXPECT_TRUE(util::effects::site_documented("fabric.enqueue"));
-  EXPECT_FALSE(util::effects::site_documented("klb.test.not_a_site"));
-  EXPECT_FALSE(util::effects::site_documented("mux.pick "));
-}
+INSTANTIATE_TEST_SUITE_P(
+    Lanes, ZeroAlloc,
+    ::testing::Values("pool_stateful", "pool_stateless", "mux_rr", "mux_lc",
+                      "mux_wlc", "mux_wrr", "mux_hash", "mux_maglev",
+                      "response_head"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace klb
